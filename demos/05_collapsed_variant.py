@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from mfgar import GarConfig, MultiFidelityDataset, OptimConfig, cigar_fit, cigar_predict
+from mfgar import GarConfig, MultiFidelityDataset, OptimConfig, cigar_fit
 from mfgar.gar import gar_fit_recursive, gar_predict
 from mfgar.tensalg import track_eig_sizes
 
@@ -35,7 +35,7 @@ with track_eig_sizes() as sizes:
 print(f"... and during the full fit:                        {sorted(set(sizes))}")
 
 Xq = rng.uniform(0, 1, size=(5, 2))
-pf, pc = gar_predict(full, Xq), cigar_predict(fast, Xq)
+pf, pc = gar_predict(full, Xq), gar_predict(fast, Xq)
 print(f"\nboth models predict the held-out fields "
       f"(rmse gap between means: {np.sqrt(np.mean((pf.mean - pc.mean)**2)):.2e})")
 print("(means coincide exactly only at shared parameters; each model fits its own)")

@@ -54,14 +54,12 @@ from .gar import (
     build_subset_plan,
     gar_fit_recursive,
     gar_fit_subset,
-    gar_joint_nll_dense,
     gar_nll_nonsubset,
     gar_predict,
-    gar_predict_nonsubset,
     load_gar,
     save_gar,
 )
-from .cigar import CigarModel, cigar_fit, cigar_predict, orthonormalize
+from .cigar import CigarModel, cigar_fit, orthonormalize
 from .pdebench import (
     FieldSample,
     PdeSpec,

@@ -23,16 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import polar
 
-from .gar import (
-    GarConfig,
-    GarModel,
-    MultiFidelityDataset,
-    TuckerWeights,
-    gar_fit_recursive,
-    gar_nll_nonsubset,
-    gar_predict,
-)
-from .hogp import PosteriorField
+from .gar import GarConfig, GarModel, MultiFidelityDataset, TuckerWeights, gar_fit_recursive
 
 ORTHO_TOL = 1e-8
 
@@ -96,18 +87,3 @@ def cigar_fit(dataset: MultiFidelityDataset, config: GarConfig = GarConfig()) ->
     return CigarModel(
         low=fitted.low, transitions=fitted.transitions, kind="cigar", rho=None
     )
-
-
-def cigar_predict(model: CigarModel, x_star) -> PosteriorField:
-    """Predict with the collapsed model.
-
-    The mean matches the full model's posterior mean at equal parameters;
-    the variance diagonal uses the identity output factors, i.e. per-entry
-    scalar-GP variances scaled by ``diag(W W^T)`` along the chain.
-    """
-    return gar_predict(model, x_star)
-
-
-def cigar_nll(model: CigarModel) -> float:
-    """Exact marginal NLL of a fitted two-level model (either structure)."""
-    return gar_nll_nonsubset(model)

@@ -5,7 +5,7 @@ Subcommands
 * ``generate`` writes a dataset directory (manifest + per-level inputs CSV +
   field arrays) for one PDE benchmark.
 * ``train`` fits one model kind on a dataset directory and writes the model
-  bundle plus the optimizer trace.
+  bundle (``model.json``) and the run settings (``train_meta.json``).
 * ``benchmark`` sweeps the high-fidelity sample count, repeating each point
   with shuffled designs (distinct sampler streams per repeat), and emits
   ``results.csv`` (deterministic given seeds; one row per model/sweep/repeat
@@ -171,7 +171,7 @@ def cmd_generate(args) -> int:
 
 
 def _fit_model(kind: str, dataset, optim: OptimConfig):
-    """Fit one model kind; returns (serializer, model, trace-or-None)."""
+    """Fit one model kind; returns ``(family, model)`` with family "gar" or "tgp"."""
     cfg = GarConfig(optim=optim)
     if kind == "gar":
         return "gar", gar_fit_recursive(dataset, cfg)
@@ -239,8 +239,7 @@ def _run_job(job) -> dict:
     a = argparse.Namespace(**args_doc)
     seed = a.seed + 1000 * repeat
     # distinct design per repeat: shifted deterministic stream
-    block = a.n_low + max(a.sweep) + a.n_test
-    skip = repeat * block
+    skip = repeat * (a.n_low + max(a.sweep) + a.n_test)
     row = {
         "model": kind,
         "n_high": n_high,
@@ -253,9 +252,12 @@ def _run_job(job) -> dict:
     out_dir = Path(a.out) / "jobs" / f"{kind}_n{n_high}_r{repeat}"
     start = time.perf_counter()
     try:
+        # the Sobol stream ignores the seed, so only its repeats need the shift;
+        # uniform repeats already draw from distinct seeds
         dataset = make_dataset(
-            spec, a.n_low, n_high, a.sampler, a.structure, a.aligned, seed
-        ) if a.sampler == "uniform" else _sobol_dataset(spec, a, n_high, skip)
+            spec, a.n_low, n_high, a.sampler, a.structure, a.aligned, seed,
+            skip=skip if a.sampler == "sobol" else 0,
+        )
         X_test, Y_test = make_test_set(
             spec, a.n_test, a.sampler, seed, skip=skip + a.n_low + n_high
         )
@@ -282,30 +284,6 @@ def _run_job(job) -> dict:
         row["model_ref"] = ""
     row["_wall_time"] = time.perf_counter() - start
     return row
-
-
-def _sobol_dataset(spec, a, n_high, skip):
-    """Sobol designs shifted per repeat so repeats see distinct points."""
-    from .pdebench import sample_inputs, solve_field, upsample_bilinear
-
-    X_low = sample_inputs(spec, a.n_low, "sobol", 0, skip=skip)
-    if a.structure == "subset":
-        X_high = X_low[:n_high]
-    else:
-        X_high = sample_inputs(spec, n_high, "sobol", 0, skip=skip + a.n_low)
-    low_fields = [solve_field(spec, x, "low") for x in X_low]
-    high_fields = [solve_field(spec, x, "high") for x in X_high]
-    if a.aligned:
-        target = high_fields[0].axes
-        low_fields = [upsample_bilinear(s, target) for s in low_fields]
-    from .gar import MultiFidelityDataset
-
-    return MultiFidelityDataset(
-        [
-            (X_low, np.stack([s.field for s in low_fields])),
-            (X_high, np.stack([s.field for s in high_fields])),
-        ]
-    )
 
 
 RESULT_COLUMNS = [

@@ -18,8 +18,7 @@ inflated by the propagated imputation uncertainty.
 Observation noise rides along the chain: each level's transform acts on the
 *noisy* lower-level observation, which is exactly the reading under which
 the subset decomposition stays an identity at nonzero noise.  The dense
-joint builders in this module implement the same chain and serve as the
-exponential-cost validation oracles.
+joint builders of the test oracles implement the same chain.
 """
 
 from __future__ import annotations
@@ -389,11 +388,23 @@ def _w_factor_grads(alpha: np.ndarray, low_stack: np.ndarray, weights: TuckerWei
 # ---------------------------------------------------------------------------
 
 
-class _ResidualPack:
-    """Joint objective over {W, residual hyperparameters} for subset data.
+def _cov_matrix(s) -> np.ndarray:
+    """An output covariance factor as a matrix (ints mark identity factors)."""
+    return np.eye(s) if isinstance(s, int) else s
 
-    The residual tensor is rebuilt from W at every evaluation; the NLL and
-    all gradients run through the eigendecomposition pipeline.
+
+def _embedded_cov(s_hat: np.ndarray, n_high: int, n_matched: int) -> np.ndarray:
+    """Imputation covariance ``S_hat`` embedded into the matched-first high row order."""
+    emb = np.zeros((n_high, s_hat.shape[0]))
+    emb[n_matched:, :] = np.eye(s_hat.shape[0])
+    return emb @ s_hat @ emb.T
+
+
+class _Stage2Pack:
+    """Flat parameters {W, residual hyperparameters} of one transition fit.
+
+    The residual tensor is rebuilt from W at every unpack; subclasses supply
+    the objective over the unpacked ``(weights, residual model)``.
     """
 
     def __init__(
@@ -425,16 +436,23 @@ class _ResidualPack:
         model = replace(self.tgp.unpack(pt), Y=resid, _eig=None)
         return weights, model
 
+    def project(self, p: np.ndarray) -> np.ndarray:
+        pw, pt = self.split(p)
+        return np.concatenate([self.w.project(pw), pt])
+
+
+class _ResidualPack(_Stage2Pack):
+    """Joint objective over {W, residual hyperparameters} for subset data.
+
+    The NLL and all gradients run through the eigendecomposition pipeline.
+    """
+
     def objective(self, p: np.ndarray):
         weights, model = self.unpack(p)
         value, g_t, extras = self.tgp.value_and_grad(model)
         alpha = extras["alpha"]
         g_w = self.w.chain(_w_factor_grads(alpha, self.low_stack, weights))
         return value, np.concatenate([g_w, g_t])
-
-    def project(self, p: np.ndarray) -> np.ndarray:
-        pw, pt = self.split(p)
-        return np.concatenate([self.w.project(pw), pt])
 
 
 def _kron_partial(T_blocks: np.ndarray, mats: list, open_idx: int) -> np.ndarray:
@@ -457,7 +475,7 @@ def _kron_partial(T_blocks: np.ndarray, mats: list, open_idx: int) -> np.ndarray
     return np.einsum(expr, *operands, optimize=True)
 
 
-class _NonsubsetPack:
+class _NonsubsetPack(_Stage2Pack):
     """Exact corrected objective for a non-subset transition (dense algebra).
 
     Evaluates the closed-form marginal likelihood: the residual Gaussian with
@@ -480,30 +498,10 @@ class _NonsubsetPack:
         n_matched: int,
         freeze_coords: bool = False,
     ):
-        self.low_stack = low_stack
-        self.y_high = y_high
-        self.w = _WParam(w_init, w_mode)
-        self.tgp = _TgpPack(template, laplace, freeze_coords=freeze_coords)
-        self.size = self.w.size + self.tgp.size
-        n_high = y_high.shape[0]
-        emb = np.zeros((n_high, s_hat.shape[0]))
-        emb[n_matched:, :] = np.eye(s_hat.shape[0])
-        self.b_input = emb @ s_hat @ emb.T  # embedded imputation covariance
-        self.s_low_mats = [np.eye(s) if isinstance(s, int) else s for s in s_low_mats]
+        super().__init__(low_stack, y_high, template, w_init, w_mode, laplace, freeze_coords)
+        self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
+        self.s_low_mats = [_cov_matrix(s) for s in s_low_mats]
         self.mode_sizes_high = y_high.shape[1:]
-
-    def split(self, p):
-        return p[: self.w.size], p[self.w.size :]
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.w.pack(), self.tgp.pack(self.tgp.template)])
-
-    def unpack(self, p: np.ndarray):
-        pw, pt = self.split(p)
-        weights = self.w.unpack(pw)
-        resid = self.y_high - weights.apply(self.low_stack)
-        model = replace(self.tgp.unpack(pt), Y=resid, _eig=None)
-        return weights, model
 
     def objective(self, p: np.ndarray):
         weights, model = self.unpack(p)
@@ -513,10 +511,9 @@ class _NonsubsetPack:
         n_modes = len(self.mode_sizes_high)
 
         from .kernels import ard_gram_input_grad, ard_gram_param_grads
-        from .kernels import laplace_log_prior, laplace_log_prior_grad
 
         K_r = ard_gram(model.input_kernel, model.X, model.X)
-        s_mats = [np.eye(s) if isinstance(s, int) else s for s in model.output_covs()]
+        s_mats = [_cov_matrix(s) for s in model.output_covs()]
         sand = [w @ s @ w.T for w, s in zip(weights.factors, self.s_low_mats)]
         sigma = (
             kron_all([K_r] + s_mats)
@@ -567,22 +564,11 @@ class _NonsubsetPack:
             q_m = _kron_partial(T_blocks, [self.b_input] + sand, m + 1)
             w_grads[m] = w_grads[m] + (q_m + q_m.T) @ weights.factors[m] @ self.s_low_mats[m]
         g[: self.w.size] = self.w.chain(w_grads)
-
-        # Laplace penalty on residual latents, matching _TgpPack.
-        if self.tgp.laplace.scale > 0 and model.output_features is not None:
-            value -= laplace_log_prior(model.output_features, self.tgp.laplace)
-            for m, gv in enumerate(laplace_log_prior_grad(model.output_features, self.tgp.laplace)):
-                if f"coords{m}" in self.tgp.active:
-                    cl = pt_slices[f"coords{m}"]
-                    g[off + cl.start : off + cl.stop] -= gv.ravel()
+        value = self.tgp.penalize(model, value, g, off)
         return value, g
 
-    def project(self, p: np.ndarray) -> np.ndarray:
-        pw, pt = self.split(p)
-        return np.concatenate([self.w.project(pw), pt])
 
-
-class _IdentityOutputNonsubsetPack:
+class _IdentityOutputNonsubsetPack(_Stage2Pack):
     """Corrected non-subset objective for identity output covariances.
 
     With ``S = I`` everywhere and per-mode projectors ``P_m = W_m W_m^T``,
@@ -607,28 +593,8 @@ class _IdentityOutputNonsubsetPack:
     ):
         if template.output_features is not None:
             raise ValueError("identity-output pack requires identity output covariances")
-        self.low_stack = low_stack
-        self.y_high = y_high
-        self.w = _WParam(w_init, w_mode)
-        self.tgp = _TgpPack(template, LaplacePrior(0.0))
-        self.size = self.w.size + self.tgp.size
-        n_high = y_high.shape[0]
-        emb = np.zeros((n_high, s_hat.shape[0]))
-        emb[n_matched:, :] = np.eye(s_hat.shape[0])
-        self.b_input = emb @ s_hat @ emb.T
-
-    def split(self, p):
-        return p[: self.w.size], p[self.w.size :]
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.w.pack(), self.tgp.pack(self.tgp.template)])
-
-    def unpack(self, p: np.ndarray):
-        pw, pt = self.split(p)
-        weights = self.w.unpack(pw)
-        resid = self.y_high - weights.apply(self.low_stack)
-        model = replace(self.tgp.unpack(pt), Y=resid, _eig=None)
-        return weights, model
+        super().__init__(low_stack, y_high, template, w_init, w_mode, LaplacePrior(0.0))
+        self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
 
     def objective(self, p: np.ndarray):
         from scipy.linalg import cho_factor, cho_solve
@@ -699,10 +665,6 @@ class _IdentityOutputNonsubsetPack:
         g[: self.w.size] = self.w.chain(w_grads)
         return value, g
 
-    def project(self, p: np.ndarray) -> np.ndarray:
-        pw, pt = self.split(p)
-        return np.concatenate([self.w.project(pw), pt])
-
 
 # ---------------------------------------------------------------------------
 # Transition fitting
@@ -761,10 +723,7 @@ def _impute(low_model: TgpModel, x_hat: np.ndarray):
 
 
 def _low_s_dense(low_model: TgpModel) -> np.ndarray:
-    mats = [
-        np.eye(s) if isinstance(s, int) else s for s in low_model.output_covs()
-    ]
-    return kron_all(mats)
+    return kron_all([_cov_matrix(s) for s in low_model.output_covs()])
 
 
 def _fit_transition(
@@ -779,63 +738,39 @@ def _fit_transition(
     X_res = level_high.X[perm]
     Y_res = level_high.Y[perm]
     w_init = TuckerWeights.initial(level_high.mode_sizes, level_low.mode_sizes)
+    low_stack = level_low.Y[plan.matched_low]
     workspace = None
-
-    if plan.fully_matched:
-        low_stack = level_low.Y[plan.matched_low]
-        template, shared = _residual_template(
-            X_res, level_high.mode_sizes, low_model, config,
-            resid0=Y_res - w_init.apply(low_stack),
-        )
-        pack = _ResidualPack(
-            low_stack, Y_res, template, w_init, config.w_mode, config.laplace, freeze_coords=shared
-        )
-    else:
-        imputed, s_hat = _impute(low_model, level_high.X[plan.unmatched_high])
-        low_stack = np.concatenate([level_low.Y[plan.matched_low], imputed], axis=0)
-        template, shared = _residual_template(
-            X_res, level_high.mode_sizes, low_model, config,
-            resid0=Y_res - w_init.apply(low_stack),
-        )
+    if not plan.fully_matched:
+        x_hat = level_high.X[plan.unmatched_high]
+        imputed, s_hat = _impute(low_model, x_hat)
+        low_stack = np.concatenate([low_stack, imputed], axis=0)
         aug_low = replace(
             low_model,
-            X=np.vstack([low_model.X, level_high.X[plan.unmatched_high]]),
+            X=np.vstack([low_model.X, x_hat]),
             Y=np.concatenate([low_model.Y, imputed], axis=0),
             _eig=None,
         )
-        workspace = NonSubsetWorkspace(
-            x_hat=level_high.X[plan.unmatched_high],
-            imputed_mean=imputed,
-            s_hat=s_hat,
-            aug_low=aug_low,
+        workspace = NonSubsetWorkspace(x_hat=x_hat, imputed_mean=imputed, s_hat=s_hat, aug_low=aug_low)
+    template, shared = _residual_template(
+        X_res, level_high.mode_sizes, low_model, config,
+        resid0=Y_res - w_init.apply(low_stack),
+    )
+
+    args = (low_stack, Y_res, template, w_init, config.w_mode)
+    collapsed = config.identity_outputs and config.w_mode == "orthonormal"
+    if workspace is None or (not collapsed and Y_res.size > config.nonsubset_exact_cap):
+        # Subset data, or the imputed-residual approximation for large
+        # non-subset blocks (exact when the imputation uncertainty vanishes);
+        # the exact corrected NLL remains available through gar_nll_nonsubset.
+        pack = _ResidualPack(*args, config.laplace, freeze_coords=shared)
+    elif collapsed:
+        # Collapsed exact objective: input-space factorizations only.
+        pack = _IdentityOutputNonsubsetPack(*args, s_hat, plan.n_matched)
+    else:
+        pack = _NonsubsetPack(
+            *args, config.laplace, s_hat, low_model.output_covs(), plan.n_matched,
+            freeze_coords=shared,
         )
-        n_block = Y_res.size
-        if config.identity_outputs and config.w_mode == "orthonormal":
-            # Collapsed exact objective: input-space factorizations only.
-            pack = _IdentityOutputNonsubsetPack(
-                low_stack, Y_res, template, w_init, config.w_mode, s_hat, plan.n_matched
-            )
-        elif n_block <= config.nonsubset_exact_cap:
-            pack = _NonsubsetPack(
-                low_stack,
-                Y_res,
-                template,
-                w_init,
-                config.w_mode,
-                config.laplace,
-                s_hat,
-                low_model.output_covs(),
-                plan.n_matched,
-                freeze_coords=shared,
-            )
-        else:
-            # Imputed-residual approximation (exact when the imputation
-            # uncertainty vanishes); the exact corrected NLL remains
-            # available through gar_nll_nonsubset.
-            pack = _ResidualPack(
-                low_stack, Y_res, template, w_init, config.w_mode, config.laplace,
-                freeze_coords=shared,
-            )
 
     project = pack.project if config.w_mode == "orthonormal" else None
     p_opt, trace = minimize(pack.objective, pack.pack(), config.optim, project=project)
@@ -917,72 +852,23 @@ def ar_baseline_fit(dataset: MultiFidelityDataset, config: GarConfig = GarConfig
 
 
 # ---------------------------------------------------------------------------
-# Dense joint oracle (subset chains)
-# ---------------------------------------------------------------------------
-
-
-def gar_joint_nll_dense(model: GarModel, dataset: MultiFidelityDataset, cap: int = 400) -> float:
-    """Joint NLL of all levels under the dense block covariance.
-
-    Exponential-cost validation path: builds the full chain covariance
-    explicitly (low block, cross blocks through the selection-and-transform
-    map, residual blocks) and evaluates the stacked Gaussian density. Only
-    valid for subset chains and guarded by a total-dimension cap.
-    """
-    sizes = [lv.Y.size for lv in dataset.levels]
-    total = sum(sizes)
-    if total > cap:
-        raise ValueError(f"total dimension {total} exceeds the dense-oracle cap {cap}")
-    cov = _dense_level_cov(model.low)
-    mean = np.tile(vec(model.low.offset), model.low.n_samples)
-    blocks = [cov]
-    means = [mean]
-    cross: dict = {}
-    for i, trans in enumerate(model.transitions):
-        if not trans.plan.fully_matched:
-            raise ValueError("dense joint oracle requires subset structure at every level")
-        sel = np.zeros((trans.plan.n_matched, dataset.levels[i].n_samples))
-        sel[np.arange(trans.plan.n_matched), trans.plan.matched_low] = 1.0
-        G = np.kron(sel, trans.weights.dense())
-        res_cov = _dense_level_cov(trans.residual)
-        prev = blocks[i]
-        blocks.append(G @ prev @ G.T + res_cov)
-        means.append(G @ means[i] + np.tile(vec(trans.residual.offset), trans.residual.n_samples))
-        for j in range(i + 1):
-            base = prev if j == i else cross[(i, j)]
-            cross[(i + 1, j)] = G @ base
-
-    n_levels = len(blocks)
-    big = np.zeros((total, total))
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    for i in range(n_levels):
-        big[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = blocks[i]
-        for j in range(i):
-            c = cross[(i, j)]
-            big[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = c
-            big[offs[j] : offs[j + 1], offs[i] : offs[i + 1]] = c.T
-    y = np.concatenate(
-        [vec(dataset.levels[0].Y)]
-        + [vec(dataset.levels[i + 1].Y[t.plan.permutation]) for i, t in enumerate(model.transitions)]
-    )
-    mu = np.concatenate(means)
-    r = y - mu
-    sign, logdet = np.linalg.slogdet(big)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("dense joint covariance not positive definite")
-    return 0.5 * (r @ np.linalg.solve(big, r) + logdet + total * LOG2PI)
-
-
-def _dense_level_cov(model: TgpModel) -> np.ndarray:
-    K = ard_gram(model.input_kernel, model.X, model.X)
-    S = _low_s_dense(model)
-    n = model.n_samples * model.output_size
-    return np.kron(K, S) + model.noise * np.eye(n)
-
-
-# ---------------------------------------------------------------------------
 # Non-subset likelihood (production evaluation)
 # ---------------------------------------------------------------------------
+
+
+def _psd_root(s: np.ndarray) -> np.ndarray:
+    """Square root ``R`` with ``R R^T = s`` from the eigendecomposition."""
+    U, lam = sym_eig(s)
+    return U * np.sqrt(np.clip(lam, 0.0, None))
+
+
+def _imputation_roots(s_hat: np.ndarray, low_covs: list) -> list:
+    """Square roots of the imputation covariance factors ``S_hat (x) S_low``.
+
+    One root per factor: ``S_hat`` first, then each low output covariance
+    (an explicit identity for identity factors).
+    """
+    return [_psd_root(s_hat)] + [np.eye(s) if isinstance(s, int) else _psd_root(s) for s in low_covs]
 
 
 def _correction_roots(model: GarModel, trans: GarTransition):
@@ -993,20 +879,10 @@ def _correction_roots(model: GarModel, trans: GarTransition):
     matched-first high row order, and each output root has only the low
     mode size worth of columns.
     """
-    ws = trans.workspace
-    res = trans.residual
-    V, a = sym_eig(ws.s_hat)
-    root_hat = V * np.sqrt(np.clip(a, 0.0, None))
-    emb_root = np.zeros((res.n_samples, root_hat.shape[1]))
+    root_hat, *low_roots = _imputation_roots(trans.workspace.s_hat, model.low.output_covs())
+    emb_root = np.zeros((trans.residual.n_samples, root_hat.shape[1]))
     emb_root[trans.plan.n_matched :, :] = root_hat
-    roots = [emb_root]
-    for w_m, s in zip(trans.weights.factors, model.low.output_covs()):
-        if isinstance(s, int):
-            roots.append(w_m.copy())
-        else:
-            U, lam = sym_eig(s)
-            roots.append(w_m @ (U * np.sqrt(np.clip(lam, 0.0, None))))
-    return roots
+    return [emb_root] + [w_m @ r for w_m, r in zip(trans.weights.factors, low_roots)]
 
 
 def _root_columns(roots, idx):
@@ -1048,9 +924,7 @@ def gar_nll_nonsubset(
     n = n_high * d_high
 
     if n <= dense_cap:
-        emb = np.zeros((n_high, ws.s_hat.shape[0]))
-        emb[trans.plan.n_matched :, :] = np.eye(ws.s_hat.shape[0])
-        b_input = emb @ ws.s_hat @ emb.T
+        b_input = _embedded_cov(ws.s_hat, n_high, trans.plan.n_matched)
         w_dense = trans.weights.dense()
         sandwich = w_dense @ _low_s_dense(model.low) @ w_dense.T
         K_r = ard_gram(res.input_kernel, res.X, res.X)
@@ -1122,17 +996,7 @@ def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape,
     n_low = aug.n_samples - n_m
     n_matched = trans.plan.n_matched
 
-    # Square-root factors of the imputation covariance.
-    V, a = sym_eig(ws.s_hat)
-    root_hat = V * np.sqrt(np.clip(a, 0.0, None))
-    low_covs = aug.output_covs()
-    roots = []
-    for s in low_covs:
-        if isinstance(s, int):
-            roots.append(None)  # identity factor
-        else:
-            U, lam = sym_eig(s)
-            roots.append(U * np.sqrt(np.clip(lam, 0.0, None)))
+    roots = _imputation_roots(ws.s_hat, aug.output_covs())
     low_sizes = aug.mode_sizes
 
     # Prediction-mean operators (projected-basis form), with downstream
@@ -1163,17 +1027,9 @@ def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape,
 
     total = np.zeros((n_star, *out_shape))
     b_total = n_m * int(np.prod(low_sizes))
-    col_shape = (n_m, *low_sizes)
     for start in range(0, b_total, chunk):
         idx = np.arange(start, min(start + chunk, b_total))
-        multi = np.unravel_index(idx, col_shape)
-        cols = root_hat[:, multi[0]].T.reshape(len(idx), n_m, *([1] * len(low_sizes)))
-        for m, r in enumerate(roots):
-            sel = multi[m + 1]
-            col_m = np.eye(low_sizes[m])[:, sel] if r is None else r[:, sel]
-            shape = [len(idx)] + [1] * (1 + len(low_sizes))
-            shape[m + 2] = low_sizes[m]
-            cols = cols * np.moveaxis(col_m, -1, 0).reshape(shape)
+        cols = _root_columns(roots, idx)
 
         # Augmented-low path: embed into the pseudo-observation rows.
         t_aug = np.zeros((len(idx), aug.n_samples, *low_sizes))
@@ -1237,12 +1093,6 @@ def gar_predict(model: GarModel, x_star) -> PosteriorField:
     if single:
         return PosteriorField(mean[0], var[0])
     return PosteriorField(mean, var)
-
-
-def gar_predict_nonsubset(model: GarModel, x_star, plan: SubsetPlan | None = None) -> PosteriorField:
-    """Alias of :func:`gar_predict`; the model carries its imaginary-subset
-    workspace, and a fully matched plan degenerates to the subset posterior."""
-    return gar_predict(model, x_star)
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,6 @@ def _nll_core(model: TgpModel):
     alpha = eigs.unproject(At)
     inv_A = 1.0 / A
     n_factors = len(eigs.values)
-    covs = [None] + [None] * (n_factors - 1)
     # Dense factor matrices where needed for the quadratic-part contractions.
     mats = []
     for k in range(n_factors):
@@ -314,20 +313,29 @@ class _TgpPack:
         nll, gbars, d_noise, alpha = _nll_core(model)
         g = np.zeros(self.size)
         g[self.slices["input"]] = _chain_input_kernel(model, gbars[0])
-        value = nll
         if model.output_features is not None:
             for m in range(len(model.mode_sizes)):
                 g_kern, g_coords = _chain_output_mode(model, m, gbars[m + 1])
                 g[self.slices[f"kern{m}"]] = g_kern
                 if f"coords{m}" in self.active:
                     g[self.slices[f"coords{m}"]] = g_coords.ravel()
-            if self.laplace.scale > 0:
-                value -= laplace_log_prior(model.output_features, self.laplace)
-                for m, gv in enumerate(laplace_log_prior_grad(model.output_features, self.laplace)):
-                    if f"coords{m}" in self.active:
-                        g[self.slices[f"coords{m}"]] -= gv.ravel()
         g[self.slices["noise"]] = d_noise * model.noise
-        return value, g, {"alpha": alpha}
+        return self.penalize(model, nll, g), g, {"alpha": alpha}
+
+    def penalize(self, model: TgpModel, value: float, g: np.ndarray, offset: int = 0) -> float:
+        """Add the Laplace penalty on the latent coordinates to an objective.
+
+        ``g`` holds this pack's parameters from index ``offset`` on and is
+        updated in place; returns the penalized value.
+        """
+        if not (self.laplace.scale > 0 and model.output_features is not None):
+            return value
+        value -= laplace_log_prior(model.output_features, self.laplace)
+        for m, gv in enumerate(laplace_log_prior_grad(model.output_features, self.laplace)):
+            if f"coords{m}" in self.active:
+                sl = self.slices[f"coords{m}"]
+                g[offset + sl.start : offset + sl.stop] -= gv.ravel()
+        return value
 
     def objective(self, p: np.ndarray):
         value, g, _ = self.value_and_grad(self.unpack(p))

@@ -442,24 +442,26 @@ def make_dataset(
     structure: str = "subset",
     aligned: bool = False,
     seed: int = 0,
+    skip: int = 0,
 ) -> MultiFidelityDataset:
     """Generate a two-fidelity dataset by running both solvers.
 
     Subset structure takes the high-fidelity inputs to be the first
     ``n_high`` low-fidelity inputs; non-subset samples them independently
     (continuing the same deterministic stream, so the designs are disjoint).
-    ``aligned`` upsamples the low-fidelity fields onto the high-fidelity
-    grid so both levels share mode sizes.
+    ``skip`` starts the design at that offset of the stream.  ``aligned``
+    upsamples the low-fidelity fields onto the high-fidelity grid so both
+    levels share mode sizes.
     """
     if structure not in ("subset", "nonsubset"):
         raise ValueError(f"unknown structure {structure!r}")
     if structure == "subset" and n_high > n_low:
         raise ValueError("subset structure needs n_high <= n_low")
-    X_low = sample_inputs(spec, n_low, sampler, seed)
+    X_low = sample_inputs(spec, n_low, sampler, seed, skip=skip)
     if structure == "subset":
         X_high = X_low[:n_high]
     else:
-        X_high = sample_inputs(spec, n_high, sampler, seed, skip=n_low)
+        X_high = sample_inputs(spec, n_high, sampler, seed, skip=skip + n_low)
 
     low_fields = [solve_field(spec, x, "low") for x in X_low]
     high_fields = [solve_field(spec, x, "high") for x in X_high]

@@ -40,6 +40,58 @@ def dense_joint_cov(model: TgpModel) -> np.ndarray:
     return np.kron(K, S) + model.noise * np.eye(n)
 
 
+def gar_joint_nll_dense(model, dataset, cap: int = 400) -> float:
+    """Joint NLL of all levels of a fitted GAR model under the dense block covariance.
+
+    Builds the full chain covariance explicitly (low block, cross blocks
+    through the selection-and-transform map, residual blocks) and evaluates
+    the stacked Gaussian density.  Only valid for subset chains and guarded
+    by a total-dimension cap.
+    """
+    sizes = [lv.Y.size for lv in dataset.levels]
+    total = sum(sizes)
+    if total > cap:
+        raise ValueError(f"total dimension {total} exceeds the dense-oracle cap {cap}")
+    cov = dense_joint_cov(model.low)
+    mean = np.tile(vec(model.low.offset), model.low.n_samples)
+    blocks = [cov]
+    means = [mean]
+    cross: dict = {}
+    for i, trans in enumerate(model.transitions):
+        if not trans.plan.fully_matched:
+            raise ValueError("dense joint oracle requires subset structure at every level")
+        sel = np.zeros((trans.plan.n_matched, dataset.levels[i].n_samples))
+        sel[np.arange(trans.plan.n_matched), trans.plan.matched_low] = 1.0
+        G = np.kron(sel, trans.weights.dense())
+        res_cov = dense_joint_cov(trans.residual)
+        prev = blocks[i]
+        blocks.append(G @ prev @ G.T + res_cov)
+        means.append(G @ means[i] + np.tile(vec(trans.residual.offset), trans.residual.n_samples))
+        for j in range(i + 1):
+            base = prev if j == i else cross[(i, j)]
+            cross[(i + 1, j)] = G @ base
+
+    n_levels = len(blocks)
+    big = np.zeros((total, total))
+    offs = np.concatenate([[0], np.cumsum(sizes)])
+    for i in range(n_levels):
+        big[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = blocks[i]
+        for j in range(i):
+            c = cross[(i, j)]
+            big[offs[i] : offs[i + 1], offs[j] : offs[j + 1]] = c
+            big[offs[j] : offs[j + 1], offs[i] : offs[i + 1]] = c.T
+    y = np.concatenate(
+        [vec(dataset.levels[0].Y)]
+        + [vec(dataset.levels[i + 1].Y[t.plan.permutation]) for i, t in enumerate(model.transitions)]
+    )
+    mu = np.concatenate(means)
+    r = y - mu
+    sign, logdet = np.linalg.slogdet(big)
+    if sign <= 0:
+        raise np.linalg.LinAlgError("dense joint covariance not positive definite")
+    return 0.5 * (r @ np.linalg.solve(big, r) + logdet + total * LOG2PI)
+
+
 def dense_tgp_nll(model: TgpModel) -> float:
     yc = vec(model.centered)
     return gaussian_nll(yc, np.zeros_like(yc), dense_joint_cov(model))

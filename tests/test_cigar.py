@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from mfgar.cigar import (
     CigarModel,
     cigar_fit,
-    cigar_predict,
     orthonormality_error,
     orthonormalize,
 )
@@ -19,14 +18,13 @@ from mfgar.gar import (
     TuckerWeights,
     gar_fit_recursive,
     gar_from_dict,
-    gar_joint_nll_dense,
     gar_predict,
     gar_to_dict,
 )
 from mfgar.hogp import tgp_nll
 from mfgar.optim import OptimConfig
 from mfgar.tensalg import track_eig_sizes
-from oracles import dense_two_level_predict, make_random_two_level
+from oracles import dense_two_level_predict, gar_joint_nll_dense, make_random_two_level
 
 # ---------------------------------------------------------------------------
 # Orthonormalization
@@ -114,7 +112,7 @@ def test_cigar_fit_subset_orthonormal_throughout():
     assert isinstance(model, CigarModel) and model.kind == "cigar"
     assert orthonormality_error(model.transitions[0].weights) <= 1e-8
     assert model.low.output_features is None
-    pred = cigar_predict(model, ds.levels[1].X[0])
+    pred = gar_predict(model, ds.levels[1].X[0])
     assert np.all(np.isfinite(pred.mean))
 
 
@@ -136,7 +134,7 @@ def test_cigar_nonsubset_fit_collapsed_path():
     assert max(sizes) <= ds.levels[0].n_samples
     assert model.transitions[0].workspace is not None
     assert orthonormality_error(model.transitions[0].weights) <= 1e-8
-    pred = cigar_predict(model, rng.uniform(0, 1, size=(3, 2)))
+    pred = gar_predict(model, rng.uniform(0, 1, size=(3, 2)))
     assert np.all(pred.variance_diag >= 0)
 
 
@@ -220,7 +218,7 @@ def test_predictive_mean_matches_general_machinery_under_identity():
         object.__setattr__(trans.residual, "_eig", None)
         cig = CigarModel(low=model.low, transitions=model.transitions, kind="cigar")
         Xq = rng.uniform(-1, 1, size=(3, 2))
-        fast = cigar_predict(cig, Xq)
+        fast = gar_predict(cig, Xq)
         mean_d, var_d = dense_two_level_predict(
             model.low, trans.weights, trans.residual, trans.plan.matched_low,
             ds.levels[0].Y, ds.levels[1].Y, Xq,
@@ -238,7 +236,7 @@ def test_square_orthogonal_weights_variance_reduces_to_scalar_form():
     object.__setattr__(trans.residual, "_eig", None)
     cig = CigarModel(low=model.low, transitions=model.transitions, kind="cigar")
     far = np.array([70.0, -80.0])
-    pred = cigar_predict(cig, far)
+    pred = gar_predict(cig, far)
     assert np.max(np.abs(pred.mean)) < 1e-7
     expected = (
         model.low.input_kernel.amplitude
@@ -294,4 +292,4 @@ def test_cigar_serialization_kind_tag():
     assert doc["kind"] == "cigar"
     back = gar_from_dict(doc)
     q = rng.uniform(0, 1, size=2)
-    assert_allclose(gar_predict(back, q).mean, cigar_predict(model, q).mean, rtol=1e-12)
+    assert_allclose(gar_predict(back, q).mean, gar_predict(model, q).mean, rtol=1e-12)

@@ -9,6 +9,7 @@ from mfgar import cli
 from mfgar.cli import main
 from mfgar.gar import load_gar, gar_predict
 from mfgar.hogp import load_tgp
+from mfgar.pdebench import load_dataset, make_dataset, pde_spec
 
 
 def run(*argv):
@@ -208,6 +209,11 @@ def test_benchmark_rows_traceable_to_artifacts(tmp_path):
         if parts[4] == "ok":
             assert Path(parts[di]).exists()
             assert Path(parts[mi]).exists()
+    # repeat 1 draws its Sobol design one (n_low + max sweep + n_test) block on
+    saved, _ = load_dataset(tmp_path / "t" / "jobs" / "gar_n3_r1" / "dataset")
+    expected = make_dataset(pde_spec("poisson"), 6, 3, "sobol", skip=6 + 3 + 4)
+    for got, want in zip(saved.levels, expected.levels):
+        assert np.array_equal(got.X, want.X) and np.array_equal(got.Y, want.Y)
 
 
 @pytest.mark.slow

@@ -14,7 +14,6 @@ from mfgar.gar import (
     gar_fit_recursive,
     gar_fit_subset,
     gar_from_dict,
-    gar_joint_nll_dense,
     gar_predict,
     gar_to_dict,
 )
@@ -24,6 +23,7 @@ from mfgar.optim import OptimConfig, grad_audit
 from oracles import (
     dense_two_level_nll,
     dense_two_level_predict,
+    gar_joint_nll_dense,
     make_random_two_level,
     scalar_ar_dense_nll,
 )

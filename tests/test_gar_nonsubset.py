@@ -19,7 +19,6 @@ from mfgar.gar import (
     gar_fit_recursive,
     gar_nll_nonsubset,
     gar_predict,
-    gar_predict_nonsubset,
 )
 from mfgar.hogp import tgp_nll
 from mfgar.kernels import LaplacePrior
@@ -141,7 +140,7 @@ def test_nonsubset_predict_matches_dense_composition():
     model, ds = make_random_nonsubset(rng, 5, 2, 2, (2, 2), (3, 2))
     trans = model.transitions[0]
     Xq = rng.uniform(-1, 1, size=(3, 2))
-    pred = gar_predict_nonsubset(model, Xq)
+    pred = gar_predict(model, Xq)
     mean_d, var_d = dense_nonsubset_predict(
         model.low, trans.weights, trans.residual, trans.plan,
         trans.workspace.x_hat, ds.levels[0].Y, Xq,
@@ -158,7 +157,7 @@ def test_nonsubset_predict_identity_outputs_and_coincident_point():
     trans = model.transitions[0]
     # query exactly at an imaginary input: must stay finite and match dense
     Xq = np.vstack([trans.workspace.x_hat[0], rng.uniform(-1, 1, size=(1, 2))])
-    pred = gar_predict_nonsubset(model, Xq)
+    pred = gar_predict(model, Xq)
     assert np.all(np.isfinite(pred.mean)) and np.all(pred.variance_diag >= 0)
     mean_d, var_d = dense_nonsubset_predict(
         model.low, trans.weights, trans.residual, trans.plan,
@@ -173,7 +172,7 @@ def test_nonsubset_predict_empty_unmatched_equals_subset_predict():
     model, _ = make_random_two_level(rng, 5, 3, (2,), (2,))
     q = rng.uniform(-1, 1, size=(4, 2))
     a = gar_predict(model, q)
-    b = gar_predict_nonsubset(model, q)
+    b = gar_predict(model, q)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.variance_diag, b.variance_diag)
 
