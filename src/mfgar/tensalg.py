@@ -50,17 +50,29 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
     ``result[.., j, ..] = sum_k matrix[j, k] * tensor[.., k, ..]`` with the
     contraction at axis ``mode``; the mode size changes from ``matrix.shape[1]``
     to ``matrix.shape[0]``.
+
+    The tensor is viewed as ``(pre, n_mode, post)`` and multiplied as one
+    (batched) matrix product, so no axis is moved and, except at the last
+    mode, the result comes back C-contiguous for the next product.
     """
     tensor = np.asarray(tensor)
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("mode_product expects a matrix")
-    if tensor.shape[mode] != matrix.shape[1]:
+    shape = tensor.shape
+    if shape[mode] != matrix.shape[1]:
         raise ValueError(
-            f"mode {mode} has size {tensor.shape[mode]}, factor expects {matrix.shape[1]}"
+            f"mode {mode} has size {shape[mode]}, factor expects {matrix.shape[1]}"
         )
-    moved = np.tensordot(matrix, tensor, axes=([1], [mode]))
-    return np.moveaxis(moved, 0, mode)
+    mode = mode % tensor.ndim
+    pre = int(np.prod(shape[:mode]))
+    post = int(np.prod(shape[mode + 1 :]))
+    if post == 1:
+        # operands in the order tensordot passes them to the GEMM
+        out = (matrix @ tensor.reshape(pre, shape[mode]).T).T
+    else:
+        out = np.matmul(matrix, tensor.reshape(pre, shape[mode], post))
+    return out.reshape(shape[:mode] + (matrix.shape[0],) + shape[mode + 1 :])
 
 
 def tucker_apply(tensor: np.ndarray, factors, mode_offset: int = 0) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 from mfgar.kernels import ArdKernelParams, LatentFeatures, ard_gram, output_cov
 from mfgar.hogp import TgpModel
-from mfgar.tensalg import kron_all, vec
+from mfgar.tensalg import kron_all, kruskal_outer, vec
 
 LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -496,3 +496,64 @@ def make_random_two_level(
     )
     dataset = MultiFidelityDataset([(X_l, low.Y), (X_h, y_high)])
     return model, dataset
+
+
+def column_stream_gamma_variance(trans, Xs, downstream, out_shape):
+    """Imputation-variance term of the top-level prediction, column by column.
+
+    Reference for ``gar._gamma_variance``: every column of a square root of
+    ``S_hat (x) S_low`` is zero-padded into the augmented-low and residual
+    data tensors, projected into each model's eigenbasis in full, divided by
+    the joint eigenvalues, pushed through the prediction-mean factors and the
+    downstream weights, and the squared difference of the two paths is
+    summed.  No rotated roots and no chunking.
+    """
+    from mfgar.hogp import _mean_factors
+    from mfgar.tensalg import tucker_apply
+
+    ws, res = trans.workspace, trans.residual
+    aug = ws.aug_low
+    n_m = ws.s_hat.shape[0]
+    n_low, n_matched = aug.n_samples - n_m, trans.plan.n_matched
+
+    def root(s):
+        lam, U = np.linalg.eigh(s)
+        return U * np.sqrt(np.clip(lam, 0.0, None))
+
+    roots = [root(ws.s_hat)] + [
+        np.eye(s) if isinstance(s, int) else root(s) for s in aug.output_covs()
+    ]
+
+    def chain(mean_facs, weights_list):
+        facs = []
+        for m, f in enumerate(mean_facs[1:]):
+            for w in weights_list:
+                f = w.factors[m] if f is None else w.factors[m] @ f
+            facs.append(f)
+        return [mean_facs[0]] + facs
+
+    # (model, first imputed row, weights folded into the perturbation,
+    #  weights composed after the model's own mean factors)
+    paths = []
+    for model, offset, fold, after in (
+        (aug, n_low, None, [trans.weights] + list(downstream)),
+        (res, n_matched, trans.weights, list(downstream)),
+    ):
+        k_star = ard_gram(model.input_kernel, Xs, model.X)
+        eigs = model.eigenfactors()
+        facs = chain(_mean_factors(model, k_star), after)
+        paths.append((model, offset, fold, facs, eigs, eigs.joint_values(model.noise)))
+
+    total = np.zeros((Xs.shape[0], *out_shape))
+    col_shape = tuple(r.shape[1] for r in roots)
+    for flat in range(int(np.prod(col_shape))):
+        multi = np.unravel_index(flat, col_shape)
+        col = kruskal_outer([r[:, j] for r, j in zip(roots, multi)])
+        terms = []
+        for model, offset, fold, facs, eigs, A in paths:
+            pert = col if fold is None else tucker_apply(col, fold.factors, mode_offset=1)
+            padded = np.zeros((model.n_samples, *pert.shape[1:]))
+            padded[offset:] = pert
+            terms.append(tucker_apply(eigs.project(padded) / A, facs))
+        total += (terms[0] - terms[1]) ** 2
+    return total

@@ -8,13 +8,16 @@ correction sandwich (W S W^T, not W^T S W) before anything else relies on it.
 """
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from mfgar.gar import (
     GarConfig,
     MultiFidelityDataset,
+    TuckerWeights,
     _IdentityOutputNonsubsetPack,
     _NonsubsetPack,
+    _gamma_variance,
     build_subset_plan,
     gar_fit_recursive,
     gar_nll_nonsubset,
@@ -25,8 +28,10 @@ from mfgar.kernels import LaplacePrior
 from mfgar.optim import OptimConfig, grad_audit
 from mfgar.tensalg import kron_all, vec
 from oracles import (
+    column_stream_gamma_variance,
     dense_marginal_nonsubset_nll,
     dense_nonsubset_predict,
+    dense_two_level_predict,
     make_random_nonsubset,
     make_random_two_level,
 )
@@ -168,13 +173,46 @@ def test_nonsubset_predict_identity_outputs_and_coincident_point():
 
 
 def test_nonsubset_predict_empty_unmatched_equals_subset_predict():
+    # With no unmatched points the prediction is the subset posterior; the
+    # tolerances are those of acceptance criterion 3.
     rng = np.random.default_rng(7)
-    model, _ = make_random_two_level(rng, 5, 3, (2,), (2,))
+    model, ds = make_random_two_level(rng, 5, 3, (2,), (2,))
+    trans = model.transitions[0]
     q = rng.uniform(-1, 1, size=(4, 2))
-    a = gar_predict(model, q)
-    b = gar_predict(model, q)
-    assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.variance_diag, b.variance_diag)
+    pred = gar_predict(model, q)
+    mean_d, var_d = dense_two_level_predict(
+        model.low, trans.weights, trans.residual, trans.plan.matched_low,
+        ds.levels[0].Y, ds.levels[1].Y, q,
+    )
+    assert np.max(np.abs(pred.mean - mean_d) / np.maximum(np.abs(mean_d), 1e-9)) <= 1e-7
+    assert np.max(np.abs(pred.variance_diag - var_d) / np.maximum(np.abs(var_d), 1e-9)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "identity_outputs, low_modes, high_modes, down_modes",
+    [
+        (False, (2, 3), (2, 3), (3, 2)),  # square W, rectangular downstream
+        (False, (2, 2), (3, 4), (3, 4)),  # rectangular W, square downstream
+        (True, (3,), (3,), (2,)),
+        (True, (2, 3), (4, 3), (4, 3)),
+    ],
+)
+def test_gamma_variance_matches_column_stream_reference(
+    identity_outputs, low_modes, high_modes, down_modes
+):
+    # Rotated roots and chunked columns against the plain column stream,
+    # with one downstream weight composed after the non-subset transition.
+    rng = np.random.default_rng(18)
+    model, _ = make_random_nonsubset(
+        rng, 5, 2, 3, low_modes, high_modes, identity_outputs=identity_outputs
+    )
+    trans = model.transitions[0]
+    down = TuckerWeights([rng.standard_normal((b, a)) for b, a in zip(down_modes, high_modes)])
+    Xq = rng.uniform(-1, 1, size=(3, 2))
+    ref = column_stream_gamma_variance(trans, Xq, [down], down_modes)
+    for chunk in (1, 4, 64):
+        got = _gamma_variance(trans, Xq, [down], down_modes, chunk=chunk)
+        assert_allclose(got, ref, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------

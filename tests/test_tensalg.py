@@ -96,6 +96,52 @@ def test_mode_product_row_selection():
     assert_allclose(out, t[[3, 1]])
 
 
+def _einsum_mode_product(tensor, matrix, mode):
+    letters = "abcdefgh"[: tensor.ndim]
+    out = letters[:mode] + "z" + letters[mode + 1 :]
+    return np.einsum(f"z{letters[mode]},{letters}->{out}", matrix, tensor)
+
+
+def _strided_views(rng):
+    base = rng.standard_normal((4, 6, 5, 8))
+    return [
+        base[:, ::2, :, 1::2],
+        np.transpose(base, (2, 0, 3, 1)),
+        np.asfortranarray(base),
+        base[1:3, :, 2, :],
+    ]
+
+
+def test_mode_product_matches_einsum_on_strided_views():
+    # Non-contiguous tensors and transposed matrix views, at every mode
+    # including the last; all but the last come back C-contiguous.
+    rng = np.random.default_rng(40)
+    for t in _strided_views(rng):
+        for mode in range(t.ndim):
+            n = t.shape[mode]
+            for mat in (rng.standard_normal((n + 1, n)), rng.standard_normal((n, 3)).T):
+                out = mode_product(t, mat, mode)
+                assert_allclose(out, _einsum_mode_product(t, mat, mode), rtol=1e-12, atol=1e-13)
+                if mode < t.ndim - 1:
+                    assert out.flags.c_contiguous
+
+
+def test_tucker_apply_offset_matches_einsum_on_strided_views():
+    rng = np.random.default_rng(41)
+    for t in _strided_views(rng):
+        for skip in range(t.ndim - 1):
+            facs = [
+                None if m == skip else rng.standard_normal((d, d + 1)).T
+                for m, d in enumerate(t.shape[1:])
+            ]
+            expected = t
+            for m, f in enumerate(facs):
+                if f is not None:
+                    expected = _einsum_mode_product(expected, f, m + 1)
+            out = tucker_apply(t, facs, mode_offset=1)
+            assert_allclose(out, expected, rtol=1e-12, atol=1e-13)
+
+
 def test_mode_product_shape_mismatch():
     with pytest.raises(ValueError):
         mode_product(np.zeros((2, 3)), np.zeros((4, 4)), 1)
