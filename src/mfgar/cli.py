@@ -10,7 +10,11 @@ Subcommands
   with shuffled designs (distinct sampler streams per repeat), and emits
   ``results.csv`` (deterministic given seeds; one row per model/sweep/repeat
   plus mean/std summary rows) and ``timings.csv`` (wall-clock, inherently
-  non-deterministic, kept out of the reproducible file).
+  non-deterministic, kept out of the reproducible file): per job
+  ``wall_time_s`` and its phases ``generate_s``, ``testset_s``, ``fit_s``,
+  ``predict_s`` and ``save_s``, blank for a phase a failed job never reached.
+  Within one ``benchmark`` run each distinct PDE input is solved once and
+  shared by every job that uses it (``pdebench.solve_cache``).
 
 Exit codes: 0 ok, 1 user error, 2 fit failure.  The worker count for
 benchmark jobs comes from the ``MFGAR_WORKERS`` environment variable.
@@ -19,6 +23,7 @@ benchmark jobs comes from the ``MFGAR_WORKERS`` environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -48,6 +53,7 @@ from .pdebench import (
     make_test_set,
     pde_spec,
     save_dataset,
+    solve_cache,
     spec_from_dict,
     spec_to_dict,
 )
@@ -232,6 +238,19 @@ def _predict(kind: str, model, X):
     return gar_predict(model, X)
 
 
+PHASES = ("generate_s", "testset_s", "fit_s", "predict_s", "save_s")
+
+
+@contextlib.contextmanager
+def _phase(times: dict, name: str):
+    """Add the wall time of the block to ``times[name]``, also when it raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        times[name] = times.get(name, 0.0) + time.perf_counter() - start
+
+
 def _run_job(job) -> dict:
     """One benchmark cell: build data, fit, evaluate; returns a result row."""
     (kind, n_high, repeat, spec_doc, args_doc) = job
@@ -250,30 +269,36 @@ def _run_job(job) -> dict:
         "nll": "",
     }
     out_dir = Path(a.out) / "jobs" / f"{kind}_n{n_high}_r{repeat}"
+    phases = {}
     start = time.perf_counter()
     try:
-        # the Sobol stream ignores the seed, so only its repeats need the shift;
-        # uniform repeats already draw from distinct seeds
-        dataset = make_dataset(
-            spec, a.n_low, n_high, a.sampler, a.structure, a.aligned, seed,
-            skip=skip if a.sampler == "sobol" else 0,
-        )
-        X_test, Y_test = make_test_set(
-            spec, a.n_test, a.sampler, seed, skip=skip + a.n_low + n_high
-        )
+        with _phase(phases, "generate_s"):
+            # the Sobol stream ignores the seed, so only its repeats need the
+            # shift; uniform repeats already draw from distinct seeds
+            dataset = make_dataset(
+                spec, a.n_low, n_high, a.sampler, a.structure, a.aligned, seed,
+                skip=skip if a.sampler == "sobol" else 0,
+            )
+        with _phase(phases, "testset_s"):
+            X_test, Y_test = make_test_set(
+                spec, a.n_test, a.sampler, seed, skip=skip + a.n_low + n_high
+            )
         optim = OptimConfig(max_iters=a.max_iters, step=a.step, seed=seed)
-        family, model = _fit_model(kind, dataset, optim)
-        post = _predict(kind, model, X_test)
-        save_dataset(
-            dataset,
-            out_dir / "dataset",
-            {"spec": spec_doc, "seed": seed, "structure": a.structure, "aligned": a.aligned},
-        )
+        with _phase(phases, "fit_s"):
+            family, model = _fit_model(kind, dataset, optim)
+        with _phase(phases, "predict_s"):
+            post = _predict(kind, model, X_test)
         model_path = out_dir / "model.json"
-        if family == "tgp":
-            save_tgp(model, model_path, dataset_ref=str(out_dir / "dataset"))
-        else:
-            save_gar(model, model_path, dataset_ref=str(out_dir / "dataset"))
+        with _phase(phases, "save_s"):
+            save_dataset(
+                dataset,
+                out_dir / "dataset",
+                {"spec": spec_doc, "seed": seed, "structure": a.structure, "aligned": a.aligned},
+            )
+            if family == "tgp":
+                save_tgp(model, model_path, dataset_ref=str(out_dir / "dataset"))
+            else:
+                save_gar(model, model_path, dataset_ref=str(out_dir / "dataset"))
         row["rmse"] = repr(rmse(post.mean, Y_test))
         row["nll"] = repr(nll_metric(post.mean, post.variance_diag, Y_test))
         row["dataset_ref"] = str(out_dir / "dataset" / "manifest.json")
@@ -283,6 +308,7 @@ def _run_job(job) -> dict:
         row["dataset_ref"] = ""
         row["model_ref"] = ""
     row["_wall_time"] = time.perf_counter() - start
+    row["_phases"] = phases
     return row
 
 
@@ -348,11 +374,14 @@ def cmd_benchmark(args) -> int:
         for n_high in config.sweep
         for repeat in range(config.repeats)
     ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(_run_job, jobs))
-    else:
-        rows = [_run_job(job) for job in jobs]
+    # jobs of every model kind and sweep point share their solved fields;
+    # forked pool workers each fill their own copy of the store
+    with solve_cache():
+        if config.workers > 1:
+            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+                rows = list(pool.map(_run_job, jobs))
+        else:
+            rows = [_run_job(job) for job in jobs]
 
     # deterministic ordering regardless of scheduling
     order = {k: i for i, k in enumerate(kinds)}
@@ -389,9 +418,13 @@ def cmd_benchmark(args) -> int:
             writer.writerow({c: r.get(c, "") for c in RESULT_COLUMNS})
     with open(args.out / "timings.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["model", "n_high", "repeat", "wall_time_s"])
+        writer.writerow(["model", "n_high", "repeat", "wall_time_s", *PHASES])
         for r in rows:
-            writer.writerow([r["model"], r["n_high"], r["repeat"], f"{r['_wall_time']:.3f}"])
+            times = [r["_wall_time"]] + [r["_phases"].get(p) for p in PHASES]
+            writer.writerow(
+                [r["model"], r["n_high"], r["repeat"]]
+                + ["" if t is None else f"{t:.3f}" for t in times]
+            )
     # gnuplot-friendly table: one block per model, columns n_high mean std
     with open(args.out / "results.dat", "w") as fh:
         fh.write("# model blocks: n_high rmse_mean rmse_std\n")

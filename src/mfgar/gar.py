@@ -66,6 +66,9 @@ class FidelityLevel:
             self.Y = self.Y[:, None]
         if self.Y.shape[0] != self.X.shape[0]:
             raise ValueError("sample counts of X and Y differ")
+        for name, values in (("X", self.X), ("Y", self.Y)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} contains non-finite values")
 
     @property
     def n_samples(self) -> int:

@@ -19,11 +19,15 @@ A fidelity is a per-axis node count; the "main" variant uses 8x8 (low) and
 Burgers and heat at 16x16 instead.  Fields are recorded on the solver's own
 grid unless a record grid is set on the spec, in which case they are
 resampled bilinearly.  Everything here is deterministic: identical inputs
-produce bit-identical fields.
+produce bit-identical fields, which is what lets :func:`solve_cache` hand
+back a stored field in place of a repeated solve.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -325,9 +329,49 @@ def solve_heat(flux_left: float, flux_right: float, conductivity: float, spec: P
     )
 
 
+# Solved fields of the open solve_cache() block, or None outside one.
+_SOLVE_CACHE: contextvars.ContextVar = contextvars.ContextVar("solve_cache", default=None)
+
+
+@contextlib.contextmanager
+def solve_cache():
+    """Solve each distinct (spec, mesh, input) once inside this block.
+
+    :func:`solve_field` keeps every sample it solves here, keyed by the spec,
+    the fidelity's mesh and the input bytes, and returns a copy of the stored
+    sample on a repeat; the stored arrays are read-only so no caller can
+    alter them.  Failed solves are not stored, so a bad input raises on every
+    call.  A nested block shares the outer one's store, which is dropped when
+    the outermost block exits.
+    """
+    if _SOLVE_CACHE.get() is not None:
+        yield
+        return
+    token = _SOLVE_CACHE.set({})
+    try:
+        yield
+    finally:
+        _SOLVE_CACHE.reset(token)
+
+
 def solve_field(spec: PdeSpec, params, fidelity="high") -> FieldSample:
-    """Dispatch one input vector to the problem's solver."""
+    """Dispatch one input vector to the problem's solver (see :func:`solve_cache`)."""
     params = np.atleast_1d(np.asarray(params, dtype=float))
+    cache = _SOLVE_CACHE.get()
+    if cache is None:
+        return _solve(spec, params, fidelity)
+    key = (spec, spec.mesh(fidelity), params.shape, params.tobytes())
+    sample = cache.get(key)
+    if sample is None:
+        # the copy keeps the stored input from aliasing the caller's design rows
+        sample = _solve(spec, params.copy(), fidelity)
+        for array in (sample.input, sample.field, *sample.axes):
+            array.flags.writeable = False
+        cache[key] = sample
+    return copy.copy(sample)
+
+
+def _solve(spec: PdeSpec, params: np.ndarray, fidelity) -> FieldSample:
     if spec.kind == "burgers":
         return solve_burgers(params[0], spec, fidelity)
     if spec.kind == "poisson":

@@ -127,6 +127,21 @@ def test_train_missing_dataset_is_user_error(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
+def test_train_rejects_non_finite_dataset(tmp_path, capsys):
+    data = tmp_path / "nan_data"
+    assert run(
+        "generate", "--pde", "poisson", "--n-low", 4, "--n-high", 2,
+        "--sampler", "sobol", "--out", data,
+    ) == 0
+    fields = np.load(data / "level_1_fields.npy")
+    fields[1, 3, 4] = np.nan
+    np.save(data / "level_1_fields.npy", fields)
+    assert run("train", "--data", data, "--model", "gar", "--out", tmp_path / "m") == 1
+    err = capsys.readouterr().err
+    assert "Y contains non-finite values" in err
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_fit_failure_exit_code(small_dataset, tmp_path, monkeypatch):
     def boom(*a, **kw):
         raise RuntimeError("synthetic divergence")
@@ -159,8 +174,43 @@ def test_benchmark_row_count_and_determinism(tmp_path):
     assert len(data_rows) == 4  # 2 sweep points x 2 repeats
     summary_rows = [l for l in lines[1:] if "summary" in l]
     assert len(summary_rows) == 4  # mean + std per sweep point
-    assert (tmp_path / "r1" / "timings.csv").exists()
     assert (tmp_path / "r1" / "results.dat").exists()
+    timings = (tmp_path / "r1" / "timings.csv").read_text().strip().splitlines()
+    assert timings[0] == "model,n_high,repeat,wall_time_s,generate_s,testset_s,fit_s,predict_s,save_s"
+    assert len(timings) == 5
+    for line in timings[1:]:
+        wall, *phases = [float(v) for v in line.split(",")[3:]]
+        assert len(phases) == 5 and min(phases) >= 0.0
+        # each column is rounded to 0.001 s
+        assert sum(phases) <= wall + 6 * 0.0005
+
+
+def test_benchmark_solves_each_input_once_per_run(tmp_path, monkeypatch):
+    from mfgar import pdebench
+
+    monkeypatch.delenv("MFGAR_WORKERS", raising=False)
+    requests, solves = [], []
+    real_field, real_solver = pdebench.solve_field, pdebench.solve_poisson
+
+    def counted_field(spec, params, fidelity="high"):
+        requests.append((spec.mesh(fidelity), np.asarray(params, dtype=float).tobytes()))
+        return real_field(spec, params, fidelity)
+
+    def counted_solver(values, spec, fidelity="high"):
+        solves.append(fidelity)
+        return real_solver(values, spec, fidelity)
+
+    monkeypatch.setattr(pdebench, "solve_field", counted_field)
+    monkeypatch.setattr(pdebench, "solve_poisson", counted_solver)
+    args = [a if a != "gar" else "gar,hogp" for a in BENCH_ARGS]
+    assert run(*args, "--out", tmp_path / "c") == 0
+    # every job still asks for its low, high and test fields: n_low 6, n_test 4
+    assert len(requests) == 2 * 2 * ((6 + 2 + 4) + (6 + 3 + 4))
+    assert len(solves) == len(set(requests)) < len(requests)
+    # nothing outlives the run: the first Sobol point, whose low field repeat 0
+    # solved, reaches the solver again
+    real_field(pde_spec("poisson"), np.full(5, 0.5), "low")
+    assert len(solves) == len(set(requests)) + 1
 
 
 def test_benchmark_worker_pool_matches_sequential(tmp_path, monkeypatch):

@@ -47,6 +47,16 @@ def test_dataset_pads_modes_and_validates():
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["X", "Y"])
+def test_dataset_rejects_non_finite_values(name, bad):
+    rng = np.random.default_rng(0)
+    arrays = {"X": rng.uniform(size=(4, 2)), "Y": rng.uniform(size=(4, 3))}
+    arrays[name][2, 1] = bad
+    with pytest.raises(ValueError, match=f"{name} contains non-finite values"):
+        MultiFidelityDataset([(arrays["X"], arrays["Y"])])
+
+
 def test_plan_prefix_fully_matched():
     rng = np.random.default_rng(1)
     X_l = rng.uniform(size=(8, 2))

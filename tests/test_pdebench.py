@@ -15,6 +15,7 @@ from mfgar.pdebench import (
     save_dataset,
     sobol_points,
     solve_burgers,
+    solve_cache,
     solve_field,
     solve_heat,
     solve_poisson,
@@ -394,3 +395,61 @@ def test_fidelity_ordering_single_input_each_pde():
         err_low = np.sqrt(np.mean((low.field - ref.field) ** 2))
         err_high = np.sqrt(np.mean((high.field - ref.field) ** 2))
         assert err_high < err_low, kind
+
+
+# ---------------------------------------------------------------------------
+# Solve cache
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def poisson_solver_calls(monkeypatch):
+    """Count the calls that reach the Poisson solver behind ``solve_field``."""
+    from mfgar import pdebench
+
+    calls = []
+    real = pdebench.solve_poisson
+
+    def counted(values, spec, fidelity="high"):
+        calls.append(fidelity)
+        return real(values, spec, fidelity)
+
+    monkeypatch.setattr(pdebench, "solve_poisson", counted)
+    return calls
+
+
+def test_solve_cache_returns_read_only_fields_equal_to_a_fresh_solve(poisson_solver_calls):
+    spec = pde_spec("poisson")
+    params = np.array([0.2, 0.7, 0.4, 0.6, 0.5])
+    fresh = solve_field(spec, params, "low")
+    assert fresh.field.flags.writeable
+    with solve_cache():
+        first = solve_field(spec, params, "low")
+        with solve_cache():  # a nested block shares the outer store
+            again = solve_field(spec, list(params), "low")
+        last = solve_field(spec, params, "low")
+        high = solve_field(spec, params, "high")
+    assert poisson_solver_calls == ["low", "low", "high"]
+    for sample in (first, again, last):
+        assert np.array_equal(sample.field, fresh.field)
+        assert np.array_equal(sample.input, fresh.input)
+        assert not sample.field.flags.writeable and not sample.input.flags.writeable
+        with pytest.raises(ValueError):
+            sample.field[0, 0] = 1.0
+    assert high.field.shape == (32, 32)
+    # the stored input is not a view of the caller's array
+    params[0] = 0.9
+    assert first.input[0] == 0.2
+
+
+def test_solve_cache_stores_no_errors(poisson_solver_calls):
+    spec = pde_spec("poisson")
+    with solve_cache():
+        for _ in range(3):
+            with pytest.raises(ValueError, match="outside"):
+                solve_field(spec, [0.5, 0.5, 0.5, 0.5, 1.5], "low")
+        # a malformed input does not hit the entry of a same-bytes vector
+        solve_field(spec, [0.5] * 5, "low")
+        with pytest.raises(ValueError, match="5 values"):
+            solve_field(spec, [[0.5] * 5], "low")
+    assert poisson_solver_calls == ["low"] * 5
