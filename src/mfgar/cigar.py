@@ -10,10 +10,14 @@ inverse splits over the weight column space and its complement,
     (G0 (x) I + B (x) P)^{-1} = G0^{-1} (x) (I - P) + (G0 + B)^{-1} (x) P,
 
 with ``P = W W^T`` the per-mode projector, so two N x N factorizations
-suffice at any output dimension.  Predictive means coincide with the full
-model's means when the latter also carries identity output covariances (the
-mean never depends on the output covariance); predictive variances are the
-price paid for the speedup.
+suffice at any output dimension.  The exact non-subset NLL
+(``gar_nll_nonsubset``) and the imputation-variance term of the prediction
+use the same input-space reduction: with identity output covariances the
+joint eigenvalues depend on the input index only, so neither ever builds an
+``N_h d_h`` matrix or a Kronecker root column.  Predictive means coincide
+with the full model's means when the latter also carries identity output
+covariances (the mean never depends on the output covariance); predictive
+variances are the price paid for the speedup.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from .hogp import (
 )
 from .kernels import ArdKernelParams, LaplacePrior, LatentFeatures, ard_gram
 from .optim import OptimConfig, minimize
-from .tensalg import kron_all, sym_eig, tucker_apply, vec
+from .tensalg import kron_all, kruskal_outer, sym_eig, tucker_apply, vec
 
 # ---------------------------------------------------------------------------
 # Datasets
@@ -923,20 +923,66 @@ def _root_columns(roots, idx):
     return out
 
 
+def _identity_outputs(trans: GarTransition) -> bool:
+    """Whether a non-subset transition's low and residual models both have ``S = I``."""
+    low, res = trans.workspace.aug_low, trans.residual
+    return low.output_features is None and res.output_features is None
+
+
+def _identity_output_nll(trans: GarTransition) -> float:
+    """Corrected residual NLL of a non-subset transition with identity output covariances.
+
+    The covariance is ``G0 (x) I + B (x) W W^T`` with ``G0 = K_r + noise I =
+    L L^T`` and ``B = embed(S_hat)``.  Whitening by ``L`` and diagonalizing
+    ``L^-1 B L^-T = Q diag(beta) Q^T`` (N_h x N_h) and, per mode, ``W_m W_m^T
+    = V_m diag(mu_m) V_m^T`` (from the SVD of ``W_m``) makes it diagonal,
+    ``A = 1 + beta (o) mu_1 (o) ..``, for any W.  With orthonormal W every
+    ``mu`` is 0 or 1 and this is the collapsed pack's two-factorization split.
+    """
+    from scipy.linalg import solve_triangular
+
+    res = trans.residual
+    n_high = res.n_samples
+    K_r = ard_gram(res.input_kernel, res.X, res.X)
+    L = np.linalg.cholesky(K_r + res.noise * np.eye(n_high))
+    B = _embedded_cov(trans.workspace.s_hat, n_high, trans.plan.n_matched)
+    half = solve_triangular(L, B, lower=True)
+    Q, beta = sym_eig(solve_triangular(L, half.T, lower=True))
+    rotations, mus = [solve_triangular(L, Q, lower=True, trans="T").T], [beta]
+    for w in trans.weights.factors:
+        V, s, _ = np.linalg.svd(w)
+        mu = np.zeros(w.shape[0])
+        mu[: s.size] = s * s
+        rotations.append(V.T)
+        mus.append(mu)
+    A = 1.0 + kruskal_outer(mus)
+    if not np.all(A > 0):
+        raise np.linalg.LinAlgError("corrected covariance not positive definite")
+    Z = tucker_apply(res.centered, rotations)
+    quad = float(np.sum(Z * Z / A))
+    logdet = 2.0 * res.output_size * float(np.sum(np.log(np.diag(L)))) + float(np.sum(np.log(A)))
+    return 0.5 * (quad + logdet + n_high * res.output_size * LOG2PI)
+
+
 def gar_nll_nonsubset(model: GarModel, dense_cap: int = 4096) -> float:
     """Exact marginal NLL of a fitted two-level model with unmatched points.
 
     Low-level NLL plus the corrected residual Gaussian whose covariance is
     inflated by the propagated imputation uncertainty; the residual data
     come from the fitted model.  Falls back to the plain subset objective
-    when the plan is fully matched.  Residual blocks of at most
-    ``dense_cap`` entries assemble the dense corrected covariance and take
-    one Cholesky factorization.  Larger ones treat the correction as a
-    low-rank update ``G G^T`` of the eigen-solvable base covariance, with
-    ``G`` the imputation roots rotated once per mode into the base
-    eigenbasis (matrix determinant lemma plus Woodbury); they only ever
-    factorize a matrix of the correction's rank (unmatched count times low
-    output size).
+    when the plan is fully matched.  When the low and residual models both
+    carry identity output covariances (the conditional-independent model,
+    or any ``identity_outputs`` fit), the correction diagonalizes in input
+    space (``_identity_output_nll``) and only N_h x N_h matrices and the
+    weight factors are ever factorized.  For latent output covariances,
+    residual blocks of at most ``dense_cap`` entries assemble the dense
+    corrected covariance and take one Cholesky factorization.  Larger ones
+    treat the correction as a low-rank update ``G G^T`` of the
+    eigen-solvable base covariance, with ``G`` the imputation roots rotated
+    once per mode into the base eigenbasis (matrix determinant lemma plus
+    Woodbury); they only ever factorize a matrix of the correction's rank
+    (unmatched count times low output size).  ``dense_cap`` is ignored for
+    identity-output models.
     """
     if len(model.transitions) != 1:
         raise ValueError("non-subset evaluation covers a single transition")
@@ -945,6 +991,8 @@ def gar_nll_nonsubset(model: GarModel, dense_cap: int = 4096) -> float:
     res = trans.residual
     if trans.is_subset:
         return low_part + tgp_nll(res)
+    if _identity_outputs(trans):
+        return low_part + _identity_output_nll(trans)
     ws = trans.workspace
     n_high = res.n_samples
     n = n_high * res.output_size
@@ -1013,6 +1061,13 @@ def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape,
     the joint eigenvalues.  Small chunks keep a column block in cache; on
     the aligned Poisson case (blocks of 36 x 32 x 32) 4 columns measured
     fastest.
+
+    With identity output covariances on both paths the joint eigenvalues
+    depend on the input index only, so the term factorizes as
+    ``gamma[s, j] = a[s] b[j]``: ``a`` from the two paths' input-space
+    operators applied to the ``S_hat`` root, ``b`` the squared row norms of
+    the composed weights ``D_m .. W_m`` per mode.  No root column is built
+    and ``chunk`` applies to latent output covariances only.
     """
     ws = trans.workspace
     aug = ws.aug_low
@@ -1021,6 +1076,24 @@ def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape,
     n_m = ws.s_hat.shape[0]
     n_low = aug.n_samples - n_m
     n_matched = trans.plan.n_matched
+
+    if _identity_outputs(trans):
+        s_root = _psd_root(ws.s_hat)
+
+        def sensitivity(model, offset):
+            # k_* G^-1 on the imputed rows, applied to the S_hat root
+            eigs = model.eigenfactors()
+            U0 = eigs.vectors[0]
+            k_star = ard_gram(model.input_kernel, Xs, model.X)
+            return (k_star @ U0) / (eigs.values[0] + model.noise) @ (U0[offset:].T @ s_root)
+
+        diff = sensitivity(aug, n_low) - sensitivity(res, n_matched)
+        rows = []
+        for m, f in enumerate(trans.weights.factors):
+            for w in downstream:
+                f = w.factors[m] @ f
+            rows.append(np.sum(f * f, axis=1))
+        return kruskal_outer([np.sum(diff * diff, axis=1)] + rows)
 
     roots = _imputation_roots(ws.s_hat, aug.output_covs())
 

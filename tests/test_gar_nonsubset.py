@@ -127,6 +127,58 @@ def test_scalar_outputs_reduce_to_scalar_formula():
     assert_allclose(gar_nll_nonsubset(model), oracle, rtol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "n_matched, low_modes, high_modes, orthonormal_w",
+    [
+        (0, (3,), (3,), True),  # square orthonormal
+        (2, (3,), (3,), True),
+        (1, (2, 3), (4, 3), True),  # rectangular orthonormal, two modes
+        (0, (2,), (4,), True),
+        (0, (3, 2), (2, 3), False),  # free W, wide and tall factors
+        (2, (2,), (3,), False),
+    ],
+)
+def test_identity_output_nll_equals_dense_marginal(n_matched, low_modes, high_modes, orthonormal_w):
+    # The input-space route for identity output covariances, at any W,
+    # against plain marginalization of the dense joint.
+    rng = np.random.default_rng(19)
+    model, ds = make_random_nonsubset(
+        rng, 6, n_matched, 3, low_modes, high_modes,
+        identity_outputs=True, orthonormal_w=orthonormal_w,
+    )
+    trans = model.transitions[0]
+    oracle = dense_marginal_nonsubset_nll(
+        model.low, trans.weights, trans.residual, trans.plan,
+        trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
+    )
+    assert_allclose(gar_nll_nonsubset(model), oracle, rtol=1e-8)
+
+
+def test_identity_output_nll_routes_past_output_sized_algebra(monkeypatch):
+    # A residual block past the dense cap with identity output covariances:
+    # neither the dense corrected covariance nor a Kronecker root column may
+    # be built, and no eigendecomposition may exceed the augmented sample
+    # count (the output modes here are 40 and 30).
+    import mfgar.gar as gar
+    from mfgar.tensalg import track_eig_sizes
+
+    rng = np.random.default_rng(20)
+    model, _ = make_random_nonsubset(rng, 8, 2, 4, (3, 2), (40, 30), identity_outputs=True)
+    assert model.transitions[0].residual.Y.size > 4096
+
+    def output_sized(*args, **kwargs):
+        raise AssertionError("output-sized path taken")
+
+    monkeypatch.setattr(gar, "_corrected_cholesky", output_sized)
+    monkeypatch.setattr(gar, "_root_columns", output_sized)
+    with track_eig_sizes() as sizes:
+        value = gar_nll_nonsubset(model)
+        pred = gar_predict(model, rng.uniform(-1, 1, size=(3, 2)))
+    assert np.isfinite(value)
+    assert np.all(np.isfinite(pred.mean)) and np.all(np.isfinite(pred.variance_diag))
+    assert max(sizes) <= model.transitions[0].workspace.aug_low.n_samples
+
+
 def test_empty_unmatched_degenerates_to_subset_objective():
     rng = np.random.default_rng(4)
     model, ds = make_random_two_level(rng, 5, 3, (2, 2), (2, 2))
@@ -277,6 +329,25 @@ def test_identity_output_pack_matches_dense_pack():
     v_dense, _ = dense.objective(dense.pack())
     v_fast, _ = fast.objective(fast.pack())
     assert_allclose(v_fast, v_dense, rtol=1e-9)
+
+
+def test_identity_output_pack_value_is_corrected_marginal():
+    rng = np.random.default_rng(21)
+    model, ds = make_random_nonsubset(
+        rng, 5, 2, 2, (2, 3), (4, 3), identity_outputs=True, orthonormal_w=True
+    )
+    trans = model.transitions[0]
+    pack = _IdentityOutputNonsubsetPack(
+        trans.low_stack,
+        ds.levels[1].Y[trans.plan.permutation],
+        trans.residual,
+        trans.weights,
+        "orthonormal",
+        trans.workspace.s_hat,
+        trans.plan.n_matched,
+    )
+    value, _ = pack.objective(pack.pack())
+    assert_allclose(value, gar_nll_nonsubset(model) - tgp_nll(model.low), rtol=1e-9)
 
 
 def test_identity_output_pack_gradient_audit():
