@@ -30,7 +30,7 @@ from .tensalg import (
     unvec,
     vec,
 )
-from .optim import OptimConfig, OptimTrace, grad_audit, minimize
+from .optim import OptimConfig, OptimTrace, minimize
 from .hogp import (
     FitConfig,
     PosteriorField,

@@ -4,17 +4,21 @@ weights, input-space-only inference.
 With every output covariance fixed to the identity and the weight factors
 constrained to orthonormal columns, all likelihood algebra collapses onto
 N x N input-space matrices: the subset objective is a multi-channel GP, and
-the non-subset correction block becomes ``embed(S_hat) (x) W W^T`` whose
-inverse splits over the weight column space and its complement,
+the non-subset correction block becomes ``embed(S_hat) (x) W W^T``.  The
+fit objective and the exact NLL (``gar_nll_nonsubset``) share one routine,
+exact for any W: whitening by ``chol(G0)`` (``G0`` the residual input Gram
+plus noise), one N_h x N_h eigendecomposition and the SVD of each weight
+factor diagonalize the corrected covariance, with eigenvalues
+``1 + beta (o) mu_1 (o) ..``.  Orthonormal W is the case where every
+``mu`` is 0 or 1, and the diagonalization reduces to the projector split
 
     (G0 (x) I + B (x) P)^{-1} = G0^{-1} (x) (I - P) + (G0 + B)^{-1} (x) P,
 
-with ``P = W W^T`` the per-mode projector, so two N x N factorizations
-suffice at any output dimension.  The exact non-subset NLL
-(``gar_nll_nonsubset``) and the imputation-variance term of the prediction
-use the same input-space reduction: with identity output covariances the
-joint eigenvalues depend on the input index only, so neither ever builds an
-``N_h d_h`` matrix or a Kronecker root column.  Predictive means coincide
+with ``P = W W^T`` the per-mode projector.  The imputation-variance term of
+the prediction uses the same input-space reduction: with identity output
+covariances the joint eigenvalues depend on the input index only, so
+neither the fit, the NLL nor the prediction ever builds an ``N_h d_h``
+matrix or a Kronecker root column.  Predictive means coincide
 with the full model's means when the latter also carries identity output
 covariances (the mean never depends on the output covariance); predictive
 variances are the price paid for the speedup.

@@ -30,7 +30,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +81,6 @@ class ExperimentConfig:
     step: float
     out: Path
     workers: int = 1
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for kind in self.models:

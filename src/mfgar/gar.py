@@ -541,8 +541,6 @@ class _NonsubsetPack(_Stage2Pack):
 
         from scipy.linalg import cho_solve
 
-        from .kernels import ard_gram_input_grad, ard_gram_param_grads
-
         K_r = ard_gram(model.input_kernel, model.X, model.X)
         s_mats = [_cov_matrix(s) for s in model.output_covs()]
         sand = [w @ s @ w.T for w, s in zip(weights.factors, self.s_low_mats)]
@@ -558,53 +556,88 @@ class _NonsubsetPack(_Stage2Pack):
         shape_blocks = (n_high, *self.mode_sizes_high, n_high, *self.mode_sizes_high)
         T_blocks = T.reshape(shape_blocks)
 
-        g = np.zeros(self.size)
-        off = self.w.size
-        pt_slices = self.tgp.slices
-
-        # residual kernel parameters (through K_r)
-        q_k = _kron_partial(T_blocks, [None] + s_mats, 0)
-        _, k_grads = ard_gram_param_grads(model.input_kernel, model.X, model.X)
-        g[off + pt_slices["input"].start : off + pt_slices["input"].stop] = [
-            float(np.sum(q_k * dk)) for dk in k_grads
-        ]
-        # residual output covariances
+        gbars = [_kron_partial(T_blocks, [None] + s_mats, 0)]
         if model.output_features is not None:
-            for m in range(n_modes):
-                q_m = _kron_partial(T_blocks, [K_r] + s_mats, m + 1)
-                kern = model.output_features.kernels[m]
-                V = model.output_features.coords[m]
-                _, s_grads = ard_gram_param_grads(kern, V, V)
-                sl = pt_slices[f"kern{m}"]
-                g[off + sl.start : off + sl.stop] = [float(np.sum(q_m * ds)) for ds in s_grads]
-                if f"coords{m}" in self.tgp.active:
-                    cl = pt_slices[f"coords{m}"]
-                    g[off + cl.start : off + cl.stop] = ard_gram_input_grad(kern, V, q_m).ravel()
-        # noise
-        nl = pt_slices["noise"]
-        g[off + nl.start : off + nl.stop] = float(np.trace(T)) * model.noise
+            gbars += [_kron_partial(T_blocks, [K_r] + s_mats, m + 1) for m in range(n_modes)]
+        g_t = self.tgp.chain(model, gbars, float(np.trace(T)))
         # weights: through the residual tensor and through the covariance
         alpha_t = alpha.reshape(n_high, *self.mode_sizes_high)
         w_grads = _w_factor_grads(alpha_t, self.low_stack, weights)
         for m in range(n_modes):
             q_m = _kron_partial(T_blocks, [self.b_input] + sand, m + 1)
             w_grads[m] = w_grads[m] + (q_m + q_m.T) @ weights.factors[m] @ self.s_low_mats[m]
-        g[: self.w.size] = self.w.chain(w_grads)
-        value = self.tgp.penalize(model, value, g, off)
-        return value, g
+        value = self.tgp.penalize(model, value, g_t)
+        return value, np.concatenate([self.w.chain(w_grads), g_t])
+
+
+def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: np.ndarray):
+    """Corrected residual NLL with identity output covariances, and its adjoints.
+
+    The covariance is ``G0 (x) I + B (x) W W^T`` with ``G0 = K_r + noise I =
+    L L^T`` and ``B = b_input``, the embedded imputation covariance.
+    Whitening by ``L`` and diagonalizing ``L^-1 B L^-T = Q diag(beta) Q^T``
+    (N_h x N_h) and, per mode, ``W_m W_m^T = V_m diag(mu_m) V_m^T`` (from the
+    SVD of ``W_m``) makes it diagonal, ``A = 1 + beta (o) mu_1 (o) ..``, in
+    the rotation ``T0 = Q^T L^-1`` and ``V_m^T``, for any W.  With ``Z`` the
+    rotated residual and ``Zh = Z / A`` the adjoints need no SVD derivative:
+
+    - input Gram ``G0``: ``1/2 T0^T (diag(sum_j 1/A) - Zh_(0) Zh_(0)^T) T0``;
+    - ``W_m`` through the covariance: ``V_m (diag(c_m) - N_m) V_m^T W_m``,
+      where ``c_m`` sums ``beta mu_-m / A`` and ``N_m`` contracts
+      ``Zh beta mu_-m`` with ``Zh`` over every axis but ``m``;
+    - the residual tensor: ``alpha = Zh`` rotated back (``Sigma^-1 r``).
+
+    Returns ``(value, gbar_g0, w_cov_grads, alpha)``.
+    """
+    from scipy.linalg import solve_triangular
+
+    n_high = res.n_samples
+    K_r = ard_gram(res.input_kernel, res.X, res.X)
+    L = np.linalg.cholesky(K_r + res.noise * np.eye(n_high))
+    half = solve_triangular(L, b_input, lower=True)
+    Q, beta = sym_eig(solve_triangular(L, half.T, lower=True))
+    t0 = solve_triangular(L, Q, lower=True, trans="T").T
+    rotations, mus = [t0], [beta]
+    for w in weights.factors:
+        V, s, _ = np.linalg.svd(w)
+        mu = np.zeros(w.shape[0])
+        mu[: s.size] = s * s
+        rotations.append(V.T)
+        mus.append(mu)
+    A = 1.0 + kruskal_outer(mus)
+    if not np.all(A > 0):
+        raise np.linalg.LinAlgError("corrected covariance not positive definite")
+    Z = tucker_apply(res.centered, rotations)
+    quad = float(np.sum(Z * Z / A))
+    logdet = 2.0 * res.output_size * float(np.sum(np.log(np.diag(L)))) + float(np.sum(np.log(A)))
+    value = 0.5 * (quad + logdet + n_high * res.output_size * LOG2PI)
+
+    inv_a = 1.0 / A
+    z_hat = Z * inv_a
+    alpha = tucker_apply(z_hat, [r.T for r in rotations])
+    a0 = alpha.reshape(n_high, -1)
+    gbar_g0 = 0.5 * ((t0.T * inv_a.reshape(n_high, -1).sum(axis=1)) @ t0 - a0 @ a0.T)
+    w_cov_grads = []
+    axes = list(range(A.ndim))
+    for m, (w, vt) in enumerate(zip(weights.factors, rotations[1:])):
+        scale = kruskal_outer([np.ones_like(v) if j == m + 1 else v for j, v in enumerate(mus)])
+        other = [a for a in axes if a != m + 1]
+        c = np.sum(scale * inv_a, axis=tuple(other))
+        n_m = np.tensordot(z_hat * scale, z_hat, axes=(other, other))
+        w_cov_grads.append(vt.T @ ((np.diag(c) - n_m) @ (vt @ w)))
+    return value, gbar_g0, w_cov_grads, alpha
 
 
 class _IdentityOutputNonsubsetPack(_Stage2Pack):
-    """Corrected non-subset objective for identity output covariances.
+    """Exact corrected non-subset objective for identity output covariances.
 
-    With ``S = I`` everywhere and per-mode projectors ``P_m = W_m W_m^T``,
-    the corrected covariance is ``G0 (x) I + B (x) P`` whose inverse is
-    ``G0^{-1} (x) (I - P) + (G0 + B)^{-1} (x) P``; everything reduces to two
-    N x N factorizations per evaluation regardless of output dimension, and
-    the log-determinant splits by weight-column-space membership.  This is
-    the production path for the conditional-independent model; the dense
-    pack evaluates the identical objective and serves as its oracle in the
-    tests.
+    Every identity-output non-subset transition fits here, for any weight
+    mode and block size: ``_identity_output_objective`` evaluates the
+    corrected residual NLL and its adjoints with one N_h x N_h
+    eigendecomposition and the SVD of each weight factor, so no output-sized
+    matrix is ever built.  ``gar_nll_nonsubset`` scores fitted models with
+    the same routine; the dense pack evaluates the identical objective and
+    serves as its oracle in the tests.
     """
 
     def __init__(
@@ -623,73 +656,14 @@ class _IdentityOutputNonsubsetPack(_Stage2Pack):
         self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
 
     def objective(self, p: np.ndarray):
-        from scipy.linalg import cho_factor, cho_solve
-
-        from .kernels import ard_gram_param_grads
-
         weights, model = self.unpack(p)
-        n_high = model.n_samples
-        d_high = model.output_size
-        d_low = int(np.prod(weights.low_sizes))
-        K_r = ard_gram(model.input_kernel, model.X, model.X)
-        g0 = K_r + model.noise * np.eye(n_high)
-        g1 = g0 + self.b_input
-
-        R = model.centered
-        rho = tucker_apply(R, [f.T for f in weights.factors], mode_offset=1)
-        c0 = cho_factor(g0, lower=True)
-        c1 = cho_factor(g1, lower=True)
-
-        def mat(t):
-            return t.reshape(n_high, -1)
-
-        a_r = cho_solve(c0, mat(R))
-        a_r0 = cho_solve(c0, mat(rho))
-        a_r1 = cho_solve(c1, mat(rho))
-        quad = float(np.sum(mat(R) * a_r) - np.sum(mat(rho) * a_r0) + np.sum(mat(rho) * a_r1))
-        ld0 = 2.0 * float(np.sum(np.log(np.diag(c0[0]))))
-        ld1 = 2.0 * float(np.sum(np.log(np.diag(c1[0]))))
-        logdet = (d_high - d_low) * ld0 + d_low * ld1
-        n = n_high * d_high
-        value = 0.5 * (quad + logdet + n * LOG2PI)
-
-        # Gradient w.r.t. the residual input Gram (enters both g0 and g1).
-        inv0 = cho_solve(c0, np.eye(n_high))
-        inv1 = cho_solve(c1, np.eye(n_high))
-        gbar_k = 0.5 * (
-            (d_high - d_low) * inv0
-            + d_low * inv1
-            - a_r @ a_r.T
-            + a_r0 @ a_r0.T
-            - a_r1 @ a_r1.T
+        value, gbar_g0, w_cov_grads, alpha = _identity_output_objective(
+            model, weights, self.b_input
         )
-        g = np.zeros(self.size)
-        off = self.w.size
-        sl = self.tgp.slices["input"]
-        _, k_grads = ard_gram_param_grads(model.input_kernel, model.X, model.X)
-        g[off + sl.start : off + sl.stop] = [float(np.sum(gbar_k * dk)) for dk in k_grads]
-        nl = self.tgp.slices["noise"]
-        g[off + nl.start : off + nl.stop] = float(np.trace(gbar_k)) * model.noise
-
-        # Gradient w.r.t. the weights: through the residual tensor and the
-        # explicit projection (the log-determinant is weight-independent
-        # because orthonormality fixes the column-space split).
-        gamma = (a_r1 - a_r0).reshape(rho.shape)
-        alpha_eff = a_r.reshape(R.shape) + tucker_apply(
-            gamma, list(weights.factors), mode_offset=1
-        )
-        w_grads = _w_factor_grads(alpha_eff, self.low_stack, weights)
-        axes = list(range(R.ndim))
-        for m in range(len(weights.factors)):
-            facs = [None] * len(weights.factors)
-            for j, f in enumerate(weights.factors):
-                if j != m:
-                    facs[j] = f.T
-            r_minus = tucker_apply(R, facs, mode_offset=1)
-            other = [a for a in axes if a != m + 1]
-            w_grads[m] = w_grads[m] + np.tensordot(r_minus, gamma, axes=(other, other))
-        g[: self.w.size] = self.w.chain(w_grads)
-        return value, g
+        w_grads = _w_factor_grads(alpha, self.low_stack, weights)
+        g_w = self.w.chain([a + b for a, b in zip(w_grads, w_cov_grads)])
+        g_t = self.tgp.chain(model, [gbar_g0], float(np.trace(gbar_g0)))
+        return value, np.concatenate([g_w, g_t])
 
 
 # ---------------------------------------------------------------------------
@@ -779,15 +753,15 @@ def _fit_transition(
     )
 
     args = (low_stack, Y_res, template, w_init, config.w_mode)
-    collapsed = config.identity_outputs and config.w_mode == "orthonormal"
-    if workspace is None or (not collapsed and Y_res.size > config.nonsubset_exact_cap):
-        # Subset data, or the imputed-residual approximation for large
-        # non-subset blocks (exact when the imputation uncertainty vanishes);
-        # the exact corrected NLL remains available through gar_nll_nonsubset.
-        pack = _ResidualPack(*args, config.laplace, freeze_coords=shared)
-    elif collapsed:
-        # Collapsed exact objective: input-space factorizations only.
+    if workspace is not None and config.identity_outputs:
+        # Exact input-space objective, any W and any block size.
         pack = _IdentityOutputNonsubsetPack(*args, s_hat, plan.n_matched)
+    elif workspace is None or Y_res.size > config.nonsubset_exact_cap:
+        # Subset data, or the imputed-residual approximation for large
+        # latent-output non-subset blocks (exact when the imputation
+        # uncertainty vanishes); the exact corrected NLL remains available
+        # through gar_nll_nonsubset.
+        pack = _ResidualPack(*args, config.laplace, freeze_coords=shared)
     else:
         pack = _NonsubsetPack(
             *args, config.laplace, s_hat, low_model.output_covs(), plan.n_matched,
@@ -929,41 +903,6 @@ def _identity_outputs(trans: GarTransition) -> bool:
     return low.output_features is None and res.output_features is None
 
 
-def _identity_output_nll(trans: GarTransition) -> float:
-    """Corrected residual NLL of a non-subset transition with identity output covariances.
-
-    The covariance is ``G0 (x) I + B (x) W W^T`` with ``G0 = K_r + noise I =
-    L L^T`` and ``B = embed(S_hat)``.  Whitening by ``L`` and diagonalizing
-    ``L^-1 B L^-T = Q diag(beta) Q^T`` (N_h x N_h) and, per mode, ``W_m W_m^T
-    = V_m diag(mu_m) V_m^T`` (from the SVD of ``W_m``) makes it diagonal,
-    ``A = 1 + beta (o) mu_1 (o) ..``, for any W.  With orthonormal W every
-    ``mu`` is 0 or 1 and this is the collapsed pack's two-factorization split.
-    """
-    from scipy.linalg import solve_triangular
-
-    res = trans.residual
-    n_high = res.n_samples
-    K_r = ard_gram(res.input_kernel, res.X, res.X)
-    L = np.linalg.cholesky(K_r + res.noise * np.eye(n_high))
-    B = _embedded_cov(trans.workspace.s_hat, n_high, trans.plan.n_matched)
-    half = solve_triangular(L, B, lower=True)
-    Q, beta = sym_eig(solve_triangular(L, half.T, lower=True))
-    rotations, mus = [solve_triangular(L, Q, lower=True, trans="T").T], [beta]
-    for w in trans.weights.factors:
-        V, s, _ = np.linalg.svd(w)
-        mu = np.zeros(w.shape[0])
-        mu[: s.size] = s * s
-        rotations.append(V.T)
-        mus.append(mu)
-    A = 1.0 + kruskal_outer(mus)
-    if not np.all(A > 0):
-        raise np.linalg.LinAlgError("corrected covariance not positive definite")
-    Z = tucker_apply(res.centered, rotations)
-    quad = float(np.sum(Z * Z / A))
-    logdet = 2.0 * res.output_size * float(np.sum(np.log(np.diag(L)))) + float(np.sum(np.log(A)))
-    return 0.5 * (quad + logdet + n_high * res.output_size * LOG2PI)
-
-
 def gar_nll_nonsubset(model: GarModel, dense_cap: int = 4096) -> float:
     """Exact marginal NLL of a fitted two-level model with unmatched points.
 
@@ -973,8 +912,9 @@ def gar_nll_nonsubset(model: GarModel, dense_cap: int = 4096) -> float:
     when the plan is fully matched.  When the low and residual models both
     carry identity output covariances (the conditional-independent model,
     or any ``identity_outputs`` fit), the correction diagonalizes in input
-    space (``_identity_output_nll``) and only N_h x N_h matrices and the
-    weight factors are ever factorized.  For latent output covariances,
+    space for any W through ``_identity_output_objective``, the routine the
+    fit's objective uses, and only an N_h x N_h matrix and the weight
+    factors are ever factorized.  For latent output covariances,
     residual blocks of at most ``dense_cap`` entries assemble the dense
     corrected covariance and take one Cholesky factorization.  Larger ones
     treat the correction as a low-rank update ``G G^T`` of the
@@ -991,10 +931,11 @@ def gar_nll_nonsubset(model: GarModel, dense_cap: int = 4096) -> float:
     res = trans.residual
     if trans.is_subset:
         return low_part + tgp_nll(res)
-    if _identity_outputs(trans):
-        return low_part + _identity_output_nll(trans)
     ws = trans.workspace
     n_high = res.n_samples
+    if _identity_outputs(trans):
+        b_input = _embedded_cov(ws.s_hat, n_high, trans.plan.n_matched)
+        return low_part + _identity_output_objective(res, trans.weights, b_input)[0]
     n = n_high * res.output_size
     low_covs = model.low.output_covs()
 

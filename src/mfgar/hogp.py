@@ -308,9 +308,13 @@ class _TgpPack:
             _eig=None,
         )
 
-    def value_and_grad(self, model: TgpModel):
-        """Penalized NLL, gradient over this pack's parameters, and extras."""
-        nll, gbars, d_noise, alpha = _nll_core(model)
+    def chain(self, model: TgpModel, gbars, d_noise: float) -> np.ndarray:
+        """Map covariance adjoints to the gradient over this pack's parameters.
+
+        ``gbars`` holds the adjoint of the input Gram, then one per output
+        mode (read only when the model has latent output covariances);
+        ``d_noise`` is the partial with respect to the noise variance.
+        """
         g = np.zeros(self.size)
         g[self.slices["input"]] = _chain_input_kernel(model, gbars[0])
         if model.output_features is not None:
@@ -320,6 +324,12 @@ class _TgpPack:
                 if f"coords{m}" in self.active:
                     g[self.slices[f"coords{m}"]] = g_coords.ravel()
         g[self.slices["noise"]] = d_noise * model.noise
+        return g
+
+    def value_and_grad(self, model: TgpModel):
+        """Penalized NLL, gradient over this pack's parameters, and extras."""
+        nll, gbars, d_noise, alpha = _nll_core(model)
+        g = self.chain(model, gbars, d_noise)
         return self.penalize(model, nll, g), g, {"alpha": alpha}
 
     def penalize(self, model: TgpModel, value: float, g: np.ndarray, offset: int = 0) -> float:

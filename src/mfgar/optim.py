@@ -1,4 +1,4 @@
-"""Gradient-based minimization shared by all model fits, plus gradient audit.
+"""Gradient-based minimization shared by all model fits.
 
 The optimizer is an adaptive first-order method: per-parameter step scaling
 (RMSProp-style accumulator) with heavy-ball momentum, a monotone acceptance
@@ -130,26 +130,3 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
             break
 
     return p, trace
-
-
-def grad_audit(objective, point, eps: float = 1e-5) -> float:
-    """Componentwise central-difference check of an objective's gradient.
-
-    Returns the maximum relative error between the supplied gradient and the
-    central finite difference, with the difference value as the reference
-    scale.  This is the test-side oracle for every analytic gradient in the
-    package; it is never used as a production gradient.
-    """
-    p = np.asarray(point, dtype=float)
-    _, g = objective(p)
-    g = np.asarray(g, dtype=float)
-    worst = 0.0
-    for i in range(p.size):
-        e = np.zeros_like(p)
-        e[i] = eps
-        f_plus, _ = objective(p + e)
-        f_minus, _ = objective(p - e)
-        fd = (f_plus - f_minus) / (2.0 * eps)
-        err = abs(g[i] - fd) / max(abs(fd), 1e-8)
-        worst = max(worst, err)
-    return worst

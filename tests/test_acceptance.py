@@ -27,7 +27,7 @@ from mfgar.gar import (
 )
 from mfgar.hogp import _TgpPack, tgp_nll, tgp_predict
 from mfgar.kernels import ArdKernelParams, LaplacePrior
-from mfgar.optim import OptimConfig, grad_audit
+from mfgar.optim import OptimConfig
 from mfgar.pdebench import pde_spec, solve_field, solve_poisson, upsample_bilinear
 from oracles import (
     dense_marginal_nonsubset_nll,
@@ -36,6 +36,7 @@ from oracles import (
     dense_tgp_predict,
     dense_two_level_predict,
     gar_joint_nll_dense,
+    grad_audit,
     make_random_nonsubset,
     make_random_tgp,
     make_random_two_level,

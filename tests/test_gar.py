@@ -19,11 +19,12 @@ from mfgar.gar import (
 )
 from mfgar.hogp import tgp_nll, tgp_predict
 from mfgar.kernels import LaplacePrior
-from mfgar.optim import OptimConfig, grad_audit
+from mfgar.optim import OptimConfig
 from oracles import (
     dense_two_level_nll,
     dense_two_level_predict,
     gar_joint_nll_dense,
+    grad_audit,
     make_random_two_level,
     scalar_ar_dense_nll,
 )

@@ -25,13 +25,14 @@ from mfgar.gar import (
 )
 from mfgar.hogp import tgp_nll
 from mfgar.kernels import LaplacePrior
-from mfgar.optim import OptimConfig, grad_audit
+from mfgar.optim import OptimConfig
 from mfgar.tensalg import kron_all, vec
 from oracles import (
     column_stream_gamma_variance,
     dense_marginal_nonsubset_nll,
     dense_nonsubset_predict,
     dense_two_level_predict,
+    grad_audit,
     make_random_nonsubset,
     make_random_two_level,
 )
@@ -309,26 +310,44 @@ def test_nonsubset_pack_value_is_corrected_marginal():
     assert_allclose(value, gar_nll_nonsubset(model) - tgp_nll(model.low), rtol=1e-9)
 
 
-def test_identity_output_pack_matches_dense_pack():
-    # The collapsed input-space objective equals the dense corrected
-    # objective at identical (identity-S, orthonormal-W) parameters.
-    rng = np.random.default_rng(10)
+IDENTITY_PACK_CASES = [
+    pytest.param(0, (3,), (3,), False, id="free-square"),
+    pytest.param(2, (3,), (3,), True, id="orth-square"),
+    pytest.param(2, (2, 3), (4, 3), True, id="orth-two-mode"),
+    pytest.param(1, (2,), (3,), True, id="orth-tall"),
+    pytest.param(0, (2,), (4,), False, id="free-tall"),
+    pytest.param(2, (4,), (2,), False, id="free-wide"),
+    pytest.param(1, (3, 2), (2, 3), False, id="free-two-mode"),
+]
+
+
+def identity_output_packs(seed, n_matched, low_modes, high_modes, orthonormal_w):
+    """The identity-output pack and the dense pack at one random model, raw W."""
+    rng = np.random.default_rng(seed)
     model, ds = make_random_nonsubset(
-        rng, 5, 2, 2, (2, 3), (4, 3), identity_outputs=True, orthonormal_w=True
+        rng, 5, n_matched, 2, low_modes, high_modes,
+        identity_outputs=True, orthonormal_w=orthonormal_w,
     )
     trans = model.transitions[0]
     y_perm = ds.levels[1].Y[trans.plan.permutation]
-    args = (trans.low_stack, y_perm, trans.residual, trans.weights)
+    args = (trans.low_stack, y_perm, trans.residual, trans.weights, "free")
     dense = _NonsubsetPack(
-        *args, "orthonormal", LaplacePrior(0.0), trans.workspace.s_hat,
+        *args, LaplacePrior(0.0), trans.workspace.s_hat,
         model.low.output_covs(), trans.plan.n_matched,
     )
-    fast = _IdentityOutputNonsubsetPack(
-        *args, "orthonormal", trans.workspace.s_hat, trans.plan.n_matched
-    )
-    v_dense, _ = dense.objective(dense.pack())
-    v_fast, _ = fast.objective(fast.pack())
+    fast = _IdentityOutputNonsubsetPack(*args, trans.workspace.s_hat, trans.plan.n_matched)
+    return fast, dense
+
+
+@pytest.mark.parametrize("n_matched, low_modes, high_modes, orthonormal_w", IDENTITY_PACK_CASES)
+def test_identity_output_pack_matches_dense_pack(n_matched, low_modes, high_modes, orthonormal_w):
+    # The input-space objective equals the dense corrected objective, value
+    # and gradient, at identical identity-S parameters and any W.
+    fast, dense = identity_output_packs(10, n_matched, low_modes, high_modes, orthonormal_w)
+    v_dense, g_dense = dense.objective(dense.pack())
+    v_fast, g_fast = fast.objective(fast.pack())
     assert_allclose(v_fast, v_dense, rtol=1e-9)
+    assert_allclose(g_fast, g_dense, rtol=1e-9, atol=1e-9 * np.abs(g_dense).max())
 
 
 def test_identity_output_pack_value_is_corrected_marginal():
@@ -350,22 +369,11 @@ def test_identity_output_pack_value_is_corrected_marginal():
     assert_allclose(value, gar_nll_nonsubset(model) - tgp_nll(model.low), rtol=1e-9)
 
 
-def test_identity_output_pack_gradient_audit():
-    rng = np.random.default_rng(11)
-    model, ds = make_random_nonsubset(
-        rng, 4, 1, 2, (2,), (3,), identity_outputs=True, orthonormal_w=True
-    )
-    trans = model.transitions[0]
-    pack = _IdentityOutputNonsubsetPack(
-        trans.low_stack,
-        ds.levels[1].Y[trans.plan.permutation],
-        trans.residual,
-        trans.weights,
-        "free",  # audit the raw euclidean gradient at an on-manifold point
-        trans.workspace.s_hat,
-        trans.plan.n_matched,
-    )
-    assert grad_audit(pack.objective, pack.pack(), eps=1e-5) < 1e-4
+@pytest.mark.parametrize("n_matched, low_modes, high_modes, orthonormal_w", IDENTITY_PACK_CASES)
+def test_identity_output_pack_gradient_audit(n_matched, low_modes, high_modes, orthonormal_w):
+    # the raw euclidean gradient, on and off the orthonormal manifold
+    fast, _ = identity_output_packs(11, n_matched, low_modes, high_modes, orthonormal_w)
+    assert grad_audit(fast.objective, fast.pack(), eps=1e-5) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +412,33 @@ def test_fit_nonsubset_cap_falls_back_to_imputed_objective():
     cfg = GarConfig(
         optim=OptimConfig(max_iters=60), share_latents=False, nonsubset_exact_cap=1
     )
+    model = gar_fit_recursive(ds, cfg)
+    assert model.transitions[0].workspace is not None
+    assert np.isfinite(gar_nll_nonsubset(model))
+
+
+def test_fit_identity_outputs_nonsubset_uses_exact_objective_past_cap(monkeypatch):
+    # A free-W identity-output fit whose residual block is above the exact
+    # cap must still optimize the exact input-space objective: neither the
+    # dense pack nor the imputed-residual approximation may be evaluated.
+    import mfgar.gar as gar
+
+    def forbidden(self, p):
+        raise AssertionError(f"{type(self).__name__} evaluated")
+
+    monkeypatch.setattr(gar._NonsubsetPack, "objective", forbidden)
+    monkeypatch.setattr(gar._ResidualPack, "objective", forbidden)
+    rng = np.random.default_rng(15)
+    X_l = rng.uniform(0, 1, size=(10, 2))
+    X_h = np.vstack([X_l[:2], rng.uniform(0, 1, size=(4, 2))])
+    grid = np.linspace(0, 1, 24)
+
+    def field(X, scale):
+        return scale * np.sin(np.pi * (X[:, :1, None] + grid[None, :, None] * grid[None, None, :16]))
+
+    ds = MultiFidelityDataset([(X_l, field(X_l, 1.0)), (X_h, field(X_h, 1.3) + 0.05)])
+    cfg = GarConfig(optim=OptimConfig(max_iters=20), identity_outputs=True)
+    assert cfg.w_mode == "free" and ds.levels[1].Y.size > cfg.nonsubset_exact_cap
     model = gar_fit_recursive(ds, cfg)
     assert model.transitions[0].workspace is not None
     assert np.isfinite(gar_nll_nonsubset(model))

@@ -15,10 +15,11 @@ from mfgar.hogp import (
     tgp_to_dict,
 )
 from mfgar.kernels import ArdKernelParams, LaplacePrior
-from mfgar.optim import OptimConfig, grad_audit
+from mfgar.optim import OptimConfig
 from oracles import (
     dense_tgp_nll,
     dense_tgp_predict,
+    grad_audit,
     make_random_tgp,
     sample_from_model,
 )

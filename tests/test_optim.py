@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfgar.optim import OptimConfig, grad_audit, minimize
+from mfgar.optim import OptimConfig, minimize
+from oracles import grad_audit
 
 
 def quadratic_about(target):
