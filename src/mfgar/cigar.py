@@ -92,6 +92,4 @@ def cigar_fit(dataset: MultiFidelityDataset, config: GarConfig = GarConfig()) ->
     """
     cfg = replace(config, identity_outputs=True, w_mode="orthonormal")
     fitted = gar_fit_recursive(dataset, cfg)
-    return CigarModel(
-        low=fitted.low, transitions=fitted.transitions, kind="cigar", rho=None
-    )
+    return CigarModel(low=fitted.low, transitions=fitted.transitions, kind="cigar")

@@ -5,7 +5,9 @@ Subcommands
 * ``generate`` writes a dataset directory (manifest + per-level inputs CSV +
   field arrays) for one PDE benchmark.
 * ``train`` fits one model kind on a dataset directory and writes the model
-  bundle (``model.json``) and the run settings (``train_meta.json``).
+  bundle (``model.json``: fitted parameters, training data and subset plans;
+  ``load_gar`` rebuilds the non-subset imputation state from them) and the
+  run settings (``train_meta.json``).
 * ``benchmark`` sweeps the high-fidelity sample count, repeating each point
   with shuffled designs (distinct sampler streams per repeat), and emits
   ``results.csv`` (deterministic given seeds; one row per model/sweep/repeat

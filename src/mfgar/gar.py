@@ -160,44 +160,26 @@ class SubsetPlan:
         return np.concatenate([self.matched_high, self.unmatched_high])
 
 
-def build_subset_plan(dataset: MultiFidelityDataset, level: int = 0, tol: float = 0.0) -> SubsetPlan:
-    """Match high-fidelity inputs to identical low-fidelity inputs.
+def build_subset_plan(dataset: MultiFidelityDataset, level: int = 0) -> SubsetPlan:
+    """Match high-fidelity inputs to bitwise-identical low-fidelity inputs.
 
-    Matching is exact (bitwise) by default; a positive ``tol`` matches each
-    high row to its nearest low row within euclidean distance ``tol``.
     Raises when duplicate low rows make a match ambiguous.
     """
     if not 0 <= level < dataset.n_levels - 1:
         raise ValueError("level must index an adjacent pair")
-    X_low = dataset.levels[level].X
-    X_high = dataset.levels[level + 1].X
+    table: dict = {}
+    for i, row in enumerate(dataset.levels[level].X):
+        table.setdefault(row.tobytes(), []).append(i)
     matched_high, matched_low, unmatched = [], [], []
-    if tol == 0.0:
-        table: dict = {}
-        for i, row in enumerate(X_low):
-            table.setdefault(row.tobytes(), []).append(i)
-        for j, row in enumerate(X_high):
-            hits = table.get(row.tobytes(), [])
-            if len(hits) > 1:
-                raise ValueError(f"high row {j} matches {len(hits)} duplicate low rows")
-            if hits:
-                matched_high.append(j)
-                matched_low.append(hits[0])
-            else:
-                unmatched.append(j)
-    else:
-        d = np.sqrt(((X_high[:, None, :] - X_low[None, :, :]) ** 2).sum(axis=2))
-        for j in range(X_high.shape[0]):
-            within = np.flatnonzero(d[j] <= tol)
-            if within.size == 0:
-                unmatched.append(j)
-                continue
-            best = within[np.argmin(d[j, within])]
-            ties = within[np.abs(d[j, within] - d[j, best]) <= 1e-15]
-            if ties.size > 1:
-                raise ValueError(f"high row {j} is equidistant to {ties.size} low rows")
+    for j, row in enumerate(dataset.levels[level + 1].X):
+        hits = table.get(row.tobytes(), [])
+        if len(hits) > 1:
+            raise ValueError(f"high row {j} matches {len(hits)} duplicate low rows")
+        if hits:
             matched_high.append(j)
-            matched_low.append(int(best))
+            matched_low.append(hits[0])
+        else:
+            unmatched.append(j)
     return SubsetPlan(np.array(matched_high, int), np.array(matched_low, int), np.array(unmatched, int))
 
 
@@ -245,27 +227,33 @@ class TuckerWeights:
 class NonSubsetWorkspace:
     """Imaginary-subset quantities for one non-subset transition.
 
-    ``imputed_mean`` is the low posterior mean at the unmatched inputs,
-    ``s_hat`` the input-space posterior covariance there, and ``aug_low`` the
-    low model augmented with the imputed rows as pseudo-observations (the
-    operator behind the corrected prediction).
+    All three are functions of the pair's fitted low model and the unmatched
+    inputs, built by ``_nonsubset_workspace`` only and never serialized:
+    ``x_hat`` are the unmatched inputs, ``s_hat`` the low model's
+    input-space posterior covariance there, and ``aug_low`` the low model
+    augmented with the posterior means at ``x_hat`` as pseudo-observations
+    (its trailing rows are the imputed mean, and it is the operator behind
+    the corrected prediction).
     """
 
     x_hat: np.ndarray
-    imputed_mean: np.ndarray
     s_hat: np.ndarray
     aug_low: TgpModel
 
 
 @dataclass
 class GarTransition:
-    """One fidelity step: weights, residual model, plan, optional workspace."""
+    """One fidelity step: weights, residual model, plan, optional workspace.
+
+    The residual rows are in the plan's matched-first order, so the
+    unmatched inputs are the residual inputs from ``plan.n_matched`` on.
+    ``workspace`` is set exactly when the plan has unmatched rows.
+    """
 
     weights: TuckerWeights
     residual: TgpModel
     plan: SubsetPlan
     workspace: NonSubsetWorkspace | None = None
-    low_stack: np.ndarray | None = None
 
     @property
     def is_subset(self) -> bool:
@@ -279,7 +267,19 @@ class GarModel:
     low: TgpModel
     transitions: list
     kind: str = "gar"
-    rho: float | None = None  # populated for the scalar-transfer baseline
+
+    @property
+    def rho(self) -> float | None:
+        """Transfer scale of the scalar-transfer baseline (``kind == "ar"``)."""
+        if self.kind != "ar":
+            return None
+        return float(self.transitions[-1].weights.factors[0][0, 0])
+
+
+# Latent-output non-subset transitions with at most this many residual
+# entries fit the exact corrected objective with the dense pack; larger ones
+# optimize the imputed-residual approximation.
+NONSUBSET_EXACT_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -292,9 +292,6 @@ class GarConfig:
     identity_outputs: bool = False
     w_mode: str = "free"  # free | scalar | identity | orthonormal
     share_latents: bool | None = None
-    match_tol: float = 0.0
-    nonsubset_exact_cap: int = 2048
-    center: bool = True
 
     def fit_config(self) -> FitConfig:
         return FitConfig(
@@ -302,7 +299,6 @@ class GarConfig:
             latent_rank=self.latent_rank,
             laplace=self.laplace,
             identity_outputs=self.identity_outputs,
-            center=self.center,
         )
 
 
@@ -708,18 +704,23 @@ def _residual_template(X_res, mode_sizes_high, low_model, config: GarConfig, res
     return template, share
 
 
-def _impute(low_model: TgpModel, x_hat: np.ndarray):
-    """Posterior mean at the imaginary inputs plus the input-space factor."""
+def _nonsubset_workspace(low: TgpModel, x_hat: np.ndarray) -> NonSubsetWorkspace:
+    """Impute the low level at the unmatched inputs ``x_hat`` from its fitted model."""
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=float))
-    mean = tgp_predict(low_model, x_hat).mean
-    K = ard_gram(low_model.input_kernel, low_model.X, low_model.X)
-    k_hat = ard_gram(low_model.input_kernel, x_hat, low_model.X)
-    k_hh = ard_gram(low_model.input_kernel, x_hat, x_hat)
-    chol = np.linalg.cholesky(K + low_model.noise * np.eye(K.shape[0]))
+    imputed = tgp_predict(low, x_hat).mean
+    K = ard_gram(low.input_kernel, low.X, low.X)
+    k_hat = ard_gram(low.input_kernel, x_hat, low.X)
+    k_hh = ard_gram(low.input_kernel, x_hat, x_hat)
+    chol = np.linalg.cholesky(K + low.noise * np.eye(K.shape[0]))
     half = np.linalg.solve(chol, k_hat.T)
     s_hat = k_hh - half.T @ half
-    s_hat = 0.5 * (s_hat + s_hat.T)
-    return mean, s_hat
+    aug_low = replace(
+        low,
+        X=np.vstack([low.X, x_hat]),
+        Y=np.concatenate([low.Y, imputed], axis=0),
+        _eig=None,
+    )
+    return NonSubsetWorkspace(x_hat=x_hat, s_hat=0.5 * (s_hat + s_hat.T), aug_low=aug_low)
 
 
 def _fit_transition(
@@ -737,16 +738,9 @@ def _fit_transition(
     low_stack = level_low.Y[plan.matched_low]
     workspace = None
     if not plan.fully_matched:
-        x_hat = level_high.X[plan.unmatched_high]
-        imputed, s_hat = _impute(low_model, x_hat)
+        workspace = _nonsubset_workspace(low_model, level_high.X[plan.unmatched_high])
+        imputed = workspace.aug_low.Y[low_model.n_samples :]
         low_stack = np.concatenate([low_stack, imputed], axis=0)
-        aug_low = replace(
-            low_model,
-            X=np.vstack([low_model.X, x_hat]),
-            Y=np.concatenate([low_model.Y, imputed], axis=0),
-            _eig=None,
-        )
-        workspace = NonSubsetWorkspace(x_hat=x_hat, imputed_mean=imputed, s_hat=s_hat, aug_low=aug_low)
     template, shared = _residual_template(
         X_res, level_high.mode_sizes, low_model, config,
         resid0=Y_res - w_init.apply(low_stack),
@@ -755,8 +749,8 @@ def _fit_transition(
     args = (low_stack, Y_res, template, w_init, config.w_mode)
     if workspace is not None and config.identity_outputs:
         # Exact input-space objective, any W and any block size.
-        pack = _IdentityOutputNonsubsetPack(*args, s_hat, plan.n_matched)
-    elif workspace is None or Y_res.size > config.nonsubset_exact_cap:
+        pack = _IdentityOutputNonsubsetPack(*args, workspace.s_hat, plan.n_matched)
+    elif workspace is None or Y_res.size > NONSUBSET_EXACT_CAP:
         # Subset data, or the imputed-residual approximation for large
         # latent-output non-subset blocks (exact when the imputation
         # uncertainty vanishes); the exact corrected NLL remains available
@@ -764,23 +758,14 @@ def _fit_transition(
         pack = _ResidualPack(*args, config.laplace, freeze_coords=shared)
     else:
         pack = _NonsubsetPack(
-            *args, config.laplace, s_hat, low_model.output_covs(), plan.n_matched,
+            *args, config.laplace, workspace.s_hat, low_model.output_covs(), plan.n_matched,
             freeze_coords=shared,
         )
 
     project = pack.project if config.w_mode == "orthonormal" else None
     p_opt, trace = minimize(pack.objective, pack.pack(), config.optim, project=project)
     weights, residual = pack.unpack(p_opt)
-    return (
-        GarTransition(
-            weights=weights,
-            residual=residual,
-            plan=plan,
-            workspace=workspace,
-            low_stack=low_stack,
-        ),
-        trace,
-    )
+    return GarTransition(weights=weights, residual=residual, plan=plan, workspace=workspace), trace
 
 
 def gar_fit_recursive(dataset: MultiFidelityDataset, config: GarConfig = GarConfig()) -> GarModel:
@@ -799,7 +784,7 @@ def gar_fit_recursive(dataset: MultiFidelityDataset, config: GarConfig = GarConf
     low_model, _ = tgp_fit(dataset.levels[0].X, dataset.levels[0].Y, fit_cfg)
     transitions = []
     for i in range(dataset.n_levels - 1):
-        plan = build_subset_plan(dataset, i, config.match_tol)
+        plan = build_subset_plan(dataset, i)
         if i == 0:
             pair_low = low_model
         elif not plan.fully_matched:
@@ -813,17 +798,15 @@ def gar_fit_recursive(dataset: MultiFidelityDataset, config: GarConfig = GarConf
         except Exception as exc:
             raise RuntimeError(f"fit failed at fidelity transition {i} -> {i + 1}") from exc
         transitions.append(trans)
-    model = GarModel(low=low_model, transitions=transitions)
-    if config.w_mode == "scalar":
-        model.kind = "ar"
-        model.rho = float(transitions[-1].weights.factors[0][0, 0])
-    return model
+    return GarModel(
+        low=low_model, transitions=transitions, kind="ar" if config.w_mode == "scalar" else "gar"
+    )
 
 
 def gar_fit_subset(dataset: MultiFidelityDataset, config: GarConfig = GarConfig()) -> GarModel:
     """Two-or-more-level fit requiring strict subset structure."""
     for i in range(dataset.n_levels - 1):
-        plan = build_subset_plan(dataset, i, config.match_tol)
+        plan = build_subset_plan(dataset, i)
         if not plan.fully_matched:
             raise ValueError(
                 f"transition {i}: {plan.n_unmatched} high-fidelity inputs have no "
@@ -903,57 +886,32 @@ def _identity_outputs(trans: GarTransition) -> bool:
     return low.output_features is None and res.output_features is None
 
 
-def gar_nll_nonsubset(model: GarModel, dense_cap: int = 4096) -> float:
-    """Exact marginal NLL of a fitted two-level model with unmatched points.
+def _corrected_nll_dense(trans: GarTransition, low_covs: list) -> float:
+    """Corrected residual NLL from one Cholesky factor of the dense covariance."""
+    from scipy.linalg import solve_triangular
 
-    Low-level NLL plus the corrected residual Gaussian whose covariance is
-    inflated by the propagated imputation uncertainty; the residual data
-    come from the fitted model.  Falls back to the plain subset objective
-    when the plan is fully matched.  When the low and residual models both
-    carry identity output covariances (the conditional-independent model,
-    or any ``identity_outputs`` fit), the correction diagonalizes in input
-    space for any W through ``_identity_output_objective``, the routine the
-    fit's objective uses, and only an N_h x N_h matrix and the weight
-    factors are ever factorized.  For latent output covariances,
-    residual blocks of at most ``dense_cap`` entries assemble the dense
-    corrected covariance and take one Cholesky factorization.  Larger ones
-    treat the correction as a low-rank update ``G G^T`` of the
-    eigen-solvable base covariance, with ``G`` the imputation roots rotated
-    once per mode into the base eigenbasis (matrix determinant lemma plus
-    Woodbury); they only ever factorize a matrix of the correction's rank
-    (unmatched count times low output size).  ``dense_cap`` is ignored for
-    identity-output models.
+    res, ws = trans.residual, trans.workspace
+    K_r = ard_gram(res.input_kernel, res.X, res.X)
+    sand = [w @ _cov_matrix(s) @ w.T for w, s in zip(trans.weights.factors, low_covs)]
+    chol, _ = _corrected_cholesky(
+        [K_r] + [_cov_matrix(s) for s in res.output_covs()],
+        [_embedded_cov(ws.s_hat, res.n_samples, trans.plan.n_matched)] + sand,
+        res.noise,
+    )
+    half = solve_triangular(chol, vec(res.centered), lower=True)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return 0.5 * (float(half @ half) + logdet + res.Y.size * LOG2PI)
+
+
+def _corrected_nll_low_rank(trans: GarTransition, low_covs: list) -> float:
+    """Corrected residual NLL as a low-rank update of the eigen-solvable base.
+
+    ``Sigma_c = U (D + G G^T) U^T`` with ``D`` the joint eigenvalues and
+    ``G`` the imputation roots rotated once per mode into the base
+    eigenbasis; the matrix determinant lemma and Woodbury leave one
+    capacitance matrix of the correction's rank to factorize.
     """
-    if len(model.transitions) != 1:
-        raise ValueError("non-subset evaluation covers a single transition")
-    trans = model.transitions[0]
-    low_part = tgp_nll(model.low)
-    res = trans.residual
-    if trans.is_subset:
-        return low_part + tgp_nll(res)
-    ws = trans.workspace
-    n_high = res.n_samples
-    if _identity_outputs(trans):
-        b_input = _embedded_cov(ws.s_hat, n_high, trans.plan.n_matched)
-        return low_part + _identity_output_objective(res, trans.weights, b_input)[0]
-    n = n_high * res.output_size
-    low_covs = model.low.output_covs()
-
-    if n <= dense_cap:
-        from scipy.linalg import solve_triangular
-
-        K_r = ard_gram(res.input_kernel, res.X, res.X)
-        sand = [w @ _cov_matrix(s) @ w.T for w, s in zip(trans.weights.factors, low_covs)]
-        chol, _ = _corrected_cholesky(
-            [K_r] + [_cov_matrix(s) for s in res.output_covs()],
-            [_embedded_cov(ws.s_hat, n_high, trans.plan.n_matched)] + sand,
-            res.noise,
-        )
-        half = solve_triangular(chol, vec(res.centered), lower=True)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return low_part + 0.5 * (float(half @ half) + logdet + n * LOG2PI)
-
-    # Low-rank route: Sigma_c = U (D + G G^T) U^T with D the joint eigenvalues.
+    res, ws = trans.residual, trans.workspace
     eigs = res.eigenfactors()
     roots = _rotated_roots(
         eigs, _imputation_roots(ws.s_hat, low_covs), trans.plan.n_matched, trans.weights
@@ -977,7 +935,39 @@ def gar_nll_nonsubset(model: GarModel, dense_cap: int = 4096) -> float:
         raise np.linalg.LinAlgError("corrected covariance not positive definite")
     quad = quad_base - float(lt_alpha @ np.linalg.solve(cap, lt_alpha))
     logdet = logdet_base + logdet_cap
-    return low_part + 0.5 * (quad + logdet + n * LOG2PI)
+    return 0.5 * (quad + logdet + res.Y.size * LOG2PI)
+
+
+def gar_nll_nonsubset(model: GarModel) -> float:
+    """Exact marginal NLL of a fitted two-level model with unmatched points.
+
+    Low-level NLL plus the corrected residual Gaussian whose covariance is
+    inflated by the propagated imputation uncertainty; the residual data
+    come from the fitted model.  Falls back to the plain subset objective
+    when the plan is fully matched.  When the low and residual models both
+    carry identity output covariances (the conditional-independent model,
+    or any ``identity_outputs`` fit), the correction diagonalizes in input
+    space for any W through ``_identity_output_objective``, the routine the
+    fit's objective uses, and only an N_h x N_h matrix and the weight
+    factors are ever factorized.  For latent output covariances the NLL
+    factorizes the smaller of two matrices, the dense corrected covariance
+    (``N_h d_h`` rows, one Cholesky) or the capacitance of the low-rank
+    update (unmatched count times low output size, ``slogdet`` and a
+    solve); a tie goes to the dense one.
+    """
+    if len(model.transitions) != 1:
+        raise ValueError("non-subset evaluation covers a single transition")
+    trans = model.transitions[0]
+    low_part = tgp_nll(model.low)
+    res = trans.residual
+    if trans.is_subset:
+        return low_part + tgp_nll(res)
+    if _identity_outputs(trans):
+        b_input = _embedded_cov(trans.workspace.s_hat, res.n_samples, trans.plan.n_matched)
+        return low_part + _identity_output_objective(res, trans.weights, b_input)[0]
+    if res.Y.size <= trans.plan.n_unmatched * model.low.output_size:
+        return low_part + _corrected_nll_dense(trans, model.low.output_covs())
+    return low_part + _corrected_nll_low_rank(trans, model.low.output_covs())
 
 
 # ---------------------------------------------------------------------------
@@ -1131,19 +1121,24 @@ def gar_predict(model: GarModel, x_star) -> PosteriorField:
 # Serialization
 # ---------------------------------------------------------------------------
 
-GAR_SCHEMA = "mfgar/gar-1"
+GAR_SCHEMA = "mfgar/gar-2"
 
 
 def gar_to_dict(model: GarModel, dataset_ref: str | None = None) -> dict:
+    """Self-describing JSON document: parameters, data and plans only.
+
+    Non-subset workspaces are rebuilt on load, so a transition stores its
+    weights, residual model and plan; a non-subset transition above the
+    first also stores the standalone low model its imputation came from.
+    """
     doc = {
         "schema": GAR_SCHEMA,
         "kind": model.kind,
-        "rho": model.rho,
         "low": tgp_to_dict(model.low),
         "transitions": [],
         "dataset_ref": dataset_ref,
     }
-    for t in model.transitions:
+    for i, t in enumerate(model.transitions):
         entry = {
             "weights": [f.tolist() for f in t.weights.factors],
             "residual": tgp_to_dict(t.residual),
@@ -1152,16 +1147,11 @@ def gar_to_dict(model: GarModel, dataset_ref: str | None = None) -> dict:
                 "matched_low": t.plan.matched_low.tolist(),
                 "unmatched_high": t.plan.unmatched_high.tolist(),
             },
-            "low_stack": None if t.low_stack is None else t.low_stack.tolist(),
-            "workspace": None,
         }
-        if t.workspace is not None:
-            entry["workspace"] = {
-                "x_hat": t.workspace.x_hat.tolist(),
-                "imputed_mean": t.workspace.imputed_mean.tolist(),
-                "s_hat": t.workspace.s_hat.tolist(),
-                "aug_low": tgp_to_dict(t.workspace.aug_low),
-            }
+        if i > 0 and t.workspace is not None:
+            aug = t.workspace.aug_low
+            n_low = aug.n_samples - t.plan.n_unmatched
+            entry["low"] = tgp_to_dict(replace(aug, X=aug.X[:n_low], Y=aug.Y[:n_low], _eig=None))
         doc["transitions"].append(entry)
     return doc
 
@@ -1169,36 +1159,28 @@ def gar_to_dict(model: GarModel, dataset_ref: str | None = None) -> dict:
 def gar_from_dict(doc: dict) -> GarModel:
     if doc.get("schema") != GAR_SCHEMA:
         raise ValueError(f"unsupported model schema {doc.get('schema')!r}")
+    low = tgp_from_dict(doc["low"])
     transitions = []
-    for entry in doc["transitions"]:
-        ws = None
-        if entry["workspace"] is not None:
-            w = entry["workspace"]
-            ws = NonSubsetWorkspace(
-                x_hat=np.asarray(w["x_hat"]),
-                imputed_mean=np.asarray(w["imputed_mean"]),
-                s_hat=np.asarray(w["s_hat"]),
-                aug_low=tgp_from_dict(w["aug_low"]),
-            )
+    for i, entry in enumerate(doc["transitions"]):
+        plan = SubsetPlan(
+            np.asarray(entry["plan"]["matched_high"], int),
+            np.asarray(entry["plan"]["matched_low"], int),
+            np.asarray(entry["plan"]["unmatched_high"], int),
+        )
+        residual = tgp_from_dict(entry["residual"])
+        workspace = None
+        if not plan.fully_matched:
+            pair_low = low if i == 0 else tgp_from_dict(entry["low"])
+            workspace = _nonsubset_workspace(pair_low, residual.X[plan.n_matched :])
         transitions.append(
             GarTransition(
                 weights=TuckerWeights([np.asarray(f) for f in entry["weights"]]),
-                residual=tgp_from_dict(entry["residual"]),
-                plan=SubsetPlan(
-                    np.asarray(entry["plan"]["matched_high"], int),
-                    np.asarray(entry["plan"]["matched_low"], int),
-                    np.asarray(entry["plan"]["unmatched_high"], int),
-                ),
-                workspace=ws,
-                low_stack=None if entry["low_stack"] is None else np.asarray(entry["low_stack"]),
+                residual=residual,
+                plan=plan,
+                workspace=workspace,
             )
         )
-    return GarModel(
-        low=tgp_from_dict(doc["low"]),
-        transitions=transitions,
-        kind=doc.get("kind", "gar"),
-        rho=doc.get("rho"),
-    )
+    return GarModel(low=low, transitions=transitions, kind=doc["kind"])
 
 
 def save_gar(model: GarModel, path, dataset_ref: str | None = None):

@@ -235,7 +235,6 @@ class FitConfig:
     latent_rank: int | None = None
     laplace: LaplacePrior = LaplacePrior(0.0)
     identity_outputs: bool = False
-    center: bool = True
 
 
 class _TgpPack:
@@ -357,7 +356,7 @@ def _initial_model(X, Y, config: FitConfig) -> TgpModel:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    offset = Y.mean(axis=0) if config.center else np.zeros(Y.shape[1:])
+    offset = Y.mean(axis=0)
     Yc = Y - offset
     span = np.maximum(X.max(axis=0) - X.min(axis=0), 1e-3)
     var = max(float(Yc.var()), 1e-8)
@@ -381,8 +380,8 @@ def tgp_fit(X, Y, config: FitConfig = FitConfig()):
     """Fit a TGP by maximum (penalized) likelihood.
 
     Outputs are centered per entry before fitting (and un-centered at
-    prediction) unless ``config.center`` is off; hyperparameters, latent
-    features and noise are optimized jointly in unconstrained coordinates.
+    prediction); hyperparameters, latent features and noise are optimized
+    jointly in unconstrained coordinates.
     Returns ``(model, trace)``.
     """
     init = _initial_model(X, Y, config)

@@ -405,10 +405,9 @@ def make_random_nonsubset(
         GarModel,
         GarTransition,
         MultiFidelityDataset,
-        NonSubsetWorkspace,
         SubsetPlan,
         TuckerWeights,
-        _impute,
+        _nonsubset_workspace,
     )
     from dataclasses import replace as dc_replace
 
@@ -427,22 +426,28 @@ def make_random_nonsubset(
     y_high = rng.standard_normal((n_high, *high_modes))
     plan = SubsetPlan(np.arange(n_matched), matched_low, n_matched + np.arange(n_unmatched))
 
-    x_hat = X_h[n_matched:]
-    imputed, s_hat = _impute(low, x_hat)
-    low_stack = np.concatenate([low.Y[matched_low], imputed], axis=0)
-    resid = y_high - weights.apply(low_stack)
+    ws = _nonsubset_workspace(low, X_h[n_matched:])
+    stack = np.concatenate([low.Y[matched_low], ws.aug_low.Y[n_low:]], axis=0)
+    resid = y_high - weights.apply(stack)
     res_proto = make_random_tgp(rng, n_high, high_modes, input_dim, identity_outputs, noise_res)
     res = dc_replace(res_proto, X=X_h, Y=resid, _eig=None)
-    aug_low = dc_replace(
-        low, X=np.vstack([low.X, x_hat]), Y=np.concatenate([low.Y, imputed], axis=0), _eig=None
-    )
-    ws = NonSubsetWorkspace(x_hat=x_hat, imputed_mean=imputed, s_hat=s_hat, aug_low=aug_low)
-    model = GarModel(
-        low=low,
-        transitions=[GarTransition(weights, res, plan, ws, low_stack)],
-    )
+    model = GarModel(low=low, transitions=[GarTransition(weights, res, plan, ws)])
     dataset = MultiFidelityDataset([(X_l, low.Y), (X_h, y_high)])
     return model, dataset
+
+
+def low_stack(trans, y_low):
+    """Low-level rows a transition's weights act on, in residual row order.
+
+    The matched rows of the low data ``y_low``, then (non-subset
+    transitions) the imputed means at the unmatched inputs, which are the
+    trailing pseudo-observations of the workspace's augmented low model.
+    """
+    stack = y_low[trans.plan.matched_low]
+    if trans.workspace is None:
+        return stack
+    imputed = trans.workspace.aug_low.Y[-trans.plan.n_unmatched :]
+    return np.concatenate([stack, imputed], axis=0)
 
 
 def make_random_two_level(
@@ -479,8 +484,7 @@ def make_random_two_level(
         [rng.standard_normal((dh, dl)) for dh, dl in zip(high_modes, low_modes)]
     )
     y_high = rng.standard_normal((n_high, *high_modes))
-    low_stack = low.Y[:n_high]
-    resid = y_high - weights.apply(low_stack)
+    resid = y_high - weights.apply(low.Y[:n_high])
     res_proto = make_random_tgp(rng, n_high, high_modes, input_dim, identity_outputs, noise_res)
     res = TgpModel(
         input_kernel=res_proto.input_kernel,
@@ -492,7 +496,7 @@ def make_random_two_level(
     plan = SubsetPlan(np.arange(n_high), np.arange(n_high), np.array([], int))
     model = GarModel(
         low=low,
-        transitions=[GarTransition(weights, res, plan, None, low_stack)],
+        transitions=[GarTransition(weights, res, plan)],
     )
     dataset = MultiFidelityDataset([(X_l, low.Y), (X_h, y_high)])
     return model, dataset

@@ -37,6 +37,7 @@ from oracles import (
     dense_two_level_predict,
     gar_joint_nll_dense,
     grad_audit,
+    low_stack,
     make_random_nonsubset,
     make_random_tgp,
     make_random_two_level,
@@ -157,7 +158,8 @@ def test_criterion_4_autokrigeability():
         )
         trans = model.transitions[0]
         trans.weights = orthonormalize(trans.weights)
-        trans.residual.Y = ds.levels[1].Y - trans.weights.apply(trans.low_stack)
+        stack = low_stack(trans, ds.levels[0].Y)
+        trans.residual.Y = ds.levels[1].Y - trans.weights.apply(stack)
         object.__setattr__(trans.residual, "_eig", None)
         cig = CigarModel(low=model.low, transitions=model.transitions, kind="cigar")
         Xq = rng.uniform(-1, 1, size=(3, 2))
@@ -210,16 +212,17 @@ def test_criterion_5_kronecker_pipeline_and_gradients():
     trans = model.transitions[0]
     for mode in ("free", "scalar"):
         pack = _ResidualPack(
-            trans.low_stack, ds.levels[1].Y, trans.residual, trans.weights, mode, LaplacePrior(0.0)
+            low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights,
+            mode, LaplacePrior(0.0),
         )
         audits[f"stage2 {mode} W"] = grad_audit(pack.objective, pack.pack(), eps=1e-5)
 
     ns_model, ns_ds = make_random_nonsubset(rng, 4, 1, 2, (2,), (2,))
     t = ns_model.transitions[0]
     pack = _NonsubsetPack(
-        t.low_stack, ns_ds.levels[1].Y[t.plan.permutation], t.residual, t.weights,
-        "free", LaplacePrior(0.0), t.workspace.s_hat, ns_model.low.output_covs(),
-        t.plan.n_matched,
+        low_stack(t, ns_ds.levels[0].Y), ns_ds.levels[1].Y[t.plan.permutation],
+        t.residual, t.weights, "free", LaplacePrior(0.0), t.workspace.s_hat,
+        ns_model.low.output_covs(), t.plan.n_matched,
     )
     audits["non-subset corrected"] = grad_audit(pack.objective, pack.pack(), eps=1e-5)
 
@@ -228,8 +231,8 @@ def test_criterion_5_kronecker_pipeline_and_gradients():
     )
     t = ci_model.transitions[0]
     pack = _IdentityOutputNonsubsetPack(
-        t.low_stack, ci_ds.levels[1].Y[t.plan.permutation], t.residual, t.weights,
-        "free", t.workspace.s_hat, t.plan.n_matched,
+        low_stack(t, ci_ds.levels[0].Y), ci_ds.levels[1].Y[t.plan.permutation],
+        t.residual, t.weights, "free", t.workspace.s_hat, t.plan.n_matched,
     )
     audits["collapsed non-subset"] = grad_audit(pack.objective, pack.pack(), eps=1e-5)
 

@@ -24,7 +24,12 @@ from mfgar.gar import (
 from mfgar.hogp import tgp_nll
 from mfgar.optim import OptimConfig
 from mfgar.tensalg import track_eig_sizes
-from oracles import dense_two_level_predict, gar_joint_nll_dense, make_random_two_level
+from oracles import (
+    dense_two_level_predict,
+    gar_joint_nll_dense,
+    low_stack,
+    make_random_two_level,
+)
 
 # ---------------------------------------------------------------------------
 # Orthonormalization
@@ -214,7 +219,8 @@ def test_predictive_mean_matches_general_machinery_under_identity():
         )
         trans = model.transitions[0]
         trans.weights = orthonormalize(trans.weights)
-        trans.residual.Y = ds.levels[1].Y - trans.weights.apply(trans.low_stack)
+        stack = low_stack(trans, ds.levels[0].Y)
+        trans.residual.Y = ds.levels[1].Y - trans.weights.apply(stack)
         object.__setattr__(trans.residual, "_eig", None)
         cig = CigarModel(low=model.low, transitions=model.transitions, kind="cigar")
         Xq = rng.uniform(-1, 1, size=(3, 2))
@@ -232,7 +238,7 @@ def test_square_orthogonal_weights_variance_reduces_to_scalar_form():
     model, ds = make_random_two_level(rng, 5, 2, (3,), (3,), identity_outputs=True)
     trans = model.transitions[0]
     trans.weights = orthonormalize(trans.weights)
-    trans.residual.Y = ds.levels[1].Y - trans.weights.apply(trans.low_stack)
+    trans.residual.Y = ds.levels[1].Y - trans.weights.apply(low_stack(trans, ds.levels[0].Y))
     object.__setattr__(trans.residual, "_eig", None)
     cig = CigarModel(low=model.low, transitions=model.transitions, kind="cigar")
     far = np.array([70.0, -80.0])

@@ -118,8 +118,8 @@ def test_train_ar_runs_on_aligned(aligned_dataset, tmp_path):
         "train", "--data", aligned_dataset, "--model", "ar", "--max-iters", 20,
         "--out", tmp_path / "a",
     ) == 0
-    doc = json.loads((tmp_path / "a" / "model.json").read_text())
-    assert doc["kind"] == "ar" and doc["rho"] is not None
+    model = load_gar(tmp_path / "a" / "model.json")
+    assert model.kind == "ar" and model.rho is not None
 
 
 def test_train_missing_dataset_is_user_error(tmp_path, capsys):

@@ -7,21 +7,30 @@ reproduce it exactly; this also settles the orientation of the covariance
 correction sandwich (W S W^T, not W^T S W) before anything else relies on it.
 """
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mfgar.cigar import cigar_fit
 from mfgar.gar import (
     GarConfig,
     MultiFidelityDataset,
     TuckerWeights,
     _IdentityOutputNonsubsetPack,
     _NonsubsetPack,
+    _corrected_nll_dense,
+    _corrected_nll_low_rank,
     _gamma_variance,
     build_subset_plan,
     gar_fit_recursive,
+    gar_from_dict,
     gar_nll_nonsubset,
     gar_predict,
+    gar_to_dict,
+    load_gar,
+    save_gar,
 )
 from mfgar.hogp import tgp_nll
 from mfgar.kernels import LaplacePrior
@@ -33,6 +42,7 @@ from oracles import (
     dense_nonsubset_predict,
     dense_two_level_predict,
     grad_audit,
+    low_stack,
     make_random_nonsubset,
     make_random_two_level,
 )
@@ -278,7 +288,7 @@ def test_nonsubset_pack_gradient_audit():
     model, ds = make_random_nonsubset(rng, 4, 1, 2, (2,), (2,))
     trans = model.transitions[0]
     pack = _NonsubsetPack(
-        trans.low_stack,
+        low_stack(trans, ds.levels[0].Y),
         ds.levels[1].Y[trans.plan.permutation],
         trans.residual,
         trans.weights,
@@ -296,7 +306,7 @@ def test_nonsubset_pack_value_is_corrected_marginal():
     model, ds = make_random_nonsubset(rng, 5, 2, 2, (2,), (3,))
     trans = model.transitions[0]
     pack = _NonsubsetPack(
-        trans.low_stack,
+        low_stack(trans, ds.levels[0].Y),
         ds.levels[1].Y[trans.plan.permutation],
         trans.residual,
         trans.weights,
@@ -330,7 +340,7 @@ def identity_output_packs(seed, n_matched, low_modes, high_modes, orthonormal_w)
     )
     trans = model.transitions[0]
     y_perm = ds.levels[1].Y[trans.plan.permutation]
-    args = (trans.low_stack, y_perm, trans.residual, trans.weights, "free")
+    args = (low_stack(trans, ds.levels[0].Y), y_perm, trans.residual, trans.weights, "free")
     dense = _NonsubsetPack(
         *args, LaplacePrior(0.0), trans.workspace.s_hat,
         model.low.output_covs(), trans.plan.n_matched,
@@ -357,7 +367,7 @@ def test_identity_output_pack_value_is_corrected_marginal():
     )
     trans = model.transitions[0]
     pack = _IdentityOutputNonsubsetPack(
-        trans.low_stack,
+        low_stack(trans, ds.levels[0].Y),
         ds.levels[1].Y[trans.plan.permutation],
         trans.residual,
         trans.weights,
@@ -406,12 +416,13 @@ def test_fit_nonsubset_end_to_end():
     assert np.all(pred.variance_diag >= 0)
 
 
-def test_fit_nonsubset_cap_falls_back_to_imputed_objective():
+def test_fit_nonsubset_cap_falls_back_to_imputed_objective(monkeypatch):
+    import mfgar.gar as gar
+
+    monkeypatch.setattr(gar, "NONSUBSET_EXACT_CAP", 1)
     rng = np.random.default_rng(13)
     ds = nonsubset_dataset(rng, n_low=10, n_matched=1, n_unmatched=3)
-    cfg = GarConfig(
-        optim=OptimConfig(max_iters=60), share_latents=False, nonsubset_exact_cap=1
-    )
+    cfg = GarConfig(optim=OptimConfig(max_iters=60), share_latents=False)
     model = gar_fit_recursive(ds, cfg)
     assert model.transitions[0].workspace is not None
     assert np.isfinite(gar_nll_nonsubset(model))
@@ -438,7 +449,7 @@ def test_fit_identity_outputs_nonsubset_uses_exact_objective_past_cap(monkeypatc
 
     ds = MultiFidelityDataset([(X_l, field(X_l, 1.0)), (X_h, field(X_h, 1.3) + 0.05)])
     cfg = GarConfig(optim=OptimConfig(max_iters=20), identity_outputs=True)
-    assert cfg.w_mode == "free" and ds.levels[1].Y.size > cfg.nonsubset_exact_cap
+    assert cfg.w_mode == "free" and ds.levels[1].Y.size > gar.NONSUBSET_EXACT_CAP
     model = gar_fit_recursive(ds, cfg)
     assert model.transitions[0].workspace is not None
     assert np.isfinite(gar_nll_nonsubset(model))
@@ -452,19 +463,41 @@ def test_fit_nonsubset_plan_detection():
 
 
 def test_nll_low_rank_route_matches_dense():
-    # Force the Woodbury evaluation by shrinking the dense cap; values must
-    # coincide with the dense path and the marginalization oracle.
+    # Both latent-output evaluations of the corrected residual NLL, called
+    # directly: the Woodbury route must coincide with the dense Cholesky and
+    # the marginalization oracle.
     rng = np.random.default_rng(16)
     model, ds = make_random_nonsubset(rng, 6, 2, 3, (2, 2), (3, 2))
     trans = model.transitions[0]
-    dense = gar_nll_nonsubset(model)
-    lowrank = gar_nll_nonsubset(model, dense_cap=1)
+    low_covs = model.low.output_covs()
+    dense = tgp_nll(model.low) + _corrected_nll_dense(trans, low_covs)
+    lowrank = tgp_nll(model.low) + _corrected_nll_low_rank(trans, low_covs)
     assert_allclose(lowrank, dense, rtol=1e-9)
     oracle = dense_marginal_nonsubset_nll(
         model.low, trans.weights, trans.residual, trans.plan,
         trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
     )
     assert_allclose(lowrank, oracle, rtol=1e-7)
+
+
+def test_nll_factorizes_the_smaller_matrix(monkeypatch):
+    # Latent output covariances: the dense Cholesky when N_h d_h is at most
+    # the correction's rank (unmatched count x low output size), a tie
+    # included, and the low-rank update otherwise.
+    import mfgar.gar as gar
+
+    calls = []
+    for name in ("_corrected_nll_dense", "_corrected_nll_low_rank"):
+        def spy(*args, _name=name, _original=getattr(gar, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(gar, name, spy)
+    rng = np.random.default_rng(26)
+    for n_matched, low_modes, high_modes in [(0, (2,), (2,)), (2, (2,), (2,)), (1, (3,), (1,))]:
+        model, _ = make_random_nonsubset(rng, 5, n_matched, 3, low_modes, high_modes)
+        assert np.isfinite(gar_nll_nonsubset(model))
+    assert calls == ["_corrected_nll_dense", "_corrected_nll_low_rank", "_corrected_nll_dense"]
 
 
 def test_nll_low_rank_route_scales_past_dense_cap():
@@ -502,3 +535,85 @@ def test_mixed_chain_nonsubset_then_subset_collapse():
     assert np.all(p3.variance_diag >= 0)
     # the copy level adds only its (near-floor) residual noise
     assert_allclose(p3.variance_diag, p2.variance_diag, rtol=0.3, atol=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Serialization
+# ---------------------------------------------------------------------------
+
+DERIVED_KEYS = {"aug_low", "imputed_mean", "s_hat", "x_hat", "low_stack", "rho"}
+
+
+def document_keys(node) -> set:
+    """Every dict key anywhere in a JSON document."""
+    if isinstance(node, dict):
+        return set(node).union(*(document_keys(v) for v in node.values()))
+    if isinstance(node, list):
+        return set().union(*(document_keys(v) for v in node))
+    return set()
+
+
+def assert_bundle_roundtrip(model, path, q):
+    """Save and load through ``path``; the loaded model must predict bitwise."""
+    save_gar(model, path)
+    assert not document_keys(json.loads(path.read_text())) & DERIVED_KEYS
+    back = load_gar(path)
+    for t, b in zip(model.transitions, back.transitions):
+        assert (t.workspace is None) == (b.workspace is None)
+        if t.workspace is not None:
+            assert np.array_equal(b.workspace.x_hat, t.workspace.x_hat)
+            assert np.array_equal(b.workspace.s_hat, t.workspace.s_hat)
+            assert np.array_equal(b.workspace.aug_low.X, t.workspace.aug_low.X)
+            assert np.array_equal(b.workspace.aug_low.Y, t.workspace.aug_low.Y)
+    before, after = gar_predict(model, q), gar_predict(back, q)
+    assert np.array_equal(after.mean, before.mean)
+    assert np.array_equal(after.variance_diag, before.variance_diag)
+    return back
+
+
+@pytest.mark.parametrize("fit", [gar_fit_recursive, cigar_fit], ids=["gar", "cigar"])
+def test_nonsubset_bundle_roundtrip(fit, tmp_path):
+    # The bundle stores no workspace: loading rebuilds it from the stored low
+    # model and the residual inputs, and every output comes back bitwise.
+    rng = np.random.default_rng(24)
+    ds = nonsubset_dataset(rng, n_low=10, n_matched=1, n_unmatched=3)
+    cfg = GarConfig(optim=OptimConfig(max_iters=20, step=0.05), share_latents=False)
+    model = fit(ds, cfg)
+    assert model.transitions[0].workspace is not None
+    q = np.vstack([ds.levels[1].X, rng.uniform(0, 1, size=(3, 2))])
+    back = assert_bundle_roundtrip(model, tmp_path / "model.json", q)
+    assert back.kind == model.kind
+    assert np.array_equal(gar_nll_nonsubset(back), gar_nll_nonsubset(model))
+
+
+def test_three_level_chain_with_nonsubset_top_roundtrip(tmp_path):
+    # The second transition is non-subset, so its imputation comes from a
+    # standalone fit of the middle level; that low model is the one extra
+    # entry the bundle stores.
+    rng = np.random.default_rng(25)
+    f = lambda X: np.stack(
+        [np.sin(2 * np.pi * X[:, 0]) + X[:, 1], np.cos(np.pi * X[:, 1])], axis=1
+    ).reshape(-1, 2, 1)
+    X = rng.uniform(0, 1, size=(12, 2))
+    X_top = np.vstack([X[:2], rng.uniform(0, 1, size=(3, 2))])
+    ds = MultiFidelityDataset(
+        [(X, f(X)), (X[:7], 1.2 * f(X[:7]) + 0.1), (X_top, 1.4 * f(X_top) + 0.05)]
+    )
+    cfg = GarConfig(optim=OptimConfig(max_iters=20, step=0.05), share_latents=False)
+    model = gar_fit_recursive(ds, cfg)
+    assert model.transitions[0].workspace is None
+    assert model.transitions[1].workspace is not None
+    path = tmp_path / "model.json"
+    assert_bundle_roundtrip(model, path, np.vstack([X_top, rng.uniform(0, 1, size=(3, 2))]))
+    doc = json.loads(path.read_text())
+    assert ["low" in t for t in doc["transitions"]] == [False, True]
+
+
+def test_bundle_rejects_previous_schema():
+    rng = np.random.default_rng(27)
+    model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (2,))
+    doc = gar_to_dict(model)
+    assert doc["schema"] == "mfgar/gar-2"
+    doc["schema"] = "mfgar/gar-1"
+    with pytest.raises(ValueError, match="gar-1"):
+        gar_from_dict(doc)
