@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import polar
+from scipy.linalg import svd
 
 from .gar import GarConfig, GarModel, MultiFidelityDataset, TuckerWeights, gar_fit_recursive
 
@@ -66,19 +66,19 @@ def orthonormality_error(weights: TuckerWeights) -> float:
 def orthonormalize(weights: TuckerWeights) -> TuckerWeights:
     """Project every factor to its nearest orthonormal-column matrix.
 
-    Uses the orthogonal polar factor, which minimizes the Frobenius distance
-    among matrices with orthonormal columns; idempotent. Raises on
-    rank-deficient factors (the projection is then not unique).
+    Uses the orthogonal polar factor ``w @ vh`` of the thin SVD
+    ``f = w diag(s) vh``, which minimizes the Frobenius distance among
+    matrices with orthonormal columns; idempotent. The same SVD's singular
+    values reject rank-deficient factors (the projection is then not unique).
     """
     out = []
     for f in weights.factors:
         if f.shape[0] < f.shape[1]:
             raise ValueError("cannot orthonormalize more columns than rows")
-        sv = np.linalg.svd(f, compute_uv=False)
+        w, sv, vh = svd(f, full_matrices=False)
         if sv[-1] <= 1e-12 * max(sv[0], 1.0):
             raise ValueError("rank-deficient weight factor cannot be orthonormalized")
-        u, _ = polar(f)
-        out.append(u)
+        out.append(w @ vh)
     return TuckerWeights(out)
 
 

@@ -474,8 +474,8 @@ class _ResidualPack(_Stage2Pack):
 
     def objective(self, p: np.ndarray):
         weights, model = self.unpack(p)
-        value, g_t, extras = self.tgp.value_and_grad(model)
-        alpha = extras["alpha"]
+        value, g_t, At = self.tgp.value_and_grad(model)
+        alpha = model.eigenfactors().unproject(At)
         g_w = self.w.chain(_w_factor_grads(alpha, self.low_stack, weights))
         return value, np.concatenate([g_w, g_t])
 
@@ -1157,6 +1157,11 @@ def gar_to_dict(model: GarModel, dataset_ref: str | None = None) -> dict:
 
 
 def gar_from_dict(doc: dict) -> GarModel:
+    """Rebuild a model from :func:`gar_to_dict`'s document.
+
+    A ``cigar`` document loads as a ``CigarModel``, so its identity-output
+    and orthonormal-weight constraints are checked on load.
+    """
     if doc.get("schema") != GAR_SCHEMA:
         raise ValueError(f"unsupported model schema {doc.get('schema')!r}")
     low = tgp_from_dict(doc["low"])
@@ -1180,6 +1185,10 @@ def gar_from_dict(doc: dict) -> GarModel:
                 workspace=workspace,
             )
         )
+    if doc["kind"] == "cigar":
+        from .cigar import CigarModel  # deferred: cigar depends on gar
+
+        return CigarModel(low=low, transitions=transitions, kind="cigar")
     return GarModel(low=low, transitions=transitions, kind=doc["kind"])
 
 

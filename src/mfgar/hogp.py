@@ -16,8 +16,14 @@ rotation back.
 
 Gradients of the NLL are hand-derived adjoints through this pipeline (they
 need eigenvalues and rotations only, never eigenvector derivatives, so they
-stay stable under repeated eigenvalues).  Finite differences are used solely
-as the test-side audit.
+stay stable under repeated eigenvalues).  One evaluation projects the data
+once, ``At = project(Yc) / A``, and stays in the joint eigenbasis: the
+adjoint of factor k is ``1/2 U_k (diag(c_k) - Q_k) U_k^T`` with ``c_k`` the
+sum of ``lam_{-k} / A`` over the other axes and ``Q_k = At_(k)
+diag(lam_{-k}) At_(k)^T``, where ``lam_{-k}`` is the outer product of the
+other factors' eigenvalues (see ``_nll_core``).  That is M+1 mode products
+per evaluation, and each kernel Gram is rebuilt once for its pull-back.
+Finite differences are used solely as the test-side audit.
 """
 
 from __future__ import annotations
@@ -32,8 +38,7 @@ from .kernels import (
     LaplacePrior,
     LatentFeatures,
     ard_gram,
-    ard_gram_input_grad,
-    ard_gram_param_grads,
+    ard_gram_adjoint,
     laplace_log_prior,
     laplace_log_prior_grad,
     output_cov,
@@ -146,80 +151,54 @@ def tgp_nll(model: TgpModel) -> float:
 def _nll_core(model: TgpModel):
     """NLL plus the adjoint weight matrices for every covariance factor.
 
-    Returns ``(nll, gbar, alpha)`` where ``gbar[k]`` is the matrix pairing
-    with an unconstrained perturbation of factor k (k=0 the input Gram, then
-    one per output mode; ``None`` for identity factors), ``gbar[-1]`` the
-    scalar noise-variance partial, and ``alpha`` the solve
-    ``Sigma^{-1} vec(Yc)`` in tensor form (the data adjoint).
+    Returns ``(nll, gbar, d_noise, At)`` where ``gbar[k]`` is the matrix
+    pairing with an unconstrained perturbation of factor k (k=0 the input
+    Gram, then one per output mode; ``None`` for identity factors),
+    ``d_noise`` the noise-variance partial, and ``At = project(Yc) / A`` the
+    data solve in the joint eigenbasis (``unproject(At)`` is
+    ``Sigma^{-1} vec(Yc)``, the data adjoint).
 
     For a perturbation ``dF`` of factor k the NLL differential is
-    ``<gbar[k], dF>``; the trace part contracts the inverse joint eigenvalues
-    against the other factors' eigenvalues, and the quadratic part is an
-    unfolding product of ``alpha`` with the tensor carrying all factors but k.
+    ``<gbar[k], dF>`` with
+
+        gbar[k] = 1/2 U_k (diag(c_k) - Q_k) U_k^T,
+        c_k = sum_{axes != k} lam_{-k} / A,
+        Q_k = At_(k) diag(lam_{-k}) At_(k)^T,
+
+    where ``lam_{-k}`` is the outer product of every factor's eigenvalues but
+    factor k's.  Each other factor ``U_j diag(lam_j) U_j^T`` acts on the
+    rotated data as its eigenvalues alone because ``U_j`` is orthogonal, so
+    this is exact and needs no dense factor and no rotation back.
     """
     eigs = model.eigenfactors()
-    noise = model.noise
     Yc = model.centered
-    A = eigs.joint_values(noise)
+    A = eigs.joint_values(model.noise)
     T1 = eigs.project(Yc)
     At = T1 / A
     quad = float(np.sum(T1 * At))
     logdet = float(np.sum(np.log(A)))
-    n_total = Yc.size
-    nll = 0.5 * (quad + logdet + n_total * LOG2PI)
+    nll = 0.5 * (quad + logdet + Yc.size * LOG2PI)
 
-    alpha = eigs.unproject(At)
     inv_A = 1.0 / A
-    n_factors = len(eigs.values)
-    # Dense factor matrices where needed for the quadratic-part contractions.
-    mats = []
-    for k in range(n_factors):
-        if eigs.vectors[k] is None:
-            mats.append(None)
-        else:
-            mats.append(eigs.reconstruct(k))
-
     gbars = []
-    axes_all = list(range(alpha.ndim))
-    for k in range(n_factors):
-        if eigs.vectors[k] is None and k > 0:
+    for k, U in enumerate(eigs.vectors):
+        if U is None:
             gbars.append(None)
             continue
         # Trace part: contract 1/A with every other factor's eigenvalues.
         c = inv_A
-        for j in range(n_factors - 1, -1, -1):
-            if j == k:
-                continue
-            c = np.tensordot(c, eigs.values[j], axes=([j], [0]))
-        U = eigs.vectors[k]
-        trace_part = (U * c) @ U.T if U is not None else np.diag(c)
-        # Quadratic part: alpha against alpha with all other factors applied.
-        beta = alpha
-        for j in range(n_factors):
-            if j == k or mats[j] is None:
-                continue
-            beta = tucker_apply(beta, [mats[j]], mode_offset=j)
-        other_axes = [a for a in axes_all if a != k]
-        quad_part = np.tensordot(alpha, beta, axes=(other_axes, other_axes))
-        gbars.append(0.5 * (trace_part - quad_part))
+        for j in range(len(eigs.values) - 1, -1, -1):
+            if j != k:
+                c = np.tensordot(c, eigs.values[j], axes=([j], [0]))
+        # Quadratic part: the mode-k unfolding of At against itself, weighted
+        # by the other factors' eigenvalues.
+        lam_other = kruskal_outer([v for j, v in enumerate(eigs.values) if j != k])
+        Ak = np.moveaxis(At, k, 0).reshape(At.shape[k], -1)
+        Q = (Ak * lam_other.ravel()) @ Ak.T
+        gbars.append(0.5 * ((U * c) @ U.T - U @ Q @ U.T))
 
     d_noise = 0.5 * (float(np.sum(inv_A)) - float(np.sum(At * At)))
-    return nll, gbars, d_noise, alpha
-
-
-def _chain_input_kernel(model: TgpModel, gbar: np.ndarray) -> np.ndarray:
-    _, grads = ard_gram_param_grads(model.input_kernel, model.X, model.X)
-    return np.array([float(np.sum(gbar * dK)) for dK in grads])
-
-
-def _chain_output_mode(model: TgpModel, mode: int, gbar: np.ndarray):
-    feats = model.output_features
-    kern = feats.kernels[mode]
-    V = feats.coords[mode]
-    _, grads = ard_gram_param_grads(kern, V, V)
-    g_kern = np.array([float(np.sum(gbar * dS)) for dS in grads])
-    g_coords = ard_gram_input_grad(kern, V, gbar)
-    return g_kern, g_coords
+    return nll, gbars, d_noise, At
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +294,26 @@ class _TgpPack:
         ``d_noise`` is the partial with respect to the noise variance.
         """
         g = np.zeros(self.size)
-        g[self.slices["input"]] = _chain_input_kernel(model, gbars[0])
+        g[self.slices["input"]], _ = ard_gram_adjoint(model.input_kernel, model.X, gbars[0])
         if model.output_features is not None:
-            for m in range(len(model.mode_sizes)):
-                g_kern, g_coords = _chain_output_mode(model, m, gbars[m + 1])
+            feats = model.output_features
+            for m, (V, kern) in enumerate(zip(feats.coords, feats.kernels)):
+                rows = f"coords{m}" in self.active
+                g_kern, g_coords = ard_gram_adjoint(kern, V, gbars[m + 1], rows=rows)
                 g[self.slices[f"kern{m}"]] = g_kern
-                if f"coords{m}" in self.active:
+                if rows:
                     g[self.slices[f"coords{m}"]] = g_coords.ravel()
         g[self.slices["noise"]] = d_noise * model.noise
         return g
 
     def value_and_grad(self, model: TgpModel):
-        """Penalized NLL, gradient over this pack's parameters, and extras."""
-        nll, gbars, d_noise, alpha = _nll_core(model)
+        """Penalized NLL, gradient over this pack's parameters, and ``At``.
+
+        ``At`` is the rotated data solve of :func:`_nll_core`.
+        """
+        nll, gbars, d_noise, At = _nll_core(model)
         g = self.chain(model, gbars, d_noise)
-        return self.penalize(model, nll, g), g, {"alpha": alpha}
+        return self.penalize(model, nll, g), g, At
 
     def penalize(self, model: TgpModel, value: float, g: np.ndarray, offset: int = 0) -> float:
         """Add the Laplace penalty on the latent coordinates to an objective.

@@ -68,33 +68,28 @@ def ard_gram(params: ArdKernelParams, X1: np.ndarray, X2: np.ndarray) -> np.ndar
     return params.amplitude * np.exp(-d2.sum(axis=2))
 
 
-def ard_gram_param_grads(params: ArdKernelParams, X1: np.ndarray, X2: np.ndarray):
-    """Gram matrix and its partials w.r.t. every log hyperparameter.
+def ard_gram_adjoint(params: ArdKernelParams, X: np.ndarray, gbar: np.ndarray, rows: bool = False):
+    """Pull an adjoint of the Gram ``K = K(X, X)`` back to its parameters.
 
-    Returns ``(K, grads)`` where ``grads[0] = dK/dlog_amplitude`` and
-    ``grads[1 + k] = dK/dlog_lengthscale_k``.
+    Returns ``(g_params, g_rows)``: ``g_params[0] = <gbar, dK/dlog_amplitude>``
+    and ``g_params[1 + k] = <gbar, dK/dlog_lengthscale_k>``; with ``rows``,
+    ``g_rows`` is the gradient of ``<gbar, K>`` w.r.t. the rows of X (else
+    ``None``). ``gbar`` need not be symmetric: both the row-i and column-i
+    occurrences of each point are accounted for. The scaled distances and
+    ``K`` are built once for both.
     """
-    d2 = _scaled_sq_dists(params, X1, X2)
+    d2 = _scaled_sq_dists(params, X, X)
     K = params.amplitude * np.exp(-d2.sum(axis=2))
     grads = [K] + [K * (2.0 * d2[:, :, k]) for k in range(d2.shape[2])]
-    return K, grads
-
-
-def ard_gram_input_grad(
-    params: ArdKernelParams, X: np.ndarray, weight: np.ndarray
-) -> np.ndarray:
-    """Gradient of ``sum_ij weight_ij * K(X, X)_ij`` w.r.t. the rows of X.
-
-    ``weight`` need not be symmetric; both the row-i and column-i occurrences
-    of each point are accounted for.
-    """
+    g_params = np.array([float(np.sum(gbar * dK)) for dK in grads])
+    if not rows:
+        return g_params, None
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    K = ard_gram(params, X, X)
-    Wsym = weight + weight.T
+    Wsym = gbar + gbar.T
     diff = X[:, None, :] - X[None, :, :]
     # d/dx_i K_ij = K_ij * (-2 (x_i - x_j) / l^2); sum over j with Wsym weights.
     coeff = (Wsym * K)[:, :, None] * (-2.0 * diff / params.lengthscales**2)
-    return coeff.sum(axis=1)
+    return g_params, coeff.sum(axis=1)
 
 
 @dataclass

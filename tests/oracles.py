@@ -97,6 +97,38 @@ def dense_tgp_nll(model: TgpModel) -> float:
     return gaussian_nll(yc, np.zeros_like(yc), dense_joint_cov(model))
 
 
+def dense_tgp_adjoints(model: TgpModel):
+    """Dense NLL adjoints of every covariance factor and of the noise variance.
+
+    The joint adjoint is ``T = 1/2 (Sigma^-1 - alpha alpha^T)`` with
+    ``alpha = Sigma^-1 vec(Yc)``; the adjoint of factor k contracts ``T``'s
+    blocks against every other factor matrix, and the noise partial is
+    ``trace(T)``.  Returns ``(gbars, d_noise)``, one matrix per factor
+    (input Gram first, identity output factors included).
+    """
+    sigma = dense_joint_cov(model)
+    inv = np.linalg.inv(sigma)
+    alpha = inv @ vec(model.centered)
+    T = 0.5 * (inv - np.outer(alpha, alpha))
+    sizes = (model.n_samples, *model.mode_sizes)
+    blocks = T.reshape(sizes + sizes)
+    factors = [ard_gram(model.input_kernel, model.X, model.X)]
+    for m, d in enumerate(model.mode_sizes):
+        if model.output_features is None:
+            factors.append(np.eye(d))
+        else:
+            factors.append(output_cov(model.output_features, m))
+    n_f = len(factors)
+    rows, cols = "abcdef"[:n_f], "ghijkl"[:n_f]
+    gbars = []
+    for k in range(n_f):
+        others = [j for j in range(n_f) if j != k]
+        expr = ",".join([rows + cols] + [rows[j] + cols[j] for j in others])
+        operands = [factors[j] for j in others]
+        gbars.append(np.einsum(expr + "->" + rows[k] + cols[k], blocks, *operands))
+    return gbars, float(np.trace(T))
+
+
 def dense_tgp_predict(model: TgpModel, x_star):
     """Exact conditional mean and variance diagonal, dense path.
 

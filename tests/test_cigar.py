@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import polar
 
 from mfgar.cigar import (
     CigarModel,
@@ -70,6 +71,18 @@ def test_orthonormalize_rejects_rank_deficiency():
         orthonormalize(TuckerWeights([f]))
     with pytest.raises(ValueError, match="columns"):
         orthonormalize(TuckerWeights([np.ones((2, 3))]))
+
+
+def test_orthonormalize_is_scipy_polar_factor_bitwise():
+    # One thin SVD gives both the rank check and the polar factor w @ vh.
+    rng = np.random.default_rng(2)
+    for shape in [(3, 3), (5, 3), (8, 2), (6, 6), (4, 1)]:
+        f = rng.standard_normal(shape)
+        assert np.array_equal(orthonormalize(TuckerWeights([f])).factors[0], polar(f)[0])
+    f = rng.standard_normal((5, 3))
+    f[:, 2] = f[:, 0]
+    with pytest.raises(ValueError, match="rank"):
+        orthonormalize(TuckerWeights([f]))
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +312,16 @@ def test_cigar_serialization_kind_tag():
     back = gar_from_dict(doc)
     q = rng.uniform(0, 1, size=2)
     assert_allclose(gar_predict(back, q).mean, gar_predict(model, q).mean, rtol=1e-12)
+
+
+def test_cigar_bundle_loads_as_validated_cigar_model():
+    rng = np.random.default_rng(12)
+    ds = smooth_two_level(rng, n_low=6, n_high=3)
+    model = cigar_fit(ds, GarConfig(optim=OptimConfig(max_iters=15)))
+    doc = gar_to_dict(model)
+    assert isinstance(gar_from_dict(doc), CigarModel)
+    # a hand-edited weight factor is no longer orthonormal: refused on load
+    w0 = np.asarray(doc["transitions"][0]["weights"][0])
+    doc["transitions"][0]["weights"][0] = (2.0 * w0).tolist()
+    with pytest.raises(ValueError, match="orthonormal"):
+        gar_from_dict(doc)

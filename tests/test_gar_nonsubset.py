@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfgar.cigar import cigar_fit
+from mfgar.cigar import CigarModel, cigar_fit
 from mfgar.gar import (
     GarConfig,
     MultiFidelityDataset,
@@ -583,6 +583,7 @@ def test_nonsubset_bundle_roundtrip(fit, tmp_path):
     q = np.vstack([ds.levels[1].X, rng.uniform(0, 1, size=(3, 2))])
     back = assert_bundle_roundtrip(model, tmp_path / "model.json", q)
     assert back.kind == model.kind
+    assert isinstance(back, CigarModel) == (model.kind == "cigar")
     assert np.array_equal(gar_nll_nonsubset(back), gar_nll_nonsubset(model))
 
 

@@ -1,12 +1,16 @@
 """Tensor-variate GP: NLL pipeline vs dense oracle, gradients, prediction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mfgar.tensalg as tensalg
 from mfgar.hogp import (
     FitConfig,
     TgpModel,
+    _nll_core,
     _TgpPack,
     tgp_fit,
     tgp_from_dict,
@@ -14,9 +18,12 @@ from mfgar.hogp import (
     tgp_predict,
     tgp_to_dict,
 )
-from mfgar.kernels import ArdKernelParams, LaplacePrior
+from mfgar.kernels import ArdKernelParams, LaplacePrior, LatentFeatures
 from mfgar.optim import OptimConfig
+from mfgar.tensalg import vec
 from oracles import (
+    dense_joint_cov,
+    dense_tgp_adjoints,
     dense_tgp_nll,
     dense_tgp_predict,
     grad_audit,
@@ -84,6 +91,74 @@ def test_nll_with_centering_offset():
         offset=model.offset + 5.0,
     )
     assert_allclose(tgp_nll(shifted), tgp_nll(model), rtol=1e-12)
+
+
+def duplicate_latent_row(model: TgpModel) -> TgpModel:
+    """The model with two equal latent rows in mode 0, so S_0 is singular."""
+    coords = [V.copy() for V in model.output_features.coords]
+    coords[0][1] = coords[0][0]
+    feats = LatentFeatures(coords, model.output_features.kernels)
+    return replace(model, output_features=feats, _eig=None)
+
+
+@pytest.mark.parametrize(
+    "n,modes,identity,singular",
+    [
+        (4, (3,), False, False),
+        (3, (2, 3), False, False),
+        (4, (3,), True, False),
+        (3, (2, 3), True, False),
+        (1, (2, 3), False, False),
+        (1, (3,), True, False),
+        (4, (3, 2), False, True),
+    ],
+)
+def test_nll_core_adjoints_match_dense_adjoint(n, modes, identity, singular):
+    # The eigenbasis adjoints equal 1/2 (Sigma^-1 - alpha alpha^T) contracted
+    # against the other factors, also where an S eigenvalue is (numerically) 0.
+    rng = np.random.default_rng(40 + 10 * n + len(modes))
+    model = make_random_tgp(rng, n, modes, identity_outputs=identity, noise=0.05)
+    if singular:
+        model = duplicate_latent_row(model)
+        lam = model.eigenfactors().values[1]
+        assert lam.min() <= 1e-12 * lam.max()  # round-off, clamped at 0 when negative
+    nll, gbars, d_noise, At = _nll_core(model)
+    want, want_noise = dense_tgp_adjoints(model)
+    assert_allclose(nll, dense_tgp_nll(model), rtol=1e-9)
+    assert len(gbars) == len(want) == len(modes) + 1
+    for k, (got, ref) in enumerate(zip(gbars, want)):
+        if identity and k > 0:
+            assert got is None
+        else:
+            assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+    assert_allclose(d_noise, want_noise, rtol=1e-9)
+    alpha = np.linalg.solve(dense_joint_cov(model), vec(model.centered))
+    got_alpha = vec(model.eigenfactors().unproject(At))
+    assert_allclose(got_alpha, alpha, rtol=1e-9, atol=1e-9 * np.abs(alpha).max())
+
+
+@pytest.mark.parametrize("modes,identity", [((3,), False), ((2, 3), False), ((2, 3), True)])
+def test_objective_projects_once_and_rebuilds_no_factor(monkeypatch, modes, identity):
+    # One evaluation rotates the data into the eigenbasis and stays there:
+    # one mode product per non-identity factor, no dense factor matrix.
+    rng = np.random.default_rng(50)
+    model = make_random_tgp(rng, 4, modes, identity_outputs=identity)
+    pack = _TgpPack(model, LaplacePrior(0.0))
+    point = pack.pack(model)
+    modes_hit = []
+    real = tensalg.mode_product
+
+    def counted(tensor, matrix, mode):
+        modes_hit.append(mode)
+        return real(tensor, matrix, mode)
+
+    def forbidden(self, k):
+        raise AssertionError("dense factor rebuilt")
+
+    monkeypatch.setattr(tensalg, "mode_product", counted)
+    monkeypatch.setattr(tensalg.EigenFactors, "reconstruct", forbidden)
+    pack.objective(point)
+    assert sorted(modes_hit) == ([0] if identity else list(range(len(modes) + 1)))
 
 
 def test_gradient_audit_all_parameters():

@@ -9,8 +9,7 @@ from mfgar.kernels import (
     LaplacePrior,
     LatentFeatures,
     ard_gram,
-    ard_gram_input_grad,
-    ard_gram_param_grads,
+    ard_gram_adjoint,
     laplace_log_prior,
     output_cov,
 )
@@ -71,8 +70,10 @@ def test_nonfinite_params_rejected():
 def test_param_grads_match_finite_differences():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((4, 2))
+    gbar = rng.standard_normal((4, 4))
     params = ArdKernelParams(0.3, np.array([-0.2, 0.4]))
-    _, grads = ard_gram_param_grads(params, X, X)
+    grads, rows = ard_gram_adjoint(params, X, gbar)
+    assert rows is None
     eps = 1e-6
     raw = np.array([params.log_amplitude, *params.log_lengthscales])
     for i, g in enumerate(grads):
@@ -81,7 +82,7 @@ def test_param_grads_match_finite_differences():
         plus = ard_gram(ArdKernelParams(bump[0], bump[1:]), X, X)
         bump[i] -= 2 * eps
         minus = ard_gram(ArdKernelParams(bump[0], bump[1:]), X, X)
-        assert_allclose(g, (plus - minus) / (2 * eps), rtol=1e-5, atol=1e-8)
+        assert_allclose(g, np.sum(gbar * (plus - minus)) / (2 * eps), rtol=1e-5, atol=1e-8)
 
 
 def test_input_grad_matches_finite_differences():
@@ -89,7 +90,7 @@ def test_input_grad_matches_finite_differences():
     X = rng.standard_normal((4, 2))
     W = rng.standard_normal((4, 4))
     params = ArdKernelParams(0.1, np.array([0.2, -0.3]))
-    g = ard_gram_input_grad(params, X, W)
+    _, g = ard_gram_adjoint(params, X, W, rows=True)
     eps = 1e-6
     for a in range(4):
         for k in range(2):
@@ -100,6 +101,23 @@ def test_input_grad_matches_finite_differences():
                 2 * eps
             )
             assert_allclose(g[a, k], fd, rtol=1e-5, atol=1e-8)
+
+
+def test_adjoint_equals_explicit_gram_partials_bitwise():
+    # The pull-back is the contraction of gbar with each explicit partial
+    # dK/dtheta, and the row gradient the explicit sum over the partners.
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((6, 3))
+    gbar = rng.standard_normal((6, 6))
+    params = ArdKernelParams(0.2, np.array([0.1, -0.4, 0.3]))
+    K = ard_gram(params, X, X)
+    diff = X[:, None, :] - X[None, :, :]
+    d2 = (diff / params.lengthscales) ** 2
+    partials = [K] + [K * (2.0 * d2[:, :, k]) for k in range(3)]
+    coeff = ((gbar + gbar.T) * K)[:, :, None] * (-2.0 * diff / params.lengthscales**2)
+    grads, rows = ard_gram_adjoint(params, X, gbar, rows=True)
+    assert np.array_equal(grads, [np.sum(gbar * dK) for dK in partials])
+    assert np.array_equal(rows, coeff.sum(axis=1))
 
 
 def test_output_cov_identical_rows_constant_matrix():
