@@ -56,7 +56,6 @@ from .pdebench import (
     pde_spec,
     save_dataset,
     solve_cache,
-    spec_from_dict,
     spec_to_dict,
 )
 
@@ -212,10 +211,8 @@ def cmd_train(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     ref = str(args.data)
     path = args.out / "model.json"
-    if family == "tgp":
-        save_tgp(model, path, dataset_ref=ref)
-    else:
-        save_gar(model, path, dataset_ref=ref)
+    save = save_tgp if family == "tgp" else save_gar
+    save(model, path, dataset_ref=ref)
     meta = {
         "model": args.model,
         "dataset": ref,
@@ -233,12 +230,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _predict(kind: str, model, X):
-    if kind == "hogp":
-        return tgp_predict(model, X)
-    return gar_predict(model, X)
-
-
 PHASES = ("generate_s", "testset_s", "fit_s", "predict_s", "save_s")
 
 
@@ -253,13 +244,15 @@ def _phase(times: dict, name: str):
 
 
 def _run_job(job) -> dict:
-    """One benchmark cell: build data, fit, evaluate; returns a result row."""
-    (kind, n_high, repeat, spec_doc, args_doc) = job
-    spec = spec_from_dict(spec_doc)
-    a = argparse.Namespace(**args_doc)
-    seed = a.seed + 1000 * repeat
+    """One benchmark cell: build data, fit, evaluate; returns a result row.
+
+    ``job`` is ``(kind, n_high, repeat, spec, config)`` with the run's
+    ``PdeSpec`` and ``ExperimentConfig``.
+    """
+    kind, n_high, repeat, spec, config = job
+    seed = config.seed + 1000 * repeat
     # distinct design per repeat: shifted deterministic stream
-    skip = repeat * (a.n_low + max(a.sweep) + a.n_test)
+    skip = repeat * (config.n_low + max(config.sweep) + config.n_test)
     row = {
         "model": kind,
         "n_high": n_high,
@@ -269,7 +262,7 @@ def _run_job(job) -> dict:
         "rmse": "",
         "nll": "",
     }
-    out_dir = Path(a.out) / "jobs" / f"{kind}_n{n_high}_r{repeat}"
+    out_dir = config.out / "jobs" / f"{kind}_n{n_high}_r{repeat}"
     phases = {}
     start = time.perf_counter()
     try:
@@ -277,29 +270,32 @@ def _run_job(job) -> dict:
             # the Sobol stream ignores the seed, so only its repeats need the
             # shift; uniform repeats already draw from distinct seeds
             dataset = make_dataset(
-                spec, a.n_low, n_high, a.sampler, a.structure, a.aligned, seed,
-                skip=skip if a.sampler == "sobol" else 0,
+                spec, config.n_low, n_high, config.sampler, config.structure, config.aligned,
+                seed, skip=skip if config.sampler == "sobol" else 0,
             )
         with _phase(phases, "testset_s"):
             X_test, Y_test = make_test_set(
-                spec, a.n_test, a.sampler, seed, skip=skip + a.n_low + n_high
+                spec, config.n_test, config.sampler, seed, skip=skip + config.n_low + n_high
             )
-        optim = OptimConfig(max_iters=a.max_iters, step=a.step, seed=seed)
+        optim = OptimConfig(max_iters=config.max_iters, step=config.step, seed=seed)
         with _phase(phases, "fit_s"):
             family, model = _fit_model(kind, dataset, optim)
         with _phase(phases, "predict_s"):
-            post = _predict(kind, model, X_test)
+            post = (tgp_predict if family == "tgp" else gar_predict)(model, X_test)
         model_path = out_dir / "model.json"
         with _phase(phases, "save_s"):
             save_dataset(
                 dataset,
                 out_dir / "dataset",
-                {"spec": spec_doc, "seed": seed, "structure": a.structure, "aligned": a.aligned},
+                {
+                    "spec": spec_to_dict(spec),
+                    "seed": seed,
+                    "structure": config.structure,
+                    "aligned": config.aligned,
+                },
             )
-            if family == "tgp":
-                save_tgp(model, model_path, dataset_ref=str(out_dir / "dataset"))
-            else:
-                save_gar(model, model_path, dataset_ref=str(out_dir / "dataset"))
+            save = save_tgp if family == "tgp" else save_gar
+            save(model, model_path, dataset_ref=str(out_dir / "dataset"))
         row["rmse"] = repr(rmse(post.mean, Y_test))
         row["nll"] = repr(nll_metric(post.mean, post.variance_diag, Y_test))
         row["dataset_ref"] = str(out_dir / "dataset" / "manifest.json")
@@ -357,20 +353,8 @@ def cmd_benchmark(args) -> int:
 
     spec = pde_spec(config.pde, config.mesh_variant)
     config.out.mkdir(parents=True, exist_ok=True)
-    args_doc = {
-        "n_low": config.n_low,
-        "n_test": config.n_test,
-        "sampler": config.sampler,
-        "structure": config.structure,
-        "aligned": config.aligned,
-        "seed": config.seed,
-        "max_iters": config.max_iters,
-        "step": config.step,
-        "sweep": config.sweep,
-        "out": str(config.out),
-    }
     jobs = [
-        (kind, n_high, repeat, spec_to_dict(spec), args_doc)
+        (kind, n_high, repeat, spec, config)
         for kind in config.models
         for n_high in config.sweep
         for repeat in range(config.repeats)

@@ -36,6 +36,7 @@ from .hogp import (
     TgpModel,
     _TgpPack,
     _mean_factors,
+    _nll_core,
     _predict_parts,
     tgp_fit,
     tgp_from_dict,
@@ -45,7 +46,7 @@ from .hogp import (
 )
 from .kernels import ArdKernelParams, LaplacePrior, LatentFeatures, ard_gram
 from .optim import OptimConfig, minimize
-from .tensalg import kron_all, kruskal_outer, sym_eig, tucker_apply, vec
+from .tensalg import kron_all, kruskal_outer, mode_product, sym_eig, tucker_apply, vec
 
 # ---------------------------------------------------------------------------
 # Datasets
@@ -370,18 +371,6 @@ def _tucker_without_mode(tensor: np.ndarray, weights: TuckerWeights, skip: int) 
     return tucker_apply(tensor, facs, mode_offset=1)
 
 
-def _w_factor_grads(alpha: np.ndarray, low_stack: np.ndarray, weights: TuckerWeights):
-    """d(residual NLL)/dW_m through the residual tensor Y_h - lowstack x W."""
-    grads = []
-    n_modes = len(weights.factors)
-    axes = list(range(alpha.ndim))
-    for m in range(n_modes):
-        z = _tucker_without_mode(low_stack, weights, m)
-        other = [a for a in axes if a != m + 1]
-        grads.append(-np.tensordot(alpha, z, axes=(other, other)))
-    return grads
-
-
 # ---------------------------------------------------------------------------
 # Stage-2 objectives
 # ---------------------------------------------------------------------------
@@ -425,11 +414,39 @@ def _corrected_cholesky(base: list, correction: list, noise: float):
     return cho_factor(sigma.T, lower=True, overwrite_a=True)
 
 
+def _dense_corrected(res: TgpModel, weights: TuckerWeights, b_input: np.ndarray, low_covs: list):
+    """Dense corrected covariance of a non-subset residual block, factorized.
+
+    The covariance is ``K_r (x) S_r + B (x) W S_low W^T + noise I`` on the
+    matched-first row order, with ``B = b_input`` the embedded imputation
+    covariance.  Returns ``(chol, K_r, s_mats, sand)``: the ``cho_factor``
+    pair of ``_corrected_cholesky``, the input Gram, the residual output
+    covariances and the per-mode sandwiches ``W_m S_low_m W_m^T``.
+    """
+    K_r = ard_gram(res.input_kernel, res.X, res.X)
+    s_mats = [_cov_matrix(s) for s in res.output_covs()]
+    sand = [w @ _cov_matrix(s) @ w.T for w, s in zip(weights.factors, low_covs)]
+    chol = _corrected_cholesky([K_r] + s_mats, [b_input] + sand, res.noise)
+    return chol, K_r, s_mats, sand
+
+
 class _Stage2Pack:
     """Flat parameters {W, residual hyperparameters} of one transition fit.
 
-    The residual tensor is rebuilt from W at every unpack; subclasses supply
-    the objective over the unpacked ``(weights, residual model)``.
+    ``objective`` is the one stage-2 objective of every transition kind.  It
+    forms the partial products ``z[m]`` (the low stack with every weight
+    factor applied but ``W_m``) once, rebuilds the residual ``y_high -
+    z[-1] x_M W_M`` from them, scores it with the subclass's covariance core,
+    pulls the covariance adjoints back through ``_TgpPack.chain`` (Laplace
+    penalty included) and contracts the data adjoint with the same ``z[m]``
+    for the W gradient: M(M-1)+1 weight products per evaluation.
+
+    A subclass supplies only ``_core(model, weights)`` at the unpacked
+    residual model, returning ``(value, gbars, d_noise, alpha, w_cov_grads)``:
+    the NLL, the adjoints of the input Gram and (latent outputs) of each
+    output covariance, the noise-variance partial, ``alpha = Sigma^-1 r`` in
+    the residual's tensor shape, and the per-factor W gradients through the
+    covariance, or ``None`` when the covariance does not depend on W.
     """
 
     def __init__(
@@ -454,30 +471,46 @@ class _Stage2Pack:
     def pack(self) -> np.ndarray:
         return np.concatenate([self.w.pack(), self.tgp.pack(self.tgp.template)])
 
-    def unpack(self, p: np.ndarray):
+    def _unpack(self, p: np.ndarray):
         pw, pt = self.split(p)
         weights = self.w.unpack(pw)
-        resid = self.y_high - weights.apply(self.low_stack)
-        model = replace(self.tgp.unpack(pt), Y=resid, _eig=None)
+        n_modes = len(weights.factors)
+        z = [_tucker_without_mode(self.low_stack, weights, m) for m in range(n_modes)]
+        # the factors in weights.apply's order, so the residual is bitwise the same
+        resid = self.y_high - mode_product(z[-1], weights.factors[-1], n_modes)
+        return weights, replace(self.tgp.unpack(pt), Y=resid, _eig=None), z
+
+    def unpack(self, p: np.ndarray):
+        weights, model, _ = self._unpack(p)
         return weights, model
 
     def project(self, p: np.ndarray) -> np.ndarray:
         pw, pt = self.split(p)
         return np.concatenate([self.w.project(pw), pt])
 
+    def objective(self, p: np.ndarray):
+        weights, model, z = self._unpack(p)
+        value, gbars, d_noise, alpha, w_cov_grads = self._core(model, weights)
+        value, g_t = self.tgp.chain(model, value, gbars, d_noise)
+        # d(NLL)/dW_m through the residual tensor, plus the covariance part
+        w_grads = []
+        for m, z_m in enumerate(z):
+            other = [a for a in range(alpha.ndim) if a != m + 1]
+            g = -np.tensordot(alpha, z_m, axes=(other, other))
+            w_grads.append(g if w_cov_grads is None else g + w_cov_grads[m])
+        return value, np.concatenate([self.w.chain(w_grads), g_t])
+
 
 class _ResidualPack(_Stage2Pack):
-    """Joint objective over {W, residual hyperparameters} for subset data.
+    """Stage 2 for subset data: the residual is a plain TGP.
 
-    The NLL and all gradients run through the eigendecomposition pipeline.
+    Its covariance does not depend on W, and the NLL and adjoints run through
+    the eigendecomposition pipeline (``_nll_core``).
     """
 
-    def objective(self, p: np.ndarray):
-        weights, model = self.unpack(p)
-        value, g_t, At = self.tgp.value_and_grad(model)
-        alpha = model.eigenfactors().unproject(At)
-        g_w = self.w.chain(_w_factor_grads(alpha, self.low_stack, weights))
-        return value, np.concatenate([g_w, g_t])
+    def _core(self, model: TgpModel, weights: TuckerWeights):
+        nll, gbars, d_noise, At = _nll_core(model)
+        return nll, gbars, d_noise, model.eigenfactors().unproject(At), None
 
 
 def _kron_partial(T_blocks: np.ndarray, mats: list, open_idx: int) -> np.ndarray:
@@ -506,7 +539,8 @@ class _NonsubsetPack(_Stage2Pack):
     Evaluates the closed-form marginal likelihood: the residual Gaussian with
     covariance  K_r (x) S_r + noise I + embed(S_hat) (x) W S_low W^T  on the
     matched-first row order, with the imputed low mean standing in for the
-    missing observations.  Dense matrices are capped by configuration; the
+    missing observations.  The covariance is dense, so ``_fit_transition``
+    uses this pack only up to ``NONSUBSET_EXACT_CAP`` residual entries; the
     per-parameter gradients come from the standard trace/quadratic adjoints.
     """
 
@@ -526,44 +560,27 @@ class _NonsubsetPack(_Stage2Pack):
         super().__init__(low_stack, y_high, template, w_init, w_mode, laplace, freeze_coords)
         self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
         self.s_low_mats = [_cov_matrix(s) for s in s_low_mats]
-        self.mode_sizes_high = y_high.shape[1:]
 
-    def objective(self, p: np.ndarray):
-        weights, model = self.unpack(p)
-        n_high = self.y_high.shape[0]
-        d_high = int(np.prod(self.mode_sizes_high))
-        n = n_high * d_high
-        n_modes = len(self.mode_sizes_high)
-
+    def _core(self, model: TgpModel, weights: TuckerWeights):
         from scipy.linalg import cho_solve
 
-        K_r = ard_gram(model.input_kernel, model.X, model.X)
-        s_mats = [_cov_matrix(s) for s in model.output_covs()]
-        sand = [w @ s @ w.T for w, s in zip(weights.factors, self.s_low_mats)]
-        chol = _corrected_cholesky([K_r] + s_mats, [self.b_input] + sand, model.noise)
-
+        chol, K_r, s_mats, sand = _dense_corrected(model, weights, self.b_input, self.s_low_mats)
+        n = model.Y.size
         phi = vec(model.centered)
         alpha = cho_solve(chol, phi)
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
         value = 0.5 * (float(phi @ alpha) + logdet + n * LOG2PI)
 
-        inv = cho_solve(chol, np.eye(n))
-        T = 0.5 * (inv - np.outer(alpha, alpha))
-        shape_blocks = (n_high, *self.mode_sizes_high, n_high, *self.mode_sizes_high)
-        T_blocks = T.reshape(shape_blocks)
-
+        T = 0.5 * (cho_solve(chol, np.eye(n)) - np.outer(alpha, alpha))
+        T_blocks = T.reshape(model.Y.shape * 2)
         gbars = [_kron_partial(T_blocks, [None] + s_mats, 0)]
         if model.output_features is not None:
-            gbars += [_kron_partial(T_blocks, [K_r] + s_mats, m + 1) for m in range(n_modes)]
-        g_t = self.tgp.chain(model, gbars, float(np.trace(T)))
-        # weights: through the residual tensor and through the covariance
-        alpha_t = alpha.reshape(n_high, *self.mode_sizes_high)
-        w_grads = _w_factor_grads(alpha_t, self.low_stack, weights)
-        for m in range(n_modes):
-            q_m = _kron_partial(T_blocks, [self.b_input] + sand, m + 1)
-            w_grads[m] = w_grads[m] + (q_m + q_m.T) @ weights.factors[m] @ self.s_low_mats[m]
-        value = self.tgp.penalize(model, value, g_t)
-        return value, np.concatenate([self.w.chain(w_grads), g_t])
+            gbars += [_kron_partial(T_blocks, [K_r] + s_mats, m) for m in range(1, len(s_mats) + 1)]
+        w_cov_grads = []
+        for m, (w, s_low) in enumerate(zip(weights.factors, self.s_low_mats)):
+            q = _kron_partial(T_blocks, [self.b_input] + sand, m + 1)
+            w_cov_grads.append((q + q.T) @ w @ s_low)
+        return value, gbars, float(np.trace(T)), alpha.reshape(model.Y.shape), w_cov_grads
 
 
 def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: np.ndarray):
@@ -583,7 +600,8 @@ def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: n
       ``Zh beta mu_-m`` with ``Zh`` over every axis but ``m``;
     - the residual tensor: ``alpha = Zh`` rotated back (``Sigma^-1 r``).
 
-    Returns ``(value, gbar_g0, w_cov_grads, alpha)``.
+    Returns the ``_Stage2Pack._core`` tuple ``(value, [gbar_g0], d_noise,
+    alpha, w_cov_grads)``; the noise-variance partial is ``tr(gbar_g0)``.
     """
     from scipy.linalg import solve_triangular
 
@@ -621,7 +639,7 @@ def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: n
         c = np.sum(scale * inv_a, axis=tuple(other))
         n_m = np.tensordot(z_hat * scale, z_hat, axes=(other, other))
         w_cov_grads.append(vt.T @ ((np.diag(c) - n_m) @ (vt @ w)))
-    return value, gbar_g0, w_cov_grads, alpha
+    return value, [gbar_g0], float(np.trace(gbar_g0)), alpha, w_cov_grads
 
 
 class _IdentityOutputNonsubsetPack(_Stage2Pack):
@@ -651,15 +669,8 @@ class _IdentityOutputNonsubsetPack(_Stage2Pack):
         super().__init__(low_stack, y_high, template, w_init, w_mode, LaplacePrior(0.0))
         self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
 
-    def objective(self, p: np.ndarray):
-        weights, model = self.unpack(p)
-        value, gbar_g0, w_cov_grads, alpha = _identity_output_objective(
-            model, weights, self.b_input
-        )
-        w_grads = _w_factor_grads(alpha, self.low_stack, weights)
-        g_w = self.w.chain([a + b for a, b in zip(w_grads, w_cov_grads)])
-        g_t = self.tgp.chain(model, [gbar_g0], float(np.trace(gbar_g0)))
-        return value, np.concatenate([g_w, g_t])
+    def _core(self, model: TgpModel, weights: TuckerWeights):
+        return _identity_output_objective(model, weights, self.b_input)
 
 
 # ---------------------------------------------------------------------------
@@ -890,14 +901,9 @@ def _corrected_nll_dense(trans: GarTransition, low_covs: list) -> float:
     """Corrected residual NLL from one Cholesky factor of the dense covariance."""
     from scipy.linalg import solve_triangular
 
-    res, ws = trans.residual, trans.workspace
-    K_r = ard_gram(res.input_kernel, res.X, res.X)
-    sand = [w @ _cov_matrix(s) @ w.T for w, s in zip(trans.weights.factors, low_covs)]
-    chol, _ = _corrected_cholesky(
-        [K_r] + [_cov_matrix(s) for s in res.output_covs()],
-        [_embedded_cov(ws.s_hat, res.n_samples, trans.plan.n_matched)] + sand,
-        res.noise,
-    )
+    res = trans.residual
+    b_input = _embedded_cov(trans.workspace.s_hat, res.n_samples, trans.plan.n_matched)
+    (chol, _), *_ = _dense_corrected(res, trans.weights, b_input, low_covs)
     half = solve_triangular(chol, vec(res.centered), lower=True)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return 0.5 * (float(half @ half) + logdet + res.Y.size * LOG2PI)
@@ -975,9 +981,18 @@ def gar_nll_nonsubset(model: GarModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _res_mean_and_terms(res: TgpModel, Xs: np.ndarray):
-    mean, terms = _predict_parts(res, Xs)
-    return mean + res.offset, terms
+def _fold_weights(facs: list, chain: list) -> list:
+    """Per-mode factors ``W^(n)_m .. W^(1)_m F_m`` for a chain of weights.
+
+    ``chain`` lists the weights in the order they act; a ``None`` factor is
+    the identity, and stays ``None`` when the chain is empty.
+    """
+    out = []
+    for m, f in enumerate(facs):
+        for w in chain:
+            f = w.factors[m] if f is None else w.factors[m] @ f
+        out.append(f)
+    return out
 
 
 def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape, chunk=4):
@@ -1019,36 +1034,17 @@ def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape,
             return (k_star @ U0) / (eigs.values[0] + model.noise) @ (U0[offset:].T @ s_root)
 
         diff = sensitivity(aug, n_low) - sensitivity(res, n_matched)
-        rows = []
-        for m, f in enumerate(trans.weights.factors):
-            for w in downstream:
-                f = w.factors[m] @ f
-            rows.append(np.sum(f * f, axis=1))
-        return kruskal_outer([np.sum(diff * diff, axis=1)] + rows)
+        facs = _fold_weights([None] * len(trans.weights.factors), [trans.weights, *downstream])
+        return kruskal_outer([np.sum(diff * diff, axis=1)] + [np.sum(f * f, axis=1) for f in facs])
 
     roots = _imputation_roots(ws.s_hat, aug.output_covs())
 
-    # Prediction-mean operators (projected-basis form), with downstream
-    # weights composed into the per-mode output factors.
-    def compose(mean_facs, pre=None):
-        k_fac = mean_facs[0]
-        out_facs = mean_facs[1:]
-        chain_facs = []
-        for m, f in enumerate(out_facs):
-            mat = f
-            if pre is not None:
-                w_m = pre.factors[m]
-                mat = w_m if mat is None else w_m @ mat
-            for w in downstream:
-                w_m = w.factors[m]
-                mat = w_m if mat is None else w_m @ mat
-            chain_facs.append(mat)
-        return k_fac, chain_facs
-
-    k_aug = ard_gram(aug.input_kernel, Xs, aug.X)
-    k_res = ard_gram(res.input_kernel, Xs, res.X)
-    k_fac_aug, facs_aug = compose(_mean_factors(aug, k_aug), pre=trans.weights)
-    k_fac_res, facs_res = compose(_mean_factors(res, k_res))
+    # Prediction-mean operators (projected-basis form), with the weights the
+    # path passes through folded into the per-mode output factors.
+    k_fac_aug, *facs_aug = _mean_factors(aug, ard_gram(aug.input_kernel, Xs, aug.X))
+    k_fac_res, *facs_res = _mean_factors(res, ard_gram(res.input_kernel, Xs, res.X))
+    facs_aug = _fold_weights(facs_aug, [trans.weights, *downstream])
+    facs_res = _fold_weights(facs_res, downstream)
     eig_aug = aug.eigenfactors()
     A_aug = eig_aug.joint_values(aug.noise)
     eig_res = res.eigenfactors()
@@ -1097,8 +1093,8 @@ def gar_predict(model: GarModel, x_star) -> PosteriorField:
             mean = mean + trans.workspace.aug_low.offset
             gamma_jobs = []
         res = trans.residual
-        res_mean, res_terms = _res_mean_and_terms(res, Xs)
-        mean = trans.weights.apply(mean) + res_mean
+        res_mean, res_terms = _predict_parts(res, Xs)
+        mean = trans.weights.apply(mean) + (res_mean + res.offset)
         terms = [t.sandwich(trans.weights.factors) for t in terms] + res_terms
         for job in gamma_jobs:
             job[1].append(trans.weights)

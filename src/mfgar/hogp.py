@@ -286,12 +286,14 @@ class _TgpPack:
             _eig=None,
         )
 
-    def chain(self, model: TgpModel, gbars, d_noise: float) -> np.ndarray:
-        """Map covariance adjoints to the gradient over this pack's parameters.
+    def chain(self, model: TgpModel, value: float, gbars, d_noise: float):
+        """Pull covariance adjoints back to this pack's parameters and penalize.
 
-        ``gbars`` holds the adjoint of the input Gram, then one per output
-        mode (read only when the model has latent output covariances);
-        ``d_noise`` is the partial with respect to the noise variance.
+        ``value`` is the NLL at ``model``; ``gbars`` holds the adjoint of the
+        input Gram, then one per output mode (read only when the model has
+        latent output covariances); ``d_noise`` is the partial with respect
+        to the noise variance.  Returns ``(value, g)`` with the Laplace
+        penalty on the latent coordinates added to both.
         """
         g = np.zeros(self.size)
         g[self.slices["input"]], _ = ard_gram_adjoint(model.input_kernel, model.X, gbars[0])
@@ -304,35 +306,17 @@ class _TgpPack:
                 if rows:
                     g[self.slices[f"coords{m}"]] = g_coords.ravel()
         g[self.slices["noise"]] = d_noise * model.noise
-        return g
-
-    def value_and_grad(self, model: TgpModel):
-        """Penalized NLL, gradient over this pack's parameters, and ``At``.
-
-        ``At`` is the rotated data solve of :func:`_nll_core`.
-        """
-        nll, gbars, d_noise, At = _nll_core(model)
-        g = self.chain(model, gbars, d_noise)
-        return self.penalize(model, nll, g), g, At
-
-    def penalize(self, model: TgpModel, value: float, g: np.ndarray, offset: int = 0) -> float:
-        """Add the Laplace penalty on the latent coordinates to an objective.
-
-        ``g`` holds this pack's parameters from index ``offset`` on and is
-        updated in place; returns the penalized value.
-        """
-        if not (self.laplace.scale > 0 and model.output_features is not None):
-            return value
-        value -= laplace_log_prior(model.output_features, self.laplace)
-        for m, gv in enumerate(laplace_log_prior_grad(model.output_features, self.laplace)):
-            if f"coords{m}" in self.active:
-                sl = self.slices[f"coords{m}"]
-                g[offset + sl.start : offset + sl.stop] -= gv.ravel()
-        return value
+        if self.laplace.scale > 0 and model.output_features is not None:
+            value -= laplace_log_prior(model.output_features, self.laplace)
+            for m, gv in enumerate(laplace_log_prior_grad(model.output_features, self.laplace)):
+                if f"coords{m}" in self.active:
+                    g[self.slices[f"coords{m}"]] -= gv.ravel()
+        return value, g
 
     def objective(self, p: np.ndarray):
-        value, g, _ = self.value_and_grad(self.unpack(p))
-        return value, g
+        model = self.unpack(p)
+        nll, gbars, d_noise, _ = _nll_core(model)
+        return self.chain(model, nll, gbars, d_noise)
 
 
 def _initial_model(X, Y, config: FitConfig) -> TgpModel:

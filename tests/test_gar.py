@@ -256,15 +256,25 @@ def test_predict_interpolates_high_fidelity_data():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("w_mode", ["free", "scalar"])
-def test_stage2_gradient_audit(w_mode):
+@pytest.mark.parametrize(
+    "w_mode, low_modes, high_modes, laplace",
+    [
+        pytest.param("free", (2, 2), (2, 2), 0.0, id="free"),
+        pytest.param("scalar", (2, 2), (2, 2), 0.0, id="scalar"),
+        # the partial products of W at every mode position, and at M = 1
+        pytest.param("free", (2, 3, 2), (3, 2, 2), 0.0, id="free-three-mode-rect"),
+        pytest.param("free", (3,), (2,), 0.0, id="free-one-mode"),
+        # the Laplace penalty on the latent coordinates
+        pytest.param("free", (2, 2), (2, 2), 0.4, id="free-laplace"),
+    ],
+)
+def test_stage2_gradient_audit(w_mode, low_modes, high_modes, laplace):
     rng = np.random.default_rng(12)
-    modes = (2, 2)
-    model, ds = make_random_two_level(rng, 5, 3, modes, modes)
+    model, ds = make_random_two_level(rng, 5, 3, low_modes, high_modes)
     trans = model.transitions[0]
     pack = _ResidualPack(
         low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights, w_mode,
-        LaplacePrior(0.0),
+        LaplacePrior(laplace),
     )
     assert grad_audit(pack.objective, pack.pack(), eps=1e-5) < 1e-4
 
