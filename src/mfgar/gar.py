@@ -35,11 +35,14 @@ from .hogp import (
     PosteriorField,
     TgpModel,
     _TgpPack,
+    _check_schema,
     _mean_factors,
     _nll_core,
     _predict_parts,
+    _tgp_from_doc,
+    decode_array,
+    encode_array,
     tgp_fit,
-    tgp_from_dict,
     tgp_nll,
     tgp_predict,
     tgp_to_dict,
@@ -1059,12 +1062,16 @@ def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape,
     b_total = int(np.prod([r.shape[1] for r in roots]))
     for start in range(0, b_total, chunk):
         idx = np.arange(start, min(start + chunk, b_total))
-        proj = _root_columns(rot_aug, idx) / A_aug
+        # In place: the root columns are fresh arrays, and term1 is not
+        # needed once the squared difference is formed.
+        proj = _root_columns(rot_aug, idx)
+        np.divide(proj, A_aug, out=proj)
         term1 = tucker_apply(proj, [k_fac_aug] + facs_aug, mode_offset=1)
-        proj_r = _root_columns(rot_res, idx) / A_res
-        term2 = tucker_apply(proj_r, [k_fac_res] + facs_res, mode_offset=1)
-        diff = term1 - term2
-        total += np.sum(diff * diff, axis=0)
+        proj = _root_columns(rot_res, idx)
+        np.divide(proj, A_res, out=proj)
+        term2 = tucker_apply(proj, [k_fac_res] + facs_res, mode_offset=1)
+        np.subtract(term1, term2, out=term1)
+        total += np.multiply(term1, term1, out=term1).sum(axis=0)
     return total
 
 
@@ -1117,7 +1124,8 @@ def gar_predict(model: GarModel, x_star) -> PosteriorField:
 # Serialization
 # ---------------------------------------------------------------------------
 
-GAR_SCHEMA = "mfgar/gar-2"
+GAR_SCHEMA = "mfgar/gar-3"
+_PLAN_FIELDS = ("matched_high", "matched_low", "unmatched_high")
 
 
 def gar_to_dict(model: GarModel, dataset_ref: str | None = None) -> dict:
@@ -1136,13 +1144,9 @@ def gar_to_dict(model: GarModel, dataset_ref: str | None = None) -> dict:
     }
     for i, t in enumerate(model.transitions):
         entry = {
-            "weights": [f.tolist() for f in t.weights.factors],
+            "weights": [encode_array(f) for f in t.weights.factors],
             "residual": tgp_to_dict(t.residual),
-            "plan": {
-                "matched_high": t.plan.matched_high.tolist(),
-                "matched_low": t.plan.matched_low.tolist(),
-                "unmatched_high": t.plan.unmatched_high.tolist(),
-            },
+            "plan": {name: encode_array(getattr(t.plan, name)) for name in _PLAN_FIELDS},
         }
         if i > 0 and t.workspace is not None:
             aug = t.workspace.aug_low
@@ -1158,24 +1162,23 @@ def gar_from_dict(doc: dict) -> GarModel:
     A ``cigar`` document loads as a ``CigarModel``, so its identity-output
     and orthonormal-weight constraints are checked on load.
     """
-    if doc.get("schema") != GAR_SCHEMA:
-        raise ValueError(f"unsupported model schema {doc.get('schema')!r}")
-    low = tgp_from_dict(doc["low"])
+    _check_schema(doc, GAR_SCHEMA)
+    low = _tgp_from_doc(doc["low"], "low.")
     transitions = []
     for i, entry in enumerate(doc["transitions"]):
+        where = f"transitions[{i}]."
         plan = SubsetPlan(
-            np.asarray(entry["plan"]["matched_high"], int),
-            np.asarray(entry["plan"]["matched_low"], int),
-            np.asarray(entry["plan"]["unmatched_high"], int),
+            *(decode_array(entry["plan"][name], f"{where}plan.{name}") for name in _PLAN_FIELDS)
         )
-        residual = tgp_from_dict(entry["residual"])
+        residual = _tgp_from_doc(entry["residual"], where + "residual.")
         workspace = None
         if not plan.fully_matched:
-            pair_low = low if i == 0 else tgp_from_dict(entry["low"])
+            pair_low = low if i == 0 else _tgp_from_doc(entry["low"], where + "low.")
             workspace = _nonsubset_workspace(pair_low, residual.X[plan.n_matched :])
+        weights = [decode_array(f, f"{where}weights[{m}]") for m, f in enumerate(entry["weights"])]
         transitions.append(
             GarTransition(
-                weights=TuckerWeights([np.asarray(f) for f in entry["weights"]]),
+                weights=TuckerWeights(weights),
                 residual=residual,
                 plan=plan,
                 workspace=workspace,
@@ -1190,7 +1193,7 @@ def gar_from_dict(doc: dict) -> GarModel:
 
 def save_gar(model: GarModel, path, dataset_ref: str | None = None):
     with open(path, "w") as fh:
-        json.dump(gar_to_dict(model, dataset_ref), fh)
+        fh.write(json.dumps(gar_to_dict(model, dataset_ref)))
 
 
 def load_gar(path) -> GarModel:

@@ -28,7 +28,9 @@ Finite differences are used solely as the test-side audit.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -485,7 +487,52 @@ def tgp_predict(model: TgpModel, x_star) -> PosteriorField:
 # Serialization
 # ---------------------------------------------------------------------------
 
-TGP_SCHEMA = "mfgar/tgp-1"
+TGP_SCHEMA = "mfgar/tgp-2"
+
+# Every ndarray in a bundle is one payload: its little-endian bytes in
+# base64 with dtype and shape, so a load returns the saved bits exactly.
+_PAYLOAD_DTYPES = {"<f8": np.float64, "<i8": np.int64}
+
+
+def encode_array(a) -> dict:
+    """Payload of a float or integer array: dtype, shape, base64 bytes."""
+    a = np.asarray(a)
+    dtype = "<i8" if np.issubdtype(a.dtype, np.integer) else "<f8"
+    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return {"dtype": dtype, "shape": list(a.shape), "data": base64.b64encode(data).decode("ascii")}
+
+
+def decode_array(payload, name: str) -> np.ndarray:
+    """Array of an :func:`encode_array` payload; errors start with ``name``.
+
+    Only ``<f8`` and ``<i8`` payloads whose byte count matches the shape
+    load, and a float payload must be finite.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{name}: expected an array payload, got {type(payload).__name__}")
+    dtype = payload.get("dtype")
+    if dtype not in _PAYLOAD_DTYPES:
+        raise ValueError(f"{name}: unsupported dtype {dtype!r} (expected '<f8' or '<i8')")
+    shape = payload.get("shape")
+    if not isinstance(shape, list) or not all(isinstance(d, int) and d >= 0 for d in shape):
+        raise ValueError(f"{name}: shape must be a list of non-negative ints, got {shape!r}")
+    try:
+        raw = base64.b64decode(payload.get("data", ""), validate=True)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name}: data is not base64 ({err})") from None
+    expected = math.prod(shape) * 8
+    if len(raw) != expected:
+        raise ValueError(f"{name}: {len(raw)} bytes of data, shape {shape} needs {expected}")
+    # astype copies: the buffer view is read-only, the model's arrays are not
+    arr = np.frombuffer(raw, dtype=dtype).astype(_PAYLOAD_DTYPES[dtype]).reshape(shape)
+    if dtype == "<f8" and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name}: non-finite values")
+    return arr
+
+
+def _check_schema(doc: dict, schema: str):
+    if doc.get("schema") != schema:
+        raise ValueError(f"unsupported model schema {doc.get('schema')!r} (expected {schema!r})")
 
 
 def tgp_to_dict(model: TgpModel, dataset_ref: str | None = None) -> dict:
@@ -494,13 +541,13 @@ def tgp_to_dict(model: TgpModel, dataset_ref: str | None = None) -> dict:
         "schema": TGP_SCHEMA,
         "input_kernel": {
             "log_amplitude": model.input_kernel.log_amplitude,
-            "log_lengthscales": model.input_kernel.log_lengthscales.tolist(),
+            "log_lengthscales": encode_array(model.input_kernel.log_lengthscales),
         },
         "log_noise": model.log_noise,
         "shapes": {"n": model.n_samples, "modes": list(model.mode_sizes)},
-        "X": model.X.tolist(),
-        "Y": model.Y.tolist(),
-        "offset": model.offset.tolist(),
+        "X": encode_array(model.X),
+        "Y": encode_array(model.Y),
+        "offset": encode_array(model.offset),
         "dataset_ref": dataset_ref,
     }
     if model.output_features is None:
@@ -508,9 +555,9 @@ def tgp_to_dict(model: TgpModel, dataset_ref: str | None = None) -> dict:
     else:
         doc["output_features"] = [
             {
-                "coords": V.tolist(),
+                "coords": encode_array(V),
                 "log_amplitude": k.log_amplitude,
-                "log_lengthscales": k.log_lengthscales.tolist(),
+                "log_lengthscales": encode_array(k.log_lengthscales),
             }
             for V, k in zip(model.output_features.coords, model.output_features.kernels)
         ]
@@ -518,30 +565,40 @@ def tgp_to_dict(model: TgpModel, dataset_ref: str | None = None) -> dict:
 
 
 def tgp_from_dict(doc: dict) -> TgpModel:
-    if doc.get("schema") != TGP_SCHEMA:
-        raise ValueError(f"unsupported model schema {doc.get('schema')!r}")
+    """Rebuild a model from :func:`tgp_to_dict`'s document."""
+    return _tgp_from_doc(doc, "")
+
+
+def _tgp_from_doc(doc: dict, prefix: str) -> TgpModel:
+    """:func:`tgp_from_dict` with ``prefix`` (the document's path inside an
+    enclosing bundle) put before the array names in errors."""
+    _check_schema(doc, TGP_SCHEMA)
     feats = None
     if doc["output_features"] is not None:
-        coords = [np.asarray(f["coords"]) for f in doc["output_features"]]
-        kerns = [
-            ArdKernelParams(f["log_amplitude"], np.asarray(f["log_lengthscales"]))
-            for f in doc["output_features"]
-        ]
+        coords, kerns = [], []
+        for m, f in enumerate(doc["output_features"]):
+            where = f"{prefix}output_features[{m}]."
+            coords.append(decode_array(f["coords"], where + "coords"))
+            ls = decode_array(f["log_lengthscales"], where + "log_lengthscales")
+            kerns.append(ArdKernelParams(f["log_amplitude"], ls))
         feats = LatentFeatures(coords, kerns)
     ik = doc["input_kernel"]
     return TgpModel(
-        input_kernel=ArdKernelParams(ik["log_amplitude"], np.asarray(ik["log_lengthscales"])),
+        input_kernel=ArdKernelParams(
+            ik["log_amplitude"],
+            decode_array(ik["log_lengthscales"], f"{prefix}input_kernel.log_lengthscales"),
+        ),
         output_features=feats,
         log_noise=doc["log_noise"],
-        X=np.asarray(doc["X"]),
-        Y=np.asarray(doc["Y"]),
-        offset=np.asarray(doc["offset"]),
+        X=decode_array(doc["X"], f"{prefix}X"),
+        Y=decode_array(doc["Y"], f"{prefix}Y"),
+        offset=decode_array(doc["offset"], f"{prefix}offset"),
     )
 
 
 def save_tgp(model: TgpModel, path, dataset_ref: str | None = None):
     with open(path, "w") as fh:
-        json.dump(tgp_to_dict(model, dataset_ref), fh)
+        fh.write(json.dumps(tgp_to_dict(model, dataset_ref)))
 
 
 def load_tgp(path) -> TgpModel:

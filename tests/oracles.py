@@ -183,6 +183,38 @@ def make_random_tgp(
     )
 
 
+def stored_arrays(model, prefix: str = "") -> dict:
+    """Every array a bundle stores for a TGP or GAR model, by field name.
+
+    For a non-subset transition the whole rebuilt augmented low model is
+    listed, which covers the stored low model of a transition above the
+    first.
+    """
+    if hasattr(model, "transitions"):
+        out = stored_arrays(model.low, prefix + "low.")
+        for i, t in enumerate(model.transitions):
+            where = f"{prefix}transitions[{i}]."
+            out.update({f"{where}weights[{m}]": f for m, f in enumerate(t.weights.factors)})
+            for name in ("matched_high", "matched_low", "unmatched_high"):
+                out[f"{where}plan.{name}"] = getattr(t.plan, name)
+            out.update(stored_arrays(t.residual, where + "residual."))
+            if t.workspace is not None:
+                out.update(stored_arrays(t.workspace.aug_low, where + "aug_low."))
+        return out
+    out = {
+        prefix + "X": model.X,
+        prefix + "Y": model.Y,
+        prefix + "offset": model.offset,
+        prefix + "input_kernel.log_lengthscales": model.input_kernel.log_lengthscales,
+    }
+    if model.output_features is not None:
+        feats = model.output_features
+        for m, (V, k) in enumerate(zip(feats.coords, feats.kernels)):
+            out[f"{prefix}output_features[{m}].coords"] = V
+            out[f"{prefix}output_features[{m}].log_lengthscales"] = k.log_lengthscales
+    return out
+
+
 def sample_from_model(rng, model: TgpModel) -> np.ndarray:
     """Draw one observation tensor from the model's own joint Gaussian."""
     sigma = dense_joint_cov(model)

@@ -22,7 +22,7 @@ from mfgar.gar import (
     gar_predict,
     gar_to_dict,
 )
-from mfgar.hogp import tgp_nll
+from mfgar.hogp import decode_array, encode_array, tgp_nll
 from mfgar.optim import OptimConfig
 from mfgar.tensalg import track_eig_sizes
 from oracles import (
@@ -321,7 +321,7 @@ def test_cigar_bundle_loads_as_validated_cigar_model():
     doc = gar_to_dict(model)
     assert isinstance(gar_from_dict(doc), CigarModel)
     # a hand-edited weight factor is no longer orthonormal: refused on load
-    w0 = np.asarray(doc["transitions"][0]["weights"][0])
-    doc["transitions"][0]["weights"][0] = (2.0 * w0).tolist()
+    w0 = decode_array(doc["transitions"][0]["weights"][0], "w0")
+    doc["transitions"][0]["weights"][0] = encode_array(2.0 * w0)
     with pytest.raises(ValueError, match="orthonormal"):
         gar_from_dict(doc)

@@ -468,7 +468,7 @@ def test_gar_serialization_roundtrip():
     rng = np.random.default_rng(23)
     model, ds = make_random_two_level(rng, 5, 3, (2, 2), (2, 3))
     doc = gar_to_dict(model, dataset_ref="synthetic")
-    assert doc["schema"] == "mfgar/gar-2"
+    assert doc["schema"] == "mfgar/gar-3"
     back = gar_from_dict(doc)
     q = rng.uniform(-1, 1, size=(2, 2))
     assert_allclose(gar_predict(back, q).mean, gar_predict(model, q).mean, rtol=1e-12)

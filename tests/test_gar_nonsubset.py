@@ -32,7 +32,7 @@ from mfgar.gar import (
     load_gar,
     save_gar,
 )
-from mfgar.hogp import tgp_nll
+from mfgar.hogp import encode_array, tgp_nll
 from mfgar.kernels import LaplacePrior
 from mfgar.optim import OptimConfig
 from mfgar.tensalg import kron_all, vec
@@ -45,6 +45,7 @@ from oracles import (
     low_stack,
     make_random_nonsubset,
     make_random_two_level,
+    stored_arrays,
 )
 
 
@@ -619,7 +620,8 @@ def document_keys(node) -> set:
 
 
 def assert_bundle_roundtrip(model, path, q):
-    """Save and load through ``path``; the loaded model must predict bitwise."""
+    """Save and load through ``path``: every stored array comes back bitwise,
+    the loaded model predicts bitwise, and re-saving it gives the same bytes."""
     save_gar(model, path)
     assert not document_keys(json.loads(path.read_text())) & DERIVED_KEYS
     back = load_gar(path)
@@ -628,8 +630,14 @@ def assert_bundle_roundtrip(model, path, q):
         if t.workspace is not None:
             assert np.array_equal(b.workspace.x_hat, t.workspace.x_hat)
             assert np.array_equal(b.workspace.s_hat, t.workspace.s_hat)
-            assert np.array_equal(b.workspace.aug_low.X, t.workspace.aug_low.X)
-            assert np.array_equal(b.workspace.aug_low.Y, t.workspace.aug_low.Y)
+    arrays, arrays_back = stored_arrays(model), stored_arrays(back)
+    assert arrays_back.keys() == arrays.keys()
+    for name, a in arrays.items():
+        assert arrays_back[name].dtype == a.dtype, name
+        assert np.array_equal(arrays_back[name], a), name
+    resaved = path.with_name("resaved.json")
+    save_gar(back, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
     before, after = gar_predict(model, q), gar_predict(back, q)
     assert np.array_equal(after.mean, before.mean)
     assert np.array_equal(after.variance_diag, before.variance_diag)
@@ -679,7 +687,22 @@ def test_bundle_rejects_previous_schema():
     rng = np.random.default_rng(27)
     model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (2,))
     doc = gar_to_dict(model)
-    assert doc["schema"] == "mfgar/gar-2"
-    doc["schema"] = "mfgar/gar-1"
-    with pytest.raises(ValueError, match="gar-1"):
+    assert doc["schema"] == "mfgar/gar-3"
+    doc["schema"] = "mfgar/gar-2"
+    with pytest.raises(ValueError, match="gar-2"):
+        gar_from_dict(doc)
+
+
+def test_bundle_errors_name_the_nested_field():
+    rng = np.random.default_rng(28)
+    model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (2,))
+    doc = gar_to_dict(model)
+    Y = model.transitions[0].residual.Y.copy()
+    Y[0, 0] = np.nan
+    doc["transitions"][0]["residual"]["Y"] = encode_array(Y)
+    with pytest.raises(ValueError, match=r"^transitions\[0\]\.residual\.Y: non-finite"):
+        gar_from_dict(doc)
+    doc = gar_to_dict(model)
+    doc["transitions"][0]["plan"]["unmatched_high"]["dtype"] = "<i4"
+    with pytest.raises(ValueError, match=r"^transitions\[0\]\.plan\.unmatched_high: unsupported"):
         gar_from_dict(doc)

@@ -1,5 +1,6 @@
 """Tensor-variate GP: NLL pipeline vs dense oracle, gradients, prediction."""
 
+import base64
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,10 @@ from mfgar.hogp import (
     TgpModel,
     _nll_core,
     _TgpPack,
+    decode_array,
+    encode_array,
+    load_tgp,
+    save_tgp,
     tgp_fit,
     tgp_from_dict,
     tgp_nll,
@@ -29,6 +34,7 @@ from oracles import (
     grad_audit,
     make_random_tgp,
     sample_from_model,
+    stored_arrays,
 )
 
 
@@ -318,13 +324,82 @@ def test_serialization_roundtrip():
     rng = np.random.default_rng(17)
     model = make_random_tgp(rng, 4, (2, 3))
     doc = tgp_to_dict(model, dataset_ref="synthetic")
-    assert doc["schema"] == "mfgar/tgp-1"
+    assert doc["schema"] == "mfgar/tgp-2"
     back = tgp_from_dict(doc)
-    assert_allclose(tgp_nll(back), tgp_nll(model), rtol=1e-12)
+    assert np.array_equal(tgp_nll(back), tgp_nll(model))
     q = rng.uniform(-1, 1, size=2)
-    assert_allclose(tgp_predict(back, q).mean, tgp_predict(model, q).mean, rtol=1e-12)
+    assert np.array_equal(tgp_predict(back, q).mean, tgp_predict(model, q).mean)
 
 
 def test_serialization_rejects_unknown_schema():
     with pytest.raises(ValueError):
         tgp_from_dict({"schema": "bogus"})
+
+
+@pytest.mark.parametrize("identity_outputs", [False, True], ids=["latent", "identity"])
+def test_bundle_arrays_roundtrip_bitwise(identity_outputs, tmp_path):
+    rng = np.random.default_rng(18)
+    model = make_random_tgp(rng, 5, (3, 2), identity_outputs=identity_outputs)
+    model = replace(model, offset=rng.standard_normal((3, 2)), _eig=None)
+    path = tmp_path / "model.json"
+    save_tgp(model, path)
+    back = load_tgp(path)
+    before, after = stored_arrays(model), stored_arrays(back)
+    assert after.keys() == before.keys()
+    for name, a in before.items():
+        assert after[name].dtype == a.dtype, name
+        assert np.array_equal(after[name], a), name
+    q = rng.uniform(-1, 1, size=(3, 2))
+    assert np.array_equal(tgp_predict(back, q).variance_diag, tgp_predict(model, q).variance_diag)
+    save_tgp(back, tmp_path / "resaved.json")
+    assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
+
+
+def test_array_payload_is_typed_base64():
+    a = np.arange(6.0).reshape(2, 3) - 2.5
+    payload = encode_array(a)
+    assert payload["dtype"] == "<f8" and payload["shape"] == [2, 3]
+    assert base64.b64decode(payload["data"]) == a.astype("<f8").tobytes()
+    idx = encode_array(np.array([3, 0, 7]))
+    assert idx["dtype"] == "<i8"
+    back = decode_array(idx, "idx")
+    assert back.dtype == np.int64 and back.tolist() == [3, 0, 7]
+    assert decode_array(encode_array(np.array([], int)), "empty").shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda p: p.update(dtype="<f4"), "unsupported dtype '<f4'"),
+        (lambda p: p.update(dtype=">f8"), "unsupported dtype '>f8'"),
+        (lambda p: p.update(shape=[2, 4]), "48 bytes of data, shape \\[2, 4\\] needs 64"),
+        (lambda p: p.update(data=p["data"][:-4]), "45 bytes of data, shape \\[2, 3\\] needs 48"),
+        (lambda p: p.update(data="not base64!"), "data is not base64"),
+    ],
+    ids=["f4", "big-endian", "shape", "truncated", "garbage"],
+)
+def test_decoder_rejects_malformed_payload(edit, match):
+    payload = encode_array(np.ones((2, 3)))
+    edit(payload)
+    with pytest.raises(ValueError, match="Y: " + match):
+        decode_array(payload, "Y")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bundle_rejects_non_finite_training_data(bad):
+    rng = np.random.default_rng(19)
+    model = make_random_tgp(rng, 4, (2,))
+    Y = model.Y.copy()
+    Y[1, 0] = bad
+    doc = tgp_to_dict(model)
+    doc["Y"] = encode_array(Y)
+    with pytest.raises(ValueError, match="^Y: non-finite"):
+        tgp_from_dict(doc)
+
+
+def test_serialization_rejects_previous_schema():
+    rng = np.random.default_rng(20)
+    doc = tgp_to_dict(make_random_tgp(rng, 3, (2,)))
+    doc["schema"] = "mfgar/tgp-1"
+    with pytest.raises(ValueError, match="'mfgar/tgp-1'"):
+        tgp_from_dict(doc)
