@@ -449,7 +449,9 @@ class _Stage2Pack:
     the NLL, the adjoints of the input Gram and (latent outputs) of each
     output covariance, the noise-variance partial, ``alpha = Sigma^-1 r`` in
     the residual's tensor shape, and the per-factor W gradients through the
-    covariance, or ``None`` when the covariance does not depend on W.
+    covariance, or ``None`` when the covariance does not depend on W.  A
+    point where the core's eigen or Cholesky step fails scores ``(inf, 0)``,
+    which the optimizer rejects and backtracks from.
     """
 
     def __init__(
@@ -493,7 +495,10 @@ class _Stage2Pack:
 
     def objective(self, p: np.ndarray):
         weights, model, z = self._unpack(p)
-        value, gbars, d_noise, alpha, w_cov_grads = self._core(model, weights)
+        try:
+            value, gbars, d_noise, alpha, w_cov_grads = self._core(model, weights)
+        except (np.linalg.LinAlgError, ValueError):
+            return np.inf, np.zeros(self.size)
         value, g_t = self.tgp.chain(model, value, gbars, d_noise)
         # d(NLL)/dW_m through the residual tensor, plus the covariance part
         w_grads = []
@@ -881,17 +886,46 @@ def _rotated_roots(eigs, roots: list, offset: int, weights: TuckerWeights | None
     return out
 
 
-def _root_columns(roots, idx):
-    """Materialize the selected Kronecker-root columns as stacked tensors."""
-    col_shape = tuple(r.shape[1] for r in roots)
-    multi = np.unravel_index(idx, col_shape)
-    out = roots[0][:, multi[0]].T.reshape(len(idx), -1, *([1] * (len(roots) - 1)))
-    for m, r in enumerate(roots[1:]):
-        col = r[:, multi[m + 1]]
-        shape = [len(idx)] + [1] * len(roots)
-        shape[m + 2] = r.shape[0]
-        out = out * np.moveaxis(col, -1, 0).reshape(shape)
-    return out
+# Largest block, in doubles, of a Khatri-Rao Tucker product that
+# ``_khatri_rao_blocks`` materializes at once (1 MB); a larger slice is
+# produced in blocks of the last mode's rows.
+_KR_BLOCK = 1 << 17
+
+
+def _input_contraction(k: np.ndarray, g0: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``B[(s, c), p..] = sum_i k[s, i] g0[i, c] / A[i, p..]``: the input mode contracted first.
+
+    The leading axis runs over the pairs ``(s, c)``, ``c`` fastest.
+    """
+    n = A.shape[0]
+    kg = (k[:, :, None] * g0[None, :, :]).transpose(0, 2, 1).reshape(-1, n)
+    return (kg @ (1.0 / A).reshape(n, -1)).reshape(-1, *A.shape[1:])
+
+
+def _khatri_rao_blocks(core: np.ndarray, fs: list, gs: list):
+    """Tucker products of the slices of ``core`` with Khatri-Rao factors, in blocks.
+
+    ``core`` has shape ``(n_b, P_1, .., P_M)`` and the mode-k factor is
+    ``E_k[(j, c), p] = fs[k][j, p] gs[k][p, c]`` (rows ``j``-major), so a
+    slice's product ``core[b] x_1 E_1 .. x_M E_M`` has one ``(j_k, c_k)``
+    axis pair per mode.  Yields ``(b, rows, out)`` where ``rows`` is a slice
+    of the last mode's ``j`` and ``out`` the matching block of the product,
+    shaped ``(prod_{k<M} J_k, len(rows) c_M)`` and of at most ``_KR_BLOCK``
+    entries unless a single ``j`` row exceeds it.  ``out`` is a view of one
+    reused buffer, valid until the next step.
+    """
+    E = [(f[:, None, :] * g.T[None, :, :]).reshape(-1, g.shape[0]) for f, g in zip(fs, gs)]
+    lead = int(np.prod([e.shape[0] for e in E[:-1]]))
+    d_last, c_last = fs[-1].shape[0], gs[-1].shape[1]
+    step = max(1, min(d_last, _KR_BLOCK // (lead * c_last)))
+    buf = np.empty(lead * step * c_last)
+    for b in range(core.shape[0]):
+        head = tucker_apply(core[b], E[:-1]).reshape(lead, -1)
+        for j0 in range(0, d_last, step):
+            rows = slice(j0, min(j0 + step, d_last))
+            out = buf[: lead * (rows.stop - j0) * c_last].reshape(lead, -1)
+            np.matmul(head, E[-1][j0 * c_last : rows.stop * c_last].T, out=out)
+            yield b, rows, out
 
 
 def _identity_outputs(trans: GarTransition) -> bool:
@@ -916,10 +950,17 @@ def _corrected_nll_low_rank(trans: GarTransition, low_covs: list) -> float:
     """Corrected residual NLL as a low-rank update of the eigen-solvable base.
 
     ``Sigma_c = U (D + G G^T) U^T`` with ``D`` the joint eigenvalues and
-    ``G`` the imputation roots rotated once per mode into the base
-    eigenbasis; the matrix determinant lemma and Woodbury leave one
-    capacitance matrix of the correction's rank to factorize.
+    ``G`` the Kronecker product of the imputation roots rotated once per
+    mode into the base eigenbasis (``g_k``); the matrix determinant lemma
+    and Woodbury leave one capacitance matrix ``I + G^T D^-1 G`` of the
+    correction's rank to factorize.  It is built as ``_gamma_variance``
+    builds its term, with ``G`` on both sides: the input mode contracted
+    first, ``B[c0', c0, p..] = sum_i g_0[i, c0'] g_0[i, c0] / A[i, p..]``,
+    then one Tucker product per input-root pair with the Khatri-Rao factors
+    ``E_k[(c', c), p] = g_k[p, c'] g_k[p, c]``.
     """
+    from scipy.linalg import cho_factor, solve_triangular
+
     res, ws = trans.residual, trans.workspace
     eigs = res.eigenfactors()
     roots = _rotated_roots(
@@ -930,20 +971,27 @@ def _corrected_nll_low_rank(trans: GarTransition, low_covs: list) -> float:
     base_proj = eigs.project(res.centered)
     quad_base = float(np.sum(base_proj * base_proj / A))
     logdet_base = float(np.sum(np.log(A)))
-    roots_t = [r.T for r in roots]
 
-    lt_alpha = vec(tucker_apply(base_proj / A, roots_t))
+    lt_alpha = vec(tucker_apply(base_proj / A, [r.T for r in roots]))
+    # G^T D^-1 G entry by entry: rows (c0', c'), columns (c0, c); one slice
+    # per input-root pair, each output mode a Khatri-Rao factor of its root.
+    n_m, col_sizes = roots[0].shape[1], [r.shape[1] for r in roots[1:]]
     cap = np.eye(rank)
-    chunk = max(1, min(256, rank))
-    for start in range(0, rank, chunk):
-        idx = np.arange(start, min(start + chunk, rank))
-        block = tucker_apply(_root_columns(roots, idx) / A, roots_t, mode_offset=1)
-        cap[:, idx] += block.reshape(len(idx), rank).T
-    sign, logdet_cap = np.linalg.slogdet(cap)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("corrected covariance not positive definite")
-    quad = quad_base - float(lt_alpha @ np.linalg.solve(cap, lt_alpha))
-    logdet = logdet_base + logdet_cap
+    cap_t = cap.reshape(n_m, *col_sizes, n_m, *col_sizes)
+    core = _input_contraction(roots[0].T, roots[0], A)
+    pairs = [a for c in col_sizes[:-1] for a in (c, c)]
+    n_modes = len(col_sizes)
+    order = [*range(0, 2 * n_modes, 2), *range(1, 2 * n_modes, 2)]
+    for b, rows, out in _khatri_rao_blocks(core, [r.T for r in roots[1:]], roots[1:]):
+        c0_row, c0 = divmod(b, n_m)
+        block = out.reshape(*pairs, -1, col_sizes[-1]).transpose(order)
+        cap_t[(c0_row, *[slice(None)] * (n_modes - 1), rows, c0)] += block
+    # eigenvalues >= 1: one Cholesky, in place, gives the solve and the
+    # log-determinant (symmetric, so the transpose is the Fortran-ordered matrix)
+    chol, _ = cho_factor(cap.T, lower=True, overwrite_a=True)
+    half = solve_triangular(chol, lt_alpha, lower=True)
+    quad = quad_base - float(half @ half)
+    logdet = logdet_base + 2.0 * float(np.sum(np.log(np.diag(chol))))
     return 0.5 * (quad + logdet + res.Y.size * LOG2PI)
 
 
@@ -959,10 +1007,10 @@ def gar_nll_nonsubset(model: GarModel) -> float:
     space for any W through ``_identity_output_objective``, the routine the
     fit's objective uses, and only an N_h x N_h matrix and the weight
     factors are ever factorized.  For latent output covariances the NLL
-    factorizes the smaller of two matrices, the dense corrected covariance
-    (``N_h d_h`` rows, one Cholesky) or the capacitance of the low-rank
-    update (unmatched count times low output size, ``slogdet`` and a
-    solve); a tie goes to the dense one.
+    factorizes the smaller of two matrices by one Cholesky, the dense
+    corrected covariance (``N_h d_h`` rows) or the capacitance of the
+    low-rank update (unmatched count times low output size); a tie goes to
+    the dense one.
     """
     if len(model.transitions) != 1:
         raise ValueError("non-subset evaluation covers a single transition")
@@ -998,25 +1046,30 @@ def _fold_weights(facs: list, chain: list) -> list:
     return out
 
 
-def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape, chunk=4):
+def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape):
     """Diagonal of the imputation-uncertainty term of the predictive variance.
 
-    Streams over the columns of a square root of the imputation covariance
-    ``S_hat (x) S_low``: each column is pushed through the prediction-mean
-    operator's sensitivity to the imputed block (augmented-low path minus
-    residual path), transformed by every downstream weight, squared, and
-    accumulated.  The roots are rotated into each path's eigenbasis once
-    per mode, so a chunk of columns is built there directly and divided by
-    the joint eigenvalues.  Small chunks keep a column block in cache; on
-    the aligned Poisson case (blocks of 36 x 32 x 32) 4 columns measured
-    fastest.
+    The term is the prediction mean's sensitivity to the imputed block
+    (augmented-low path minus residual path, through every downstream
+    weight) applied to a square root ``R_0 (x) R_1 (x) ..`` of the
+    imputation covariance ``S_hat (x) S_low``, squared and summed over the
+    root's columns.  The roots are rotated into each path's eigenbasis once
+    per mode (``g_k``), and the input mode is contracted first, once per
+    path: ``B[s, c0, p..] = sum_i k_fac[s, i] g_0[i, c0] / A[i, p..]``.
+    Each output mode is then one Khatri-Rao factor
+    ``E_k[(j, c), p] = f_k[j, p] g_k[p, c]`` with the two paths stacked
+    along ``p``, against the block-diagonal core ``diag(B_aug, -B_res)``,
+    so one Tucker product per (query, imputed row) gives the difference of
+    the paths for every root column at once; its squares summed over the
+    ``c`` axes are the term.  The products are formed in bounded blocks
+    (``_khatri_rao_blocks``), and no root column is built.
 
     With identity output covariances on both paths the joint eigenvalues
     depend on the input index only, so the term factorizes as
     ``gamma[s, j] = a[s] b[j]``: ``a`` from the two paths' input-space
     operators applied to the ``S_hat`` root, ``b`` the squared row norms of
-    the composed weights ``D_m .. W_m`` per mode.  No root column is built
-    and ``chunk`` applies to latent output covariances only.
+    the composed weights ``D_m .. W_m`` per mode.  No output-sized product
+    is formed there.
     """
     ws = trans.workspace
     aug = ws.aug_low
@@ -1058,20 +1111,31 @@ def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape,
     rot_aug = _rotated_roots(eig_aug, roots, n_low)
     rot_res = _rotated_roots(eig_res, roots, n_matched, trans.weights)
 
+    # One core per (query, imputed row) holding both paths side by side,
+    # diag(B_aug, -B_res), against factors stacked along p: its Khatri-Rao
+    # Tucker product is the aug-path minus the residual-path sensitivity.
+    p_aug, p_res = A_aug.shape[1:], A_res.shape[1:]
+    core = np.zeros((n_star * n_m, *(a + r for a, r in zip(p_aug, p_res))))
+    core[(slice(None), *[slice(0, a) for a in p_aug])] = _input_contraction(
+        k_fac_aug, rot_aug[0], A_aug
+    )
+    core[(slice(None), *[slice(a, None) for a in p_aug])] = -_input_contraction(
+        k_fac_res, rot_res[0], A_res
+    )
+    fs = [
+        np.hstack([fa, np.eye(gr.shape[0]) if fr is None else fr])
+        for fa, fr, gr in zip(facs_aug, facs_res, rot_res[1:])
+    ]
+    gs = [np.vstack(pair) for pair in zip(rot_aug[1:], rot_res[1:])]
+    col_sizes = [g.shape[1] for g in gs]
+    pairs = [a for d, c in zip(out_shape[:-1], col_sizes[:-1]) for a in (d, c)]
+    c_axes = tuple(range(1, len(pairs), 2))
     total = np.zeros((n_star, *out_shape))
-    b_total = int(np.prod([r.shape[1] for r in roots]))
-    for start in range(0, b_total, chunk):
-        idx = np.arange(start, min(start + chunk, b_total))
-        # In place: the root columns are fresh arrays, and term1 is not
-        # needed once the squared difference is formed.
-        proj = _root_columns(rot_aug, idx)
-        np.divide(proj, A_aug, out=proj)
-        term1 = tucker_apply(proj, [k_fac_aug] + facs_aug, mode_offset=1)
-        proj = _root_columns(rot_res, idx)
-        np.divide(proj, A_res, out=proj)
-        term2 = tucker_apply(proj, [k_fac_res] + facs_res, mode_offset=1)
-        np.subtract(term1, term2, out=term1)
-        total += np.multiply(term1, term1, out=term1).sum(axis=0)
+    for b, rows, out in _khatri_rao_blocks(core, fs, gs):
+        # squares summed over the last c axis, then over the others
+        flat = out.reshape(-1, col_sizes[-1])
+        sq = np.einsum("ij,ij->i", flat, flat).reshape(*pairs, -1)
+        total[b // n_m, ..., rows] += sq.sum(axis=c_axes)
     return total
 
 
@@ -1124,7 +1188,7 @@ def gar_predict(model: GarModel, x_star) -> PosteriorField:
 # Serialization
 # ---------------------------------------------------------------------------
 
-GAR_SCHEMA = "mfgar/gar-3"
+GAR_SCHEMA = "mfgar/gar-4"
 _PLAN_FIELDS = ("matched_high", "matched_low", "unmatched_high")
 
 
@@ -1168,7 +1232,10 @@ def gar_from_dict(doc: dict) -> GarModel:
     for i, entry in enumerate(doc["transitions"]):
         where = f"transitions[{i}]."
         plan = SubsetPlan(
-            *(decode_array(entry["plan"][name], f"{where}plan.{name}") for name in _PLAN_FIELDS)
+            *(
+                decode_array(entry["plan"][name], f"{where}plan.{name}", "<i8")
+                for name in _PLAN_FIELDS
+            )
         )
         residual = _tgp_from_doc(entry["residual"], where + "residual.")
         workspace = None

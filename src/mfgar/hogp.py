@@ -316,8 +316,13 @@ class _TgpPack:
         return value, g
 
     def objective(self, p: np.ndarray):
+        """``(value, gradient)`` at ``p``; ``(inf, 0)``, which the optimizer
+        backtracks from, where the eigen step fails."""
         model = self.unpack(p)
-        nll, gbars, d_noise, _ = _nll_core(model)
+        try:
+            nll, gbars, d_noise, _ = _nll_core(model)
+        except (np.linalg.LinAlgError, ValueError):
+            return np.inf, np.zeros(self.size)
         return self.chain(model, nll, gbars, d_noise)
 
 
@@ -487,7 +492,7 @@ def tgp_predict(model: TgpModel, x_star) -> PosteriorField:
 # Serialization
 # ---------------------------------------------------------------------------
 
-TGP_SCHEMA = "mfgar/tgp-2"
+TGP_SCHEMA = "mfgar/tgp-3"
 
 # Every ndarray in a bundle is one payload: its little-endian bytes in
 # base64 with dtype and shape, so a load returns the saved bits exactly.
@@ -502,17 +507,21 @@ def encode_array(a) -> dict:
     return {"dtype": dtype, "shape": list(a.shape), "data": base64.b64encode(data).decode("ascii")}
 
 
-def decode_array(payload, name: str) -> np.ndarray:
+def decode_array(payload, name: str, expect: str | None = None) -> np.ndarray:
     """Array of an :func:`encode_array` payload; errors start with ``name``.
 
     Only ``<f8`` and ``<i8`` payloads whose byte count matches the shape
-    load, and a float payload must be finite.
+    load, and a float payload must be finite.  ``expect``, when given, is
+    the only dtype accepted (``"<i8"`` for index arrays, so that a float
+    index is refused rather than truncated).
     """
     if not isinstance(payload, dict):
         raise ValueError(f"{name}: expected an array payload, got {type(payload).__name__}")
     dtype = payload.get("dtype")
     if dtype not in _PAYLOAD_DTYPES:
         raise ValueError(f"{name}: unsupported dtype {dtype!r} (expected '<f8' or '<i8')")
+    if expect is not None and dtype != expect:
+        raise ValueError(f"{name}: dtype {dtype!r}, expected {expect!r}")
     shape = payload.get("shape")
     if not isinstance(shape, list) or not all(isinstance(d, int) and d >= 0 for d in shape):
         raise ValueError(f"{name}: shape must be a list of non-negative ints, got {shape!r}")
@@ -544,7 +553,6 @@ def tgp_to_dict(model: TgpModel, dataset_ref: str | None = None) -> dict:
             "log_lengthscales": encode_array(model.input_kernel.log_lengthscales),
         },
         "log_noise": model.log_noise,
-        "shapes": {"n": model.n_samples, "modes": list(model.mode_sizes)},
         "X": encode_array(model.X),
         "Y": encode_array(model.Y),
         "offset": encode_array(model.offset),

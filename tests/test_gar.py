@@ -279,6 +279,25 @@ def test_stage2_gradient_audit(w_mode, low_modes, high_modes, laplace):
     assert grad_audit(pack.objective, pack.pack(), eps=1e-5) < 1e-4
 
 
+def test_stage2_objective_is_inf_where_the_eigen_step_fails():
+    # An input amplitude past the float range makes the residual Gram
+    # non-finite, which sym_eig refuses: the objective scores +inf, which the
+    # optimizer backtracks from, instead of raising.
+    rng = np.random.default_rng(32)
+    model, ds = make_random_two_level(rng, 5, 3, (2, 2), (2, 2))
+    trans = model.transitions[0]
+    pack = _ResidualPack(
+        low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights, "free",
+        LaplacePrior(0.0),
+    )
+    p = pack.pack()
+    p[pack.w.size + pack.tgp.slices["input"].start] = 800.0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        value, grad = pack.objective(p)
+    assert value == np.inf
+    assert np.array_equal(grad, np.zeros(pack.size))
+
+
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
@@ -468,7 +487,7 @@ def test_gar_serialization_roundtrip():
     rng = np.random.default_rng(23)
     model, ds = make_random_two_level(rng, 5, 3, (2, 2), (2, 3))
     doc = gar_to_dict(model, dataset_ref="synthetic")
-    assert doc["schema"] == "mfgar/gar-3"
+    assert doc["schema"] == "mfgar/gar-4"
     back = gar_from_dict(doc)
     q = rng.uniform(-1, 1, size=(2, 2))
     assert_allclose(gar_predict(back, q).mean, gar_predict(model, q).mean, rtol=1e-12)

@@ -8,6 +8,7 @@ correction sandwich (W S W^T, not W^T S W) before anything else relies on it.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ def test_identity_output_nll_routes_past_output_sized_algebra(monkeypatch):
         raise AssertionError("output-sized path taken")
 
     monkeypatch.setattr(gar, "_corrected_cholesky", output_sized)
-    monkeypatch.setattr(gar, "_root_columns", output_sized)
+    monkeypatch.setattr(gar, "_khatri_rao_blocks", output_sized)
     with track_eig_sizes() as sizes:
         value = gar_nll_nonsubset(model)
         pred = gar_predict(model, rng.uniform(-1, 1, size=(3, 2)))
@@ -259,24 +260,44 @@ def test_nonsubset_predict_empty_unmatched_equals_subset_predict():
         (False, (2, 2), (3, 4), (3, 4)),  # rectangular W, square downstream
         (True, (3,), (3,), (2,)),
         (True, (2, 3), (4, 3), (4, 3)),
+        (False, (3,), (2,), (4,)),  # one output mode
+        (False, (2, 2, 2), (3, 2, 1), (2, 2, 3)),  # three output modes
     ],
 )
 def test_gamma_variance_matches_column_stream_reference(
-    identity_outputs, low_modes, high_modes, down_modes
+    identity_outputs, low_modes, high_modes, down_modes, monkeypatch
 ):
-    # Rotated roots and chunked columns against the plain column stream,
-    # with one downstream weight composed after the non-subset transition.
+    # The input-first Khatri-Rao contraction against the plain column
+    # stream, with one downstream weight composed after the non-subset
+    # transition, as one block per slice and split into single-row blocks.
+    import mfgar.gar as gar
+
     rng = np.random.default_rng(18)
     model, _ = make_random_nonsubset(
         rng, 5, 2, 3, low_modes, high_modes, identity_outputs=identity_outputs
     )
     trans = model.transitions[0]
+    assert trans.plan.n_matched == 2
     down = TuckerWeights([rng.standard_normal((b, a)) for b, a in zip(down_modes, high_modes)])
     Xq = rng.uniform(-1, 1, size=(3, 2))
     ref = column_stream_gamma_variance(trans, Xq, [down], down_modes)
-    for chunk in (1, 4, 64):
-        got = _gamma_variance(trans, Xq, [down], down_modes, chunk=chunk)
-        assert_allclose(got, ref, rtol=1e-10)
+    assert_allclose(_gamma_variance(trans, Xq, [down], down_modes), ref, rtol=1e-10)
+    monkeypatch.setattr(gar, "_KR_BLOCK", 1)
+    assert_allclose(_gamma_variance(trans, Xq, [down], down_modes), ref, rtol=1e-10)
+
+
+def test_gamma_variance_mixed_output_covariances_matches_reference():
+    # Latent low covariances with an identity-output residual: the residual
+    # path's mean factors are identities, with and without downstream weights.
+    rng = np.random.default_rng(19)
+    model, _ = make_random_nonsubset(rng, 5, 2, 3, (2, 3), (3, 2))
+    trans = model.transitions[0]
+    trans = replace(trans, residual=replace(trans.residual, output_features=None, _eig=None))
+    down = TuckerWeights([rng.standard_normal((2, 3)), rng.standard_normal((4, 2))])
+    Xq = rng.uniform(-1, 1, size=(3, 2))
+    for chain, shape in (([], (3, 2)), ([down], (2, 4))):
+        ref = column_stream_gamma_variance(trans, Xq, chain, shape)
+        assert_allclose(_gamma_variance(trans, Xq, chain, shape), ref, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +425,51 @@ def test_identity_output_pack_gradient_audit(n_matched, low_modes, high_modes, o
     # the raw euclidean gradient, on and off the orthonormal manifold
     fast, _ = identity_output_packs(11, n_matched, low_modes, high_modes, orthonormal_w)
     assert grad_audit(fast.objective, fast.pack(), eps=1e-5) < 1e-4
+
+
+def non_pd_point(pack):
+    """Pack parameters whose residual covariance is not numerically PD.
+
+    A huge input amplitude with a huge lengthscale makes the input Gram a
+    rank-one ``e^40`` block, and the noise sits at its floor, so the
+    factorization of the corrected covariance meets a non-positive pivot.
+    """
+    p = pack.pack()
+    inputs, noise = (pack.tgp.slices[name] for name in ("input", "noise"))
+    off = pack.w.size
+    p[off + inputs.start] = 40.0
+    p[off + inputs.start + 1 : off + inputs.stop] = 20.0
+    p[off + noise.start] = -40.0
+    return p
+
+
+def test_nonsubset_packs_return_inf_at_a_non_pd_point():
+    # Both non-subset cores factorize the corrected covariance (a Cholesky
+    # of the dense block, or of the input Gram); where that fails the
+    # objective scores +inf, which the optimizer backtracks from, instead
+    # of raising.
+    rng = np.random.default_rng(8)
+    model, ds = make_random_nonsubset(rng, 4, 1, 2, (2,), (2,))
+    trans = model.transitions[0]
+    dense = _NonsubsetPack(
+        low_stack(trans, ds.levels[0].Y),
+        ds.levels[1].Y[trans.plan.permutation],
+        trans.residual,
+        trans.weights,
+        "free",
+        LaplacePrior(0.0),
+        trans.workspace.s_hat,
+        model.low.output_covs(),
+        trans.plan.n_matched,
+    )
+    fast, _ = identity_output_packs(10, 1, (2,), (3,), False)
+    for pack in (dense, fast):
+        p = non_pd_point(pack)
+        with pytest.raises(np.linalg.LinAlgError):
+            pack._core(*pack.unpack(p)[::-1])
+        value, grad = pack.objective(p)
+        assert value == np.inf
+        assert np.array_equal(grad, np.zeros(pack.size))
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +610,25 @@ def test_nll_low_rank_route_matches_dense():
         trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
     )
     assert_allclose(lowrank, oracle, rtol=1e-7)
+
+
+def test_nll_low_rank_route_three_modes_matches_dense_marginal(monkeypatch):
+    # Three latent output modes, matched rows and rectangular W through
+    # gar_nll_nonsubset's low-rank route, whose capacitance is built in
+    # single-row blocks as well as in one block per slice.
+    import mfgar.gar as gar
+
+    rng = np.random.default_rng(27)
+    model, ds = make_random_nonsubset(rng, 6, 2, 2, (2, 2, 2), (2, 3, 2))
+    trans = model.transitions[0]
+    assert trans.residual.Y.size > trans.plan.n_unmatched * model.low.output_size
+    oracle = dense_marginal_nonsubset_nll(
+        model.low, trans.weights, trans.residual, trans.plan,
+        trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
+    )
+    assert_allclose(gar_nll_nonsubset(model), oracle, rtol=1e-7)
+    monkeypatch.setattr(gar, "_KR_BLOCK", 1)
+    assert_allclose(gar_nll_nonsubset(model), oracle, rtol=1e-7)
 
 
 def test_nll_factorizes_the_smaller_matrix(monkeypatch):
@@ -687,9 +772,9 @@ def test_bundle_rejects_previous_schema():
     rng = np.random.default_rng(27)
     model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (2,))
     doc = gar_to_dict(model)
-    assert doc["schema"] == "mfgar/gar-3"
-    doc["schema"] = "mfgar/gar-2"
-    with pytest.raises(ValueError, match="gar-2"):
+    assert doc["schema"] == "mfgar/gar-4"
+    doc["schema"] = "mfgar/gar-3"
+    with pytest.raises(ValueError, match="gar-3"):
         gar_from_dict(doc)
 
 
@@ -705,4 +790,20 @@ def test_bundle_errors_name_the_nested_field():
     doc = gar_to_dict(model)
     doc["transitions"][0]["plan"]["unmatched_high"]["dtype"] = "<i4"
     with pytest.raises(ValueError, match=r"^transitions\[0\]\.plan\.unmatched_high: unsupported"):
+        gar_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["matched_high", "matched_low", "unmatched_high"])
+def test_bundle_refuses_float_plan_indices(name):
+    # A float payload for a plan index array is refused, not truncated: a
+    # matched_low entry of 1.7 would otherwise load as 1.
+    rng = np.random.default_rng(29)
+    model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (2,))
+    doc = gar_to_dict(model)
+    indices = getattr(model.transitions[0].plan, name).astype(float)
+    if name == "matched_low":
+        indices[0] = 1.7
+    doc["transitions"][0]["plan"][name] = encode_array(indices)
+    assert doc["transitions"][0]["plan"][name]["dtype"] == "<f8"
+    with pytest.raises(ValueError, match=rf"^transitions\[0\]\.plan\.{name}: dtype '<f8'"):
         gar_from_dict(doc)

@@ -320,11 +320,27 @@ def test_noise_floor_enforced():
     assert model.noise >= 1e-6
 
 
+def test_pack_objective_is_inf_where_the_eigen_step_fails():
+    # An input amplitude past the float range makes the Gram non-finite,
+    # which sym_eig refuses: the objective scores +inf, which the optimizer
+    # backtracks from, instead of raising.
+    rng = np.random.default_rng(31)
+    model = make_random_tgp(rng, 4, (2, 3))
+    pack = _TgpPack(model, LaplacePrior(0.0))
+    p = pack.pack(model)
+    p[pack.slices["input"].start] = 800.0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        value, grad = pack.objective(p)
+    assert value == np.inf
+    assert np.array_equal(grad, np.zeros(pack.size))
+
+
 def test_serialization_roundtrip():
     rng = np.random.default_rng(17)
     model = make_random_tgp(rng, 4, (2, 3))
     doc = tgp_to_dict(model, dataset_ref="synthetic")
-    assert doc["schema"] == "mfgar/tgp-2"
+    assert doc["schema"] == "mfgar/tgp-3"
+    assert "shapes" not in doc  # every payload carries its own shape
     back = tgp_from_dict(doc)
     assert np.array_equal(tgp_nll(back), tgp_nll(model))
     q = rng.uniform(-1, 1, size=2)
@@ -400,6 +416,6 @@ def test_bundle_rejects_non_finite_training_data(bad):
 def test_serialization_rejects_previous_schema():
     rng = np.random.default_rng(20)
     doc = tgp_to_dict(make_random_tgp(rng, 3, (2,)))
-    doc["schema"] = "mfgar/tgp-1"
-    with pytest.raises(ValueError, match="'mfgar/tgp-1'"):
+    doc["schema"] = "mfgar/tgp-2"
+    with pytest.raises(ValueError, match="'mfgar/tgp-2'"):
         tgp_from_dict(doc)
