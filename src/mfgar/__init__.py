@@ -23,7 +23,6 @@ from .kernels import (
 from .tensalg import (
     EigenFactors,
     kron_quad_and_logdet,
-    kron_solve,
     mode_product,
     sym_eig,
     tucker_apply,
@@ -75,6 +74,6 @@ from .pdebench import (
     solve_poisson,
     upsample_bilinear,
 )
-from .metrics import EvalReport, nll_metric, rmse, rmse_error_field
+from .metrics import nll_metric, rmse
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import svd
 
 from .gar import GarConfig, GarModel, MultiFidelityDataset, TuckerWeights, gar_fit_recursive
 
@@ -71,6 +70,8 @@ def orthonormalize(weights: TuckerWeights) -> TuckerWeights:
     matrices with orthonormal columns; idempotent. The same SVD's singular
     values reject rank-deficient factors (the projection is then not unique).
     """
+    from scipy.linalg import svd
+
     out = []
     for f in weights.factors:
         if f.shape[0] < f.shape[1]:

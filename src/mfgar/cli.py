@@ -33,7 +33,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -91,6 +90,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown model kind {kind!r}")
         if not self.sweep:
             raise ValueError("empty high-fidelity sweep")
+        sizes = (("n_low", self.n_low), ("n_test", self.n_test), ("sweep values", min(self.sweep)))
+        for name, n in sizes:
+            if n < 1:
+                raise ValueError(f"{name} must be >= 1, got {n}")
         if self.structure == "subset" and max(self.sweep) > self.n_low:
             raise ValueError("sweep values must not exceed n_low for subset runs")
         if self.repeats < 1:
@@ -365,6 +368,8 @@ def cmd_benchmark(args) -> int:
     # forked pool workers each fill their own copy of the store
     with solve_cache():
         if config.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
                 rows = list(pool.map(_run_job, jobs))
         else:

@@ -7,9 +7,6 @@ finite.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 import numpy as np
 
 VARIANCE_FLOOR = 1e-12
@@ -30,22 +27,6 @@ def rmse(predictions, truths) -> float:
     return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
-def per_sample_rmse(predictions, truths) -> np.ndarray:
-    p, t = _stack(predictions), _stack(truths)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
-    axes = tuple(range(1, p.ndim))
-    return np.sqrt(np.mean((p - t) ** 2, axis=axes))
-
-
-def rmse_error_field(predictions, truths) -> np.ndarray:
-    """Entrywise root mean (over test samples) of squared errors."""
-    p, t = _stack(predictions), _stack(truths)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
-    return np.sqrt(np.mean((p - t) ** 2, axis=0))
-
-
 def nll_metric(means, variance_diags, truths) -> float:
     """Average per-entry Gaussian negative log likelihood, constant omitted.
 
@@ -57,59 +38,3 @@ def nll_metric(means, variance_diags, truths) -> float:
         raise ValueError("means, variances and truths must share a shape")
     v = np.clip(v, VARIANCE_FLOOR, None)
     return float(np.mean(0.5 * np.log(v) + (y - mu) ** 2 / (2.0 * v)))
-
-
-@dataclass
-class EvalReport:
-    """One evaluation summary, serializable to a CSV row or JSON document."""
-
-    rmse: float
-    nll: float
-    per_sample_rmse: np.ndarray
-    n_test: int
-    model_kind: str = ""
-    dataset: str = ""
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.per_sample_rmse = np.asarray(self.per_sample_rmse, dtype=float)
-        if self.rmse < 0:
-            raise ValueError("rmse must be nonnegative")
-
-    @classmethod
-    def from_predictions(cls, posterior, truths, model_kind="", dataset="", **extra):
-        """Evaluate a batched posterior (mean + variance_diag) on test fields."""
-        return cls(
-            rmse=rmse(posterior.mean, truths),
-            nll=nll_metric(posterior.mean, posterior.variance_diag, truths),
-            per_sample_rmse=per_sample_rmse(posterior.mean, truths),
-            n_test=len(truths),
-            model_kind=model_kind,
-            dataset=dataset,
-            extra=dict(extra),
-        )
-
-    def csv_row(self) -> dict:
-        row = {
-            "model": self.model_kind,
-            "dataset": self.dataset,
-            "n_test": self.n_test,
-            "rmse": repr(self.rmse),
-            "nll": repr(self.nll),
-        }
-        row.update({k: repr(v) if isinstance(v, float) else v for k, v in self.extra.items()})
-        return row
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model_kind": self.model_kind,
-                "dataset": self.dataset,
-                "n_test": self.n_test,
-                "rmse": self.rmse,
-                "nll": self.nll,
-                "per_sample_rmse": self.per_sample_rmse.tolist(),
-                **self.extra,
-            },
-            sort_keys=True,
-        )

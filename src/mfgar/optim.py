@@ -3,8 +3,9 @@
 The optimizer is an adaptive first-order method: per-parameter step scaling
 (RMSProp-style accumulator) with heavy-ball momentum, a monotone acceptance
 rule, and backtracking whenever a candidate step fails to decrease the
-objective or produces a non-finite value.  Momentum resets on rejection, so
-the accepted-objective trace is non-increasing by construction.
+objective or produces a non-finite value or gradient entry.  Momentum resets
+on rejection, so the accepted-objective trace is non-increasing by
+construction.
 
 Objectives are callables ``f(params) -> (value, gradient)`` over a flat
 parameter vector; constrained quantities are expected to be pre-mapped to
@@ -61,6 +62,10 @@ _SHRINK = 0.5      # step backtracking factor
 _MAX_BACKTRACKS = 40
 
 
+def _finite(value, grad) -> bool:
+    return bool(np.isfinite(value) and np.all(np.isfinite(grad)))
+
+
 def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None):
     """Minimize a differentiable objective from ``init``.
 
@@ -69,7 +74,7 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
     objective : callable
         Maps a flat parameter vector to ``(value, gradient)``.
     init : array_like
-        Starting point; the objective must be finite here.
+        Starting point; the objective and its gradient must be finite here.
     config : OptimConfig
         Iteration/step/tolerance settings.
     project : callable, optional
@@ -85,9 +90,9 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
     if project is not None:
         p = project(p)
     f, g = objective(p)
-    if not np.isfinite(f):
-        raise ValueError("objective is not finite at the initial point")
     g = np.asarray(g, dtype=float)
+    if not _finite(f, g):
+        raise ValueError("objective or its gradient is not finite at the initial point")
 
     trace = OptimTrace()
     trace.append(0, f, float(np.linalg.norm(g)))
@@ -108,7 +113,7 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
             if project is not None:
                 cand = project(cand)
             f_c, g_c = objective(cand)
-            if np.isfinite(f_c) and f_c <= f:
+            if _finite(f_c, g_c) and f_c <= f:
                 accepted = True
                 break
             lr *= _SHRINK

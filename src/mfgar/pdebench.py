@@ -33,10 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.sparse import coo_matrix
-from scipy.sparse.linalg import spsolve
-from scipy.stats import qmc
 
 from .gar import MultiFidelityDataset
 
@@ -131,6 +127,8 @@ class FieldSample:
 
 
 def _tridiag_solve(lower, diag, upper, rhs):
+    from scipy.linalg import solve_banded
+
     ab = np.zeros((3, diag.size))
     ab[0, 1:] = upper
     ab[1] = diag
@@ -257,6 +255,9 @@ def solve_poisson(values, spec: PdeSpec, fidelity="high") -> FieldSample:
     free = ~fixed
     n_free = int(free.sum())
     if n_free:
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.linalg import spsolve
+
         idx = -np.ones((n, m), dtype=int)
         idx[free] = np.arange(n_free)
         free_r, free_c = np.nonzero(free)
@@ -439,9 +440,11 @@ def sobol_points(n: int, dims: int) -> np.ndarray:
         raise ValueError(f"dims must be in [1, {SOBOL_MAX_DIM}]")
     if n == 0:
         return np.empty((0, dims))
-    eng = qmc.Sobol(d=dims, scramble=False)
     import warnings
 
+    from scipy.stats import qmc
+
+    eng = qmc.Sobol(d=dims, scramble=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pts = eng.random(n + 1)
@@ -499,6 +502,9 @@ def make_dataset(
     """
     if structure not in ("subset", "nonsubset"):
         raise ValueError(f"unknown structure {structure!r}")
+    for name, n in (("n_low", n_low), ("n_high", n_high)):
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
     if structure == "subset" and n_high > n_low:
         raise ValueError("subset structure needs n_high <= n_low")
     X_low = sample_inputs(spec, n_low, sampler, seed, skip=skip)
@@ -519,6 +525,8 @@ def make_dataset(
 
 def make_test_set(spec: PdeSpec, n_test: int, sampler: str = "uniform", seed: int = 0, skip: int = 0):
     """High-fidelity evaluation set: inputs and solved fields."""
+    if n_test < 1:
+        raise ValueError(f"n_test must be >= 1, got {n_test}")
     X = sample_inputs(spec, n_test, sampler, seed, skip=skip)
     Y = np.stack([solve_field(spec, x, "high").field for x in X])
     return X, Y
@@ -535,16 +543,6 @@ def spec_to_dict(spec: PdeSpec) -> dict:
         "mesh_high": list(spec.mesh_high),
         "record_grid": None if spec.record_grid is None else list(spec.record_grid),
     }
-
-
-def spec_from_dict(doc: dict) -> PdeSpec:
-    return PdeSpec(
-        kind=doc["kind"],
-        input_ranges=tuple(tuple(r) for r in doc["input_ranges"]),
-        mesh_low=tuple(doc["mesh_low"]),
-        mesh_high=tuple(doc["mesh_high"]),
-        record_grid=None if doc["record_grid"] is None else tuple(doc["record_grid"]),
-    )
 
 
 def save_dataset(dataset: MultiFidelityDataset, out_dir, manifest_extra: dict | None = None):

@@ -229,11 +229,3 @@ def kron_quad_and_logdet(eigs: EigenFactors, noise: float, Y: np.ndarray):
     quad = float(np.sum(T1 * T1 / A))
     logdet = float(np.sum(np.log(A)))
     return quad, logdet
-
-
-def kron_solve(eigs: EigenFactors, noise: float, Y: np.ndarray) -> np.ndarray:
-    """Solve ``(K (x) S_1 .. + noise I) x = vec(Y)``, returned in tensor form."""
-    if not noise > 0:
-        raise ValueError("noise variance must be positive")
-    A = eigs.joint_values(noise)
-    return eigs.unproject(eigs.project(np.asarray(Y, dtype=float)) / A)

@@ -50,6 +50,15 @@ def test_generate_rejects_bad_counts(tmp_path, capsys):
     code = run("generate", "--pde", "poisson", "--n-low", 2, "--n-high", 5, "--out", tmp_path / "x")
     assert code == 1
     assert "n-high" in capsys.readouterr().err
+    # non-positive sizes are refused before anything is written
+    for n_low, n_high, name in ((0, 0, "n_low"), (4, 0, "n_high"), (4, -2, "n_high")):
+        code = run(
+            "generate", "--pde", "poisson", "--n-low", n_low, "--n-high", n_high,
+            "--structure", "nonsubset", "--out", tmp_path / "y",
+        )
+        assert code == 1
+        assert f"{name} must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
 
 
 def test_unknown_flag_is_user_error(tmp_path):
@@ -306,3 +315,16 @@ def test_benchmark_validates_arguments(tmp_path, capsys):
         "--n-high-sweep", "2", "--out", tmp_path / "z",
     ) == 1  # scalar transfer needs --aligned
     assert "aligned" in capsys.readouterr().err
+    for flag, value, name in (
+        ("--n-high-sweep", "-2", "sweep values"),
+        ("--n-high-sweep", "4,0", "sweep values"),
+        ("--n-low", "0", "n_low"),
+        ("--n-test", "0", "n_test"),
+    ):
+        sizes = {"--n-low": "4", "--n-high-sweep": "2", "--n-test": "2", flag: value}
+        assert run(
+            "benchmark", "--pde", "poisson", "--model", "gar",
+            *[a for item in sizes.items() for a in item], "--out", tmp_path / "w",
+        ) == 1
+        assert f"{name} must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()

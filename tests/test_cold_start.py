@@ -1,0 +1,49 @@
+"""Cold start: a fresh interpreter loads numpy only, never scipy, on import.
+
+scipy subsystems are imported inside the functions that use them, so
+``import mfgar`` and the CLI's argument parsing pay for none of them.  The
+checks look at ``sys.modules`` in a child interpreter, not at timings.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mfgar
+
+SRC = str(Path(mfgar.__file__).resolve().parent.parent)
+
+REPORT_SCIPY = (
+    "import sys; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+)
+
+
+def _child(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_import_loads_no_scipy():
+    proc = _child(f"import mfgar, mfgar.cli; {REPORT_SCIPY}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_cli_help_loads_no_scipy():
+    # run ``python -m mfgar --help`` in-process so the module table can be read after it
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['mfgar', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('mfgar', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        f"{REPORT_SCIPY}\n"
+    )
+    proc = _child(code)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: mfgar" in proc.stdout
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

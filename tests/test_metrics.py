@@ -1,11 +1,10 @@
-"""Metrics: RMSE, error fields, constant-omitting NLL."""
+"""Metrics: RMSE and constant-omitting NLL."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mfgar.hogp import PosteriorField
-from mfgar.metrics import EvalReport, nll_metric, rmse, rmse_error_field
+from mfgar.metrics import nll_metric, rmse
 
 
 def test_rmse_zero_for_identical():
@@ -36,33 +35,6 @@ def test_rmse_matches_naive_double_loop():
 def test_rmse_shape_mismatch():
     with pytest.raises(ValueError):
         rmse(np.zeros((2, 3)), np.zeros((2, 4)))
-
-
-def test_error_field_identical_and_single_sample():
-    rng = np.random.default_rng(3)
-    t = rng.standard_normal((4, 3, 2))
-    assert_allclose(rmse_error_field(t, t), np.zeros((3, 2)))
-    p = t[:1] + rng.standard_normal((1, 3, 2))
-    assert_allclose(rmse_error_field(p, t[:1]), np.abs(p[0] - t[0]), rtol=1e-12)
-
-
-def test_error_field_matches_triple_loop():
-    rng = np.random.default_rng(4)
-    p = rng.standard_normal((5, 2, 3))
-    t = rng.standard_normal((5, 2, 3))
-    expected = np.zeros((2, 3))
-    for j in range(2):
-        for k in range(3):
-            expected[j, k] = np.sqrt(np.mean([(p[i, j, k] - t[i, j, k]) ** 2 for i in range(5)]))
-    assert_allclose(rmse_error_field(p, t), expected, rtol=1e-12)
-
-
-def test_rmse_consistent_with_error_field_aggregation():
-    rng = np.random.default_rng(5)
-    p = rng.standard_normal((6, 4))
-    t = rng.standard_normal((6, 4))
-    field = rmse_error_field(p, t)
-    assert_allclose(rmse(p, t) ** 2, np.mean(field**2), rtol=1e-12)
 
 
 def test_nll_perfect_mean_unit_variance_is_zero():
@@ -105,17 +77,3 @@ def test_nll_decreases_when_predictions_sharpen_correctly():
     loose = nll_metric(y, np.full_like(y, 4.0), y)
     sharp = nll_metric(y, np.full_like(y, 0.25), y)
     assert sharp < loose
-
-
-def test_eval_report_roundtrip():
-    rng = np.random.default_rng(9)
-    t = rng.standard_normal((4, 2, 2))
-    post = PosteriorField(t + 0.1, np.full_like(t, 0.5))
-    report = EvalReport.from_predictions(post, t, model_kind="gar", dataset="poisson", n_high=8)
-    assert report.n_test == 4
-    assert_allclose(report.rmse, 0.1, rtol=1e-12)
-    assert np.sqrt(np.mean(report.per_sample_rmse**2)) == pytest.approx(report.rmse)
-    row = report.csv_row()
-    assert row["model"] == "gar" and row["n_high"] == 8
-    doc = report.to_json()
-    assert '"rmse"' in doc

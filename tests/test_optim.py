@@ -79,6 +79,27 @@ def test_backtracks_through_nonfinite_region():
     assert all(b <= a for a, b in zip(objs, objs[1:]))
 
 
+def test_never_accepts_a_nonfinite_gradient():
+    # Finite values everywhere, but the gradient is NaN for p > 1.5: a step
+    # landing there must be rejected like a non-finite value, and an initial
+    # point there is refused.
+    grads = []
+
+    def objective(p):
+        g = np.full(1, np.nan) if p[0] > 1.5 else 2.0 * (p - 3.0)
+        grads.append(g)
+        return float((p[0] - 3.0) ** 2), g
+
+    p, trace = minimize(objective, np.array([0.0]), OptimConfig(max_iters=200, step=0.5))
+    assert 1.0 < p[0] <= 1.5
+    assert all(np.isfinite(r[2]) for r in trace.records)
+    assert any(np.isnan(g).any() for g in grads)
+    objs = trace.objectives
+    assert all(b <= a for a, b in zip(objs, objs[1:]))
+    with pytest.raises(ValueError, match="gradient"):
+        minimize(objective, np.array([2.0]))
+
+
 def test_projection_hook_applied_to_every_accepted_step():
     # Constrain to the unit circle; every accepted iterate must satisfy it.
     seen = []

@@ -19,7 +19,6 @@ from mfgar.pdebench import (
     solve_field,
     solve_heat,
     solve_poisson,
-    spec_from_dict,
     spec_to_dict,
     upsample_bilinear,
 )
@@ -336,6 +335,20 @@ def test_make_dataset_validates_combination():
         make_dataset(spec, n_low=4, n_high=2, structure="bogus")
 
 
+@pytest.mark.parametrize("n_low, n_high", [(0, 0), (4, 0), (4, -2), (-1, 2)])
+def test_make_dataset_rejects_non_positive_sizes(n_low, n_high):
+    bad = "n_low" if n_low < 1 else "n_high"
+    for structure in ("subset", "nonsubset"):
+        with pytest.raises(ValueError, match=bad):
+            make_dataset(pde_spec("poisson"), n_low=n_low, n_high=n_high, structure=structure)
+
+
+def test_make_test_set_rejects_non_positive_size():
+    for n_test in (0, -3):
+        with pytest.raises(ValueError, match="n_test"):
+            make_test_set(pde_spec("poisson"), n_test)
+
+
 def test_make_dataset_deterministic():
     spec = pde_spec("heat")
     a = make_dataset(spec, 4, 2, sampler="uniform", seed=3)
@@ -355,7 +368,7 @@ def test_dataset_disk_roundtrip_byte_identical(tmp_path):
     loaded, manifest = load_dataset(tmp_path / "a")
     assert np.array_equal(loaded.levels[0].Y, ds.levels[0].Y)
     assert np.array_equal(loaded.levels[1].X, ds.levels[1].X)
-    assert spec_from_dict(manifest["spec"]).kind == "burgers"
+    assert manifest["spec"] == spec_to_dict(spec)
 
 
 def test_make_test_set_disjoint_from_training():

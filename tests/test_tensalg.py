@@ -8,7 +8,6 @@ from mfgar.tensalg import (
     EigenFactors,
     kron_all,
     kron_quad_and_logdet,
-    kron_solve,
     kruskal_outer,
     mode_product,
     sym_eig,
@@ -222,17 +221,6 @@ def test_logdet_noise_monotone():
     y = np.zeros((3, 2))
     logdets = [kron_quad_and_logdet(eigs, s, y)[1] for s in (1e-4, 1e-2, 1.0, 10.0)]
     assert np.all(np.diff(logdets) > 0)
-
-
-def test_kron_solve_matches_dense():
-    rng = np.random.default_rng(12)
-    K = random_spd(rng, 3)
-    S = random_spd(rng, 4)
-    y = rng.standard_normal((3, 4))
-    eigs = EigenFactors.from_matrices([K, S])
-    x = kron_solve(eigs, 0.2, y)
-    dense = np.linalg.solve(np.kron(K, S) + 0.2 * np.eye(12), vec(y))
-    assert_allclose(vec(x), dense, rtol=1e-9)
 
 
 def test_identity_factor_markers():
