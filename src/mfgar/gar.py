@@ -36,6 +36,7 @@ from .hogp import (
     TgpModel,
     _TgpPack,
     _check_schema,
+    _finite_or_inf,
     _mean_factors,
     _nll_core,
     _predict_parts,
@@ -450,8 +451,9 @@ class _Stage2Pack:
     output covariance, the noise-variance partial, ``alpha = Sigma^-1 r`` in
     the residual's tensor shape, and the per-factor W gradients through the
     covariance, or ``None`` when the covariance does not depend on W.  A
-    point where the core's eigen or Cholesky step fails scores ``(inf, 0)``,
-    which the optimizer rejects and backtracks from.
+    point where the core's eigen or Cholesky step fails, or where the value or
+    gradient is not finite, scores ``(inf, 0)``, which the optimizer rejects
+    and backtracks from.
     """
 
     def __init__(
@@ -506,7 +508,7 @@ class _Stage2Pack:
             other = [a for a in range(alpha.ndim) if a != m + 1]
             g = -np.tensordot(alpha, z_m, axes=(other, other))
             w_grads.append(g if w_cov_grads is None else g + w_cov_grads[m])
-        return value, np.concatenate([self.w.chain(w_grads), g_t])
+        return _finite_or_inf(value, np.concatenate([self.w.chain(w_grads), g_t]))
 
 
 class _ResidualPack(_Stage2Pack):

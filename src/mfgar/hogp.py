@@ -317,13 +317,20 @@ class _TgpPack:
 
     def objective(self, p: np.ndarray):
         """``(value, gradient)`` at ``p``; ``(inf, 0)``, which the optimizer
-        backtracks from, where the eigen step fails."""
+        backtracks from, where the eigen step fails or the result is not finite."""
         model = self.unpack(p)
         try:
             nll, gbars, d_noise, _ = _nll_core(model)
         except (np.linalg.LinAlgError, ValueError):
             return np.inf, np.zeros(self.size)
-        return self.chain(model, nll, gbars, d_noise)
+        return _finite_or_inf(*self.chain(model, nll, gbars, d_noise))
+
+
+def _finite_or_inf(value: float, g: np.ndarray):
+    """``(value, g)`` when both are finite, else ``(inf, 0)``."""
+    if np.isfinite(value) and np.all(np.isfinite(g)):
+        return value, g
+    return np.inf, np.zeros_like(g)
 
 
 def _initial_model(X, Y, config: FitConfig) -> TgpModel:

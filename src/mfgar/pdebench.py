@@ -14,13 +14,17 @@ Three benchmark problems produce 2-D solution fields over regular grids:
   finite differences, backward Euler.  Inputs: left flux in [0, 1], right
   flux in [-1, 0], conductivity in [0.01, 0.1].  Field axes: (x, t).
 
-A fidelity is a per-axis node count; the "main" variant uses 8x8 (low) and
-32x32 (high) meshes for every problem, the "appendix" variant coarsens
-Burgers and heat at 16x16 instead.  Fields are recorded on the solver's own
-grid unless a record grid is set on the spec, in which case they are
-resampled bilinearly.  Everything here is deterministic: identical inputs
-produce bit-identical fields, which is what lets :func:`solve_cache` hand
-back a stored field in place of a repeated solve.
+A fidelity is a per-axis node count, at least 2 per axis and 3 x-nodes for
+Burgers (two walls and one interior node); the "main" variant uses 8x8 (low)
+and 32x32 (high) meshes for every problem, the "appendix" variant coarsens
+Burgers and heat at 16x16 instead.  The implicit Burgers and heat steps call
+LAPACK ``gtsv`` on their three diagonals.  The Poisson operator depends on
+the mesh alone, so each mesh's operator is factorized once per process and a
+solve only assembles its right-hand side.  Fields are recorded on the
+solver's own grid unless a record grid is set on the spec, in which case
+they are resampled bilinearly.  Everything here is deterministic: identical
+inputs produce bit-identical fields, which is what lets :func:`solve_cache`
+hand back a stored field in place of a repeated solve.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import copy
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,8 +70,20 @@ class PdeSpec:
     def __post_init__(self):
         if self.kind not in PDE_KINDS:
             raise ValueError(f"unknown pde kind {self.kind!r}")
+        self._check_mesh(self.mesh_low)
+        self._check_mesh(self.mesh_high)
         if any(h <= l for l, h in zip(self.mesh_low, self.mesh_high)):
             raise ValueError("the high-fidelity mesh must be strictly finer per axis")
+
+    def _check_mesh(self, mesh) -> tuple:
+        # Burgers eliminates its two Dirichlet walls and needs one interior node
+        least = (3 if self.kind == "burgers" else 2, 2)
+        if len(mesh) != 2 or any(k < lo for k, lo in zip(mesh, least)):
+            raise ValueError(
+                f"{self.kind} mesh {tuple(mesh)}: a mesh needs 2 axes with at least "
+                f"{least[0]} and {least[1]} nodes"
+            )
+        return mesh
 
     @property
     def input_dim(self) -> int:
@@ -74,7 +91,7 @@ class PdeSpec:
 
     def mesh(self, fidelity):
         if isinstance(fidelity, (tuple, list)):
-            return tuple(int(m) for m in fidelity)
+            return self._check_mesh(tuple(int(m) for m in fidelity))
         if fidelity == "low":
             return self.mesh_low
         if fidelity == "high":
@@ -127,13 +144,19 @@ class FieldSample:
 
 
 def _tridiag_solve(lower, diag, upper, rhs):
-    from scipy.linalg import solve_banded
+    """Solve a tridiagonal system with LAPACK ``gtsv``; the inputs are not modified.
 
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = upper
-    ab[1] = diag
-    ab[2, :-1] = lower
-    return solve_banded((1, 1), ab, rhs)
+    The same routine and arithmetic as ``scipy.linalg.solve_banded`` on (1, 1)
+    bands, without its per-call validation; one unknown is a division, as there.
+    """
+    if diag.size == 1:
+        return rhs / diag[0]
+    from scipy.linalg.lapack import dgtsv
+
+    _, _, _, x, info = dgtsv(lower, diag, upper, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def solve_burgers(viscosity: float, spec: PdeSpec, fidelity="high") -> FieldSample:
@@ -159,10 +182,8 @@ def solve_burgers(viscosity: float, spec: PdeSpec, fidelity="high") -> FieldSamp
     n_i = n_x - 2
     mass_d = np.full(n_i, 4.0 * h / 6.0)
     mass_o = np.full(n_i - 1, h / 6.0)
-    stiff_d = np.full(n_i, 2.0 / h)
-    stiff_o = np.full(n_i - 1, -1.0 / h)
-
-    nodes = np.arange(1, n_x - 1)
+    visc_d = viscosity * np.full(n_i, 2.0 / h)
+    visc_o = viscosity * np.full(n_i - 1, -1.0 / h)
 
     def picard_step(u_old, dt_step):
         """One backward-Euler step via Picard sweeps; None if not contracting."""
@@ -179,14 +200,15 @@ def solve_burgers(viscosity: float, spec: PdeSpec, fidelity="high") -> FieldSamp
             # elements; with the left/right element averages
             #   I_L = u_{i-1}/6 + u_i/3,   I_R = u_i/3 + u_{i+1}/6
             # the tridiagonal entries are (-I_L, I_L - I_R, I_R).
-            int_left = u_new[nodes - 1] / 6.0 + u_new[nodes] / 3.0
-            int_right = u_new[nodes] / 3.0 + u_new[nodes + 1] / 6.0
+            third = u_new[1:-1] / 3.0
+            int_left = u_new[:-2] / 6.0 + third
+            int_right = third + u_new[2:] / 6.0
             cd = int_left - int_right
             cu = int_right[:-1]
             cl = -int_left[1:]
-            diag = mass_d + dt_step * (viscosity * stiff_d + cd)
-            lowr = mass_o + dt_step * (viscosity * stiff_o + cl)
-            uppr = mass_o + dt_step * (viscosity * stiff_o + cu)
+            diag = mass_d + dt_step * (visc_d + cd)
+            lowr = mass_o + dt_step * (visc_o + cl)
+            uppr = mass_o + dt_step * (visc_o + cu)
             candidate = _tridiag_solve(lowr, diag, uppr, rhs)
             change = float(np.max(np.abs(candidate - u_new[1:-1])))
             u_new[1:-1] = candidate
@@ -243,42 +265,63 @@ def solve_poisson(values, spec: PdeSpec, fidelity="high") -> FieldSample:
     n, m = spec.mesh(fidelity)
 
     u = np.zeros((n, m))
-    fixed = np.zeros((n, m), dtype=bool)
-    u[0, :], fixed[0, :] = left, True
-    u[-1, :], fixed[-1, :] = right, True
-    u[1:-1, 0], fixed[1:-1, 0] = bottom, True
-    u[1:-1, -1], fixed[1:-1, -1] = top, True
-    for i in _center_indices(n):
-        for j in _center_indices(m):
-            u[i, j], fixed[i, j] = center, True
+    u[0, :] = left
+    u[-1, :] = right
+    u[1:-1, 0] = bottom
+    u[1:-1, -1] = top
+    u[np.ix_(_center_indices(n), _center_indices(m))] = center
+    free, lu, rows, nbrs = _poisson_operator(n, m)
+    if free.size:
+        rhs = np.zeros(free.size)
+        np.add.at(rhs, rows, u.reshape(-1)[nbrs])
+        u.reshape(-1)[free] = lu.solve(rhs, trans="T")
+    return _record(spec, values, u, spec.mesh(fidelity))
 
+
+@functools.lru_cache(maxsize=8)
+def _poisson_operator(n: int, m: int):
+    """The n x m mesh's five-point operator on its free nodes, factorized once.
+
+    Returns ``(free, lu, rows, nbrs)``: the flat indices of the free nodes in
+    row-major order, the SuperLU factor of the operator's CSR arrays read as
+    CSC (so ``lu.solve(rhs, trans="T")`` is the solve ``spsolve`` makes on the
+    CSR matrix, bit for bit), and for every free-to-fixed edge the equation it
+    feeds and the flat index of the fixed neighbour whose value it carries,
+    grouped by direction (-x, +x, -y, +y).  ``lu`` is None when no node is free.
+    """
+    fixed = np.zeros((n, m), dtype=bool)
+    fixed[0, :] = fixed[-1, :] = True
+    fixed[:, 0] = fixed[:, -1] = True
+    fixed[np.ix_(_center_indices(n), _center_indices(m))] = True
     free = ~fixed
     n_free = int(free.sum())
+    idx = -np.ones((n, m), dtype=int)
+    idx[free] = np.arange(n_free)
+    free_r, free_c = np.nonzero(free)
+    rows, nbrs = [], []
+    a_rows, a_cols = [np.arange(n_free)], [np.arange(n_free)]
+    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        rr, cc = free_r + dr, free_c + dc
+        nb_fixed = fixed[rr, cc]
+        rows.append(np.flatnonzero(nb_fixed))
+        nbrs.append(rr[nb_fixed] * m + cc[nb_fixed])
+        a_rows.append(np.flatnonzero(~nb_fixed))
+        a_cols.append(idx[rr[~nb_fixed], cc[~nb_fixed]])
+    arrays = [np.flatnonzero(free), np.concatenate(rows), np.concatenate(nbrs)]
+    for a in arrays:
+        a.flags.writeable = False
+    lu = None
     if n_free:
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.linalg import spsolve
+        from scipy.sparse import coo_matrix, csc_matrix
+        from scipy.sparse.linalg import splu
 
-        idx = -np.ones((n, m), dtype=int)
-        idx[free] = np.arange(n_free)
-        free_r, free_c = np.nonzero(free)
-        k = idx[free_r, free_c]
-        rows = [k]
-        cols = [k]
-        data = [np.full(n_free, 4.0)]
-        rhs = np.zeros(n_free)
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            rr, cc = free_r + dr, free_c + dc
-            nb_fixed = fixed[rr, cc]
-            np.add.at(rhs, k[nb_fixed], u[rr[nb_fixed], cc[nb_fixed]])
-            rows.append(k[~nb_fixed])
-            cols.append(idx[rr[~nb_fixed], cc[~nb_fixed]])
-            data.append(np.full((~nb_fixed).sum(), -1.0))
-        A = coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_free, n_free),
-        ).tocsr()
-        u[free] = spsolve(A, rhs)
-    return _record(spec, values, u, spec.mesh(fidelity))
+        a_rows, a_cols = np.concatenate(a_rows), np.concatenate(a_cols)
+        data = np.full(a_rows.size, -1.0)
+        data[:n_free] = 4.0
+        A = coo_matrix((data, (a_rows, a_cols)), shape=(n_free, n_free)).tocsr()
+        At = csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+        lu = splu(At, permc_spec="COLAMD", options=dict(Equil=False))
+    return arrays[0], lu, arrays[1], arrays[2]
 
 
 def _center_indices(n: int):

@@ -2,7 +2,9 @@
 
 Everything here deliberately materializes full joint covariances with
 ``np.kron`` and uses dense factorizations; nothing is shared with the
-package's eigendecomposition pipeline.  Instances are kept tiny.
+package's eigendecomposition pipeline.  Instances are kept tiny.  The PDE
+solver references at the end rebuild each linear system from scratch and
+solve it through SciPy's validating entry points.
 """
 
 import numpy as np
@@ -647,3 +649,99 @@ def grad_audit(objective, point, eps: float = 1e-5) -> float:
         err = abs(g[i] - fd) / max(abs(fd), 1e-8)
         worst = max(worst, err)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# PDE solver steps
+# ---------------------------------------------------------------------------
+
+
+def banded_tridiag_solve(lower, diag, upper, rhs):
+    """Tridiagonal solve through ``scipy.linalg.solve_banded`` on (1, 1) bands."""
+    from scipy.linalg import solve_banded
+
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper
+    ab[1] = diag
+    ab[2, :-1] = lower
+    return solve_banded((1, 1), ab, rhs)
+
+
+def spsolve_poisson_field(values, mesh):
+    """The Poisson field of ``solve_poisson`` with the operator assembled per
+    call and solved by ``spsolve`` on its CSR form."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import spsolve
+
+    left, right, bottom, top, center = values
+    n, m = mesh
+    u = np.zeros((n, m))
+    fixed = np.zeros((n, m), dtype=bool)
+    u[0, :], fixed[0, :] = left, True
+    u[-1, :], fixed[-1, :] = right, True
+    u[1:-1, 0], fixed[1:-1, 0] = bottom, True
+    u[1:-1, -1], fixed[1:-1, -1] = top, True
+    for i in _center_nodes(n):
+        for j in _center_nodes(m):
+            u[i, j], fixed[i, j] = center, True
+    free = ~fixed
+    n_free = int(free.sum())
+    if n_free:
+        idx = -np.ones((n, m), dtype=int)
+        idx[free] = np.arange(n_free)
+        free_r, free_c = np.nonzero(free)
+        k = idx[free_r, free_c]
+        rows = [k]
+        cols = [k]
+        data = [np.full(n_free, 4.0)]
+        rhs = np.zeros(n_free)
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            rr, cc = free_r + dr, free_c + dc
+            nb_fixed = fixed[rr, cc]
+            np.add.at(rhs, k[nb_fixed], u[rr[nb_fixed], cc[nb_fixed]])
+            rows.append(k[~nb_fixed])
+            cols.append(idx[rr[~nb_fixed], cc[~nb_fixed]])
+            data.append(np.full((~nb_fixed).sum(), -1.0))
+        A = coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n_free, n_free),
+        ).tocsr()
+        u[free] = spsolve(A, rhs)
+    return u
+
+
+def _center_nodes(n):
+    return [n // 2] if n % 2 == 1 else [n // 2 - 1, n // 2]
+
+
+def dense_poisson_oracle(values, n):
+    """Same stencil assembled over every node with identity rows for the
+    constraints; solved densely."""
+    left, right, bottom, top, center = values
+    A = np.zeros((n * n, n * n))
+    b = np.zeros(n * n)
+
+    def k(i, j):
+        return i * n + j
+
+    fixed = {}
+    for j in range(n):
+        fixed[k(0, j)] = left
+        fixed[k(n - 1, j)] = right
+    for i in range(1, n - 1):
+        fixed[k(i, 0)] = bottom
+        fixed[k(i, n - 1)] = top
+    for i in _center_nodes(n):
+        for j in _center_nodes(n):
+            fixed[k(i, j)] = center
+    for i in range(n):
+        for j in range(n):
+            kk = k(i, j)
+            if kk in fixed:
+                A[kk, kk] = 1.0
+                b[kk] = fixed[kk]
+            else:
+                A[kk, kk] = 4.0
+                for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                    A[kk, k(ii, jj)] = -1.0
+    return np.linalg.solve(A, b).reshape(n, n)

@@ -298,6 +298,32 @@ def test_stage2_objective_is_inf_where_the_eigen_step_fails():
     assert np.array_equal(grad, np.zeros(pack.size))
 
 
+@pytest.mark.parametrize("broken", ["value", "gradient"])
+def test_stage2_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broken):
+    # A core that returns NaN without raising scores (inf, 0) too, rather
+    # than handing the NaN to the optimizer; a NaN alpha reaches the W part
+    # of the gradient.
+    rng = np.random.default_rng(34)
+    model, ds = make_random_two_level(rng, 5, 3, (2, 2), (2, 2))
+    trans = model.transitions[0]
+    pack = _ResidualPack(
+        low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights, "free",
+        LaplacePrior(0.0),
+    )
+    real = _ResidualPack._core
+
+    def nan_core(self, model, weights):
+        value, gbars, d_noise, alpha, w_cov_grads = real(self, model, weights)
+        if broken == "value":
+            return np.nan, gbars, d_noise, alpha, w_cov_grads
+        return value, gbars, d_noise, np.full_like(alpha, np.nan), w_cov_grads
+
+    monkeypatch.setattr(_ResidualPack, "_core", nan_core)
+    value, grad = pack.objective(pack.pack())
+    assert value == np.inf
+    assert np.array_equal(grad, np.zeros(pack.size))
+
+
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------

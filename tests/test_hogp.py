@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mfgar.hogp as hogp
 import mfgar.tensalg as tensalg
 from mfgar.hogp import (
     FitConfig,
@@ -334,6 +335,27 @@ def test_pack_objective_is_inf_where_the_eigen_step_fails():
     assert value == np.inf
     assert np.array_equal(grad, np.zeros(pack.size))
 
+
+
+@pytest.mark.parametrize("broken", ["value", "gradient"])
+def test_pack_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broken):
+    # A core that returns NaN without raising scores (inf, 0) too, rather
+    # than handing the NaN to the optimizer.
+    rng = np.random.default_rng(33)
+    model = make_random_tgp(rng, 4, (2, 3))
+    pack = _TgpPack(model, LaplacePrior(0.0))
+    real = hogp._nll_core
+
+    def nan_core(m):
+        nll, gbars, d_noise, At = real(m)
+        if broken == "value":
+            return np.nan, gbars, d_noise, At
+        return nll, gbars, np.nan, At
+
+    monkeypatch.setattr(hogp, "_nll_core", nan_core)
+    value, grad = pack.objective(pack.pack(model))
+    assert value == np.inf
+    assert np.array_equal(grad, np.zeros(pack.size))
 
 def test_serialization_roundtrip():
     rng = np.random.default_rng(17)

@@ -1,17 +1,22 @@
 """PDE benchmark harness: solver correctness, sampling, dataset plumbing."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.interpolate import RegularGridInterpolator
 
+import mfgar.pdebench as pdebench
 from mfgar.gar import build_subset_plan
 from mfgar.pdebench import (
+    PdeSpec,
     interp_grid,
     load_dataset,
     make_dataset,
     make_test_set,
     pde_spec,
+    sample_inputs,
     save_dataset,
     sobol_points,
     solve_burgers,
@@ -22,6 +27,7 @@ from mfgar.pdebench import (
     spec_to_dict,
     upsample_bilinear,
 )
+from oracles import banded_tridiag_solve, dense_poisson_oracle, spsolve_poisson_field
 
 # ---------------------------------------------------------------------------
 # Burgers
@@ -69,40 +75,6 @@ def test_poisson_constant_values_give_constant_field():
     spec = pde_spec("poisson")
     s = solve_poisson(np.full(5, 0.4), spec, "high")
     assert np.max(np.abs(s.field - 0.4)) < 1e-10
-
-
-def dense_poisson_oracle(values, n):
-    """Same stencil assembled over every node with identity rows for the
-    constraints; solved densely."""
-    left, right, bottom, top, center = values
-    A = np.zeros((n * n, n * n))
-    b = np.zeros(n * n)
-
-    def k(i, j):
-        return i * n + j
-
-    fixed = {}
-    for j in range(n):
-        fixed[k(0, j)] = left
-        fixed[k(n - 1, j)] = right
-    for i in range(1, n - 1):
-        fixed[k(i, 0)] = bottom
-        fixed[k(i, n - 1)] = top
-    c_idx = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
-    for i in c_idx:
-        for j in c_idx:
-            fixed[k(i, j)] = center
-    for i in range(n):
-        for j in range(n):
-            kk = k(i, j)
-            if kk in fixed:
-                A[kk, kk] = 1.0
-                b[kk] = fixed[kk]
-            else:
-                A[kk, kk] = 4.0
-                for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                    A[kk, k(ii, jj)] = -1.0
-    return np.linalg.solve(A, b).reshape(n, n)
 
 
 def test_poisson_matches_dense_solve_oracle():
@@ -178,6 +150,88 @@ def test_heat_mesh_refinement_converges():
 def test_heat_rejects_out_of_range():
     with pytest.raises(ValueError):
         solve_heat(2.0, -0.5, 0.05, pde_spec("heat"))
+
+
+# ---------------------------------------------------------------------------
+# Linear-algebra steps against the SciPy references, and mesh validation
+# ---------------------------------------------------------------------------
+
+
+def test_tridiag_solve_matches_solve_banded_bitwise():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 30):
+        lower, upper = rng.normal(size=n - 1), rng.normal(size=n - 1)
+        diag, rhs = rng.normal(size=n) + 4.0, rng.normal(size=n)
+        args = [a.copy() for a in (lower, diag, upper, rhs)]
+        got = pdebench._tridiag_solve(*args)
+        want = banded_tridiag_solve(lower, diag, upper, rhs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for a, b in zip(args, (lower, diag, upper, rhs)):
+            assert np.array_equal(a, b)  # the inputs are left as they were
+
+
+def test_tridiag_solve_raises_on_a_singular_system():
+    # [[1, 1, 0], [1, 1, 0], [0, 1, 1]] has two equal rows
+    args = np.ones(2), np.ones(3), np.array([1.0, 0.0]), np.ones(3)
+    for solve in (pdebench._tridiag_solve, banded_tridiag_solve):
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve(*args)
+
+
+@pytest.mark.parametrize("kind", ["burgers", "heat"])
+def test_implicit_steps_match_the_solve_banded_fields_bitwise(monkeypatch, kind):
+    spec = pde_spec(kind)
+    X = sample_inputs(spec, 3, "sobol", seed=0)
+    meshes = ("low", "high", (3, 5))
+    got = [solve_field(spec, x, mesh).field for mesh in meshes for x in X]
+    monkeypatch.setattr(pdebench, "_tridiag_solve", banded_tridiag_solve)
+    want = [solve_field(spec, x, mesh).field for mesh in meshes for x in X]
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mesh", [(8, 8), (32, 32), (12, 12), (4, 7)])
+def test_poisson_matches_the_spsolve_field_bitwise(mesh):
+    spec = pde_spec("poisson")
+    for values in sample_inputs(spec, 20, "uniform", seed=1):
+        got = solve_poisson(values, spec, mesh).field
+        assert got.tobytes() == spsolve_poisson_field(values, mesh).tobytes()
+
+
+def test_poisson_factorizes_each_mesh_once():
+    spec = pde_spec("poisson")
+    pdebench._poisson_operator.cache_clear()
+    for values in sample_inputs(spec, 20, "uniform", seed=2):
+        solve_poisson(values, spec, (9, 6))
+    info = pdebench._poisson_operator.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+
+
+@pytest.mark.parametrize(
+    "kind, mesh",
+    [
+        ("burgers", (2, 5)),  # two walls and no interior node
+        ("burgers", (8, 1)),
+        ("heat", (1, 5)),
+        ("heat", (5, 1)),
+        ("poisson", (0, 4)),
+        ("poisson", (4, 4, 4)),
+    ],
+)
+def test_degenerate_meshes_are_refused_at_the_spec(kind, mesh):
+    spec = pde_spec(kind)
+    x = sample_inputs(spec, 1, "uniform", seed=0)[0]
+    with pytest.raises(ValueError, match=re.escape(f"mesh {mesh}")):
+        solve_field(spec, x, mesh)
+    with pytest.raises(ValueError, match=re.escape(f"mesh {mesh}")):
+        PdeSpec(kind, spec.input_ranges, mesh, (64, 64))
+
+
+@pytest.mark.parametrize("kind, mesh", [("burgers", (3, 2)), ("heat", (2, 2)), ("poisson", (2, 2))])
+def test_smallest_meshes_solve(kind, mesh):
+    spec = pde_spec(kind)
+    x = sample_inputs(spec, 1, "uniform", seed=0)[0]
+    assert solve_field(spec, x, mesh).field.shape == mesh
 
 
 # ---------------------------------------------------------------------------
