@@ -13,7 +13,9 @@ stages.  When some high-fidelity inputs have no lower-fidelity twin, the
 missing low-fidelity observations are treated as latent (an imaginary
 subset), imputed from the low model's posterior, and marginalized in closed
 form: the residual likelihood keeps its Gaussian shape with covariance
-inflated by the propagated imputation uncertainty.
+inflated by the propagated imputation uncertainty.  Identity-output fits
+optimize that likelihood; latent-output fits optimize the imputed residual
+without the inflation, and ``gar_nll_nonsubset`` scores them exactly.
 
 Observation noise rides along the chain: each level's transform acts on the
 *noisy* lower-level observation, which is exactly the reading under which
@@ -281,12 +283,6 @@ class GarModel:
         return float(self.transitions[-1].weights.factors[0][0, 0])
 
 
-# Latent-output non-subset transitions with at most this many residual
-# entries fit the exact corrected objective with the dense pack; larger ones
-# optimize the imputed-residual approximation.
-NONSUBSET_EXACT_CAP = 2048
-
-
 @dataclass(frozen=True)
 class GarConfig:
     """Fusion fit settings shared by all model kinds."""
@@ -380,58 +376,11 @@ def _tucker_without_mode(tensor: np.ndarray, weights: TuckerWeights, skip: int) 
 # ---------------------------------------------------------------------------
 
 
-def _cov_matrix(s) -> np.ndarray:
-    """An output covariance factor as a matrix (ints mark identity factors)."""
-    return np.eye(s) if isinstance(s, int) else s
-
-
 def _embedded_cov(s_hat: np.ndarray, n_high: int, n_matched: int) -> np.ndarray:
     """Imputation covariance ``S_hat`` embedded into the matched-first high row order."""
     emb = np.zeros((n_high, s_hat.shape[0]))
     emb[n_matched:, :] = np.eye(s_hat.shape[0])
     return emb @ s_hat @ emb.T
-
-
-def _corrected_cholesky(base: list, correction: list, noise: float):
-    """Cholesky factor of the dense corrected covariance of a residual block.
-
-    ``base`` and ``correction`` are Kronecker factor lists (input factor
-    first), so the matrix is ``kron(base) + kron(correction) + noise I`` on
-    ``N * d`` rows.  It is assembled one row of ``d x d`` blocks at a time
-    into a single array and factorized in place; returns the
-    ``scipy.linalg.cho_factor`` pair and raises ``LinAlgError`` when the
-    matrix is not positive definite.
-    """
-    from scipy.linalg import cho_factor
-
-    K, S = base[0], kron_all(base[1:])
-    B, C = correction[0], kron_all(correction[1:])
-    n_rows, d = K.shape[0], S.shape[0]
-    n = n_rows * d
-    sigma = np.empty((n, n))
-    blocks = sigma.reshape(n_rows, d, n_rows, d)
-    for i in range(n_rows):
-        np.multiply(K[i][None, :, None], S[:, None, :], out=blocks[i])
-        blocks[i] += B[i][None, :, None] * C[:, None, :]
-    sigma.flat[:: n + 1] += noise
-    # symmetric, so the transpose is the Fortran-ordered matrix LAPACK factorizes in place
-    return cho_factor(sigma.T, lower=True, overwrite_a=True)
-
-
-def _dense_corrected(res: TgpModel, weights: TuckerWeights, b_input: np.ndarray, low_covs: list):
-    """Dense corrected covariance of a non-subset residual block, factorized.
-
-    The covariance is ``K_r (x) S_r + B (x) W S_low W^T + noise I`` on the
-    matched-first row order, with ``B = b_input`` the embedded imputation
-    covariance.  Returns ``(chol, K_r, s_mats, sand)``: the ``cho_factor``
-    pair of ``_corrected_cholesky``, the input Gram, the residual output
-    covariances and the per-mode sandwiches ``W_m S_low_m W_m^T``.
-    """
-    K_r = ard_gram(res.input_kernel, res.X, res.X)
-    s_mats = [_cov_matrix(s) for s in res.output_covs()]
-    sand = [w @ _cov_matrix(s) @ w.T for w, s in zip(weights.factors, low_covs)]
-    chol = _corrected_cholesky([K_r] + s_mats, [b_input] + sand, res.noise)
-    return chol, K_r, s_mats, sand
 
 
 class _Stage2Pack:
@@ -512,85 +461,20 @@ class _Stage2Pack:
 
 
 class _ResidualPack(_Stage2Pack):
-    """Stage 2 for subset data: the residual is a plain TGP.
+    """Stage 2 with the residual scored as a plain TGP.
 
-    Its covariance does not depend on W, and the NLL and adjoints run through
+    On subset data this is the exact objective.  On non-subset data with
+    latent output covariances the low stack carries the imputed means at the
+    unmatched inputs, and the pack optimizes that imputed residual without
+    the imputation-uncertainty correction (exact as the uncertainty
+    vanishes); ``gar_nll_nonsubset`` scores the fitted model exactly.  The
+    covariance does not depend on W, and the NLL and adjoints run through
     the eigendecomposition pipeline (``_nll_core``).
     """
 
     def _core(self, model: TgpModel, weights: TuckerWeights):
         nll, gbars, d_noise, At = _nll_core(model)
         return nll, gbars, d_noise, model.eigenfactors().unproject(At), None
-
-
-def _kron_partial(T_blocks: np.ndarray, mats: list, open_idx: int) -> np.ndarray:
-    """Open-factor contraction of ``<T, mats_0 (x) mats_1 (x) ..>``.
-
-    ``T_blocks`` has one row axis and one column axis per factor; all factors
-    except ``open_idx`` are contracted away, returning the matrix that pairs
-    with a perturbation of the open factor.
-    """
-    n_f = len(mats)
-    letters = "abcdefghijklmnopqrstuvwx"
-    rows, cols = letters[:n_f], letters[n_f : 2 * n_f]
-    subs, operands = [rows + cols], [T_blocks]
-    for k, mat in enumerate(mats):
-        if k == open_idx:
-            continue
-        subs.append(rows[k] + cols[k])
-        operands.append(mat)
-    expr = ",".join(subs) + "->" + rows[open_idx] + cols[open_idx]
-    return np.einsum(expr, *operands, optimize=True)
-
-
-class _NonsubsetPack(_Stage2Pack):
-    """Exact corrected objective for a non-subset transition (dense algebra).
-
-    Evaluates the closed-form marginal likelihood: the residual Gaussian with
-    covariance  K_r (x) S_r + noise I + embed(S_hat) (x) W S_low W^T  on the
-    matched-first row order, with the imputed low mean standing in for the
-    missing observations.  The covariance is dense, so ``_fit_transition``
-    uses this pack only up to ``NONSUBSET_EXACT_CAP`` residual entries; the
-    per-parameter gradients come from the standard trace/quadratic adjoints.
-    """
-
-    def __init__(
-        self,
-        low_stack: np.ndarray,
-        y_high: np.ndarray,
-        template: TgpModel,
-        w_init: TuckerWeights,
-        w_mode: str,
-        laplace: LaplacePrior,
-        s_hat: np.ndarray,
-        s_low_mats: list,
-        n_matched: int,
-        freeze_coords: bool = False,
-    ):
-        super().__init__(low_stack, y_high, template, w_init, w_mode, laplace, freeze_coords)
-        self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
-        self.s_low_mats = [_cov_matrix(s) for s in s_low_mats]
-
-    def _core(self, model: TgpModel, weights: TuckerWeights):
-        from scipy.linalg import cho_solve
-
-        chol, K_r, s_mats, sand = _dense_corrected(model, weights, self.b_input, self.s_low_mats)
-        n = model.Y.size
-        phi = vec(model.centered)
-        alpha = cho_solve(chol, phi)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-        value = 0.5 * (float(phi @ alpha) + logdet + n * LOG2PI)
-
-        T = 0.5 * (cho_solve(chol, np.eye(n)) - np.outer(alpha, alpha))
-        T_blocks = T.reshape(model.Y.shape * 2)
-        gbars = [_kron_partial(T_blocks, [None] + s_mats, 0)]
-        if model.output_features is not None:
-            gbars += [_kron_partial(T_blocks, [K_r] + s_mats, m) for m in range(1, len(s_mats) + 1)]
-        w_cov_grads = []
-        for m, (w, s_low) in enumerate(zip(weights.factors, self.s_low_mats)):
-            q = _kron_partial(T_blocks, [self.b_input] + sand, m + 1)
-            w_cov_grads.append((q + q.T) @ w @ s_low)
-        return value, gbars, float(np.trace(T)), alpha.reshape(model.Y.shape), w_cov_grads
 
 
 def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: np.ndarray):
@@ -660,8 +544,7 @@ class _IdentityOutputNonsubsetPack(_Stage2Pack):
     corrected residual NLL and its adjoints with one N_h x N_h
     eigendecomposition and the SVD of each weight factor, so no output-sized
     matrix is ever built.  ``gar_nll_nonsubset`` scores fitted models with
-    the same routine; the dense pack evaluates the identical objective and
-    serves as its oracle in the tests.
+    the same routine.
     """
 
     def __init__(
@@ -751,7 +634,16 @@ def _fit_transition(
     plan: SubsetPlan,
     config: GarConfig,
 ):
-    """Stage-2 fit of one transition: weights plus residual hyperparameters."""
+    """Stage-2 fit of one transition: weights plus residual hyperparameters.
+
+    A non-subset transition with identity output covariances fits the exact
+    corrected objective in input space (``_IdentityOutputNonsubsetPack``),
+    for any W and block size.  Every other transition fits ``_ResidualPack``
+    on the low stack, which on non-subset data ends in the imputed means at
+    the unmatched inputs: exact for subset data, and for latent output
+    covariances the imputed-residual objective, whose fitted model
+    ``gar_nll_nonsubset`` scores exactly.
+    """
     perm = plan.permutation
     X_res = level_high.X[perm]
     Y_res = level_high.Y[perm]
@@ -769,19 +661,9 @@ def _fit_transition(
 
     args = (low_stack, Y_res, template, w_init, config.w_mode)
     if workspace is not None and config.identity_outputs:
-        # Exact input-space objective, any W and any block size.
         pack = _IdentityOutputNonsubsetPack(*args, workspace.s_hat, plan.n_matched)
-    elif workspace is None or Y_res.size > NONSUBSET_EXACT_CAP:
-        # Subset data, or the imputed-residual approximation for large
-        # latent-output non-subset blocks (exact when the imputation
-        # uncertainty vanishes); the exact corrected NLL remains available
-        # through gar_nll_nonsubset.
-        pack = _ResidualPack(*args, config.laplace, freeze_coords=shared)
     else:
-        pack = _NonsubsetPack(
-            *args, config.laplace, workspace.s_hat, low_model.output_covs(), plan.n_matched,
-            freeze_coords=shared,
-        )
+        pack = _ResidualPack(*args, config.laplace, freeze_coords=shared)
 
     project = pack.project if config.w_mode == "orthonormal" else None
     p_opt, trace = minimize(pack.objective, pack.pack(), config.optim, project=project)
@@ -936,18 +818,6 @@ def _identity_outputs(trans: GarTransition) -> bool:
     return low.output_features is None and res.output_features is None
 
 
-def _corrected_nll_dense(trans: GarTransition, low_covs: list) -> float:
-    """Corrected residual NLL from one Cholesky factor of the dense covariance."""
-    from scipy.linalg import solve_triangular
-
-    res = trans.residual
-    b_input = _embedded_cov(trans.workspace.s_hat, res.n_samples, trans.plan.n_matched)
-    (chol, _), *_ = _dense_corrected(res, trans.weights, b_input, low_covs)
-    half = solve_triangular(chol, vec(res.centered), lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return 0.5 * (float(half @ half) + logdet + res.Y.size * LOG2PI)
-
-
 def _corrected_nll_low_rank(trans: GarTransition, low_covs: list) -> float:
     """Corrected residual NLL as a low-rank update of the eigen-solvable base.
 
@@ -1008,11 +878,11 @@ def gar_nll_nonsubset(model: GarModel) -> float:
     or any ``identity_outputs`` fit), the correction diagonalizes in input
     space for any W through ``_identity_output_objective``, the routine the
     fit's objective uses, and only an N_h x N_h matrix and the weight
-    factors are ever factorized.  For latent output covariances the NLL
-    factorizes the smaller of two matrices by one Cholesky, the dense
-    corrected covariance (``N_h d_h`` rows) or the capacitance of the
-    low-rank update (unmatched count times low output size); a tie goes to
-    the dense one.
+    factors are ever factorized.  For latent output covariances the NLL is
+    a low-rank update of the residual's eigen-solvable covariance
+    (``_corrected_nll_low_rank``): one Cholesky of the Woodbury capacitance,
+    whose size is the unmatched count times the low output size.  No
+    output-sized dense covariance is built on either route.
     """
     if len(model.transitions) != 1:
         raise ValueError("non-subset evaluation covers a single transition")
@@ -1024,8 +894,6 @@ def gar_nll_nonsubset(model: GarModel) -> float:
     if _identity_outputs(trans):
         b_input = _embedded_cov(trans.workspace.s_hat, res.n_samples, trans.plan.n_matched)
         return low_part + _identity_output_objective(res, trans.weights, b_input)[0]
-    if res.Y.size <= trans.plan.n_unmatched * model.low.output_size:
-        return low_part + _corrected_nll_dense(trans, model.low.output_covs())
     return low_part + _corrected_nll_low_rank(trans, model.low.output_covs())
 
 
@@ -1222,6 +1090,32 @@ def gar_to_dict(model: GarModel, dataset_ref: str | None = None) -> dict:
     return doc
 
 
+def _check_stored_transition(where: str, plan, residual, weights: list, level_low):
+    """Refuse a stored plan or weights that do not fit the transition they load into.
+
+    The plan must order every residual row exactly once and index rows of
+    the pair's low level (``level_low``: the bottom model, or the residual
+    of the transition below, which holds every row of that level); there
+    must be one weight factor per residual mode, shaped (high size, low
+    size).  Errors start with the field's path in the document.
+    """
+    n_rows = residual.n_samples
+    if not np.array_equal(np.sort(plan.permutation), np.arange(n_rows)):
+        raise ValueError(
+            f"{where}plan: matched_high and unmatched_high must list each of the "
+            f"{n_rows} residual rows once"
+        )
+    n_low = level_low.n_samples
+    if plan.n_matched and not (plan.matched_low.min() >= 0 and plan.matched_low.max() < n_low):
+        raise ValueError(f"{where}plan.matched_low: indices must lie in [0, {n_low})")
+    n_modes = len(residual.mode_sizes)
+    if len(weights) != n_modes:
+        raise ValueError(f"{where}weights: {len(weights)} factors for {n_modes} residual modes")
+    for m, shape in enumerate(zip(residual.mode_sizes, level_low.mode_sizes)):
+        if weights[m].shape != shape:
+            raise ValueError(f"{where}weights[{m}]: shape {weights[m].shape}, expected {shape}")
+
+
 def gar_from_dict(doc: dict) -> GarModel:
     """Rebuild a model from :func:`gar_to_dict`'s document.
 
@@ -1231,6 +1125,7 @@ def gar_from_dict(doc: dict) -> GarModel:
     _check_schema(doc, GAR_SCHEMA)
     low = _tgp_from_doc(doc["low"], "low.")
     transitions = []
+    level_low = low  # a model holding the pair's low level: sample count and output sizes
     for i, entry in enumerate(doc["transitions"]):
         where = f"transitions[{i}]."
         plan = SubsetPlan(
@@ -1240,11 +1135,12 @@ def gar_from_dict(doc: dict) -> GarModel:
             )
         )
         residual = _tgp_from_doc(entry["residual"], where + "residual.")
+        weights = [decode_array(f, f"{where}weights[{m}]") for m, f in enumerate(entry["weights"])]
+        _check_stored_transition(where, plan, residual, weights, level_low)
         workspace = None
         if not plan.fully_matched:
             pair_low = low if i == 0 else _tgp_from_doc(entry["low"], where + "low.")
             workspace = _nonsubset_workspace(pair_low, residual.X[plan.n_matched :])
-        weights = [decode_array(f, f"{where}weights[{m}]") for m, f in enumerate(entry["weights"])]
         transitions.append(
             GarTransition(
                 weights=TuckerWeights(weights),
@@ -1253,6 +1149,7 @@ def gar_from_dict(doc: dict) -> GarModel:
                 workspace=workspace,
             )
         )
+        level_low = residual
     if doc["kind"] == "cigar":
         from .cigar import CigarModel  # deferred: cigar depends on gar
 

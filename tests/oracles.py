@@ -2,14 +2,17 @@
 
 Everything here deliberately materializes full joint covariances with
 ``np.kron`` and uses dense factorizations; nothing is shared with the
-package's eigendecomposition pipeline.  Instances are kept tiny.  The PDE
-solver references at the end rebuild each linear system from scratch and
-solve it through SciPy's validating entry points.
+package's eigendecomposition pipeline.  The dense non-subset stage-2 pack
+borrows only the production parameter plumbing around its dense core.
+Instances are kept tiny.  The PDE solver references at the end rebuild
+each linear system from scratch and solve it through SciPy's validating
+entry points.
 """
 
 import numpy as np
 
-from mfgar.kernels import ArdKernelParams, LatentFeatures, ard_gram, output_cov
+from mfgar.gar import _embedded_cov, _Stage2Pack
+from mfgar.kernels import ArdKernelParams, LaplacePrior, LatentFeatures, ard_gram, output_cov
 from mfgar.hogp import TgpModel
 from mfgar.tensalg import kron_all, kruskal_outer, vec
 
@@ -120,15 +123,24 @@ def dense_tgp_adjoints(model: TgpModel):
             factors.append(np.eye(d))
         else:
             factors.append(output_cov(model.output_features, m))
-    n_f = len(factors)
-    rows, cols = "abcdef"[:n_f], "ghijkl"[:n_f]
-    gbars = []
-    for k in range(n_f):
-        others = [j for j in range(n_f) if j != k]
-        expr = ",".join([rows + cols] + [rows[j] + cols[j] for j in others])
-        operands = [factors[j] for j in others]
-        gbars.append(np.einsum(expr + "->" + rows[k] + cols[k], blocks, *operands))
+    gbars = [kron_partial(blocks, factors, k) for k in range(len(factors))]
     return gbars, float(np.trace(T))
+
+
+def kron_partial(T_blocks, mats, open_idx):
+    """Open-factor contraction of ``<T, mats_0 (x) mats_1 (x) ..>``.
+
+    ``T_blocks`` has one row axis per factor, then one column axis per
+    factor; every factor but ``open_idx`` is contracted away, leaving the
+    matrix that pairs with a perturbation of the open factor.
+    """
+    n_f = len(mats)
+    rows, cols = "abcdefghijkl"[:n_f], "mnopqrstuvwx"[:n_f]
+    others = [j for j in range(n_f) if j != open_idx]
+    expr = ",".join([rows + cols] + [rows[j] + cols[j] for j in others])
+    return np.einsum(
+        expr + "->" + rows[open_idx] + cols[open_idx], T_blocks, *[mats[j] for j in others]
+    )
 
 
 def dense_tgp_predict(model: TgpModel, x_star):
@@ -514,6 +526,76 @@ def low_stack(trans, y_low):
         return stack
     imputed = trans.workspace.aug_low.Y[-trans.plan.n_unmatched :]
     return np.concatenate([stack, imputed], axis=0)
+
+
+class DenseNonsubsetPack(_Stage2Pack):
+    """Exact corrected non-subset stage-2 objective on the dense covariance.
+
+    The residual block's covariance ``K_r (x) S_r + B (x) W S_low W^T +
+    noise I`` (matched-first rows, ``B`` the embedded imputation covariance
+    ``S_hat``) is built with ``kron_all`` and factorized by one Cholesky.
+    The adjoints contract ``T = 1/2 (Sigma^-1 - alpha alpha^T)`` against
+    every factor but one: the input Gram, each latent output covariance, and
+    each ``W_m`` through its sandwich ``W_m S_low_m W_m^T``.  Only the
+    covariance core is dense; the parameter packing, the residual and the W
+    gradient through it are the production ``_Stage2Pack`` plumbing.  This
+    is the reference the identity-output pack is checked against, value and
+    gradient.
+    """
+
+    def __init__(self, low_stack, y_high, template, w_init, w_mode, laplace, s_hat, s_low,
+                 n_matched):
+        super().__init__(low_stack, y_high, template, w_init, w_mode, laplace)
+        self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
+        self.s_low = [np.eye(s) if isinstance(s, int) else s for s in s_low]
+
+    def _core(self, model, weights):
+        from scipy.linalg import cho_factor, cho_solve
+
+        K_r = ard_gram(model.input_kernel, model.X, model.X)
+        s_mats = [np.eye(s) if isinstance(s, int) else s for s in model.output_covs()]
+        sand = [w @ s @ w.T for w, s in zip(weights.factors, self.s_low)]
+        n = model.Y.size
+        sigma = kron_all([K_r] + s_mats) + kron_all([self.b_input] + sand)
+        sigma += model.noise * np.eye(n)
+        chol = cho_factor(sigma, lower=True)
+        phi = vec(model.centered)
+        alpha = cho_solve(chol, phi)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+        value = 0.5 * (float(phi @ alpha) + logdet + n * LOG2PI)
+
+        T = 0.5 * (cho_solve(chol, np.eye(n)) - np.outer(alpha, alpha))
+        blocks = T.reshape(model.Y.shape * 2)
+        base = [K_r] + s_mats
+        gbars = [kron_partial(blocks, base, 0)]
+        if model.output_features is not None:
+            gbars += [kron_partial(blocks, base, m) for m in range(1, len(base))]
+        correction = [self.b_input] + sand
+        w_cov_grads = []
+        for m, (w, s) in enumerate(zip(weights.factors, self.s_low)):
+            q = kron_partial(blocks, correction, m + 1)
+            w_cov_grads.append((q + q.T) @ w @ s)
+        return value, gbars, float(np.trace(T)), alpha.reshape(model.Y.shape), w_cov_grads
+
+
+def dense_nonsubset_pack(model, dataset, laplace=0.0):
+    """``DenseNonsubsetPack`` at a two-level non-subset model's own parameters, free W.
+
+    ``model`` and ``dataset`` as ``make_random_nonsubset`` returns them; the
+    objective at ``pack.pack()`` is the model's corrected residual NLL.
+    """
+    trans = model.transitions[0]
+    return DenseNonsubsetPack(
+        low_stack(trans, dataset.levels[0].Y),
+        dataset.levels[1].Y[trans.plan.permutation],
+        trans.residual,
+        trans.weights,
+        "free",
+        LaplacePrior(laplace),
+        trans.workspace.s_hat,
+        model.low.output_covs(),
+        trans.plan.n_matched,
+    )
 
 
 def make_random_two_level(

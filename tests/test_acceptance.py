@@ -18,7 +18,6 @@ from mfgar.gar import (
     GarConfig,
     MultiFidelityDataset,
     _IdentityOutputNonsubsetPack,
-    _NonsubsetPack,
     _ResidualPack,
     gar_fit_recursive,
     gar_fit_subset,
@@ -31,6 +30,7 @@ from mfgar.optim import OptimConfig
 from mfgar.pdebench import pde_spec, solve_field, solve_poisson, upsample_bilinear
 from oracles import (
     dense_marginal_nonsubset_nll,
+    dense_nonsubset_pack,
     dense_nonsubset_predict,
     dense_tgp_nll,
     dense_tgp_predict,
@@ -218,13 +218,15 @@ def test_criterion_5_kronecker_pipeline_and_gradients():
         audits[f"stage2 {mode} W"] = grad_audit(pack.objective, pack.pack(), eps=1e-5)
 
     ns_model, ns_ds = make_random_nonsubset(rng, 4, 1, 2, (2,), (2,))
+    pack = dense_nonsubset_pack(ns_model, ns_ds)
+    audits["non-subset corrected (oracle)"] = grad_audit(pack.objective, pack.pack(), eps=1e-5)
+    # the production latent non-subset fit: the imputed-residual objective
     t = ns_model.transitions[0]
-    pack = _NonsubsetPack(
+    pack = _ResidualPack(
         low_stack(t, ns_ds.levels[0].Y), ns_ds.levels[1].Y[t.plan.permutation],
-        t.residual, t.weights, "free", LaplacePrior(0.0), t.workspace.s_hat,
-        ns_model.low.output_covs(), t.plan.n_matched,
+        t.residual, t.weights, "free", LaplacePrior(0.0),
     )
-    audits["non-subset corrected"] = grad_audit(pack.objective, pack.pack(), eps=1e-5)
+    audits["non-subset imputed residual"] = grad_audit(pack.objective, pack.pack(), eps=1e-5)
 
     ci_model, ci_ds = make_random_nonsubset(
         rng, 4, 1, 2, (2,), (3,), identity_outputs=True, orthonormal_w=True

@@ -20,8 +20,6 @@ from mfgar.gar import (
     MultiFidelityDataset,
     TuckerWeights,
     _IdentityOutputNonsubsetPack,
-    _NonsubsetPack,
-    _corrected_nll_dense,
     _corrected_nll_low_rank,
     _gamma_variance,
     build_subset_plan,
@@ -34,12 +32,12 @@ from mfgar.gar import (
     save_gar,
 )
 from mfgar.hogp import encode_array, tgp_nll
-from mfgar.kernels import LaplacePrior
 from mfgar.optim import OptimConfig
 from mfgar.tensalg import kron_all, vec
 from oracles import (
     column_stream_gamma_variance,
     dense_marginal_nonsubset_nll,
+    dense_nonsubset_pack,
     dense_nonsubset_predict,
     dense_two_level_predict,
     grad_audit,
@@ -168,10 +166,10 @@ def test_identity_output_nll_equals_dense_marginal(n_matched, low_modes, high_mo
 
 
 def test_identity_output_nll_routes_past_output_sized_algebra(monkeypatch):
-    # A residual block past the dense cap with identity output covariances:
-    # neither the dense corrected covariance nor a Kronecker root column may
-    # be built, and no eigendecomposition may exceed the augmented sample
-    # count (the output modes here are 40 and 30).
+    # A large residual block with identity output covariances: neither the
+    # latent route's Woodbury capacitance nor a Kronecker root column may be
+    # built, and no eigendecomposition may exceed the augmented sample count
+    # (the output modes here are 40 and 30).
     import mfgar.gar as gar
     from mfgar.tensalg import track_eig_sizes
 
@@ -182,7 +180,7 @@ def test_identity_output_nll_routes_past_output_sized_algebra(monkeypatch):
     def output_sized(*args, **kwargs):
         raise AssertionError("output-sized path taken")
 
-    monkeypatch.setattr(gar, "_corrected_cholesky", output_sized)
+    monkeypatch.setattr(gar, "_corrected_nll_low_rank", output_sized)
     monkeypatch.setattr(gar, "_khatri_rao_blocks", output_sized)
     with track_eig_sizes() as sizes:
         value = gar_nll_nonsubset(model)
@@ -306,20 +304,10 @@ def test_gamma_variance_mixed_output_covariances_matches_reference():
 
 
 def test_nonsubset_pack_gradient_audit():
+    # the dense oracle pack's analytic adjoints against central differences
     rng = np.random.default_rng(8)
     model, ds = make_random_nonsubset(rng, 4, 1, 2, (2,), (2,))
-    trans = model.transitions[0]
-    pack = _NonsubsetPack(
-        low_stack(trans, ds.levels[0].Y),
-        ds.levels[1].Y[trans.plan.permutation],
-        trans.residual,
-        trans.weights,
-        "free",
-        LaplacePrior(0.0),
-        trans.workspace.s_hat,
-        model.low.output_covs(),
-        trans.plan.n_matched,
-    )
+    pack = dense_nonsubset_pack(model, ds)
     assert grad_audit(pack.objective, pack.pack(), eps=1e-5) < 1e-4
 
 
@@ -327,36 +315,14 @@ def test_nonsubset_pack_gradient_audit_with_laplace_penalty():
     # two latent modes, so the penalty covers several coordinate blocks
     rng = np.random.default_rng(8)
     model, ds = make_random_nonsubset(rng, 4, 1, 2, (2, 2), (2, 3))
-    trans = model.transitions[0]
-    pack = _NonsubsetPack(
-        low_stack(trans, ds.levels[0].Y),
-        ds.levels[1].Y[trans.plan.permutation],
-        trans.residual,
-        trans.weights,
-        "free",
-        LaplacePrior(0.4),
-        trans.workspace.s_hat,
-        model.low.output_covs(),
-        trans.plan.n_matched,
-    )
+    pack = dense_nonsubset_pack(model, ds, laplace=0.4)
     assert grad_audit(pack.objective, pack.pack(), eps=1e-5) < 1e-4
 
 
 def test_nonsubset_pack_value_is_corrected_marginal():
     rng = np.random.default_rng(9)
     model, ds = make_random_nonsubset(rng, 5, 2, 2, (2,), (3,))
-    trans = model.transitions[0]
-    pack = _NonsubsetPack(
-        low_stack(trans, ds.levels[0].Y),
-        ds.levels[1].Y[trans.plan.permutation],
-        trans.residual,
-        trans.weights,
-        "free",
-        LaplacePrior(0.0),
-        trans.workspace.s_hat,
-        model.low.output_covs(),
-        trans.plan.n_matched,
-    )
+    pack = dense_nonsubset_pack(model, ds)
     value, _ = pack.objective(pack.pack())
     assert_allclose(value, gar_nll_nonsubset(model) - tgp_nll(model.low), rtol=1e-9)
 
@@ -373,21 +339,18 @@ IDENTITY_PACK_CASES = [
 
 
 def identity_output_packs(seed, n_matched, low_modes, high_modes, orthonormal_w):
-    """The identity-output pack and the dense pack at one random model, raw W."""
+    """The identity-output pack and the dense oracle pack at one random model, raw W."""
     rng = np.random.default_rng(seed)
     model, ds = make_random_nonsubset(
         rng, 5, n_matched, 2, low_modes, high_modes,
         identity_outputs=True, orthonormal_w=orthonormal_w,
     )
     trans = model.transitions[0]
-    y_perm = ds.levels[1].Y[trans.plan.permutation]
-    args = (low_stack(trans, ds.levels[0].Y), y_perm, trans.residual, trans.weights, "free")
-    dense = _NonsubsetPack(
-        *args, LaplacePrior(0.0), trans.workspace.s_hat,
-        model.low.output_covs(), trans.plan.n_matched,
+    fast = _IdentityOutputNonsubsetPack(
+        low_stack(trans, ds.levels[0].Y), ds.levels[1].Y[trans.plan.permutation],
+        trans.residual, trans.weights, "free", trans.workspace.s_hat, trans.plan.n_matched,
     )
-    fast = _IdentityOutputNonsubsetPack(*args, trans.workspace.s_hat, trans.plan.n_matched)
-    return fast, dense
+    return fast, dense_nonsubset_pack(model, ds)
 
 
 @pytest.mark.parametrize("n_matched, low_modes, high_modes, orthonormal_w", IDENTITY_PACK_CASES)
@@ -444,24 +407,12 @@ def non_pd_point(pack):
 
 
 def test_nonsubset_packs_return_inf_at_a_non_pd_point():
-    # Both non-subset cores factorize the corrected covariance (a Cholesky
-    # of the dense block, or of the input Gram); where that fails the
-    # objective scores +inf, which the optimizer backtracks from, instead
-    # of raising.
+    # Both corrected cores factorize a covariance (a Cholesky of the dense
+    # oracle block, or of the input Gram); where that fails the objective
+    # scores +inf, which the optimizer backtracks from, instead of raising.
     rng = np.random.default_rng(8)
     model, ds = make_random_nonsubset(rng, 4, 1, 2, (2,), (2,))
-    trans = model.transitions[0]
-    dense = _NonsubsetPack(
-        low_stack(trans, ds.levels[0].Y),
-        ds.levels[1].Y[trans.plan.permutation],
-        trans.residual,
-        trans.weights,
-        "free",
-        LaplacePrior(0.0),
-        trans.workspace.s_hat,
-        model.low.output_covs(),
-        trans.plan.n_matched,
-    )
+    dense = dense_nonsubset_pack(model, ds)
     fast, _ = identity_output_packs(10, 1, (2,), (3,), False)
     for pack in (dense, fast):
         p = non_pd_point(pack)
@@ -502,10 +453,9 @@ def test_fit_nonsubset_end_to_end():
     assert np.all(pred.variance_diag >= 0)
 
 
-def test_fit_nonsubset_cap_falls_back_to_imputed_objective(monkeypatch):
-    import mfgar.gar as gar
-
-    monkeypatch.setattr(gar, "NONSUBSET_EXACT_CAP", 1)
+def test_fit_nonsubset_cap_falls_back_to_imputed_objective():
+    # a small latent non-subset block fits the imputed-residual objective
+    # and still scores a finite exact NLL
     rng = np.random.default_rng(13)
     ds = nonsubset_dataset(rng, n_low=10, n_matched=1, n_unmatched=3)
     cfg = GarConfig(optim=OptimConfig(max_iters=60), share_latents=False)
@@ -515,15 +465,14 @@ def test_fit_nonsubset_cap_falls_back_to_imputed_objective(monkeypatch):
 
 
 def test_fit_identity_outputs_nonsubset_uses_exact_objective_past_cap(monkeypatch):
-    # A free-W identity-output fit whose residual block is above the exact
-    # cap must still optimize the exact input-space objective: neither the
-    # dense pack nor the imputed-residual approximation may be evaluated.
+    # A free-W identity-output fit with a large residual block (2304
+    # entries) must optimize the exact input-space objective: the
+    # imputed-residual approximation may not be evaluated.
     import mfgar.gar as gar
 
     def forbidden(self, p):
         raise AssertionError(f"{type(self).__name__} evaluated")
 
-    monkeypatch.setattr(gar._NonsubsetPack, "objective", forbidden)
     monkeypatch.setattr(gar._ResidualPack, "objective", forbidden)
     rng = np.random.default_rng(15)
     X_l = rng.uniform(0, 1, size=(10, 2))
@@ -535,7 +484,7 @@ def test_fit_identity_outputs_nonsubset_uses_exact_objective_past_cap(monkeypatc
 
     ds = MultiFidelityDataset([(X_l, field(X_l, 1.0)), (X_h, field(X_h, 1.3) + 0.05)])
     cfg = GarConfig(optim=OptimConfig(max_iters=20), identity_outputs=True)
-    assert cfg.w_mode == "free" and ds.levels[1].Y.size > gar.NONSUBSET_EXACT_CAP
+    assert cfg.w_mode == "free"
     model = gar_fit_recursive(ds, cfg)
     assert model.transitions[0].workspace is not None
     assert np.isfinite(gar_nll_nonsubset(model))
@@ -569,21 +518,10 @@ def test_stage2_fits_use_the_packs_the_benchmark_tracer_counts(monkeypatch):
     gar_fit_recursive(nonsubset_dataset(rng, n_low=8, n_matched=3, n_unmatched=0), cfg)
     cigar_fit(nonsubset_dataset(rng, n_low=8), cfg)
     gar_fit_recursive(nonsubset_dataset(rng, n_low=8), cfg)
-    X_l = rng.uniform(0, 1, size=(8, 2))
-    X_h = np.vstack([X_l[:2], rng.uniform(0, 1, size=(4, 2))])
-    grid = np.linspace(0, 1, 24)
-
-    def field(X, scale):
-        return scale * np.sin(np.pi * (X[:, :1, None] + grid[None, :, None] * grid[None, None, :16]))
-
-    big = MultiFidelityDataset([(X_l, field(X_l, 1.0)), (X_h, field(X_h, 1.3) + 0.05)])
-    assert big.levels[1].Y.size > gar.NONSUBSET_EXACT_CAP
-    gar_fit_recursive(big, cfg)
     assert owners == [
         tracing.RESIDUAL_PACK,  # subset gar
         tracing.COLLAPSED_PACK,  # non-subset cigar
-        tracing.DENSE_NONSUBSET_PACK,  # small latent non-subset
-        tracing.RESIDUAL_PACK,  # latent non-subset above the exact cap
+        tracing.RESIDUAL_PACK,  # latent non-subset: the imputed-residual objective
     ]
 
 
@@ -595,15 +533,14 @@ def test_fit_nonsubset_plan_detection():
 
 
 def test_nll_low_rank_route_matches_dense():
-    # Both latent-output evaluations of the corrected residual NLL, called
-    # directly: the Woodbury route must coincide with the dense Cholesky and
-    # the marginalization oracle.
+    # The Woodbury route, called directly, must coincide with the dense
+    # oracle pack's corrected residual NLL and the marginalization oracle.
     rng = np.random.default_rng(16)
     model, ds = make_random_nonsubset(rng, 6, 2, 3, (2, 2), (3, 2))
     trans = model.transitions[0]
-    low_covs = model.low.output_covs()
-    dense = tgp_nll(model.low) + _corrected_nll_dense(trans, low_covs)
-    lowrank = tgp_nll(model.low) + _corrected_nll_low_rank(trans, low_covs)
+    pack = dense_nonsubset_pack(model, ds)
+    dense = tgp_nll(model.low) + pack.objective(pack.pack())[0]
+    lowrank = tgp_nll(model.low) + _corrected_nll_low_rank(trans, model.low.output_covs())
     assert_allclose(lowrank, dense, rtol=1e-9)
     oracle = dense_marginal_nonsubset_nll(
         model.low, trans.weights, trans.residual, trans.plan,
@@ -621,7 +558,6 @@ def test_nll_low_rank_route_three_modes_matches_dense_marginal(monkeypatch):
     rng = np.random.default_rng(27)
     model, ds = make_random_nonsubset(rng, 6, 2, 2, (2, 2, 2), (2, 3, 2))
     trans = model.transitions[0]
-    assert trans.residual.Y.size > trans.plan.n_unmatched * model.low.output_size
     oracle = dense_marginal_nonsubset_nll(
         model.low, trans.weights, trans.residual, trans.plan,
         trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
@@ -631,29 +567,22 @@ def test_nll_low_rank_route_three_modes_matches_dense_marginal(monkeypatch):
     assert_allclose(gar_nll_nonsubset(model), oracle, rtol=1e-7)
 
 
-def test_nll_factorizes_the_smaller_matrix(monkeypatch):
-    # Latent output covariances: the dense Cholesky when N_h d_h is at most
-    # the correction's rank (unmatched count x low output size), a tie
-    # included, and the low-rank update otherwise.
-    import mfgar.gar as gar
-
-    calls = []
-    for name in ("_corrected_nll_dense", "_corrected_nll_low_rank"):
-        def spy(*args, _name=name, _original=getattr(gar, name)):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(gar, name, spy)
+def test_latent_nll_matches_the_dense_pack_at_any_capacitance_size():
+    # Latent output covariances: gar_nll_nonsubset's Woodbury route against
+    # the dense corrected objective when the capacitance (unmatched count x
+    # low output size) is as large as the residual block, smaller, and
+    # larger (the last case).
     rng = np.random.default_rng(26)
     for n_matched, low_modes, high_modes in [(0, (2,), (2,)), (2, (2,), (2,)), (1, (3,), (1,))]:
-        model, _ = make_random_nonsubset(rng, 5, n_matched, 3, low_modes, high_modes)
-        assert np.isfinite(gar_nll_nonsubset(model))
-    assert calls == ["_corrected_nll_dense", "_corrected_nll_low_rank", "_corrected_nll_dense"]
+        model, ds = make_random_nonsubset(rng, 5, n_matched, 3, low_modes, high_modes)
+        pack = dense_nonsubset_pack(model, ds)
+        value, _ = pack.objective(pack.pack())
+        assert_allclose(gar_nll_nonsubset(model) - tgp_nll(model.low), value, rtol=1e-9)
 
 
 def test_nll_low_rank_route_scales_past_dense_cap():
-    # A residual block too large to densify: the low-rank route must still
-    # produce a finite value (rank = unmatched count x low output size).
+    # A residual block too large to densify (7200 rows): the low-rank route
+    # must produce a finite value (rank = unmatched count x low output size).
     rng = np.random.default_rng(17)
     model, _ = make_random_nonsubset(rng, 8, 2, 4, (3, 2), (40, 30))
     n_block = model.transitions[0].residual.Y.size
@@ -790,6 +719,47 @@ def test_bundle_errors_name_the_nested_field():
     doc = gar_to_dict(model)
     doc["transitions"][0]["plan"]["unmatched_high"]["dtype"] = "<i4"
     with pytest.raises(ValueError, match=r"^transitions\[0\]\.plan\.unmatched_high: unsupported"):
+        gar_from_dict(doc)
+
+
+def _plan_edit(**fields):
+    """A bundle edit that replaces the given plan index arrays."""
+    return lambda entry: entry["plan"].update(
+        {name: encode_array(np.array(v)) for name, v in fields.items()}
+    )
+
+
+ROWS_ONCE = r"plan: matched_high and unmatched_high must list each of the 3 residual rows once"
+LOW_RANGE = r"plan\.matched_low: indices must lie in \[0, 5\)"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(_plan_edit(unmatched_high=[1]), ROWS_ONCE, id="dropped-unmatched"),
+        pytest.param(_plan_edit(unmatched_high=[0, 1]), ROWS_ONCE, id="duplicate-high"),
+        pytest.param(_plan_edit(matched_low=[99]), LOW_RANGE, id="matched-low-99"),
+        pytest.param(_plan_edit(matched_low=[-1]), LOW_RANGE, id="matched-low-negative"),
+        pytest.param(
+            lambda entry: entry["weights"].__setitem__(0, encode_array(np.ones((2, 3)))),
+            r"weights\[0\]: shape \(2, 3\), expected \(3, 2\)",
+            id="wrong-weight-shape",
+        ),
+        pytest.param(
+            lambda entry: entry["weights"].pop(),
+            r"weights: 0 factors for 1 residual modes",
+            id="missing-weight",
+        ),
+    ],
+)
+def test_bundle_refuses_plans_and_weights_that_do_not_fit(edit, message):
+    # A plan must order every residual row once and index the low model's
+    # rows; there is one weight factor per residual mode, (high, low) sized.
+    rng = np.random.default_rng(30)
+    model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (3,))
+    doc = gar_to_dict(model)
+    edit(doc["transitions"][0])
+    with pytest.raises(ValueError, match=r"^transitions\[0\]\." + message):
         gar_from_dict(doc)
 
 
