@@ -5,6 +5,7 @@ With every output covariance fixed to the identity and the weight factors
 constrained to orthonormal columns, all likelihood algebra collapses onto
 N x N input-space matrices: the subset objective is a multi-channel GP, and
 the non-subset correction block becomes ``embed(S_hat) (x) W W^T``.  The
+fit optimizes unconstrained matrices and uses their polar factors as W.  The
 fit objective and the exact NLL (``gar_nll_nonsubset``) share one routine,
 exact for any W: whitening by ``chol(G0)`` (``G0`` the residual input Gram
 plus noise), one N_h x N_h eigendecomposition and the SVD of each weight
@@ -31,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gar import GarConfig, GarModel, MultiFidelityDataset, TuckerWeights, gar_fit_recursive
+from .tensalg import polar
 
 ORTHO_TOL = 1e-8
 
@@ -42,6 +44,8 @@ class CigarModel(GarModel):
     Same container as the full model with identity output covariances and
     per-mode orthonormal-column weight factors (validated on construction).
     """
+
+    kind: str = "cigar"
 
     def __post_init__(self):
         if self.low.output_features is not None:
@@ -63,34 +67,22 @@ def orthonormality_error(weights: TuckerWeights) -> float:
 
 
 def orthonormalize(weights: TuckerWeights) -> TuckerWeights:
-    """Project every factor to its nearest orthonormal-column matrix.
+    """Replace every factor by its polar factor, the nearest orthonormal-column matrix.
 
-    Uses the orthogonal polar factor ``w @ vh`` of the thin SVD
-    ``f = w diag(s) vh``, which minimizes the Frobenius distance among
-    matrices with orthonormal columns; idempotent. The same SVD's singular
-    values reject rank-deficient factors (the projection is then not unique).
+    The fit maps its unconstrained factors the same way (``tensalg.polar``);
+    idempotent.  Wide and rank-deficient factors are refused.
     """
-    from scipy.linalg import svd
-
-    out = []
-    for f in weights.factors:
-        if f.shape[0] < f.shape[1]:
-            raise ValueError("cannot orthonormalize more columns than rows")
-        w, sv, vh = svd(f, full_matrices=False)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-            raise ValueError("rank-deficient weight factor cannot be orthonormalized")
-        out.append(w @ vh)
-    return TuckerWeights(out)
+    return TuckerWeights([polar(f)[0] for f in weights.factors])
 
 
 def cigar_fit(dataset: MultiFidelityDataset, config: GarConfig = GarConfig()) -> CigarModel:
     """Fit the conditional-independent model on subset or non-subset data.
 
-    Orthonormality is enforced by an exact polar retraction after every
-    optimizer step rather than a penalty, so the constraint holds along the
-    whole accepted trajectory.  No output-mode covariance is ever allocated
-    or factorized during the fit.
+    Each weight factor is the polar factor of an unconstrained matrix that
+    the optimizer moves freely, so orthonormality holds at every evaluated
+    point, without a penalty or a retraction.  No output-mode covariance is
+    ever allocated or factorized during the fit.
     """
     cfg = replace(config, identity_outputs=True, w_mode="orthonormal")
     fitted = gar_fit_recursive(dataset, cfg)
-    return CigarModel(low=fitted.low, transitions=fitted.transitions, kind="cigar")
+    return CigarModel(low=fitted.low, transitions=fitted.transitions)

@@ -52,7 +52,7 @@ from .hogp import (
 )
 from .kernels import ArdKernelParams, LaplacePrior, LatentFeatures, ard_gram
 from .optim import OptimConfig, minimize
-from .tensalg import kron_all, kruskal_outer, mode_product, sym_eig, tucker_apply, vec
+from .tensalg import kron_all, kruskal_outer, mode_product, polar, sym_eig, tucker_apply, vec
 
 # ---------------------------------------------------------------------------
 # Datasets
@@ -269,7 +269,7 @@ class GarTransition:
 
 @dataclass
 class GarModel:
-    """Chain of fitted transitions on top of the lowest-fidelity TGP."""
+    """Chain of fitted transitions; a bundle loads as the subclass of its ``kind``."""
 
     low: TgpModel
     transitions: list
@@ -288,7 +288,6 @@ class GarConfig:
     """Fusion fit settings shared by all model kinds."""
 
     optim: OptimConfig = OptimConfig()
-    latent_rank: int | None = None
     laplace: LaplacePrior = LaplacePrior(0.0)
     identity_outputs: bool = False
     w_mode: str = "free"  # free | scalar | identity | orthonormal
@@ -297,7 +296,6 @@ class GarConfig:
     def fit_config(self) -> FitConfig:
         return FitConfig(
             optim=self.optim,
-            latent_rank=self.latent_rank,
             laplace=self.laplace,
             identity_outputs=self.identity_outputs,
         )
@@ -309,7 +307,11 @@ class GarConfig:
 
 
 class _WParam:
-    """Flat packing of the transition weights under a structural constraint."""
+    """Flat packing of the transition weights under a structural constraint.
+
+    ``orthonormal`` packs an unconstrained ``F_m`` per mode and uses its
+    polar factor as ``W_m``, so every evaluated W satisfies the constraint.
+    """
 
     def __init__(self, init: TuckerWeights, mode: str):
         if mode not in ("free", "scalar", "identity", "orthonormal"):
@@ -318,52 +320,35 @@ class _WParam:
         self.shapes = [f.shape for f in init.factors]
         if mode == "scalar" and any(s[0] != s[1] for s in self.shapes):
             raise ValueError("scalar transfer requires aligned output dimensions")
+        if mode == "orthonormal" and any(s[0] < s[1] for s in self.shapes):
+            raise ValueError("cannot orthonormalize more columns than rows")
         if mode in ("free", "orthonormal"):
-            self.size = sum(a * b for a, b in self.shapes)
-        elif mode == "scalar":
-            self.size = 1
+            self.init = _ravel_all(init.factors)
         else:
-            self.size = 0
-        self._init = init
+            self.init = np.ones(1) if mode == "scalar" else np.empty(0)
+        self.size = self.init.size
 
-    def pack(self) -> np.ndarray:
-        if self.mode in ("free", "orthonormal"):
-            return np.concatenate([f.ravel() for f in self._init.factors]) if self.size else np.empty(0)
-        if self.mode == "scalar":
-            return np.array([1.0])
-        return np.empty(0)
-
-    def unpack(self, p: np.ndarray) -> TuckerWeights:
-        if self.mode in ("free", "orthonormal"):
-            facs, idx = [], 0
-            for a, b in self.shapes:
-                facs.append(p[idx : idx + a * b].reshape(a, b))
-                idx += a * b
-            return TuckerWeights(facs)
+    def unpack(self, p: np.ndarray):
+        """Weights at ``p``, and the map of their per-factor gradients to ``p``'s gradient."""
         if self.mode == "scalar":
             rho = float(p[0])
             facs = [np.eye(*self.shapes[0]) * rho] + [np.eye(*s) for s in self.shapes[1:]]
-            return TuckerWeights(facs)
-        return TuckerWeights([np.eye(*s) for s in self.shapes])
+            return TuckerWeights(facs), lambda grads: np.array([float(np.trace(grads[0]))])
+        if self.mode == "identity":
+            return TuckerWeights([np.eye(*s) for s in self.shapes]), lambda grads: np.empty(0)
+        ends = np.cumsum([a * b for a, b in self.shapes])[:-1]
+        facs = [f.reshape(shape) for f, shape in zip(np.split(p, ends), self.shapes)]
+        if self.mode == "free":
+            return TuckerWeights(facs), _ravel_all
+        polars = [polar(f) for f in facs]
+        return (
+            TuckerWeights([q for q, _ in polars]),
+            lambda grads: _ravel_all([pb(g) for (_, pb), g in zip(polars, grads)]),
+        )
 
-    def chain(self, w_grads) -> np.ndarray:
-        """Map per-factor gradients to the packed parameter gradient."""
-        if self.mode in ("free", "orthonormal"):
-            return (
-                np.concatenate([g.ravel() for g in w_grads]) if self.size else np.empty(0)
-            )
-        if self.mode == "scalar":
-            return np.array([float(np.trace(w_grads[0]))])
-        return np.empty(0)
 
-    def project(self, p: np.ndarray) -> np.ndarray:
-        """Retraction for the orthonormal mode (polar factor per mode)."""
-        if self.mode != "orthonormal":
-            return p
-        from .cigar import orthonormalize  # deferred: cigar depends on gar
-
-        w = orthonormalize(self.unpack(p))
-        return np.concatenate([f.ravel() for f in w.factors]) if self.size else p
+def _ravel_all(mats) -> np.ndarray:
+    return np.concatenate([m.ravel() for m in mats])
 
 
 def _tucker_without_mode(tensor: np.ndarray, weights: TuckerWeights, skip: int) -> np.ndarray:
@@ -400,9 +385,9 @@ class _Stage2Pack:
     output covariance, the noise-variance partial, ``alpha = Sigma^-1 r`` in
     the residual's tensor shape, and the per-factor W gradients through the
     covariance, or ``None`` when the covariance does not depend on W.  A
-    point where the core's eigen or Cholesky step fails, or where the value or
-    gradient is not finite, scores ``(inf, 0)``, which the optimizer rejects
-    and backtracks from.
+    point where a polar factor is not unique or the core's eigen or Cholesky
+    step fails, or where the value or gradient is not finite, scores
+    ``(inf, 0)``, which the optimizer rejects and backtracks from.
     """
 
     def __init__(
@@ -425,28 +410,24 @@ class _Stage2Pack:
         return p[: self.w.size], p[self.w.size :]
 
     def pack(self) -> np.ndarray:
-        return np.concatenate([self.w.pack(), self.tgp.pack(self.tgp.template)])
+        return np.concatenate([self.w.init, self.tgp.pack(self.tgp.template)])
 
     def _unpack(self, p: np.ndarray):
         pw, pt = self.split(p)
-        weights = self.w.unpack(pw)
+        weights, w_pullback = self.w.unpack(pw)
         n_modes = len(weights.factors)
         z = [_tucker_without_mode(self.low_stack, weights, m) for m in range(n_modes)]
         # the factors in weights.apply's order, so the residual is bitwise the same
         resid = self.y_high - mode_product(z[-1], weights.factors[-1], n_modes)
-        return weights, replace(self.tgp.unpack(pt), Y=resid, _eig=None), z
+        return weights, w_pullback, replace(self.tgp.unpack(pt), Y=resid, _eig=None), z
 
     def unpack(self, p: np.ndarray):
-        weights, model, _ = self._unpack(p)
+        weights, _, model, _ = self._unpack(p)
         return weights, model
 
-    def project(self, p: np.ndarray) -> np.ndarray:
-        pw, pt = self.split(p)
-        return np.concatenate([self.w.project(pw), pt])
-
     def objective(self, p: np.ndarray):
-        weights, model, z = self._unpack(p)
         try:
+            weights, w_pullback, model, z = self._unpack(p)
             value, gbars, d_noise, alpha, w_cov_grads = self._core(model, weights)
         except (np.linalg.LinAlgError, ValueError):
             return np.inf, np.zeros(self.size)
@@ -457,7 +438,7 @@ class _Stage2Pack:
             other = [a for a in range(alpha.ndim) if a != m + 1]
             g = -np.tensordot(alpha, z_m, axes=(other, other))
             w_grads.append(g if w_cov_grads is None else g + w_cov_grads[m])
-        return _finite_or_inf(value, np.concatenate([self.w.chain(w_grads), g_t]))
+        return _finite_or_inf(value, np.concatenate([w_pullback(w_grads), g_t]))
 
 
 class _ResidualPack(_Stage2Pack):
@@ -592,9 +573,7 @@ def _residual_template(X_res, mode_sizes_high, low_model, config: GarConfig, res
                 [ArdKernelParams.default(V.shape[1]) for V in low_model.output_features.coords],
             )
         else:
-            feats = LatentFeatures.initialize(
-                tuple(mode_sizes_high), rank=config.latent_rank, seed=config.optim.seed
-            )
+            feats = LatentFeatures.initialize(tuple(mode_sizes_high), seed=config.optim.seed)
     # scale the initial amplitude and noise to the residual at the initial
     # weights, mirroring the data-scaled init of the plain TGP fit
     var0 = max(float(np.var(resid0)), 1e-8)
@@ -665,8 +644,7 @@ def _fit_transition(
     else:
         pack = _ResidualPack(*args, config.laplace, freeze_coords=shared)
 
-    project = pack.project if config.w_mode == "orthonormal" else None
-    p_opt, trace = minimize(pack.objective, pack.pack(), config.optim, project=project)
+    p_opt, trace = minimize(pack.objective, pack.pack(), config.optim)
     weights, residual = pack.unpack(p_opt)
     return GarTransition(weights=weights, residual=residual, plan=plan, workspace=workspace), trace
 
@@ -744,13 +722,18 @@ def _psd_root(s: np.ndarray) -> np.ndarray:
     return U * np.sqrt(np.clip(lam, 0.0, None))
 
 
-def _imputation_roots(s_hat: np.ndarray, low_covs: list) -> list:
+def _imputation_roots(s_hat: np.ndarray, low: TgpModel) -> list:
     """Square roots of the imputation covariance factors ``S_hat (x) S_low``.
 
-    One root per factor: ``S_hat`` first, then each low output covariance
-    (an explicit identity for identity factors).
+    One root per factor: ``S_hat`` first, then each output covariance of the
+    low model, ``U_k sqrt(lam_k)`` from its cached eigenfactors (an explicit
+    identity for identity factors).
     """
-    return [_psd_root(s_hat)] + [np.eye(s) if isinstance(s, int) else _psd_root(s) for s in low_covs]
+    eigs = low.eigenfactors()
+    return [_psd_root(s_hat)] + [
+        np.eye(lam.size) if U is None else U * np.sqrt(np.clip(lam, 0.0, None))
+        for U, lam in zip(eigs.vectors[1:], eigs.values[1:])
+    ]
 
 
 def _rotated_roots(eigs, roots: list, offset: int, weights: TuckerWeights | None = None) -> list:
@@ -818,7 +801,7 @@ def _identity_outputs(trans: GarTransition) -> bool:
     return low.output_features is None and res.output_features is None
 
 
-def _corrected_nll_low_rank(trans: GarTransition, low_covs: list) -> float:
+def _corrected_nll_low_rank(trans: GarTransition, low: TgpModel) -> float:
     """Corrected residual NLL as a low-rank update of the eigen-solvable base.
 
     ``Sigma_c = U (D + G G^T) U^T`` with ``D`` the joint eigenvalues and
@@ -836,7 +819,7 @@ def _corrected_nll_low_rank(trans: GarTransition, low_covs: list) -> float:
     res, ws = trans.residual, trans.workspace
     eigs = res.eigenfactors()
     roots = _rotated_roots(
-        eigs, _imputation_roots(ws.s_hat, low_covs), trans.plan.n_matched, trans.weights
+        eigs, _imputation_roots(ws.s_hat, low), trans.plan.n_matched, trans.weights
     )
     rank = int(np.prod([r.shape[1] for r in roots]))
     A = eigs.joint_values(res.noise)
@@ -894,7 +877,7 @@ def gar_nll_nonsubset(model: GarModel) -> float:
     if _identity_outputs(trans):
         b_input = _embedded_cov(trans.workspace.s_hat, res.n_samples, trans.plan.n_matched)
         return low_part + _identity_output_objective(res, trans.weights, b_input)[0]
-    return low_part + _corrected_nll_low_rank(trans, model.low.output_covs())
+    return low_part + _corrected_nll_low_rank(trans, model.low)
 
 
 # ---------------------------------------------------------------------------
@@ -963,14 +946,13 @@ def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape)
         facs = _fold_weights([None] * len(trans.weights.factors), [trans.weights, *downstream])
         return kruskal_outer([np.sum(diff * diff, axis=1)] + [np.sum(f * f, axis=1) for f in facs])
 
-    roots = _imputation_roots(ws.s_hat, aug.output_covs())
-
     # Prediction-mean operators (projected-basis form), with the weights the
     # path passes through folded into the per-mode output factors.
     k_fac_aug, *facs_aug = _mean_factors(aug, ard_gram(aug.input_kernel, Xs, aug.X))
     k_fac_res, *facs_res = _mean_factors(res, ard_gram(res.input_kernel, Xs, res.X))
     facs_aug = _fold_weights(facs_aug, [trans.weights, *downstream])
     facs_res = _fold_weights(facs_res, downstream)
+    roots = _imputation_roots(ws.s_hat, aug)
     eig_aug = aug.eigenfactors()
     A_aug = eig_aug.joint_values(aug.noise)
     eig_res = res.eigenfactors()
@@ -1119,8 +1101,9 @@ def _check_stored_transition(where: str, plan, residual, weights: list, level_lo
 def gar_from_dict(doc: dict) -> GarModel:
     """Rebuild a model from :func:`gar_to_dict`'s document.
 
-    A ``cigar`` document loads as a ``CigarModel``, so its identity-output
-    and orthonormal-weight constraints are checked on load.
+    A document loads as the ``GarModel`` subclass of its kind, so a
+    ``cigar`` document becomes a ``CigarModel`` and its identity-output and
+    orthonormal-weight constraints are checked on load.
     """
     _check_schema(doc, GAR_SCHEMA)
     low = _tgp_from_doc(doc["low"], "low.")
@@ -1150,11 +1133,9 @@ def gar_from_dict(doc: dict) -> GarModel:
             )
         )
         level_low = residual
-    if doc["kind"] == "cigar":
-        from .cigar import CigarModel  # deferred: cigar depends on gar
-
-        return CigarModel(low=low, transitions=transitions, kind="cigar")
-    return GarModel(low=low, transitions=transitions, kind=doc["kind"])
+    kind = doc["kind"]
+    model_cls = next((c for c in GarModel.__subclasses__() if c.kind == kind), GarModel)
+    return model_cls(low=low, transitions=transitions, kind=kind)
 
 
 def save_gar(model: GarModel, path, dataset_ref: str | None = None):

@@ -213,7 +213,6 @@ class FitConfig:
     """Settings for a single TGP fit (and reused by the fusion models)."""
 
     optim: OptimConfig = OptimConfig()
-    latent_rank: int | None = None
     laplace: LaplacePrior = LaplacePrior(0.0)
     identity_outputs: bool = False
 
@@ -345,9 +344,7 @@ def _initial_model(X, Y, config: FitConfig) -> TgpModel:
     input_kernel = ArdKernelParams(np.log(var), np.log(span))
     feats = None
     if not config.identity_outputs:
-        feats = LatentFeatures.initialize(
-            Y.shape[1:], rank=config.latent_rank, seed=config.optim.seed
-        )
+        feats = LatentFeatures.initialize(Y.shape[1:], seed=config.optim.seed)
     return TgpModel(
         input_kernel=input_kernel,
         output_features=feats,

@@ -121,12 +121,12 @@ class LatentFeatures:
         return tuple(V.shape[0] for V in self.coords)
 
     @classmethod
-    def initialize(cls, mode_sizes, rank: int | None = None, seed: int = 0, scale: float = 0.1):
-        """Deterministic seeded init: small normal coordinates, unit kernels."""
+    def initialize(cls, mode_sizes, seed: int = 0, scale: float = 0.1):
+        """Deterministic seeded init: small normal rank-``min(d, 2)`` coordinates, unit kernels."""
         rng = np.random.default_rng(seed)
         coords, kernels = [], []
         for d in mode_sizes:
-            r = min(d, 2) if rank is None else rank
+            r = min(d, 2)
             coords.append(scale * rng.standard_normal((d, r)))
             kernels.append(ArdKernelParams.default(r))
         return cls(coords, kernels)

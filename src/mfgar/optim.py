@@ -8,8 +8,8 @@ on rejection, so the accepted-objective trace is non-increasing by
 construction.
 
 Objectives are callables ``f(params) -> (value, gradient)`` over a flat
-parameter vector; constrained quantities are expected to be pre-mapped to
-unconstrained coordinates (logs) or handled via the ``project`` hook.
+parameter vector; each fit's objective maps unconstrained coordinates to
+its constrained quantities.  No caller in the package passes ``project``.
 """
 
 from __future__ import annotations

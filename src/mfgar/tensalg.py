@@ -1,4 +1,4 @@
-"""Kronecker, Tucker and Kruskal tensor algebra plus eigendecomposition solves.
+"""Kronecker, Tucker and Kruskal tensor algebra, eigen solves and the polar factor.
 
 Tensors are plain :class:`numpy.ndarray` objects.  The package-wide layout
 convention is fixed here once and for all:
@@ -148,6 +148,32 @@ def sym_eig(matrix: np.ndarray):
     for sizes in _EIG_TRACE:
         sizes.append(a.shape[0])
     return vectors[:, order], values[order]
+
+
+def polar(f: np.ndarray):
+    """Polar factor ``q = u vh`` of a tall full-rank ``f = u diag(s) vh`` (thin SVD).
+
+    ``q`` is the nearest orthonormal-column matrix to ``f``.  Returns ``(q,
+    pullback)``; ``pullback(g)`` maps a gradient in ``q`` to one in ``f`` with
+    the same SVD: ``u [(m - m^T) / (s_i + s_j)] vh + (I - u u^T) g vh^T
+    diag(1/s) vh``, ``m = u^T g vh^T`` (Higham, *Functions of Matrices*,
+    ch. 8).  A wide or rank-deficient ``f``, whose factor is not unique,
+    raises ``ValueError``.
+    """
+    from scipy.linalg import svd
+
+    if f.shape[0] < f.shape[1]:
+        raise ValueError("cannot orthonormalize more columns than rows")
+    u, s, vh = svd(f, full_matrices=False)
+    if s[-1] <= 1e-12 * max(s[0], 1.0):
+        raise ValueError("rank-deficient weight factor cannot be orthonormalized")
+
+    def pullback(g: np.ndarray) -> np.ndarray:
+        gv = g @ vh.T
+        m = u.T @ gv
+        return (u @ ((m - m.T) / (s[:, None] + s)) + (gv - u @ m) / s) @ vh
+
+    return u @ vh, pullback
 
 
 def _clamp_psd(values: np.ndarray) -> np.ndarray:

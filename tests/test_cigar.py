@@ -178,9 +178,10 @@ def test_scalar_outputs_collapse_to_plain_gp():
 
 
 def test_orthonormality_holds_at_every_evaluated_point():
-    # Instrument the stage-2 objective: the polar retraction runs before
-    # every evaluation, so the constraint holds along the entire accepted
-    # trajectory, not just at the returned optimum.
+    # Instrument the stage-2 objective: each weight factor is the polar
+    # factor of the unconstrained packed matrix, so with no hook the
+    # constraint holds at every point the optimizer evaluates, accepted or
+    # not, not just at the returned optimum.
     rng = np.random.default_rng(12)
     ds = smooth_two_level(rng, n_low=8, n_high=4, d_low=3, d_high=5)
     from mfgar.gar import _ResidualPack, _residual_template, build_subset_plan
@@ -209,8 +210,56 @@ def test_orthonormality_holds_at_every_evaluated_point():
         errors.append(orthonormality_error(weights))
         return pack.objective(p)
 
-    minimize(instrumented, pack.pack(), cfg.optim, project=pack.project)
+    minimize(instrumented, pack.pack(), cfg.optim)
     assert errors and max(errors) <= 1e-8
+
+
+def test_cigar_fit_passes_no_projection_to_the_optimizer(monkeypatch):
+    # Orthonormality is a parametrization of the stage-2 objective, so the
+    # transition fit hands the optimizer no retraction hook.
+    import mfgar.gar as gar
+
+    calls = []
+    real = gar.minimize
+
+    def recording(objective, init, *args, **kwargs):
+        calls.append(kwargs)
+        return real(objective, init, *args, **kwargs)
+
+    monkeypatch.setattr(gar, "minimize", recording)
+    cigar_fit(smooth_two_level(np.random.default_rng(3)), GarConfig(optim=OptimConfig(max_iters=5)))
+    assert calls and all("project" not in kwargs for kwargs in calls)
+
+
+def test_orthonormal_weights_refuse_a_wide_factor():
+    # A wide factor has no orthonormal columns: refused when the pack is
+    # built, before any evaluation.
+    from mfgar.gar import _WParam
+
+    with pytest.raises(ValueError, match="more columns than rows"):
+        _WParam(TuckerWeights([np.eye(3), np.eye(2, 3)]), "orthonormal")
+
+
+def test_orthonormal_objective_is_inf_at_a_rank_deficient_factor():
+    # The polar factor of a rank-deficient matrix is not unique: the
+    # objective scores +inf there, which the optimizer backtracks from,
+    # instead of raising.
+    from mfgar.gar import _ResidualPack
+    from mfgar.kernels import LaplacePrior
+
+    rng = np.random.default_rng(33)
+    model, ds = make_random_two_level(rng, 5, 3, (2, 2), (3, 2), identity_outputs=True)
+    trans = model.transitions[0]
+    pack = _ResidualPack(
+        low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights,
+        "orthonormal", LaplacePrior(0.0),
+    )
+    p = pack.pack()
+    assert np.isfinite(pack.objective(p)[0])
+    p[:6] = 1.0  # the first 3 x 2 factor has rank one
+    value, grad = pack.objective(p)
+    assert value == np.inf
+    assert np.array_equal(grad, np.zeros(pack.size))
 
 
 # ---------------------------------------------------------------------------

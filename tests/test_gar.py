@@ -266,6 +266,8 @@ def test_predict_interpolates_high_fidelity_data():
         pytest.param("free", (3,), (2,), 0.0, id="free-one-mode"),
         # the Laplace penalty on the latent coordinates
         pytest.param("free", (2, 2), (2, 2), 0.4, id="free-laplace"),
+        # the polar pullback of every unconstrained factor
+        pytest.param("orthonormal", (2, 3), (3, 4), 0.0, id="orthonormal-rect"),
     ],
 )
 def test_stage2_gradient_audit(w_mode, low_modes, high_modes, laplace):

@@ -540,7 +540,7 @@ def test_nll_low_rank_route_matches_dense():
     trans = model.transitions[0]
     pack = dense_nonsubset_pack(model, ds)
     dense = tgp_nll(model.low) + pack.objective(pack.pack())[0]
-    lowrank = tgp_nll(model.low) + _corrected_nll_low_rank(trans, model.low.output_covs())
+    lowrank = tgp_nll(model.low) + _corrected_nll_low_rank(trans, model.low)
     assert_allclose(lowrank, dense, rtol=1e-9)
     oracle = dense_marginal_nonsubset_nll(
         model.low, trans.weights, trans.residual, trans.plan,

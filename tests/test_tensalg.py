@@ -1,4 +1,4 @@
-"""Tensor-algebra substrate: vec convention, Tucker products, eigen solves."""
+"""Tensor-algebra substrate: vec convention, Tucker products, eigen solves, polar factor."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from mfgar.tensalg import (
     kron_quad_and_logdet,
     kruskal_outer,
     mode_product,
+    polar,
     sym_eig,
     track_eig_sizes,
     tucker_apply,
@@ -245,3 +246,20 @@ def test_track_eig_sizes_records_dimensions():
 def test_kruskal_outer():
     out = kruskal_outer([np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])])
     assert_allclose(out, np.outer([1.0, 2.0], [3.0, 4.0, 5.0]))
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (7, 3), (32, 8)])
+def test_polar_pullback_matches_central_differences(shape):
+    # The gradient of <C, polar(F)> in F, from the pullback that reuses the
+    # factor's SVD, against central differences entry by entry.
+    rng = np.random.default_rng(shape[0] * shape[1])
+    f, c = rng.standard_normal(shape), rng.standard_normal(shape)
+    q, pullback = polar(f)
+    assert_allclose(q.T @ q, np.eye(shape[1]), atol=1e-12)
+    eps = 1e-6
+    fd = np.zeros(shape)
+    for idx in np.ndindex(*shape):
+        e = np.zeros(shape)
+        e[idx] = eps
+        fd[idx] = (np.sum(c * polar(f + e)[0]) - np.sum(c * polar(f - e)[0])) / (2.0 * eps)
+    assert np.linalg.norm(pullback(c) - fd) <= 1e-7 * np.linalg.norm(fd)
