@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gar import GarConfig, GarModel, MultiFidelityDataset, TuckerWeights, gar_fit_recursive
+from .hogp import TgpModel
 from .tensalg import polar
 
 ORTHO_TOL = 1e-8
@@ -75,14 +76,18 @@ def orthonormalize(weights: TuckerWeights) -> TuckerWeights:
     return TuckerWeights([polar(f)[0] for f in weights.factors])
 
 
-def cigar_fit(dataset: MultiFidelityDataset, config: GarConfig = GarConfig()) -> CigarModel:
+def cigar_fit(
+    dataset: MultiFidelityDataset, config: GarConfig = GarConfig(), low: TgpModel | None = None
+) -> CigarModel:
     """Fit the conditional-independent model on subset or non-subset data.
 
     Each weight factor is the polar factor of an unconstrained matrix that
     the optimizer moves freely, so orthonormality holds at every evaluated
     point, without a penalty or a retraction.  No output-mode covariance is
-    ever allocated or factorized during the fit.
+    ever allocated or factorized during the fit.  ``low``, an earlier
+    identity-output stage-1 fit of the same lowest level (a CIGAR model's
+    ``low``), replaces stage 1 as in :func:`gar_fit_recursive`.
     """
     cfg = replace(config, identity_outputs=True, w_mode="orthonormal")
-    fitted = gar_fit_recursive(dataset, cfg)
+    fitted = gar_fit_recursive(dataset, cfg, low)
     return CigarModel(low=fitted.low, transitions=fitted.transitions)

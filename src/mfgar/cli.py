@@ -18,10 +18,18 @@ Subcommands
   ``wall_time_s`` and its phases ``generate_s``, ``testset_s``, ``fit_s``,
   ``predict_s`` and ``save_s``, blank for a phase a failed job never reached.
   Within one ``benchmark`` run each distinct PDE input is solved once and
-  shared by every job that uses it (``pdebench.solve_cache``).
+  shared by every job that uses it (``pdebench.solve_cache``).  The jobs of
+  one model kind and repeat form a group that runs its sweep points in
+  order, in one process.  Their datasets share the low-fidelity level (its
+  design depends on the repeat only), so the first point of a group fits
+  the base level (stage 1 of gar, cigar and ar) and the later points reuse
+  it (``gar_fit_recursive(low=)``); their results are bitwise those of a
+  refit.  ``fit_s`` therefore carries the base fit at a group's first sweep
+  point only.
 
 Exit codes: 0 ok, 1 user error, 2 fit failure.  The worker count for
-benchmark jobs comes from the ``MFGAR_WORKERS`` environment variable.
+benchmark groups comes from the ``MFGAR_WORKERS`` environment variable, a
+positive integer (default 1).
 """
 
 from __future__ import annotations
@@ -181,15 +189,19 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fit_model(kind: str, dataset, optim: OptimConfig):
-    """Fit one model kind; returns ``(family, model)`` with family "gar" or "tgp"."""
+def _fit_model(kind: str, dataset, optim: OptimConfig, low=None):
+    """Fit one model kind; returns ``(family, model)`` with family "gar" or "tgp".
+
+    ``low``, a base level fitted earlier on the same lowest level, replaces
+    stage 1 of the "gar" family (see ``gar_fit_recursive``).
+    """
     cfg = GarConfig(optim=optim)
     if kind == "gar":
-        return "gar", gar_fit_recursive(dataset, cfg)
+        return "gar", gar_fit_recursive(dataset, cfg, low=low)
     if kind == "cigar":
-        return "gar", cigar_fit(dataset, cfg)
+        return "gar", cigar_fit(dataset, cfg, low=low)
     if kind == "ar":
-        return "gar", ar_baseline_fit(dataset, cfg)
+        return "gar", ar_baseline_fit(dataset, cfg, low=low)
     if kind == "hogp":
         top = dataset.levels[-1]
         model, _ = tgp_fit(top.X, top.Y, FitConfig(optim=optim))
@@ -251,10 +263,12 @@ def _phase(times: dict, name: str):
 def _run_job(job) -> dict:
     """One benchmark cell: build data, fit, evaluate; returns a result row.
 
-    ``job`` is ``(kind, n_high, repeat, spec, config)`` with the run's
-    ``PdeSpec`` and ``ExperimentConfig``.
+    ``job`` is ``(kind, n_high, repeat, spec, config, low)`` with the run's
+    ``PdeSpec`` and ``ExperimentConfig`` and the base level fitted at an
+    earlier sweep point of the group, or ``None``.  The row of a "gar"
+    family fit carries its base level as ``_low``.
     """
-    kind, n_high, repeat, spec, config = job
+    kind, n_high, repeat, spec, config, low = job
     seed = config.seed + 1000 * repeat
     # distinct design per repeat: shifted deterministic stream
     skip = repeat * (config.n_low + max(config.sweep) + config.n_test)
@@ -284,7 +298,9 @@ def _run_job(job) -> dict:
             )
         optim = OptimConfig(max_iters=config.max_iters, step=config.step, seed=seed)
         with _phase(phases, "fit_s"):
-            family, model = _fit_model(kind, dataset, optim)
+            family, model = _fit_model(kind, dataset, optim, low)
+        if family == "gar":
+            row["_low"] = model.low
         with _phase(phases, "predict_s"):
             post = (tgp_predict if family == "tgp" else gar_predict)(model, X_test)
         model_path = out_dir / "model.json"
@@ -312,6 +328,33 @@ def _run_job(job) -> dict:
     row["_wall_time"] = time.perf_counter() - start
     row["_phases"] = phases
     return row
+
+
+def _run_group(group) -> list:
+    """The rows of one (kind, repeat) group, its sweep points run in order.
+
+    ``group`` is ``(kind, repeat, spec, config)``.  The base level of the
+    first fit is passed on to the later points and dropped with the group.
+    """
+    kind, repeat, spec, config = group
+    rows, low = [], None
+    for n_high in config.sweep:
+        row = _run_job((kind, n_high, repeat, spec, config, low))
+        low = row.pop("_low", low)
+        rows.append(row)
+    return rows
+
+
+def _env_workers() -> int:
+    """The ``MFGAR_WORKERS`` worker count; anything but a positive integer is refused."""
+    raw = os.environ.get("MFGAR_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"MFGAR_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 RESULT_COLUMNS = [
@@ -350,7 +393,7 @@ def cmd_benchmark(args) -> int:
             max_iters=args.max_iters,
             step=args.step,
             out=args.out,
-            workers=int(os.environ.get("MFGAR_WORKERS", "1")),
+            workers=_env_workers(),
         )
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -358,11 +401,8 @@ def cmd_benchmark(args) -> int:
 
     spec = pde_spec(config.pde, config.mesh_variant)
     config.out.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        (kind, n_high, repeat, spec, config)
-        for kind in config.models
-        for n_high in config.sweep
-        for repeat in range(config.repeats)
+    groups = [
+        (kind, repeat, spec, config) for kind in config.models for repeat in range(config.repeats)
     ]
     # jobs of every model kind and sweep point share their solved fields;
     # forked pool workers each fill their own copy of the store
@@ -371,9 +411,10 @@ def cmd_benchmark(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                rows = list(pool.map(_run_job, jobs))
+                batches = list(pool.map(_run_group, groups))
         else:
-            rows = [_run_job(job) for job in jobs]
+            batches = [_run_group(group) for group in groups]
+    rows = [row for batch in batches for row in batch]
 
     # deterministic ordering regardless of scheduling
     order = {k: i for i, k in enumerate(kinds)}

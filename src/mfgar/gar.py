@@ -454,7 +454,7 @@ class _ResidualPack(_Stage2Pack):
     """
 
     def _core(self, model: TgpModel, weights: TuckerWeights):
-        nll, gbars, d_noise, At = _nll_core(model)
+        nll, gbars, d_noise, At = _nll_core(model, self.tgp.scratch)
         return nll, gbars, d_noise, model.eigenfactors().unproject(At), None
 
 
@@ -649,7 +649,22 @@ def _fit_transition(
     return GarTransition(weights=weights, residual=residual, plan=plan, workspace=workspace), trace
 
 
-def gar_fit_recursive(dataset: MultiFidelityDataset, config: GarConfig = GarConfig()) -> GarModel:
+def _check_base(low: TgpModel, level: FidelityLevel, config: GarConfig):
+    """Refuse a fitted base model that is not a stage-1 fit of ``level`` under ``config``."""
+    for name, mine, data in (("X", low.X, level.X), ("Y", low.Y, level.Y)):
+        if mine.shape != data.shape or mine.tobytes() != data.tobytes():
+            raise ValueError(f"low: its {name} is not bitwise the dataset's lowest level")
+    if (low.output_features is None) != config.identity_outputs:
+        kind = "identity" if low.output_features is None else "latent"
+        raise ValueError(
+            f"low: {kind} output covariances, but the config has "
+            f"identity_outputs={config.identity_outputs}"
+        )
+
+
+def gar_fit_recursive(
+    dataset: MultiFidelityDataset, config: GarConfig = GarConfig(), low: TgpModel | None = None
+) -> GarModel:
     """Fit the full fidelity chain, dispatching subset/non-subset per pair.
 
     Stage 1 fits the lowest level alone; each transition then fits its
@@ -658,11 +673,23 @@ def gar_fit_recursive(dataset: MultiFidelityDataset, config: GarConfig = GarConf
     conditions on the low model by construction).  For non-subset transitions
     above the bottom pair, the imputation uses a standalone fit of that
     level's own data.
+
+    ``low``, a stage-1 model fitted earlier on the same lowest level (for
+    instance the ``low`` of a fit at another high-fidelity design), skips
+    stage 1 and is used as it is: given the ``low`` of a fit under the same
+    config, the result is bitwise the one that refits it.  A ``low`` whose
+    ``X`` or ``Y`` is not bitwise the lowest level's, or whose output
+    covariances are not the kind ``config.identity_outputs`` asks for,
+    raises ``ValueError``.
     """
     if dataset.n_levels < 2:
         raise ValueError("multi-fidelity fit needs at least two levels")
     fit_cfg = config.fit_config()
-    low_model, _ = tgp_fit(dataset.levels[0].X, dataset.levels[0].Y, fit_cfg)
+    if low is None:
+        low_model, _ = tgp_fit(dataset.levels[0].X, dataset.levels[0].Y, fit_cfg)
+    else:
+        _check_base(low, dataset.levels[0], config)
+        low_model = low
     transitions = []
     for i in range(dataset.n_levels - 1):
         plan = build_subset_plan(dataset, i)
@@ -696,11 +723,14 @@ def gar_fit_subset(dataset: MultiFidelityDataset, config: GarConfig = GarConfig(
     return gar_fit_recursive(dataset, config)
 
 
-def ar_baseline_fit(dataset: MultiFidelityDataset, config: GarConfig = GarConfig()) -> GarModel:
+def ar_baseline_fit(
+    dataset: MultiFidelityDataset, config: GarConfig = GarConfig(), low: TgpModel | None = None
+) -> GarModel:
     """Classic scalar-transfer autoregression as a constrained special case.
 
     The transform is a single trainable scalar times the identity, so output
-    dimensions must align across fidelities.
+    dimensions must align across fidelities.  ``low`` is as in
+    :func:`gar_fit_recursive`.
     """
     for a, b in zip(dataset.levels, dataset.levels[1:]):
         if a.mode_sizes != b.mode_sizes:
@@ -708,7 +738,7 @@ def ar_baseline_fit(dataset: MultiFidelityDataset, config: GarConfig = GarConfig
                 "scalar-transfer baseline requires aligned output dimensions across "
                 "fidelities; regenerate the dataset with aligned outputs"
             )
-    return gar_fit_recursive(dataset, replace(config, w_mode="scalar"))
+    return gar_fit_recursive(dataset, replace(config, w_mode="scalar"), low)
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,33 @@ def tgp_nll(model: TgpModel) -> float:
     return 0.5 * (quad + logdet + n_total * LOG2PI)
 
 
-def _nll_core(model: TgpModel):
+def _work(scratch: dict | None, key, shape, order: str = "C"):
+    """Work array ``key`` of ``shape`` held in ``scratch``, made on first use.
+
+    Without a scratch this is ``None``, so the ufunc or product it is passed
+    to as ``out`` allocates its result as usual.
+    """
+    if scratch is None:
+        return None
+    key = (key, shape, order)
+    if key not in scratch:
+        scratch[key] = np.empty(shape, order=order)
+    return scratch[key]
+
+
+def _reshape(a: np.ndarray, shape, scratch: dict | None, key) -> np.ndarray:
+    """``a.reshape(shape)``, with the copy it makes, if any, in scratch ``key``."""
+    if scratch is None:
+        return a.reshape(shape)
+    try:
+        return np.reshape(a, shape, copy=False)
+    except ValueError:
+        buf = _work(scratch, key, a.shape)
+        np.copyto(buf, a)
+        return buf.reshape(shape)
+
+
+def _nll_core(model: TgpModel, scratch: dict | None = None):
     """NLL plus the adjoint weight matrices for every covariance factor.
 
     Returns ``(nll, gbar, d_noise, At)`` where ``gbar[k]`` is the matrix
@@ -171,35 +197,53 @@ def _nll_core(model: TgpModel):
     factor k's.  Each other factor ``U_j diag(lam_j) U_j^T`` acts on the
     rotated data as its eigenvalues alone because ``U_j`` is orthogonal, so
     this is exact and needs no dense factor and no rotation back.
+
+    ``scratch``, a dict that one fit passes to every evaluation, holds the
+    data-sized temporaries between calls, so an evaluation allocates only
+    factor-sized arrays; ``At`` is then a scratch array, valid until the
+    next call.  Each scratch array has the layout of the temporary it stands
+    for, because the BLAS products and pairwise sums read their operands in
+    memory order: the results are bitwise those of ``scratch=None``, which
+    allocates every temporary.
     """
     eigs = model.eigenfactors()
-    Yc = model.centered
-    A = eigs.joint_values(model.noise)
-    T1 = eigs.project(Yc)
-    At = T1 / A
-    quad = float(np.sum(T1 * At))
-    logdet = float(np.sum(np.log(A)))
+    shape = model.Y.shape
+    Yc = np.subtract(model.Y, model.offset, out=_work(scratch, "Yc", shape))
+    A = eigs.joint_values(model.noise, out=_work(scratch, "A", shape))
+    pair = None if scratch is None else (_work(scratch, "T", shape), _work(scratch, "T'", shape))
+    T1 = eigs.project(Yc, out=pair)
+    At = np.divide(T1, A, out=_work(scratch, "At", shape))
+    tmp = _work(scratch, "tmp", shape)
+    quad = float(np.sum(np.multiply(T1, At, out=tmp)))
+    logdet = float(np.sum(np.log(A, out=tmp)))
     nll = 0.5 * (quad + logdet + Yc.size * LOG2PI)
 
-    inv_A = 1.0 / A
+    inv_A = np.divide(1.0, A, out=_work(scratch, "1/A", shape))
     gbars = []
     for k, U in enumerate(eigs.vectors):
         if U is None:
             gbars.append(None)
             continue
-        # Trace part: contract 1/A with every other factor's eigenvalues.
+        # Trace part: contract 1/A with every other factor's eigenvalues, as
+        # np.tensordot(c, lam_j, axes=([j], [0])) does it: axis j moved last,
+        # the rest flattened, one matrix-vector product.
         c = inv_A
         for j in range(len(eigs.values) - 1, -1, -1):
             if j != k:
-                c = np.tensordot(c, eigs.values[j], axes=([j], [0]))
+                moved = np.moveaxis(c, j, -1)
+                lam = eigs.values[j]
+                flat = _reshape(moved, (c.size // lam.size, lam.size), scratch, "trace")
+                c = np.dot(flat, lam.reshape(-1, 1)).reshape(moved.shape[:-1])
         # Quadratic part: the mode-k unfolding of At against itself, weighted
         # by the other factors' eigenvalues.
         lam_other = kruskal_outer([v for j, v in enumerate(eigs.values) if j != k])
-        Ak = np.moveaxis(At, k, 0).reshape(At.shape[k], -1)
-        Q = (Ak * lam_other.ravel()) @ Ak.T
+        Ak = _reshape(np.moveaxis(At, k, 0), (At.shape[k], -1), scratch, "unfold")
+        order = "C" if Ak.flags.c_contiguous else "F"
+        scaled = np.multiply(Ak, lam_other.ravel(), out=_work(scratch, "scaled", Ak.shape, order))
+        Q = scaled @ Ak.T
         gbars.append(0.5 * ((U * c) @ U.T - U @ Q @ U.T))
 
-    d_noise = 0.5 * (float(np.sum(inv_A)) - float(np.sum(At * At)))
+    d_noise = 0.5 * (float(np.sum(inv_A)) - float(np.sum(np.multiply(At, At, out=tmp))))
     return nll, gbars, d_noise, At
 
 
@@ -229,6 +273,8 @@ class _TgpPack:
         self.template = template
         self.laplace = laplace
         self.freeze_coords = freeze_coords
+        # _nll_core's work arrays, reused by every evaluation of this fit
+        self.scratch = {}
         self.slices = {}
         self.active = set()
         idx = 0
@@ -319,7 +365,7 @@ class _TgpPack:
         backtracks from, where the eigen step fails or the result is not finite."""
         model = self.unpack(p)
         try:
-            nll, gbars, d_noise, _ = _nll_core(model)
+            nll, gbars, d_noise, _ = _nll_core(model, self.scratch)
         except (np.linalg.LinAlgError, ValueError):
             return np.inf, np.zeros(self.size)
         return _finite_or_inf(*self.chain(model, nll, gbars, d_noise))

@@ -44,7 +44,7 @@ def unvec(vector: np.ndarray, shape) -> np.ndarray:
     return vector.reshape(shape)
 
 
-def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
+def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int, out=None) -> np.ndarray:
     """Tensor-matrix product at one mode.
 
     ``result[.., j, ..] = sum_k matrix[j, k] * tensor[.., k, ..]`` with the
@@ -53,7 +53,10 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
 
     The tensor is viewed as ``(pre, n_mode, post)`` and multiplied as one
     (batched) matrix product, so no axis is moved and, except at the last
-    mode, the result comes back C-contiguous for the next product.
+    mode, the result comes back C-contiguous for the next product.  ``out``,
+    a C-contiguous array with the result's number of entries, receives the
+    product in the layout it would be allocated in, and the result is a view
+    of it.
     """
     tensor = np.asarray(tensor)
     matrix = np.asarray(matrix)
@@ -67,26 +70,35 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
     mode = mode % tensor.ndim
     pre = int(np.prod(shape[:mode]))
     post = int(np.prod(shape[mode + 1 :]))
+    rows = matrix.shape[0]
     if post == 1:
         # operands in the order tensordot passes them to the GEMM
-        out = (matrix @ tensor.reshape(pre, shape[mode]).T).T
+        dest = None if out is None else np.reshape(out, (rows, pre), copy=False)
+        res = np.matmul(matrix, tensor.reshape(pre, shape[mode]).T, out=dest).T
     else:
-        out = np.matmul(matrix, tensor.reshape(pre, shape[mode], post))
-    return out.reshape(shape[:mode] + (matrix.shape[0],) + shape[mode + 1 :])
+        dest = None if out is None else np.reshape(out, (pre, rows, post), copy=False)
+        res = np.matmul(matrix, tensor.reshape(pre, shape[mode], post), out=dest)
+    return res.reshape(shape[:mode] + (rows,) + shape[mode + 1 :])
 
 
-def tucker_apply(tensor: np.ndarray, factors, mode_offset: int = 0) -> np.ndarray:
+def tucker_apply(tensor: np.ndarray, factors, mode_offset: int = 0, out=None) -> np.ndarray:
     """Apply a sequence of mode products, factor m at mode ``m + mode_offset``.
 
     ``None`` entries stand for identity factors and are skipped (used by the
     identity-output-covariance models to avoid touching those modes).
+    ``out``, a pair of C-contiguous arrays, takes the products in turn (each
+    must hold every product, and neither may hold ``tensor``); the result is
+    then a view of one of them.
     """
-    out = np.asarray(tensor)
+    result = np.asarray(tensor)
+    applied = 0
     for m, factor in enumerate(factors):
         if factor is None:
             continue
-        out = mode_product(out, factor, m + mode_offset)
-    return out
+        dest = None if out is None else out[applied % 2]
+        result = mode_product(result, factor, m + mode_offset, out=dest)
+        applied += 1
+    return result
 
 
 def kron_all(mats) -> np.ndarray:
@@ -215,14 +227,24 @@ class EigenFactors:
     def factor_sizes(self) -> tuple:
         return tuple(len(v) for v in self.values)
 
-    def joint_values(self, noise: float) -> np.ndarray:
-        """Tensor of joint eigenvalues ``lam (o) lam_1 (o) .. + noise``."""
-        return kruskal_outer(self.values) + noise
+    def joint_values(self, noise: float, out=None) -> np.ndarray:
+        """Tensor of joint eigenvalues ``lam (o) lam_1 (o) .. + noise``.
 
-    def project(self, tensor: np.ndarray, mode_offset: int = 0) -> np.ndarray:
-        """Rotate a tensor into the joint eigenbasis (apply U^T per mode)."""
+        ``out``, an array of the tensor's shape, receives it when given (two
+        factors or more).
+        """
+        if out is None:
+            return kruskal_outer(self.values) + noise
+        np.multiply.outer(kruskal_outer(self.values[:-1]), self.values[-1], out=out)
+        return np.add(out, noise, out=out)
+
+    def project(self, tensor: np.ndarray, mode_offset: int = 0, out=None) -> np.ndarray:
+        """Rotate a tensor into the joint eigenbasis (apply U^T per mode).
+
+        ``out`` is the work pair of :func:`tucker_apply`.
+        """
         return tucker_apply(
-            tensor, [None if U is None else U.T for U in self.vectors], mode_offset
+            tensor, [None if U is None else U.T for U in self.vectors], mode_offset, out=out
         )
 
     def unproject(self, tensor: np.ndarray, mode_offset: int = 0) -> np.ndarray:

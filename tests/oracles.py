@@ -4,6 +4,9 @@ Everything here deliberately materializes full joint covariances with
 ``np.kron`` and uses dense factorizations; nothing is shared with the
 package's eigendecomposition pipeline.  The dense non-subset stage-2 pack
 borrows only the production parameter plumbing around its dense core.
+``reference_nll_core`` is the exception: the eigenbasis NLL and adjoints
+with every temporary allocated, the bitwise reference for the production
+core's scratch arrays.
 Instances are kept tiny.  The PDE solver references at the end rebuild
 each linear system from scratch and solve it through SciPy's validating
 entry points.
@@ -125,6 +128,40 @@ def dense_tgp_adjoints(model: TgpModel):
             factors.append(output_cov(model.output_features, m))
     gbars = [kron_partial(blocks, factors, k) for k in range(len(factors))]
     return gbars, float(np.trace(T))
+
+
+def reference_nll_core(model: TgpModel):
+    """``hogp._nll_core`` computed with freshly allocated temporaries.
+
+    The same operations in the same order and operand layouts, so the
+    production core must match it bitwise with and without its scratch.
+    """
+    eigs = model.eigenfactors()
+    Yc = model.centered
+    A = eigs.joint_values(model.noise)
+    T1 = eigs.project(Yc)
+    At = T1 / A
+    quad = float(np.sum(T1 * At))
+    logdet = float(np.sum(np.log(A)))
+    nll = 0.5 * (quad + logdet + Yc.size * LOG2PI)
+
+    inv_A = 1.0 / A
+    gbars = []
+    for k, U in enumerate(eigs.vectors):
+        if U is None:
+            gbars.append(None)
+            continue
+        c = inv_A
+        for j in range(len(eigs.values) - 1, -1, -1):
+            if j != k:
+                c = np.tensordot(c, eigs.values[j], axes=([j], [0]))
+        lam_other = kruskal_outer([v for j, v in enumerate(eigs.values) if j != k])
+        Ak = np.moveaxis(At, k, 0).reshape(At.shape[k], -1)
+        Q = (Ak * lam_other.ravel()) @ Ak.T
+        gbars.append(0.5 * ((U * c) @ U.T - U @ Q @ U.T))
+
+    d_noise = 0.5 * (float(np.sum(inv_A)) - float(np.sum(At * At)))
+    return nll, gbars, d_noise, At
 
 
 def kron_partial(T_blocks, mats, open_idx):

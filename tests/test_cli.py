@@ -231,15 +231,53 @@ def test_benchmark_worker_pool_matches_sequential(tmp_path, monkeypatch):
     assert a == b
 
 
+def test_benchmark_fits_each_base_level_once_per_kind_and_repeat(tmp_path, monkeypatch):
+    # Sweep points of one (kind, repeat) share the low design, so stage 1 runs
+    # once per group; the rows are bitwise those of refitting it every time.
+    from mfgar import gar
+
+    monkeypatch.delenv("MFGAR_WORKERS", raising=False)
+    stage1 = []
+    real_tgp_fit, real_fit_model = gar.tgp_fit, cli._fit_model
+
+    def counted(X, Y, config):
+        stage1.append(config.identity_outputs)
+        return real_tgp_fit(X, Y, config)
+
+    monkeypatch.setattr(gar, "tgp_fit", counted)
+    args = [a if a != "gar" else "gar,cigar" for a in BENCH_ARGS]
+    args[args.index("--n-high-sweep") + 1] = "2,4"
+    assert run(*args, "--out", tmp_path / "shared") == 0
+    assert sorted(stage1) == [False, False, True, True]  # (gar|cigar) x 2 repeats
+
+    def refit(kind, dataset, optim, low=None):
+        return real_fit_model(kind, dataset, optim)
+
+    monkeypatch.setattr(cli, "_fit_model", refit)
+    assert run(*args, "--out", tmp_path / "refit") == 0
+    assert len(stage1) == 4 + 8
+    a = (tmp_path / "shared" / "results.csv").read_text().replace(str(tmp_path / "shared"), "@")
+    b = (tmp_path / "refit" / "results.csv").read_text().replace(str(tmp_path / "refit"), "@")
+    assert a == b and a.count(",ok,") == 8
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_benchmark_refuses_a_bad_worker_count(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("MFGAR_WORKERS", value)
+    assert run(*BENCH_ARGS, "--out", tmp_path / "w") == 1
+    assert f"MFGAR_WORKERS must be a positive integer, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 def test_benchmark_partial_failure_flagged(tmp_path, monkeypatch):
     calls = {"n": 0}
     real = cli._fit_model
 
-    def flaky(kind, dataset, optim):
+    def flaky(kind, dataset, optim, low=None):
         calls["n"] += 1
         if calls["n"] == 2:
             raise RuntimeError("synthetic divergence")
-        return real(kind, dataset, optim)
+        return real(kind, dataset, optim, low)
 
     monkeypatch.setattr(cli, "_fit_model", flaky)
     assert run(*BENCH_ARGS, "--out", tmp_path / "p") == 0
@@ -249,7 +287,7 @@ def test_benchmark_partial_failure_flagged(tmp_path, monkeypatch):
 
 
 def test_benchmark_all_failures_exit_code(tmp_path, monkeypatch):
-    def boom(kind, dataset, optim):
+    def boom(kind, dataset, optim, low=None):
         raise RuntimeError("synthetic divergence")
 
     monkeypatch.setattr(cli, "_fit_model", boom)

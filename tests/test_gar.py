@@ -507,6 +507,59 @@ def test_recursive_three_level_chain_beats_top_pair_alone():
 
 
 # ---------------------------------------------------------------------------
+# A shared base level (low=)
+# ---------------------------------------------------------------------------
+
+
+def shared_base_designs(rng, unmatched: int):
+    """Two datasets on one low-fidelity level, with 4 and 6 high-fidelity rows."""
+    X_l = rng.uniform(0, 1, size=(10, 2))
+    grid_l, grid_h = np.linspace(0, 1, 3), np.linspace(0, 1, 4)
+    f = lambda X, g: np.sin(2 * np.pi * (X[:, :1] + g[None, :])) + X[:, 1:2]
+    X_new = rng.uniform(0, 1, size=(unmatched, 2))
+    out = []
+    for n_high in (4, 6):
+        X_h = np.vstack([X_l[: n_high - unmatched], X_new])
+        out.append(MultiFidelityDataset([(X_l, f(X_l, grid_l)), (X_h, 1.3 * f(X_h, grid_h))]))
+    return out
+
+
+@pytest.mark.parametrize("unmatched", [0, 2])
+@pytest.mark.parametrize("kind", ["gar", "cigar"])
+def test_fit_given_the_base_of_another_design_is_bitwise_a_refit(kind, unmatched):
+    from mfgar.cigar import cigar_fit
+
+    fit = gar_fit_recursive if kind == "gar" else cigar_fit
+    rng = np.random.default_rng(31 + unmatched)
+    first_ds, ds = shared_base_designs(rng, unmatched)
+    cfg = GarConfig(optim=OptimConfig(max_iters=12, seed=4))
+    first = fit(first_ds, cfg)
+    gar_predict(first, ds.levels[1].X)  # a used base, as a sweep hands it on
+    shared = fit(ds, cfg, low=first.low)
+    assert shared.low is first.low
+    assert gar_to_dict(shared) == gar_to_dict(fit(ds, cfg))
+
+
+def test_fit_refuses_a_base_of_other_data_or_covariance_kind():
+    from mfgar.cigar import cigar_fit
+
+    rng = np.random.default_rng(33)
+    ds, _ = shared_base_designs(rng, 0)
+    cfg = GarConfig(optim=OptimConfig(max_iters=3))
+    latent = gar_fit_recursive(ds, cfg).low
+    identity = cigar_fit(ds, cfg).low
+    nudged = latent.Y.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)
+    other = MultiFidelityDataset([(ds.levels[0].X, nudged), (ds.levels[1].X, ds.levels[1].Y)])
+    with pytest.raises(ValueError, match="low: its Y"):
+        gar_fit_recursive(other, cfg, low=latent)
+    with pytest.raises(ValueError, match="low: latent output covariances"):
+        cigar_fit(ds, cfg, low=latent)
+    with pytest.raises(ValueError, match="low: identity output covariances"):
+        gar_fit_recursive(ds, cfg, low=identity)
+
+
+# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
