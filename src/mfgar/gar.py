@@ -38,11 +38,13 @@ from .hogp import (
     TgpModel,
     _TgpPack,
     _check_schema,
-    _finite_or_inf,
     _mean_factors,
     _nll_core,
     _predict_parts,
+    _rejected,
+    _scored,
     _tgp_from_doc,
+    _work,
     decode_array,
     encode_array,
     tgp_fit,
@@ -351,11 +353,6 @@ def _ravel_all(mats) -> np.ndarray:
     return np.concatenate([m.ravel() for m in mats])
 
 
-def _tucker_without_mode(tensor: np.ndarray, weights: TuckerWeights, skip: int) -> np.ndarray:
-    facs = [None if m == skip else f for m, f in enumerate(weights.factors)]
-    return tucker_apply(tensor, facs, mode_offset=1)
-
-
 # ---------------------------------------------------------------------------
 # Stage-2 objectives
 # ---------------------------------------------------------------------------
@@ -371,23 +368,31 @@ def _embedded_cov(s_hat: np.ndarray, n_high: int, n_matched: int) -> np.ndarray:
 class _Stage2Pack:
     """Flat parameters {W, residual hyperparameters} of one transition fit.
 
-    ``objective`` is the one stage-2 objective of every transition kind.  It
-    forms the partial products ``z[m]`` (the low stack with every weight
-    factor applied but ``W_m``) once, rebuilds the residual ``y_high -
-    z[-1] x_M W_M`` from them, scores it with the subclass's covariance core,
-    pulls the covariance adjoints back through ``_TgpPack.chain`` (Laplace
-    penalty included) and contracts the data adjoint with the same ``z[m]``
-    for the W gradient: M(M-1)+1 weight products per evaluation.
+    ``objective`` is the one stage-2 objective of every transition kind, in
+    ``optim``'s value-first protocol.  Its value pass forms the partial
+    product ``z[M]`` (the low stack with every weight factor applied but the
+    last, ``W_M``), rebuilds the residual ``y_high - z[M] x_M W_M`` from it,
+    scores it with the subclass's covariance core and adds the Laplace
+    penalty.  Its gradient pass runs the core's adjoint pass, pulls the
+    covariance adjoints back through ``_TgpPack.chain``, forms the other
+    partial products ``z[m]`` and contracts the data adjoint with each for
+    the W gradient, then maps it through the weight parametrization: M
+    weight products per value, M(M-1)+1 with the gradient.  The
+    residual and every partial product live in the fit's scratch (the
+    residual pack's ``tgp.scratch``), each in the layout of the temporary it
+    stands for, so the gradient is valid until the objective's next call.
 
     A subclass supplies only ``_core(model, weights)`` at the unpacked
-    residual model, returning ``(value, gbars, d_noise, alpha, w_cov_grads)``:
-    the NLL, the adjoints of the input Gram and (latent outputs) of each
-    output covariance, the noise-variance partial, ``alpha = Sigma^-1 r`` in
-    the residual's tensor shape, and the per-factor W gradients through the
-    covariance, or ``None`` when the covariance does not depend on W.  A
-    point where a polar factor is not unique or the core's eigen or Cholesky
-    step fails, or where the value or gradient is not finite, scores
-    ``(inf, 0)``, which the optimizer rejects and backtracks from.
+    residual model, returning ``(value, adjoint)``: the NLL, and a callable
+    returning ``(gbars, d_noise, alpha, w_cov_grads)``: the adjoints of the
+    input Gram and (latent outputs) of each output covariance, the
+    noise-variance partial, ``alpha = Sigma^-1 r`` in the residual's tensor
+    shape, and the per-factor W gradients through the covariance, or
+    ``None`` when the covariance does not depend on W.  A point where a
+    polar factor is not unique or the core's eigen or Cholesky step fails,
+    or where the value is not finite, scores ``(inf, 0)``, which the
+    optimizer rejects and backtracks from; it also rejects a non-finite
+    gradient.
     """
 
     def __init__(
@@ -412,33 +417,63 @@ class _Stage2Pack:
     def pack(self) -> np.ndarray:
         return np.concatenate([self.w.init, self.tgp.pack(self.tgp.template)])
 
-    def _unpack(self, p: np.ndarray):
+    def _partial(self, weights: TuckerWeights, skip: int, scratch: dict | None):
+        """``z[skip]``: the low stack with every weight factor but ``W_skip`` applied.
+
+        The factors go in ``weights.apply``'s order, each product into its
+        own ``scratch`` array when one is given.
+        """
+        z = self.low_stack
+        for m, w in enumerate(weights.factors):
+            if m != skip:
+                shape = z.shape[: m + 1] + (w.shape[0],) + z.shape[m + 2 :]
+                z = mode_product(z, w, m + 1, out=_work(scratch, ("z", skip, m), shape))
+        return z
+
+    def _unpack(self, p: np.ndarray, scratch: dict | None = None):
+        """Weights, their gradient pullback, the residual model and ``z[M]`` at ``p``.
+
+        With ``scratch`` the residual and ``z[M]`` are scratch arrays, valid
+        until the next call.
+        """
         pw, pt = self.split(p)
         weights, w_pullback = self.w.unpack(pw)
-        n_modes = len(weights.factors)
-        z = [_tucker_without_mode(self.low_stack, weights, m) for m in range(n_modes)]
+        last = len(weights.factors) - 1
+        z_last = self._partial(weights, last, scratch)
         # the factors in weights.apply's order, so the residual is bitwise the same
-        resid = self.y_high - mode_product(z[-1], weights.factors[-1], n_modes)
-        return weights, w_pullback, replace(self.tgp.unpack(pt), Y=resid, _eig=None), z
+        shape = self.y_high.shape
+        transformed = mode_product(
+            z_last, weights.factors[last], last + 1, out=_work(scratch, "Wz", shape)
+        )
+        resid = np.subtract(self.y_high, transformed, out=_work(scratch, "resid", shape))
+        return weights, w_pullback, replace(self.tgp.unpack(pt), Y=resid, _eig=None), z_last
 
     def unpack(self, p: np.ndarray):
         weights, _, model, _ = self._unpack(p)
         return weights, model
 
     def objective(self, p: np.ndarray):
+        scratch = self.tgp.scratch
         try:
-            weights, w_pullback, model, z = self._unpack(p)
-            value, gbars, d_noise, alpha, w_cov_grads = self._core(model, weights)
+            weights, w_pullback, model, z_last = self._unpack(p, scratch)
+            value, adjoint = self._core(model, weights)
         except (np.linalg.LinAlgError, ValueError):
-            return np.inf, np.zeros(self.size)
-        value, g_t = self.tgp.chain(model, value, gbars, d_noise)
-        # d(NLL)/dW_m through the residual tensor, plus the covariance part
-        w_grads = []
-        for m, z_m in enumerate(z):
-            other = [a for a in range(alpha.ndim) if a != m + 1]
-            g = -np.tensordot(alpha, z_m, axes=(other, other))
-            w_grads.append(g if w_cov_grads is None else g + w_cov_grads[m])
-        return _finite_or_inf(value, np.concatenate([w_pullback(w_grads), g_t]))
+            return _rejected(self.size)
+
+        def gradient():
+            gbars, d_noise, alpha, w_cov_grads = adjoint()
+            g_t = self.tgp.chain(model, gbars, d_noise)
+            # d(NLL)/dW_m through the residual tensor, plus the covariance part
+            last = len(weights.factors) - 1
+            w_grads = []
+            for m in range(last + 1):
+                z_m = z_last if m == last else self._partial(weights, m, scratch)
+                other = [a for a in range(alpha.ndim) if a != m + 1]
+                g = -np.tensordot(alpha, z_m, axes=(other, other))
+                w_grads.append(g if w_cov_grads is None else g + w_cov_grads[m])
+            return np.concatenate([w_pullback(w_grads), g_t])
+
+        return _scored(self.tgp.penalized(model, value), gradient, self.size)
 
 
 class _ResidualPack(_Stage2Pack):
@@ -454,8 +489,15 @@ class _ResidualPack(_Stage2Pack):
     """
 
     def _core(self, model: TgpModel, weights: TuckerWeights):
-        nll, gbars, d_noise, At = _nll_core(model, self.tgp.scratch)
-        return nll, gbars, d_noise, model.eigenfactors().unproject(At), None
+        scratch = self.tgp.scratch
+        nll, adjoint = _nll_core(model, scratch)
+
+        def core_adjoint():
+            gbars, d_noise, At = adjoint()
+            pair = (_work(scratch, "alpha", At.shape), _work(scratch, "alpha'", At.shape))
+            return gbars, d_noise, model.eigenfactors().unproject(At, out=pair), None
+
+        return nll, core_adjoint
 
 
 def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: np.ndarray):
@@ -475,8 +517,11 @@ def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: n
       ``Zh beta mu_-m`` with ``Zh`` over every axis but ``m``;
     - the residual tensor: ``alpha = Zh`` rotated back (``Sigma^-1 r``).
 
-    Returns the ``_Stage2Pack._core`` tuple ``(value, [gbar_g0], d_noise,
-    alpha, w_cov_grads)``; the noise-variance partial is ``tr(gbar_g0)``.
+    Returns the ``_Stage2Pack._core`` pair ``(value, adjoint)``.  The value
+    pass is the Cholesky, the eigendecomposition, the SVDs, ``Z``, the
+    quadratic form and the log-determinant; ``adjoint()`` forms ``Zh``,
+    ``alpha`` and the adjoints from them and returns ``([gbar_g0], d_noise,
+    alpha, w_cov_grads)``, the noise-variance partial being ``tr(gbar_g0)``.
     """
     from scipy.linalg import solve_triangular
 
@@ -501,20 +546,25 @@ def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: n
     logdet = 2.0 * res.output_size * float(np.sum(np.log(np.diag(L)))) + float(np.sum(np.log(A)))
     value = 0.5 * (quad + logdet + n_high * res.output_size * LOG2PI)
 
-    inv_a = 1.0 / A
-    z_hat = Z * inv_a
-    alpha = tucker_apply(z_hat, [r.T for r in rotations])
-    a0 = alpha.reshape(n_high, -1)
-    gbar_g0 = 0.5 * ((t0.T * inv_a.reshape(n_high, -1).sum(axis=1)) @ t0 - a0 @ a0.T)
-    w_cov_grads = []
-    axes = list(range(A.ndim))
-    for m, (w, vt) in enumerate(zip(weights.factors, rotations[1:])):
-        scale = kruskal_outer([np.ones_like(v) if j == m + 1 else v for j, v in enumerate(mus)])
-        other = [a for a in axes if a != m + 1]
-        c = np.sum(scale * inv_a, axis=tuple(other))
-        n_m = np.tensordot(z_hat * scale, z_hat, axes=(other, other))
-        w_cov_grads.append(vt.T @ ((np.diag(c) - n_m) @ (vt @ w)))
-    return value, [gbar_g0], float(np.trace(gbar_g0)), alpha, w_cov_grads
+    def adjoint():
+        inv_a = 1.0 / A
+        z_hat = Z * inv_a
+        alpha = tucker_apply(z_hat, [r.T for r in rotations])
+        a0 = alpha.reshape(n_high, -1)
+        gbar_g0 = 0.5 * ((t0.T * inv_a.reshape(n_high, -1).sum(axis=1)) @ t0 - a0 @ a0.T)
+        w_cov_grads = []
+        axes = list(range(A.ndim))
+        for m, (w, vt) in enumerate(zip(weights.factors, rotations[1:])):
+            scale = kruskal_outer(
+                [np.ones_like(v) if j == m + 1 else v for j, v in enumerate(mus)]
+            )
+            other = [a for a in axes if a != m + 1]
+            c = np.sum(scale * inv_a, axis=tuple(other))
+            n_m = np.tensordot(z_hat * scale, z_hat, axes=(other, other))
+            w_cov_grads.append(vt.T @ ((np.diag(c) - n_m) @ (vt @ w)))
+        return [gbar_g0], float(np.trace(gbar_g0)), alpha, w_cov_grads
+
+    return value, adjoint
 
 
 class _IdentityOutputNonsubsetPack(_Stage2Pack):
@@ -906,7 +956,8 @@ def gar_nll_nonsubset(model: GarModel) -> float:
         return low_part + tgp_nll(res)
     if _identity_outputs(trans):
         b_input = _embedded_cov(trans.workspace.s_hat, res.n_samples, trans.plan.n_matched)
-        return low_part + _identity_output_objective(res, trans.weights, b_input)[0]
+        value, _ = _identity_output_objective(res, trans.weights, b_input)  # value pass only
+        return low_part + value
     return low_part + _corrected_nll_low_rank(trans, model.low)
 
 

@@ -16,14 +16,18 @@ rotation back.
 
 Gradients of the NLL are hand-derived adjoints through this pipeline (they
 need eigenvalues and rotations only, never eigenvector derivatives, so they
-stay stable under repeated eigenvalues).  One evaluation projects the data
-once, ``At = project(Yc) / A``, and stays in the joint eigenbasis: the
-adjoint of factor k is ``1/2 U_k (diag(c_k) - Q_k) U_k^T`` with ``c_k`` the
-sum of ``lam_{-k} / A`` over the other axes and ``Q_k = At_(k)
-diag(lam_{-k}) At_(k)^T``, where ``lam_{-k}`` is the outer product of the
-other factors' eigenvalues (see ``_nll_core``).  That is M+1 mode products
-per evaluation, and each kernel Gram is rebuilt once for its pull-back.
-Finite differences are used solely as the test-side audit.
+stay stable under repeated eigenvalues).  An evaluation is a value pass
+plus an adjoint pass over the same arrays (see ``_nll_core``).  The value
+pass factorizes, projects the data once, ``At = project(Yc) / A``, and
+reads the quadratic form and log-determinant off ``At`` and ``A``: M+1 mode
+products.  The adjoint pass stays in the joint eigenbasis: the adjoint of
+factor k is ``1/2 U_k (diag(c_k) - Q_k) U_k^T`` with ``c_k`` the sum of
+``lam_{-k} / A`` over the other axes and ``Q_k = At_(k) diag(lam_{-k})
+At_(k)^T``, where ``lam_{-k}`` is the outer product of the other factors'
+eigenvalues, and each kernel Gram is rebuilt once for its pull-back.  The
+fit's objective returns the value and defers the adjoint pass, which the
+optimizer runs only at points it accepts.  Finite differences are used
+solely as the test-side audit.
 """
 
 from __future__ import annotations
@@ -177,14 +181,19 @@ def _reshape(a: np.ndarray, shape, scratch: dict | None, key) -> np.ndarray:
 
 
 def _nll_core(model: TgpModel, scratch: dict | None = None):
-    """NLL plus the adjoint weight matrices for every covariance factor.
+    """NLL by the value pass, and the adjoint pass as a callable.
 
-    Returns ``(nll, gbar, d_noise, At)`` where ``gbar[k]`` is the matrix
-    pairing with an unconstrained perturbation of factor k (k=0 the input
-    Gram, then one per output mode; ``None`` for identity factors),
-    ``d_noise`` the noise-variance partial, and ``At = project(Yc) / A`` the
-    data solve in the joint eigenbasis (``unproject(At)`` is
-    ``Sigma^{-1} vec(Yc)``, the data adjoint).
+    Returns ``(nll, adjoint)``.  The value pass factorizes (``eigenfactors``),
+    centers the data, forms the joint eigenvalues ``A``, projects the data
+    once and divides, ``At = project(Yc) / A``, and reads the quadratic form
+    and log-determinant off them.  ``adjoint()`` runs the adjoint pass on
+    the same arrays and returns ``(gbar, d_noise, At)``: ``gbar[k]`` is the
+    matrix pairing with an unconstrained perturbation of factor k (k=0 the
+    input Gram, then one per output mode; ``None`` for identity factors),
+    ``d_noise`` the noise-variance partial, and ``At`` the data solve in the
+    joint eigenbasis (``unproject(At)`` is ``Sigma^{-1} vec(Yc)``, the data
+    adjoint).  A caller that needs the value only never pays for the
+    adjoints.
 
     For a perturbation ``dF`` of factor k the NLL differential is
     ``<gbar[k], dF>`` with
@@ -199,10 +208,11 @@ def _nll_core(model: TgpModel, scratch: dict | None = None):
     this is exact and needs no dense factor and no rotation back.
 
     ``scratch``, a dict that one fit passes to every evaluation, holds the
-    data-sized temporaries between calls, so an evaluation allocates only
-    factor-sized arrays; ``At`` is then a scratch array, valid until the
-    next call.  Each scratch array has the layout of the temporary it stands
-    for, because the BLAS products and pairwise sums read their operands in
+    data-sized temporaries of both passes between calls, so an evaluation
+    allocates only factor-sized arrays; ``adjoint`` and the ``At`` it
+    returns then read scratch arrays and are valid until the next call.
+    Each scratch array has the layout of the temporary it stands for,
+    because the BLAS products and pairwise sums read their operands in
     memory order: the results are bitwise those of ``scratch=None``, which
     allocates every temporary.
     """
@@ -218,33 +228,38 @@ def _nll_core(model: TgpModel, scratch: dict | None = None):
     logdet = float(np.sum(np.log(A, out=tmp)))
     nll = 0.5 * (quad + logdet + Yc.size * LOG2PI)
 
-    inv_A = np.divide(1.0, A, out=_work(scratch, "1/A", shape))
-    gbars = []
-    for k, U in enumerate(eigs.vectors):
-        if U is None:
-            gbars.append(None)
-            continue
-        # Trace part: contract 1/A with every other factor's eigenvalues, as
-        # np.tensordot(c, lam_j, axes=([j], [0])) does it: axis j moved last,
-        # the rest flattened, one matrix-vector product.
-        c = inv_A
-        for j in range(len(eigs.values) - 1, -1, -1):
-            if j != k:
-                moved = np.moveaxis(c, j, -1)
-                lam = eigs.values[j]
-                flat = _reshape(moved, (c.size // lam.size, lam.size), scratch, "trace")
-                c = np.dot(flat, lam.reshape(-1, 1)).reshape(moved.shape[:-1])
-        # Quadratic part: the mode-k unfolding of At against itself, weighted
-        # by the other factors' eigenvalues.
-        lam_other = kruskal_outer([v for j, v in enumerate(eigs.values) if j != k])
-        Ak = _reshape(np.moveaxis(At, k, 0), (At.shape[k], -1), scratch, "unfold")
-        order = "C" if Ak.flags.c_contiguous else "F"
-        scaled = np.multiply(Ak, lam_other.ravel(), out=_work(scratch, "scaled", Ak.shape, order))
-        Q = scaled @ Ak.T
-        gbars.append(0.5 * ((U * c) @ U.T - U @ Q @ U.T))
+    def adjoint():
+        inv_A = np.divide(1.0, A, out=_work(scratch, "1/A", shape))
+        gbars = []
+        for k, U in enumerate(eigs.vectors):
+            if U is None:
+                gbars.append(None)
+                continue
+            # Trace part: contract 1/A with every other factor's eigenvalues,
+            # as np.tensordot(c, lam_j, axes=([j], [0])) does it: axis j moved
+            # last, the rest flattened, one matrix-vector product.
+            c = inv_A
+            for j in range(len(eigs.values) - 1, -1, -1):
+                if j != k:
+                    moved = np.moveaxis(c, j, -1)
+                    lam = eigs.values[j]
+                    flat = _reshape(moved, (c.size // lam.size, lam.size), scratch, "trace")
+                    c = np.dot(flat, lam.reshape(-1, 1)).reshape(moved.shape[:-1])
+            # Quadratic part: the mode-k unfolding of At against itself,
+            # weighted by the other factors' eigenvalues.
+            lam_other = kruskal_outer([v for j, v in enumerate(eigs.values) if j != k])
+            Ak = _reshape(np.moveaxis(At, k, 0), (At.shape[k], -1), scratch, "unfold")
+            order = "C" if Ak.flags.c_contiguous else "F"
+            scaled = np.multiply(
+                Ak, lam_other.ravel(), out=_work(scratch, "scaled", Ak.shape, order)
+            )
+            Q = scaled @ Ak.T
+            gbars.append(0.5 * ((U * c) @ U.T - U @ Q @ U.T))
 
-    d_noise = 0.5 * (float(np.sum(inv_A)) - float(np.sum(np.multiply(At, At, out=tmp))))
-    return nll, gbars, d_noise, At
+        d_noise = 0.5 * (float(np.sum(inv_A)) - float(np.sum(np.multiply(At, At, out=tmp))))
+        return gbars, d_noise, At
+
+    return nll, adjoint
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +348,18 @@ class _TgpPack:
             _eig=None,
         )
 
-    def chain(self, model: TgpModel, value: float, gbars, d_noise: float):
-        """Pull covariance adjoints back to this pack's parameters and penalize.
+    def penalized(self, model: TgpModel, nll: float) -> float:
+        """The NLL at ``model`` with the Laplace penalty on the latent coordinates added."""
+        if self.laplace.scale > 0 and model.output_features is not None:
+            nll -= laplace_log_prior(model.output_features, self.laplace)
+        return nll
 
-        ``value`` is the NLL at ``model``; ``gbars`` holds the adjoint of the
-        input Gram, then one per output mode (read only when the model has
-        latent output covariances); ``d_noise`` is the partial with respect
-        to the noise variance.  Returns ``(value, g)`` with the Laplace
-        penalty on the latent coordinates added to both.
+    def chain(self, model: TgpModel, gbars, d_noise: float) -> np.ndarray:
+        """Gradient of :meth:`penalized` from the covariance adjoints.
+
+        ``gbars`` holds the adjoint of the input Gram, then one per output
+        mode (read only when the model has latent output covariances);
+        ``d_noise`` is the partial with respect to the noise variance.
         """
         g = np.zeros(self.size)
         g[self.slices["input"]], _ = ard_gram_adjoint(model.input_kernel, model.X, gbars[0])
@@ -354,28 +373,33 @@ class _TgpPack:
                     g[self.slices[f"coords{m}"]] = g_coords.ravel()
         g[self.slices["noise"]] = d_noise * model.noise
         if self.laplace.scale > 0 and model.output_features is not None:
-            value -= laplace_log_prior(model.output_features, self.laplace)
             for m, gv in enumerate(laplace_log_prior_grad(model.output_features, self.laplace)):
                 if f"coords{m}" in self.active:
                     g[self.slices[f"coords{m}"]] -= gv.ravel()
-        return value, g
+        return g
 
     def objective(self, p: np.ndarray):
-        """``(value, gradient)`` at ``p``; ``(inf, 0)``, which the optimizer
-        backtracks from, where the eigen step fails or the result is not finite."""
+        """``(value, gradient)`` at ``p`` (the protocol of ``optim``); ``(inf, 0)``,
+        which the optimizer backtracks from, where the eigen step fails or the
+        value is not finite.  A non-finite gradient is the optimizer's to reject."""
         model = self.unpack(p)
         try:
-            nll, gbars, d_noise, _ = _nll_core(model, self.scratch)
+            nll, adjoint = _nll_core(model, self.scratch)
         except (np.linalg.LinAlgError, ValueError):
-            return np.inf, np.zeros(self.size)
-        return _finite_or_inf(*self.chain(model, nll, gbars, d_noise))
+            return _rejected(self.size)
+        return _scored(
+            self.penalized(model, nll), lambda: self.chain(model, *adjoint()[:2]), self.size
+        )
 
 
-def _finite_or_inf(value: float, g: np.ndarray):
-    """``(value, g)`` when both are finite, else ``(inf, 0)``."""
-    if np.isfinite(value) and np.all(np.isfinite(g)):
-        return value, g
-    return np.inf, np.zeros_like(g)
+def _rejected(size: int):
+    """The score of a point the optimizer must backtrack from: ``(inf, 0)``."""
+    return np.inf, lambda: np.zeros(size)
+
+
+def _scored(value: float, gradient, size: int):
+    """``(value, gradient)`` when the value is finite, else :func:`_rejected`."""
+    return (value, gradient) if np.isfinite(value) else _rejected(size)
 
 
 def _initial_model(X, Y, config: FitConfig) -> TgpModel:

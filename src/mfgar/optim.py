@@ -7,9 +7,15 @@ objective or produces a non-finite value or gradient entry.  Momentum resets
 on rejection, so the accepted-objective trace is non-increasing by
 construction.
 
-Objectives are callables ``f(params) -> (value, gradient)`` over a flat
-parameter vector; each fit's objective maps unconstrained coordinates to
-its constrained quantities.  No caller in the package passes ``project``.
+Objectives are value-first: ``f(params) -> (value, gradient)`` over a flat
+parameter vector, where ``gradient`` is a zero-argument callable returning
+the gradient at ``params``.  It stays valid until the objective's next call
+(a fit's objective keeps its intermediates in per-fit scratch arrays), and
+``minimize`` calls it only where it reads the result: once at the initial
+point and once per candidate whose value is finite and no higher than the
+current one.  A rejected backtrack therefore costs one value pass and no
+adjoint.  Each fit's objective maps unconstrained coordinates to its
+constrained quantities.  No caller in the package passes ``project``.
 """
 
 from __future__ import annotations
@@ -62,8 +68,15 @@ _SHRINK = 0.5      # step backtracking factor
 _MAX_BACKTRACKS = 40
 
 
-def _finite(value, grad) -> bool:
-    return bool(np.isfinite(value) and np.all(np.isfinite(grad)))
+def _finite_gradient(value, gradient):
+    """The gradient as a float array when ``value`` and every entry are finite, else ``None``.
+
+    ``gradient`` is called only for a finite value.
+    """
+    if not np.isfinite(value):
+        return None
+    g = np.asarray(gradient(), dtype=float)
+    return g if np.all(np.isfinite(g)) else None
 
 
 def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None):
@@ -72,7 +85,9 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
     Parameters
     ----------
     objective : callable
-        Maps a flat parameter vector to ``(value, gradient)``.
+        Maps a flat parameter vector to ``(value, gradient)``, ``gradient``
+        a zero-argument callable valid until the next call (module
+        docstring).
     init : array_like
         Starting point; the objective and its gradient must be finite here.
     config : OptimConfig
@@ -89,9 +104,9 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
     p = np.asarray(init, dtype=float).copy()
     if project is not None:
         p = project(p)
-    f, g = objective(p)
-    g = np.asarray(g, dtype=float)
-    if not _finite(f, g):
+    f, gradient = objective(p)
+    g = _finite_gradient(f, gradient)
+    if g is None:
         raise ValueError("objective or its gradient is not finite at the initial point")
 
     trace = OptimTrace()
@@ -112,8 +127,8 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
             cand = p - lr * direction + _MOMENTUM * disp
             if project is not None:
                 cand = project(cand)
-            f_c, g_c = objective(cand)
-            if _finite(f_c, g_c) and f_c <= f:
+            f_c, gradient = objective(cand)
+            if f_c <= f and (g_c := _finite_gradient(f_c, gradient)) is not None:
                 accepted = True
                 break
             lr *= _SHRINK
@@ -126,7 +141,7 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
 
         disp = cand - p
         change = f - f_c
-        p, f, g = cand, f_c, np.asarray(g_c, dtype=float)
+        p, f, g = cand, f_c, g_c
         trace.append(it, f, float(np.linalg.norm(g)))
         lr = min(lr * _GROW, lr_cap)
 

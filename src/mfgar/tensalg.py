@@ -247,9 +247,12 @@ class EigenFactors:
             tensor, [None if U is None else U.T for U in self.vectors], mode_offset, out=out
         )
 
-    def unproject(self, tensor: np.ndarray, mode_offset: int = 0) -> np.ndarray:
-        """Rotate back from the joint eigenbasis (apply U per mode)."""
-        return tucker_apply(tensor, self.vectors, mode_offset)
+    def unproject(self, tensor: np.ndarray, mode_offset: int = 0, out=None) -> np.ndarray:
+        """Rotate back from the joint eigenbasis (apply U per mode).
+
+        ``out`` is the work pair of :func:`tucker_apply`.
+        """
+        return tucker_apply(tensor, self.vectors, mode_offset, out=out)
 
     def reconstruct(self, k: int) -> np.ndarray:
         """Dense k-th factor matrix (mainly for oracles and serialization)."""

@@ -6,7 +6,8 @@ package's eigendecomposition pipeline.  The dense non-subset stage-2 pack
 borrows only the production parameter plumbing around its dense core.
 ``reference_nll_core`` is the exception: the eigenbasis NLL and adjoints
 with every temporary allocated, the bitwise reference for the production
-core's scratch arrays.
+core's scratch arrays.  ``eager`` resolves a value-first objective's
+gradients at once, the bitwise reference for deferring them.
 Instances are kept tiny.  The PDE solver references at the end rebuild
 each linear system from scratch and solve it through SciPy's validating
 entry points.
@@ -131,10 +132,11 @@ def dense_tgp_adjoints(model: TgpModel):
 
 
 def reference_nll_core(model: TgpModel):
-    """``hogp._nll_core`` computed with freshly allocated temporaries.
+    """``hogp._nll_core`` and its adjoint pass with freshly allocated temporaries.
 
-    The same operations in the same order and operand layouts, so the
-    production core must match it bitwise with and without its scratch.
+    Returns ``(nll, gbars, d_noise, At)``.  The same operations in the same
+    order and operand layouts, so the production core must match it bitwise
+    with and without its scratch.
     """
     eigs = model.eigenfactors()
     Yc = model.centered
@@ -612,7 +614,8 @@ class DenseNonsubsetPack(_Stage2Pack):
         for m, (w, s) in enumerate(zip(weights.factors, self.s_low)):
             q = kron_partial(blocks, correction, m + 1)
             w_cov_grads.append((q + q.T) @ w @ s)
-        return value, gbars, float(np.trace(T)), alpha.reshape(model.Y.shape), w_cov_grads
+        adjoints = gbars, float(np.trace(T)), alpha.reshape(model.Y.shape), w_cov_grads
+        return value, lambda: adjoints
 
 
 def dense_nonsubset_pack(model, dataset, laplace=0.0):
@@ -748,6 +751,25 @@ def column_stream_gamma_variance(trans, Xs, downstream, out_shape):
     return total
 
 
+def eager(objective):
+    """A value-first objective with each gradient resolved at once.
+
+    Every call runs the gradient pass right after the value pass and scores
+    ``(inf, 0)`` where the value or a gradient entry is not finite, the way
+    an objective returning its gradient with its value does.  ``minimize``
+    must reach bitwise the same point and trace with and without it.
+    """
+
+    def resolved(p):
+        value, gradient = objective(p)
+        g = np.asarray(gradient(), dtype=float)
+        if not (np.isfinite(value) and np.all(np.isfinite(g))):
+            value, g = np.inf, np.zeros_like(g)
+        return value, lambda: g
+
+    return resolved
+
+
 def grad_audit(objective, point, eps: float = 1e-5) -> float:
     """Componentwise central-difference check of an objective's gradient.
 
@@ -756,8 +778,8 @@ def grad_audit(objective, point, eps: float = 1e-5) -> float:
     scale.  This is the oracle for every analytic gradient in the package.
     """
     p = np.asarray(point, dtype=float)
-    _, g = objective(p)
-    g = np.asarray(g, dtype=float)
+    _, gradient = objective(p)
+    g = np.asarray(gradient(), dtype=float)
     worst = 0.0
     for i in range(p.size):
         e = np.zeros_like(p)

@@ -259,7 +259,7 @@ def test_orthonormal_objective_is_inf_at_a_rank_deficient_factor():
     p[:6] = 1.0  # the first 3 x 2 factor has rank one
     value, grad = pack.objective(p)
     assert value == np.inf
-    assert np.array_equal(grad, np.zeros(pack.size))
+    assert np.array_equal(grad(), np.zeros(pack.size))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ from mfgar.gar import (
 )
 from mfgar.hogp import tgp_nll, tgp_predict
 from mfgar.kernels import LaplacePrior
-from mfgar.optim import OptimConfig
+from mfgar.optim import OptimConfig, minimize
 from oracles import (
     dense_two_level_nll,
     dense_two_level_predict,
+    eager,
     gar_joint_nll_dense,
     grad_audit,
     low_stack,
@@ -297,14 +298,15 @@ def test_stage2_objective_is_inf_where_the_eigen_step_fails():
     with pytest.warns(RuntimeWarning, match="overflow"):
         value, grad = pack.objective(p)
     assert value == np.inf
-    assert np.array_equal(grad, np.zeros(pack.size))
+    assert np.array_equal(grad(), np.zeros(pack.size))
 
 
 @pytest.mark.parametrize("broken", ["value", "gradient"])
 def test_stage2_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broken):
-    # A core that returns NaN without raising scores (inf, 0) too, rather
-    # than handing the NaN to the optimizer; a NaN alpha reaches the W part
-    # of the gradient.
+    # A core that returns NaN without raising never hands the optimizer a
+    # point it can accept: a NaN value scores (inf, 0), and a NaN alpha
+    # reaches the W part of the gradient, which the optimizer refuses.
+    # Scored together (eager), either is (inf, 0).
     rng = np.random.default_rng(34)
     model, ds = make_random_two_level(rng, 5, 3, (2, 2), (2, 2))
     trans = model.transitions[0]
@@ -315,15 +317,21 @@ def test_stage2_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broke
     real = _ResidualPack._core
 
     def nan_core(self, model, weights):
-        value, gbars, d_noise, alpha, w_cov_grads = real(self, model, weights)
-        if broken == "value":
-            return np.nan, gbars, d_noise, alpha, w_cov_grads
-        return value, gbars, d_noise, np.full_like(alpha, np.nan), w_cov_grads
+        value, adjoint = real(self, model, weights)
+
+        def nan_adjoint():
+            gbars, d_noise, alpha, w_cov_grads = adjoint()
+            return gbars, d_noise, np.full_like(alpha, np.nan), w_cov_grads
+
+        return (np.nan, adjoint) if broken == "value" else (value, nan_adjoint)
 
     monkeypatch.setattr(_ResidualPack, "_core", nan_core)
-    value, grad = pack.objective(pack.pack())
+    p = pack.pack()
+    value, grad = eager(pack.objective)(p)
     assert value == np.inf
-    assert np.array_equal(grad, np.zeros(pack.size))
+    assert np.array_equal(grad(), np.zeros(pack.size))
+    with pytest.raises(ValueError, match="not finite at the initial point"):
+        minimize(pack.objective, p)
 
 
 # ---------------------------------------------------------------------------

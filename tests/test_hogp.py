@@ -25,13 +25,14 @@ from mfgar.hogp import (
     tgp_to_dict,
 )
 from mfgar.kernels import ArdKernelParams, LaplacePrior, LatentFeatures
-from mfgar.optim import OptimConfig
+from mfgar.optim import OptimConfig, minimize
 from mfgar.tensalg import vec
 from oracles import (
     dense_joint_cov,
     dense_tgp_adjoints,
     dense_tgp_nll,
     dense_tgp_predict,
+    eager,
     grad_audit,
     make_random_tgp,
     reference_nll_core,
@@ -130,7 +131,8 @@ def test_nll_core_adjoints_match_dense_adjoint(n, modes, identity, singular):
         model = duplicate_latent_row(model)
         lam = model.eigenfactors().values[1]
         assert lam.min() <= 1e-12 * lam.max()  # round-off, clamped at 0 when negative
-    nll, gbars, d_noise, At = _nll_core(model)
+    nll, adjoint = _nll_core(model)
+    gbars, d_noise, At = adjoint()
     want, want_noise = dense_tgp_adjoints(model)
     assert_allclose(nll, dense_tgp_nll(model), rtol=1e-9)
     assert len(gbars) == len(want) == len(modes) + 1
@@ -165,12 +167,14 @@ def test_objective_projects_once_and_rebuilds_no_factor(monkeypatch, modes, iden
 
     monkeypatch.setattr(tensalg, "mode_product", counted)
     monkeypatch.setattr(tensalg.EigenFactors, "reconstruct", forbidden)
-    pack.objective(point)
+    _, gradient = pack.objective(point)
+    gradient()
     assert sorted(modes_hit) == ([0] if identity else list(range(len(modes) + 1)))
 
 
 def assert_bitwise_core(got, want):
-    nll, gbars, d_noise, At = got
+    nll, adjoint = got
+    gbars, d_noise, At = adjoint()
     assert np.array_equal(nll, want[0]) and np.array_equal(d_noise, want[2])
     assert len(gbars) == len(want[1])
     for g, w in zip(gbars, want[1]):
@@ -205,11 +209,11 @@ def test_warm_objective_allocates_no_data_sized_temporary():
     model = make_random_tgp(rng, 32, (32, 32))
     pack = _TgpPack(model, LaplacePrior(0.0))
     point = pack.pack(model)
-    pack.objective(point)
+    pack.objective(point)[1]()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pack.objective(point + 1e-3)
+        pack.objective(point + 1e-3)[1]()  # the value pass and the adjoint pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -381,29 +385,37 @@ def test_pack_objective_is_inf_where_the_eigen_step_fails():
     with pytest.warns(RuntimeWarning, match="overflow"):
         value, grad = pack.objective(p)
     assert value == np.inf
-    assert np.array_equal(grad, np.zeros(pack.size))
+    assert np.array_equal(grad(), np.zeros(pack.size))
 
 
 
 @pytest.mark.parametrize("broken", ["value", "gradient"])
 def test_pack_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broken):
-    # A core that returns NaN without raising scores (inf, 0) too, rather
-    # than handing the NaN to the optimizer.
+    # A core that returns NaN without raising never hands the optimizer a
+    # point it can accept: a NaN value scores (inf, 0), and a NaN adjoint
+    # leaves a NaN gradient, which the optimizer refuses.  Scored together
+    # (eager), either is (inf, 0).
     rng = np.random.default_rng(33)
     model = make_random_tgp(rng, 4, (2, 3))
     pack = _TgpPack(model, LaplacePrior(0.0))
     real = hogp._nll_core
 
     def nan_core(m, scratch=None):
-        nll, gbars, d_noise, At = real(m, scratch)
-        if broken == "value":
-            return np.nan, gbars, d_noise, At
-        return nll, gbars, np.nan, At
+        nll, adjoint = real(m, scratch)
+
+        def nan_adjoint():
+            gbars, _, At = adjoint()
+            return gbars, np.nan, At
+
+        return (np.nan, adjoint) if broken == "value" else (nll, nan_adjoint)
 
     monkeypatch.setattr(hogp, "_nll_core", nan_core)
-    value, grad = pack.objective(pack.pack(model))
+    p = pack.pack(model)
+    value, grad = eager(pack.objective)(p)
     assert value == np.inf
-    assert np.array_equal(grad, np.zeros(pack.size))
+    assert np.array_equal(grad(), np.zeros(pack.size))
+    with pytest.raises(ValueError, match="not finite at the initial point"):
+        minimize(pack.objective, p)
 
 def test_serialization_roundtrip():
     rng = np.random.default_rng(17)
