@@ -304,9 +304,9 @@ def test_stage2_objective_is_inf_where_the_eigen_step_fails():
 @pytest.mark.parametrize("broken", ["value", "gradient"])
 def test_stage2_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broken):
     # A core that returns NaN without raising never hands the optimizer a
-    # point it can accept: a NaN value scores (inf, 0), and a NaN alpha
-    # reaches the W part of the gradient, which the optimizer refuses.
-    # Scored together (eager), either is (inf, 0).
+    # point it can accept: the objective itself scores a NaN value (inf, 0),
+    # and a NaN alpha reaches the W part of the gradient, which shows once
+    # the gradient is resolved (eager) and which the optimizer refuses.
     rng = np.random.default_rng(34)
     model, ds = make_random_two_level(rng, 5, 3, (2, 2), (2, 2))
     trans = model.transitions[0]
@@ -327,7 +327,10 @@ def test_stage2_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broke
 
     monkeypatch.setattr(_ResidualPack, "_core", nan_core)
     p = pack.pack()
-    value, grad = eager(pack.objective)(p)
+    if broken == "value":
+        value, grad = pack.objective(p)
+    else:
+        value, grad = eager(pack.objective)(p)
     assert value == np.inf
     assert np.array_equal(grad(), np.zeros(pack.size))
     with pytest.raises(ValueError, match="not finite at the initial point"):
