@@ -18,7 +18,11 @@ A fidelity is a per-axis node count, at least 2 per axis and 3 x-nodes for
 Burgers (two walls and one interior node); the "main" variant uses 8x8 (low)
 and 32x32 (high) meshes for every problem, the "appendix" variant coarsens
 Burgers and heat at 16x16 instead.  The implicit Burgers and heat steps call
-LAPACK ``gtsv`` on their three diagonals.  The Poisson operator depends on
+LAPACK ``gtsv`` on their three diagonals.  :func:`make_dataset` and
+:func:`make_test_set` step all Burgers inputs of a design in lockstep: each
+Picard sweep solves every row's system in one ``gtsv`` call on their
+block-diagonal join, and each row's field is bitwise the one it gets alone
+(see :func:`_burgers_fields`).  The Poisson operator depends on
 the mesh alone, so each mesh's operator is factorized once per process and a
 solve only assembles its right-hand side.  Fields are recorded on the
 solver's own grid unless a record grid is set on the spec, in which case
@@ -163,87 +167,145 @@ def solve_burgers(viscosity: float, spec: PdeSpec, fidelity="high") -> FieldSamp
     """Viscous Burgers via hat-function finite elements and backward Euler.
 
     The nonlinear term is handled by Picard iteration inside each implicit
-    step (tolerance 1e-8, at most 50 sweeps); a step that fails to converge
-    raises. Homogeneous Dirichlet values are imposed for t > 0; the initial
-    profile is kept verbatim at t = 0.
+    step (tolerance 1e-8, at most 50 sweeps), halving the substep while the
+    sweep stalls; a step that still fails raises. Homogeneous Dirichlet values
+    are imposed for t > 0; the initial profile is kept verbatim at t = 0.
+    A batch of one of :func:`_burgers_fields`.
     """
+    (field,) = _burgers_fields([viscosity], spec, fidelity)
+    return _record(spec, np.asarray([viscosity]), field, spec.mesh(fidelity))
+
+
+def _burgers_fields(viscosities, spec: PdeSpec, fidelity) -> np.ndarray:
+    """The ``(n_x, n_t)`` Burgers field of every viscosity, stepped in lockstep.
+
+    Row ``r`` of the result is bitwise the field of ``viscosities[r]`` solved
+    alone: the rows still iterating share each Picard sweep, whose systems
+    :func:`_tridiag_rows` solves as one, and the rows that stall halve their
+    substep together.  The first row to fail raises for the batch.
+    """
+    viscosities = np.asarray(viscosities, dtype=float).reshape(-1)
     lo, hi = spec.input_ranges[0]
-    if not lo <= viscosity <= hi:
-        raise ValueError(f"viscosity {viscosity} outside [{lo}, {hi}]")
+    for viscosity in viscosities:
+        if not lo <= viscosity <= hi:
+            raise ValueError(f"viscosity {viscosity} outside [{lo}, {hi}]")
     n_x, n_t = spec.mesh(fidelity)
     x = np.linspace(0.0, 1.0, n_x)
     h = x[1] - x[0]
     dt = TIME_SPAN["burgers"] / (n_t - 1)
-    u = np.sin(np.pi * x / 2.0)
-    out = np.empty((n_x, n_t))
-    out[:, 0] = u
+    out = np.empty((viscosities.size, n_x, n_t))
+    out[:, :, 0] = np.sin(np.pi * x / 2.0)
 
     # interior assembly (Dirichlet walls eliminate the boundary rows)
     n_i = n_x - 2
     mass_d = np.full(n_i, 4.0 * h / 6.0)
     mass_o = np.full(n_i - 1, h / 6.0)
-    visc_d = viscosity * np.full(n_i, 2.0 / h)
-    visc_o = viscosity * np.full(n_i - 1, -1.0 / h)
+    visc_d = viscosities[:, None] * np.full(n_i, 2.0 / h)
+    visc_o = viscosities[:, None] * np.full(n_i - 1, -1.0 / h)
 
-    def picard_step(u_old, dt_step):
-        """One backward-Euler step via Picard sweeps; None if not contracting."""
+    def picard_step(u_old, vd, vo, dt_step):
+        """One backward-Euler step of each row via Picard sweeps.
+
+        ``vd`` and ``vo`` are the rows' viscous diagonals.  Returns the new
+        states and a mask of the rows whose sweep contracted; the states of
+        the others are meaningless.
+        """
         u_new = u_old.copy()
-        u_new[0] = 0.0
-        u_new[-1] = 0.0
+        u_new[:, 0] = 0.0
+        u_new[:, -1] = 0.0
         # mass term of the old state, including its boundary columns (the
         # initial profile is nonzero at x = 1)
-        rhs = _mass_apply(mass_d, mass_o, u_old[1:-1])
-        rhs[0] += h / 6.0 * u_old[0]
-        rhs[-1] += h / 6.0 * u_old[-1]
+        rhs = _mass_apply(mass_d, mass_o, u_old[:, 1:-1])
+        rhs[:, 0] += h / 6.0 * u_old[:, 0]
+        rhs[:, -1] += h / 6.0 * u_old[:, -1]
+        ok = np.zeros(len(u_old), dtype=bool)
+        # the rows still sweeping: positions in u_new, states, rhs, viscous terms
+        live, u = np.arange(len(u_old)), u_new
         for _ in range(50):
             # Convection row i: int phi_i u_h phi_j' over the two neighbor
             # elements; with the left/right element averages
             #   I_L = u_{i-1}/6 + u_i/3,   I_R = u_i/3 + u_{i+1}/6
             # the tridiagonal entries are (-I_L, I_L - I_R, I_R).
-            third = u_new[1:-1] / 3.0
-            int_left = u_new[:-2] / 6.0 + third
-            int_right = third + u_new[2:] / 6.0
+            third = u[:, 1:-1] / 3.0
+            int_left = u[:, :-2] / 6.0 + third
+            int_right = third + u[:, 2:] / 6.0
             cd = int_left - int_right
-            cu = int_right[:-1]
-            cl = -int_left[1:]
-            diag = mass_d + dt_step * (visc_d + cd)
-            lowr = mass_o + dt_step * (visc_o + cl)
-            uppr = mass_o + dt_step * (visc_o + cu)
-            candidate = _tridiag_solve(lowr, diag, uppr, rhs)
-            change = float(np.max(np.abs(candidate - u_new[1:-1])))
-            u_new[1:-1] = candidate
-            if not np.all(np.isfinite(candidate)):
-                return None
-            if change < 1e-8:
-                return u_new
-        return None
+            cu = int_right[:, :-1]
+            cl = -int_left[:, 1:]
+            diag = mass_d + dt_step * (vd + cd)
+            lowr = mass_o + dt_step * (vo + cl)
+            uppr = mass_o + dt_step * (vo + cu)
+            candidate = _tridiag_rows(lowr, diag, uppr, rhs)
+            change = np.abs(candidate - u[:, 1:-1]).max(axis=1)
+            u[:, 1:-1] = candidate
+            converged = change < 1e-8
+            # u is finite, so a finite change means a finite candidate
+            if converged.any() or not np.isfinite(change).all():
+                going = np.isfinite(candidate).all(axis=1) & ~converged
+                u_new[live[converged]] = u[converged]
+                ok[live[converged]] = True
+                live, u, rhs = live[going], u[going], rhs[going]
+                vd, vo = vd[going], vo[going]
+                if not live.size:
+                    break
+        return u_new, ok
 
-    def advance(u_old, dt_step, depth=0):
-        """Advance by dt_step, halving the substep while Picard stalls.
+    def advance(u_old, vd, vo, dt_step, depth=0):
+        """Advance by dt_step, halving the substep of the rows whose Picard stalls.
 
         Coarse meshes pair sharp convection with large nodal time steps, for
         which the fixed-point sweep has no contraction; deterministic
         bisection restores it without changing the recorded grid.
         """
-        done = picard_step(u_old, dt_step)
-        if done is not None:
+        done, ok = picard_step(u_old, vd, vo, dt_step)
+        if ok.all():
             return done
         if depth >= 12:
             raise RuntimeError("Picard iteration did not converge at the smallest substep")
-        half = advance(u_old, dt_step / 2.0, depth + 1)
-        return advance(half, dt_step / 2.0, depth + 1)
+        stalled = ~ok
+        vd, vo = vd[stalled], vo[stalled]
+        half = advance(u_old[stalled], vd, vo, dt_step / 2.0, depth + 1)
+        done[stalled] = advance(half, vd, vo, dt_step / 2.0, depth + 1)
+        return done
 
     for step in range(1, n_t):
-        u = advance(u, dt)
-        out[:, step] = u
+        out[:, :, step] = advance(out[:, :, step - 1], visc_d, visc_o, dt)
+    return out
 
-    return _record(spec, np.asarray([viscosity]), out, spec.mesh(fidelity))
+
+def _tridiag_rows(lower, diag, upper, rhs):
+    """Solve the tridiagonal system of every row, bitwise as one by one.
+
+    Rows are ``(n_rows, n)`` diagonals and right-hand sides with
+    ``(n_rows, n - 1)`` off-diagonals.  Several rows are joined into one
+    block-diagonal system with zero couplings and solved by one
+    :func:`_tridiag_solve` call: every ``gtsv`` multiplier at a coupling is 0,
+    which leaves each block's arithmetic as it is alone.  A zero times an inf
+    or a NaN is not 0, and a zero's sign can follow the coupling, so a block
+    solve that is singular or returns a non-finite or zero entry is redone
+    row by row.
+    """
+    n_rows, n = diag.shape
+    if n_rows == 1:
+        return _tridiag_solve(lower[0], diag[0], upper[0], rhs[0]).reshape(1, n)
+    couplings = np.zeros((n_rows, 1))
+    flat_lower = np.concatenate((lower, couplings), axis=1).reshape(-1)[:-1]
+    flat_upper = np.concatenate((upper, couplings), axis=1).reshape(-1)[:-1]
+    try:
+        x = _tridiag_solve(flat_lower, diag.reshape(-1), flat_upper, rhs.reshape(-1))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.isfinite(x).all() and x.all():
+            return x.reshape(n_rows, n)
+    return np.stack([_tridiag_solve(*row) for row in zip(lower, diag, upper, rhs)])
 
 
 def _mass_apply(diag, off, v):
+    """The tridiagonal mass matrix times each row of ``v``."""
     out = diag * v
-    out[1:] += off * v[:-1]
-    out[:-1] += off * v[1:]
+    out[..., 1:] += off * v[..., :-1]
+    out[..., :-1] += off * v[..., 1:]
     return out
 
 
@@ -384,7 +446,8 @@ def solve_cache():
     :func:`solve_field` keeps every sample it solves here, keyed by the spec,
     the fidelity's mesh and the input bytes, and returns a copy of the stored
     sample on a repeat; the stored arrays are read-only so no caller can
-    alter them.  Failed solves are not stored, so a bad input raises on every
+    alter them.  :func:`make_dataset` and :func:`make_test_set` store the
+    Burgers rows they solve as one batch the same way.  Failed solves are not stored, so a bad input raises on every
     call.  A nested block shares the outer one's store, which is dropped when
     the outermost block exits.
     """
@@ -404,15 +467,57 @@ def solve_field(spec: PdeSpec, params, fidelity="high") -> FieldSample:
     cache = _SOLVE_CACHE.get()
     if cache is None:
         return _solve(spec, params, fidelity)
-    key = (spec, spec.mesh(fidelity), params.shape, params.tobytes())
+    key = _cache_key(spec, params, fidelity)
     sample = cache.get(key)
     if sample is None:
         # the copy keeps the stored input from aliasing the caller's design rows
-        sample = _solve(spec, params.copy(), fidelity)
-        for array in (sample.input, sample.field, *sample.axes):
-            array.flags.writeable = False
-        cache[key] = sample
+        sample = _store(cache, key, _solve(spec, params.copy(), fidelity))
     return copy.copy(sample)
+
+
+def _cache_key(spec: PdeSpec, params: np.ndarray, fidelity) -> tuple:
+    return spec, spec.mesh(fidelity), params.shape, params.tobytes()
+
+
+def _store(cache: dict, key: tuple, sample: FieldSample) -> FieldSample:
+    for array in (sample.input, sample.field, *sample.axes):
+        array.flags.writeable = False
+    cache[key] = sample
+    return sample
+
+
+def _solve_design(spec: PdeSpec, X: np.ndarray, fidelity) -> list:
+    """The sample of every row of the design ``X``, each through :func:`solve_field`.
+
+    Runs in a :func:`solve_cache` block.  On Burgers, the rows not yet stored
+    are first solved together by :func:`_burgers_fields` and stored, so each
+    row's :func:`solve_field` call finds its field.  If that batch raises,
+    nothing is stored and the rows are solved one by one, raising as alone.
+    """
+    with solve_cache():
+        if spec.kind == "burgers":
+            _store_burgers_batch(spec, X, fidelity)
+        return [solve_field(spec, x, fidelity) for x in X]
+
+
+def _store_burgers_batch(spec: PdeSpec, X: np.ndarray, fidelity) -> None:
+    cache = _SOLVE_CACHE.get()
+    pending = {}
+    for x in X:
+        params = np.atleast_1d(np.asarray(x, dtype=float))
+        key = _cache_key(spec, params, fidelity)
+        if key not in cache:
+            pending.setdefault(key, params[0])
+    if not pending:
+        return
+    mesh = spec.mesh(fidelity)
+    try:
+        fields = _burgers_fields(list(pending.values()), spec, fidelity)
+        samples = [_record(spec, np.asarray([v]), f, mesh) for v, f in zip(pending.values(), fields)]
+    except (ValueError, RuntimeError, ArithmeticError):  # the rows raise it again alone
+        return
+    for key, sample in zip(pending, samples):
+        _store(cache, key, sample)
 
 
 def _solve(spec: PdeSpec, params: np.ndarray, fidelity) -> FieldSample:
@@ -541,7 +646,8 @@ def make_dataset(
     (continuing the same deterministic stream, so the designs are disjoint).
     ``skip`` starts the design at that offset of the stream.  ``aligned``
     upsamples the low-fidelity fields onto the high-fidelity grid so both
-    levels share mode sizes.
+    levels share mode sizes.  Each design row goes through
+    :func:`solve_field` once (see :func:`_solve_design`).
     """
     if structure not in ("subset", "nonsubset"):
         raise ValueError(f"unknown structure {structure!r}")
@@ -556,8 +662,8 @@ def make_dataset(
     else:
         X_high = sample_inputs(spec, n_high, sampler, seed, skip=skip + n_low)
 
-    low_fields = [solve_field(spec, x, "low") for x in X_low]
-    high_fields = [solve_field(spec, x, "high") for x in X_high]
+    low_fields = _solve_design(spec, X_low, "low")
+    high_fields = _solve_design(spec, X_high, "high")
     if aligned:
         target = high_fields[0].axes if high_fields else spec.grid_axes(spec.mesh("high"))
         low_fields = [upsample_bilinear(s, target) for s in low_fields]
@@ -571,7 +677,7 @@ def make_test_set(spec: PdeSpec, n_test: int, sampler: str = "uniform", seed: in
     if n_test < 1:
         raise ValueError(f"n_test must be >= 1, got {n_test}")
     X = sample_inputs(spec, n_test, sampler, seed, skip=skip)
-    Y = np.stack([solve_field(spec, x, "high").field for x in X])
+    Y = np.stack([s.field for s in _solve_design(spec, X, "high")])
     return X, Y
 
 

@@ -10,7 +10,7 @@ core's scratch arrays.  ``eager`` resolves a value-first objective's
 gradients at once, the bitwise reference for deferring them.
 Instances are kept tiny.  The PDE solver references at the end rebuild
 each linear system from scratch and solve it through SciPy's validating
-entry points.
+entry points, one input at a time.
 """
 
 import numpy as np
@@ -806,6 +806,79 @@ def banded_tridiag_solve(lower, diag, upper, rhs):
     ab[1] = diag
     ab[2, :-1] = lower
     return solve_banded((1, 1), ab, rhs)
+
+
+def burgers_field_reference(viscosity, spec, fidelity, solve=banded_tridiag_solve):
+    """The Burgers field of ``solve_burgers`` stepped for one viscosity alone.
+
+    The per-input stepping the lockstep solver replaced: the same assembly,
+    Picard sweeps and substep bisection, with each sweep's tridiagonal system
+    solved by ``solve`` on its own.
+    """
+    from mfgar.pdebench import TIME_SPAN
+
+    lo, hi = spec.input_ranges[0]
+    if not lo <= viscosity <= hi:
+        raise ValueError(f"viscosity {viscosity} outside [{lo}, {hi}]")
+    n_x, n_t = spec.mesh(fidelity)
+    x = np.linspace(0.0, 1.0, n_x)
+    h = x[1] - x[0]
+    dt = TIME_SPAN["burgers"] / (n_t - 1)
+    u = np.sin(np.pi * x / 2.0)
+    out = np.empty((n_x, n_t))
+    out[:, 0] = u
+
+    n_i = n_x - 2
+    mass_d = np.full(n_i, 4.0 * h / 6.0)
+    mass_o = np.full(n_i - 1, h / 6.0)
+    visc_d = viscosity * np.full(n_i, 2.0 / h)
+    visc_o = viscosity * np.full(n_i - 1, -1.0 / h)
+
+    def mass_apply(v):
+        out = mass_d * v
+        out[1:] += mass_o * v[:-1]
+        out[:-1] += mass_o * v[1:]
+        return out
+
+    def picard_step(u_old, dt_step):
+        u_new = u_old.copy()
+        u_new[0] = 0.0
+        u_new[-1] = 0.0
+        rhs = mass_apply(u_old[1:-1])
+        rhs[0] += h / 6.0 * u_old[0]
+        rhs[-1] += h / 6.0 * u_old[-1]
+        for _ in range(50):
+            third = u_new[1:-1] / 3.0
+            int_left = u_new[:-2] / 6.0 + third
+            int_right = third + u_new[2:] / 6.0
+            cd = int_left - int_right
+            cu = int_right[:-1]
+            cl = -int_left[1:]
+            diag = mass_d + dt_step * (visc_d + cd)
+            lowr = mass_o + dt_step * (visc_o + cl)
+            uppr = mass_o + dt_step * (visc_o + cu)
+            candidate = solve(lowr, diag, uppr, rhs)
+            change = float(np.max(np.abs(candidate - u_new[1:-1])))
+            u_new[1:-1] = candidate
+            if not np.all(np.isfinite(candidate)):
+                return None
+            if change < 1e-8:
+                return u_new
+        return None
+
+    def advance(u_old, dt_step, depth=0):
+        done = picard_step(u_old, dt_step)
+        if done is not None:
+            return done
+        if depth >= 12:
+            raise RuntimeError("Picard iteration did not converge at the smallest substep")
+        half = advance(u_old, dt_step / 2.0, depth + 1)
+        return advance(half, dt_step / 2.0, depth + 1)
+
+    for step in range(1, n_t):
+        u = advance(u, dt)
+        out[:, step] = u
+    return out
 
 
 def spsolve_poisson_field(values, mesh):

@@ -1,5 +1,6 @@
 """PDE benchmark harness: solver correctness, sampling, dataset plumbing."""
 
+import contextlib
 import re
 
 import numpy as np
@@ -27,7 +28,12 @@ from mfgar.pdebench import (
     spec_to_dict,
     upsample_bilinear,
 )
-from oracles import banded_tridiag_solve, dense_poisson_oracle, spsolve_poisson_field
+from oracles import (
+    banded_tridiag_solve,
+    burgers_field_reference,
+    dense_poisson_oracle,
+    spsolve_poisson_field,
+)
 
 # ---------------------------------------------------------------------------
 # Burgers
@@ -64,6 +70,74 @@ def test_burgers_mesh_refinement_converges():
 def test_burgers_viscosity_range_enforced():
     with pytest.raises(ValueError):
         solve_burgers(0.5, pde_spec("burgers"), "low")
+
+
+@pytest.mark.parametrize("mesh", ["low", "high", (3, 5), (8, 2)])
+def test_lockstep_burgers_fields_match_the_per_input_reference_bitwise(mesh):
+    spec = pde_spec("burgers")
+    viscosities = np.concatenate([[0.001, 0.1], sample_inputs(spec, 5, "sobol", seed=0)[:, 0]])
+    batch = pdebench._burgers_fields(viscosities, spec, mesh)
+    solves = []
+
+    def counted(*args):
+        solves.append(args[1].size)
+        return banded_tridiag_solve(*args)
+
+    for v, field in zip(viscosities, batch):
+        want = burgers_field_reference(v, spec, mesh, solve=counted)
+        assert field.tobytes() == want.tobytes()  # the row inside the batch
+        assert solve_burgers(v, spec, mesh).field.tobytes() == want.tobytes()  # alone
+    if mesh == (8, 2):
+        # one time step of at most 50 sweeps per input unless the substep halves
+        assert len(solves) > 50 * viscosities.size
+
+
+@pytest.mark.parametrize("poison", ["nan", "singular"])
+def test_a_failed_block_solve_leaves_every_row_bitwise_its_own(monkeypatch, poison):
+    # the third system of every joined solve of three or more is poisoned:
+    # without the row-by-row redo a NaN would flow across the zero couplings
+    # into the rows after it, and a singular block would raise for the batch
+    spec, mesh = pde_spec("burgers"), (8, 8)
+    n = mesh[0] - 2
+    viscosities = sample_inputs(spec, 6, "sobol", seed=0)[:, 0]
+    real, poisoned = pdebench._tridiag_solve, []
+
+    def faulty(lower, diag, upper, rhs):
+        if diag.size >= 3 * n:
+            lower, diag, upper, rhs = (a.copy() for a in (lower, diag, upper, rhs))
+            seg = slice(2 * n, 3 * n)
+            if poison == "nan":
+                rhs[seg] = np.nan
+            else:
+                diag[seg] = lower[seg] = upper[seg] = 0.0
+            poisoned.append(diag.size)
+        return real(lower, diag, upper, rhs)
+
+    monkeypatch.setattr(pdebench, "_tridiag_solve", faulty)
+    batch = pdebench._burgers_fields(viscosities, spec, mesh)
+    assert poisoned
+    for v, field in zip(viscosities, batch):
+        assert field.tobytes() == burgers_field_reference(v, spec, mesh).tobytes()
+
+
+def test_a_row_that_fails_raises_for_its_batch_as_it_does_alone():
+    # an overflowing viscosity makes every sweep of its row NaN, at any
+    # substep; solve_banded would refuse its infinite diagonals outright
+    wide = PdeSpec("burgers", ((0.001, np.inf),), (8, 8), (32, 32))
+    X = np.array([[0.01], [1e308], [0.05]])
+    message = "Picard iteration did not converge at the smallest substep"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=message):
+            burgers_field_reference(1e308, wide, "low", solve=pdebench._tridiag_solve)
+        with pytest.raises(RuntimeError, match=message):
+            pdebench._burgers_fields(X[:, 0], wide, "low")
+        with solve_cache():
+            with pytest.raises(RuntimeError, match=message):
+                pdebench._solve_design(wide, X, "low")
+            # the batch stored nothing; one by one, the row before the bad one was kept
+            stored = list(pdebench._SOLVE_CACHE.get().values())
+    assert [s.input.tolist() for s in stored] == [[0.01]]
+    assert stored[0].field.tobytes() == burgers_field_reference(0.01, wide, "low").tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +254,17 @@ def test_tridiag_solve_raises_on_a_singular_system():
 
 @pytest.mark.parametrize("kind", ["burgers", "heat"])
 def test_implicit_steps_match_the_solve_banded_fields_bitwise(monkeypatch, kind):
+    # a design's Burgers rows share each joined solve, which goes through
+    # _tridiag_solve as the single systems do
     spec = pde_spec(kind)
     X = sample_inputs(spec, 3, "sobol", seed=0)
     meshes = ("low", "high", (3, 5))
-    got = [solve_field(spec, x, mesh).field for mesh in meshes for x in X]
+    got = [s.field for mesh in meshes for s in pdebench._solve_design(spec, X, mesh)]
+    alone = [solve_field(spec, x, mesh).field for mesh in meshes for x in X]
     monkeypatch.setattr(pdebench, "_tridiag_solve", banded_tridiag_solve)
-    want = [solve_field(spec, x, mesh).field for mesh in meshes for x in X]
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    want = [s.field for mesh in meshes for s in pdebench._solve_design(spec, X, mesh)]
+    for a, b, c in zip(got, alone, want):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 @pytest.mark.parametrize("mesh", [(8, 8), (32, 32), (12, 12), (4, 7)])
@@ -509,7 +586,7 @@ def test_solve_cache_returns_read_only_fields_equal_to_a_fresh_solve(poisson_sol
     assert first.input[0] == 0.2
 
 
-def test_solve_cache_stores_no_errors(poisson_solver_calls):
+def test_solve_cache_stores_no_errors(monkeypatch, poisson_solver_calls):
     spec = pde_spec("poisson")
     with solve_cache():
         for _ in range(3):
@@ -520,3 +597,41 @@ def test_solve_cache_stores_no_errors(poisson_solver_calls):
         with pytest.raises(ValueError, match="5 values"):
             solve_field(spec, [[0.5] * 5], "low")
     assert poisson_solver_calls == ["low"] * 5
+
+    # a Burgers design with an out-of-range viscosity raises as its row does alone
+    spec = pde_spec("burgers")
+    with pytest.raises(ValueError) as alone:
+        burgers_field_reference(0.5, spec, "low")
+    design = np.array([[0.5], [0.05], [0.02]])
+    monkeypatch.setattr(pdebench, "sample_inputs", lambda *args, **kwargs: design)
+    with solve_cache():
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+                make_dataset(spec, 3, 2)
+        assert pdebench._SOLVE_CACHE.get() == {}
+
+
+@pytest.mark.parametrize("kind", ["burgers", "poisson"])
+def test_designs_call_solve_field_once_per_row(monkeypatch, kind):
+    # the benchmark's tracer counts solver calls through this module attribute
+    spec = pde_spec(kind)
+    real, calls = pdebench.solve_field, []
+
+    def counted(spec, params, fidelity="high"):
+        calls.append(fidelity)
+        return real(spec, params, fidelity)
+
+    monkeypatch.setattr(pdebench, "solve_field", counted)
+    for structure, aligned in (("subset", False), ("nonsubset", True)):
+        for cached in (False, True):
+            calls.clear()
+            with solve_cache() if cached else contextlib.nullcontext():
+                ds = make_dataset(spec, 5, 3, "sobol", structure, aligned, seed=0)
+                again = make_dataset(spec, 5, 3, "sobol", structure, aligned, seed=0)
+                X_test, Y_test = make_test_set(spec, 4, "sobol", seed=0, skip=8)
+            assert calls == 2 * (["low"] * 5 + ["high"] * 3) + ["high"] * 4
+            assert all(np.array_equal(a.Y, b.Y) for a, b in zip(ds.levels, again.levels))
+            for x, y in zip(X_test, Y_test):
+                assert y.tobytes() == real(spec, x, "high").field.tobytes()
+            for x, y in zip(ds.levels[1].X, ds.levels[1].Y):
+                assert y.tobytes() == real(spec, x, "high").field.tobytes()
