@@ -38,6 +38,7 @@ from .hogp import (
     TgpModel,
     _TgpPack,
     _check_schema,
+    _gram_parts,
     _mean_factors,
     _nll_core,
     _predict_parts,
@@ -383,16 +384,18 @@ class _Stage2Pack:
     stands for, so the gradient is valid until the objective's next call.
 
     A subclass supplies only ``_core(model, weights)`` at the unpacked
-    residual model, returning ``(value, adjoint)``: the NLL, and a callable
-    returning ``(gbars, d_noise, alpha, w_cov_grads)``: the adjoints of the
-    input Gram and (latent outputs) of each output covariance, the
-    noise-variance partial, ``alpha = Sigma^-1 r`` in the residual's tensor
-    shape, and the per-factor W gradients through the covariance, or
-    ``None`` when the covariance does not depend on W.  A point where a
-    polar factor is not unique or the core's eigen or Cholesky step fails,
-    or where the value is not finite, scores ``(inf, 0)``, which the
-    optimizer rejects and backtracks from; it also rejects a non-finite
-    gradient.
+    residual model, returning ``(value, grams, adjoint)``: the NLL, the
+    parts of the kernel Grams its value pass built (``hogp._gram_parts``),
+    which the gradient pass pulls the Gram adjoints back through, and a
+    callable returning ``(gbars, d_noise, alpha, w_cov_grads)``: the
+    adjoints of the input Gram and (latent outputs) of each output
+    covariance, the noise-variance partial, ``alpha = Sigma^-1 r`` in the
+    residual's tensor shape, and the per-factor W gradients through the
+    covariance, or ``None`` when the covariance does not depend on W.  A
+    point where a polar factor is not unique or the core's eigen or
+    Cholesky step fails, or where the value is not finite, scores ``(inf,
+    0)``, which the optimizer rejects and backtracks from; it also rejects a
+    non-finite gradient.
     """
 
     def __init__(
@@ -446,7 +449,7 @@ class _Stage2Pack:
             z_last, weights.factors[last], last + 1, out=_work(scratch, "Wz", shape)
         )
         resid = np.subtract(self.y_high, transformed, out=_work(scratch, "resid", shape))
-        return weights, w_pullback, replace(self.tgp.unpack(pt), Y=resid, _eig=None), z_last
+        return weights, w_pullback, self.tgp.unpack(pt, Y=resid), z_last
 
     def unpack(self, p: np.ndarray):
         weights, _, model, _ = self._unpack(p)
@@ -456,13 +459,13 @@ class _Stage2Pack:
         scratch = self.tgp.scratch
         try:
             weights, w_pullback, model, z_last = self._unpack(p, scratch)
-            value, adjoint = self._core(model, weights)
+            value, grams, adjoint = self._core(model, weights)
         except (np.linalg.LinAlgError, ValueError):
             return _rejected(self.size)
 
         def gradient():
             gbars, d_noise, alpha, w_cov_grads = adjoint()
-            g_t = self.tgp.chain(model, gbars, d_noise)
+            g_t = self.tgp.chain(model, grams, gbars, d_noise)
             # d(NLL)/dW_m through the residual tensor, plus the covariance part
             last = len(weights.factors) - 1
             w_grads = []
@@ -490,14 +493,14 @@ class _ResidualPack(_Stage2Pack):
 
     def _core(self, model: TgpModel, weights: TuckerWeights):
         scratch = self.tgp.scratch
-        nll, adjoint = _nll_core(model, scratch)
+        nll, grams, adjoint = _nll_core(model, scratch)
 
         def core_adjoint():
             gbars, d_noise, At = adjoint()
             pair = (_work(scratch, "alpha", At.shape), _work(scratch, "alpha'", At.shape))
             return gbars, d_noise, model.eigenfactors().unproject(At, out=pair), None
 
-        return nll, core_adjoint
+        return nll, grams, core_adjoint
 
 
 def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: np.ndarray):
@@ -517,16 +520,18 @@ def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: n
       ``Zh beta mu_-m`` with ``Zh`` over every axis but ``m``;
     - the residual tensor: ``alpha = Zh`` rotated back (``Sigma^-1 r``).
 
-    Returns the ``_Stage2Pack._core`` pair ``(value, adjoint)``.  The value
-    pass is the Cholesky, the eigendecomposition, the SVDs, ``Z``, the
-    quadratic form and the log-determinant; ``adjoint()`` forms ``Zh``,
+    Returns the ``_Stage2Pack._core`` triple ``(value, grams, adjoint)``.
+    The value pass is the parts of ``K_r`` (``grams``, the only Gram), the
+    Cholesky, the eigendecomposition, the SVDs, ``Z``, the quadratic form
+    and the log-determinant; ``adjoint()`` forms ``Zh``,
     ``alpha`` and the adjoints from them and returns ``([gbar_g0], d_noise,
     alpha, w_cov_grads)``, the noise-variance partial being ``tr(gbar_g0)``.
     """
     from scipy.linalg import solve_triangular
 
     n_high = res.n_samples
-    K_r = ard_gram(res.input_kernel, res.X, res.X)
+    grams = _gram_parts(res)
+    K_r = grams[0][2]
     L = np.linalg.cholesky(K_r + res.noise * np.eye(n_high))
     half = solve_triangular(L, b_input, lower=True)
     Q, beta = sym_eig(solve_triangular(L, half.T, lower=True))
@@ -539,11 +544,11 @@ def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: n
         rotations.append(V.T)
         mus.append(mu)
     A = 1.0 + kruskal_outer(mus)
-    if not np.all(A > 0):
+    if not (A > 0).all():
         raise np.linalg.LinAlgError("corrected covariance not positive definite")
     Z = tucker_apply(res.centered, rotations)
-    quad = float(np.sum(Z * Z / A))
-    logdet = 2.0 * res.output_size * float(np.sum(np.log(np.diag(L)))) + float(np.sum(np.log(A)))
+    quad = float((Z * Z / A).sum())
+    logdet = 2.0 * res.output_size * float(np.log(np.diag(L)).sum()) + float(np.log(A).sum())
     value = 0.5 * (quad + logdet + n_high * res.output_size * LOG2PI)
 
     def adjoint():
@@ -559,12 +564,12 @@ def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: n
                 [np.ones_like(v) if j == m + 1 else v for j, v in enumerate(mus)]
             )
             other = [a for a in axes if a != m + 1]
-            c = np.sum(scale * inv_a, axis=tuple(other))
+            c = (scale * inv_a).sum(axis=tuple(other))
             n_m = np.tensordot(z_hat * scale, z_hat, axes=(other, other))
             w_cov_grads.append(vt.T @ ((np.diag(c) - n_m) @ (vt @ w)))
         return [gbar_g0], float(np.trace(gbar_g0)), alpha, w_cov_grads
 
-    return value, adjoint
+    return value, grams, adjoint
 
 
 class _IdentityOutputNonsubsetPack(_Stage2Pack):
@@ -956,7 +961,7 @@ def gar_nll_nonsubset(model: GarModel) -> float:
         return low_part + tgp_nll(res)
     if _identity_outputs(trans):
         b_input = _embedded_cov(trans.workspace.s_hat, res.n_samples, trans.plan.n_matched)
-        value, _ = _identity_output_objective(res, trans.weights, b_input)  # value pass only
+        value, _, _ = _identity_output_objective(res, trans.weights, b_input)  # value pass only
         return low_part + value
     return low_part + _corrected_nll_low_rank(trans, model.low)
 

@@ -24,10 +24,12 @@ products.  The adjoint pass stays in the joint eigenbasis: the adjoint of
 factor k is ``1/2 U_k (diag(c_k) - Q_k) U_k^T`` with ``c_k`` the sum of
 ``lam_{-k} / A`` over the other axes and ``Q_k = At_(k) diag(lam_{-k})
 At_(k)^T``, where ``lam_{-k}`` is the outer product of the other factors'
-eigenvalues, and each kernel Gram is rebuilt once for its pull-back.  The
-fit's objective returns the value and defers the adjoint pass, which the
-optimizer runs only at points it accepts.  Finite differences are used
-solely as the test-side audit.
+eigenvalues.  Each kernel Gram is built once per evaluation, by the value
+pass, into the fit's scratch arrays; the pull-back of its adjoint to the
+kernel parameters and latent rows reuses the pairwise differences and
+scaled distances it was built from.  The fit's objective returns the value
+and defers the adjoint pass, which the optimizer runs only at points it
+accepts.  Finite differences are used solely as the test-side audit.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .kernels import (
     ArdKernelParams,
     LaplacePrior,
@@ -50,11 +53,12 @@ from .kernels import (
     output_cov,
 )
 from .optim import OptimConfig, minimize
-from .tensalg import EigenFactors, kron_quad_and_logdet, kruskal_outer, tucker_apply
+from .tensalg import EigenFactors, as_float, kron_quad_and_logdet, kruskal_outer, tucker_apply
 
 # Noise variances are floored here; RBF Grams over clustered inputs are
 # near-singular and the floor is what keeps joint eigenvalues invertible.
 JITTER = 1e-6
+_LOG_JITTER = float(np.log(JITTER))
 
 LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -93,8 +97,8 @@ class TgpModel:
     _eig: EigenFactors | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.Y = np.asarray(self.Y, dtype=float)
+        self.X = as_float(self.X, 2)
+        self.Y = as_float(self.Y)
         if self.Y.ndim == 1:
             self.Y = self.Y[:, None]
         if self.Y.shape[0] != self.X.shape[0]:
@@ -102,11 +106,11 @@ class TgpModel:
         if self.output_features is not None:
             if self.output_features.mode_sizes != self.Y.shape[1:]:
                 raise ValueError("latent feature mode sizes do not match Y")
-        self.log_noise = float(max(self.log_noise, np.log(JITTER)))
+        self.log_noise = float(max(self.log_noise, _LOG_JITTER))
         if self.offset is None:
             self.offset = np.zeros(self.Y.shape[1:])
         else:
-            self.offset = np.asarray(self.offset, dtype=float)
+            self.offset = as_float(self.offset)
 
     @property
     def n_samples(self) -> int:
@@ -118,7 +122,7 @@ class TgpModel:
 
     @property
     def output_size(self) -> int:
-        return int(np.prod(self.mode_sizes))
+        return math.prod(self.mode_sizes)
 
     @property
     def noise(self) -> float:
@@ -134,11 +138,42 @@ class TgpModel:
             return [int(d) for d in self.mode_sizes]
         return [output_cov(self.output_features, m) for m in range(len(self.mode_sizes))]
 
-    def eigenfactors(self) -> EigenFactors:
+    def eigenfactors(self, grams=None) -> EigenFactors:
+        """Eigendecompositions of the input Gram and every output factor, made on first use.
+
+        ``grams``, this model's :func:`_gram_parts`, are factorized when
+        given; otherwise they are built here.
+        """
         if self._eig is None:
-            gram = ard_gram(self.input_kernel, self.X, self.X)
-            self._eig = EigenFactors.from_matrices([gram] + self.output_covs())
+            if grams is None:
+                grams = _gram_parts(self)
+            identity = [] if self.output_features is not None else [int(d) for d in self.mode_sizes]
+            self._eig = EigenFactors.from_matrices([K for _, _, K in grams] + identity)
         return self._eig
+
+
+def _gram_parts(model: TgpModel, scratch: dict | None = None) -> list:
+    """``ard_gram_parts`` of every kernel Gram of ``model``, one build each.
+
+    The input Gram comes first, then (latent outputs only) the covariance of
+    each output mode.  With ``scratch`` the parts are written into its
+    arrays and stay valid until the next evaluation that uses it.
+    """
+    pairs = [(model.input_kernel, model.X)]
+    if model.output_features is not None:
+        pairs += zip(model.output_features.kernels, model.output_features.coords)
+    grams = []
+    for k, (kern, rows) in enumerate(pairs):
+        n, dims = rows.shape
+        out = None
+        if scratch is not None:
+            out = (
+                _work(scratch, ("diff", k), (dims, n, n)),
+                _work(scratch, ("d2", k), (dims, n, n)),
+                _work(scratch, ("K", k), (n, n)),
+            )
+        grams.append(kernels.ard_gram_parts(kern, rows, rows, out=out))
+    return grams
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +208,7 @@ def _reshape(a: np.ndarray, shape, scratch: dict | None, key) -> np.ndarray:
     if scratch is None:
         return a.reshape(shape)
     try:
-        return np.reshape(a, shape, copy=False)
+        return a.reshape(shape, copy=False)
     except ValueError:
         buf = _work(scratch, key, a.shape)
         np.copyto(buf, a)
@@ -181,15 +216,18 @@ def _reshape(a: np.ndarray, shape, scratch: dict | None, key) -> np.ndarray:
 
 
 def _nll_core(model: TgpModel, scratch: dict | None = None):
-    """NLL by the value pass, and the adjoint pass as a callable.
+    """NLL by the value pass, the Gram parts it built, and the adjoint pass as a callable.
 
-    Returns ``(nll, adjoint)``.  The value pass factorizes (``eigenfactors``),
-    centers the data, forms the joint eigenvalues ``A``, projects the data
-    once and divides, ``At = project(Yc) / A``, and reads the quadratic form
-    and log-determinant off them.  ``adjoint()`` runs the adjoint pass on
-    the same arrays and returns ``(gbar, d_noise, At)``: ``gbar[k]`` is the
-    matrix pairing with an unconstrained perturbation of factor k (k=0 the
-    input Gram, then one per output mode; ``None`` for identity factors),
+    Returns ``(nll, grams, adjoint)``.  The value pass builds each kernel
+    Gram once (``grams``, from :func:`_gram_parts`, which
+    :meth:`_TgpPack.chain` pulls the Gram adjoints back through), factorizes
+    them (``eigenfactors``), centers the data, forms the joint eigenvalues
+    ``A``, projects the data once and divides, ``At = project(Yc) / A``, and
+    reads the quadratic form and log-determinant off them.  ``adjoint()``
+    runs the adjoint pass on the same arrays and returns ``(gbar, d_noise,
+    At)``: ``gbar[k]`` is the matrix pairing with an unconstrained
+    perturbation of factor k (k=0 the input Gram, then one per output mode;
+    ``None`` for identity factors),
     ``d_noise`` the noise-variance partial, and ``At`` the data solve in the
     joint eigenbasis (``unproject(At)`` is ``Sigma^{-1} vec(Yc)``, the data
     adjoint).  A caller that needs the value only never pays for the
@@ -208,15 +246,16 @@ def _nll_core(model: TgpModel, scratch: dict | None = None):
     this is exact and needs no dense factor and no rotation back.
 
     ``scratch``, a dict that one fit passes to every evaluation, holds the
-    data-sized temporaries of both passes between calls, so an evaluation
-    allocates only factor-sized arrays; ``adjoint`` and the ``At`` it
-    returns then read scratch arrays and are valid until the next call.
-    Each scratch array has the layout of the temporary it stands for,
-    because the BLAS products and pairwise sums read their operands in
-    memory order: the results are bitwise those of ``scratch=None``, which
-    allocates every temporary.
+    data-sized temporaries of both passes and the Gram parts between calls,
+    so an evaluation allocates only factor-sized arrays; ``grams``,
+    ``adjoint`` and the ``At`` it returns then read scratch arrays and are
+    valid until the next call.  Each scratch array has the layout of the
+    temporary it stands for, because the BLAS products and pairwise sums
+    read their operands in memory order: the results are bitwise those of
+    ``scratch=None``, which allocates every temporary.
     """
-    eigs = model.eigenfactors()
+    grams = _gram_parts(model, scratch)
+    eigs = model.eigenfactors(grams)
     shape = model.Y.shape
     Yc = np.subtract(model.Y, model.offset, out=_work(scratch, "Yc", shape))
     A = eigs.joint_values(model.noise, out=_work(scratch, "A", shape))
@@ -224,8 +263,8 @@ def _nll_core(model: TgpModel, scratch: dict | None = None):
     T1 = eigs.project(Yc, out=pair)
     At = np.divide(T1, A, out=_work(scratch, "At", shape))
     tmp = _work(scratch, "tmp", shape)
-    quad = float(np.sum(np.multiply(T1, At, out=tmp)))
-    logdet = float(np.sum(np.log(A, out=tmp)))
+    quad = float(np.multiply(T1, At, out=tmp).sum())
+    logdet = float(np.log(A, out=tmp).sum())
     nll = 0.5 * (quad + logdet + Yc.size * LOG2PI)
 
     def adjoint():
@@ -241,14 +280,15 @@ def _nll_core(model: TgpModel, scratch: dict | None = None):
             c = inv_A
             for j in range(len(eigs.values) - 1, -1, -1):
                 if j != k:
-                    moved = np.moveaxis(c, j, -1)
+                    moved = c.transpose((*range(j), *range(j + 1, c.ndim), j))
                     lam = eigs.values[j]
                     flat = _reshape(moved, (c.size // lam.size, lam.size), scratch, "trace")
                     c = np.dot(flat, lam.reshape(-1, 1)).reshape(moved.shape[:-1])
             # Quadratic part: the mode-k unfolding of At against itself,
             # weighted by the other factors' eigenvalues.
             lam_other = kruskal_outer([v for j, v in enumerate(eigs.values) if j != k])
-            Ak = _reshape(np.moveaxis(At, k, 0), (At.shape[k], -1), scratch, "unfold")
+            unfolded = At.transpose((k, *range(k), *range(k + 1, At.ndim)))
+            Ak = _reshape(unfolded, (At.shape[k], -1), scratch, "unfold")
             order = "C" if Ak.flags.c_contiguous else "F"
             scaled = np.multiply(
                 Ak, lam_other.ravel(), out=_work(scratch, "scaled", Ak.shape, order)
@@ -256,10 +296,10 @@ def _nll_core(model: TgpModel, scratch: dict | None = None):
             Q = scaled @ Ak.T
             gbars.append(0.5 * ((U * c) @ U.T - U @ Q @ U.T))
 
-        d_noise = 0.5 * (float(np.sum(inv_A)) - float(np.sum(np.multiply(At, At, out=tmp))))
+        d_noise = 0.5 * (float(inv_A.sum()) - float(np.multiply(At, At, out=tmp).sum()))
         return gbars, d_noise, At
 
-    return nll, adjoint
+    return nll, grams, adjoint
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +365,8 @@ class _TgpPack:
         p[self.slices["noise"]] = model.log_noise
         return p
 
-    def unpack(self, p: np.ndarray) -> TgpModel:
+    def unpack(self, p: np.ndarray, Y: np.ndarray | None = None) -> TgpModel:
+        """The model at ``p``; ``Y``, when given, replaces the template's outputs."""
         t = self.template
         raw = p[self.slices["input"]]
         input_kernel = ArdKernelParams(raw[0], raw[1:])
@@ -340,12 +381,13 @@ class _TgpPack:
                 else:
                     coords.append(V.copy())
             feats = LatentFeatures(coords, kerns)
-        return replace(
-            t,
+        return TgpModel(
             input_kernel=input_kernel,
             output_features=feats,
             log_noise=float(p[self.slices["noise"]][0]),
-            _eig=None,
+            X=t.X,
+            Y=t.Y if Y is None else Y,
+            offset=t.offset,
         )
 
     def penalized(self, model: TgpModel, nll: float) -> float:
@@ -354,20 +396,21 @@ class _TgpPack:
             nll -= laplace_log_prior(model.output_features, self.laplace)
         return nll
 
-    def chain(self, model: TgpModel, gbars, d_noise: float) -> np.ndarray:
+    def chain(self, model: TgpModel, grams, gbars, d_noise: float) -> np.ndarray:
         """Gradient of :meth:`penalized` from the covariance adjoints.
 
-        ``gbars`` holds the adjoint of the input Gram, then one per output
-        mode (read only when the model has latent output covariances);
-        ``d_noise`` is the partial with respect to the noise variance.
+        ``grams`` are the value pass's Gram parts (:func:`_gram_parts`) and
+        ``gbars`` their adjoints: the input Gram's, then one per output mode
+        (read only when the model has latent output covariances); ``d_noise``
+        is the partial with respect to the noise variance.  No Gram is
+        rebuilt.
         """
         g = np.zeros(self.size)
-        g[self.slices["input"]], _ = ard_gram_adjoint(model.input_kernel, model.X, gbars[0])
+        g[self.slices["input"]], _ = ard_gram_adjoint(model.input_kernel, grams[0], gbars[0])
         if model.output_features is not None:
-            feats = model.output_features
-            for m, (V, kern) in enumerate(zip(feats.coords, feats.kernels)):
+            for m, kern in enumerate(model.output_features.kernels):
                 rows = f"coords{m}" in self.active
-                g_kern, g_coords = ard_gram_adjoint(kern, V, gbars[m + 1], rows=rows)
+                g_kern, g_coords = ard_gram_adjoint(kern, grams[m + 1], gbars[m + 1], rows=rows)
                 g[self.slices[f"kern{m}"]] = g_kern
                 if rows:
                     g[self.slices[f"coords{m}"]] = g_coords.ravel()
@@ -384,11 +427,11 @@ class _TgpPack:
         value is not finite.  A non-finite gradient is the optimizer's to reject."""
         model = self.unpack(p)
         try:
-            nll, adjoint = _nll_core(model, self.scratch)
+            nll, grams, adjoint = _nll_core(model, self.scratch)
         except (np.linalg.LinAlgError, ValueError):
             return _rejected(self.size)
         return _scored(
-            self.penalized(model, nll), lambda: self.chain(model, *adjoint()[:2]), self.size
+            self.penalized(model, nll), lambda: self.chain(model, grams, *adjoint()[:2]), self.size
         )
 
 

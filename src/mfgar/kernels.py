@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensalg import as_float
+
 
 @dataclass(frozen=True)
 class ArdKernelParams:
@@ -25,10 +27,8 @@ class ArdKernelParams:
     log_lengthscales: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "log_lengthscales", np.atleast_1d(np.asarray(self.log_lengthscales, dtype=float))
-        )
-        if not np.isfinite(self.log_amplitude) or not np.all(np.isfinite(self.log_lengthscales)):
+        object.__setattr__(self, "log_lengthscales", as_float(self.log_lengthscales, 1))
+        if not np.isfinite(self.log_amplitude) or not np.isfinite(self.log_lengthscales).all():
             raise ValueError("kernel parameters must be finite")
 
     @classmethod
@@ -48,47 +48,73 @@ class ArdKernelParams:
         return 1 + self.log_lengthscales.size
 
 
-def _scaled_sq_dists(params: ArdKernelParams, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """Per-dimension scaled squared distances, shape (n1, n2, l)."""
-    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-    X2 = np.atleast_2d(np.asarray(X2, dtype=float))
+def ard_gram_parts(params: ArdKernelParams, X1: np.ndarray, X2: np.ndarray, out=None):
+    """The Gram ``K(X1, X2)`` with the pieces it is built from.
+
+    Returns ``(diff, d2, K)``: the pairwise differences ``diff[k, i, j] =
+    X1[i, k] - X2[j, k]`` and the scaled squared distances ``d2 = (diff /
+    lengthscale_k)^2``, both one (n1, n2) plane per input dimension k, and
+    ``K = amplitude * exp(-sum_k d2[k])``.  :func:`ard_gram_adjoint` pulls an
+    adjoint of a square ``K`` back from these parts without rebuilding any
+    of them.  ``out``, a triple of C-contiguous arrays of those shapes,
+    receives them in turn (an objective's per-fit scratch); the bits are
+    those of fresh arrays.
+    """
+    X1 = as_float(X1, 2)
+    X2 = as_float(X2, 2)
     if X1.shape[1] != X2.shape[1]:
         raise ValueError("input matrices have different column counts")
     if X1.shape[1] != params.log_lengthscales.size:
         raise ValueError(
             f"{X1.shape[1]} input columns but {params.log_lengthscales.size} lengthscales"
         )
-    diff = X1[:, None, :] - X2[None, :, :]
-    return (diff / params.lengthscales) ** 2
+    diff, d2, K = (None, None, None) if out is None else out
+    # planes, so that each elementwise loop runs along n2 entries, not l
+    diff = np.subtract(X1.T[:, :, None], X2.T[:, None, :], out=diff)
+    d2 = np.divide(diff, params.lengthscales[:, None, None], out=d2)
+    np.square(d2, out=d2)
+    if 0 < len(d2) < 8:
+        # numpy sums fewer than 8 terms of an axis left to right, so folding
+        # the planes gives the bits of the sum over the dimensions
+        K = np.positive(d2[0], out=K)
+        for plane in d2[1:]:
+            np.add(K, plane, out=K)
+    else:  # numpy's pairwise sum along a contiguous axis
+        K = np.ascontiguousarray(d2.transpose(1, 2, 0)).sum(axis=2, out=K)
+    np.negative(K, out=K)
+    np.exp(K, out=K)
+    np.multiply(K, params.amplitude, out=K)
+    return diff, d2, K
 
 
 def ard_gram(params: ArdKernelParams, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
     """Cross-covariance matrix of the ARD kernel between two input sets."""
-    d2 = _scaled_sq_dists(params, X1, X2)
-    return params.amplitude * np.exp(-d2.sum(axis=2))
+    return ard_gram_parts(params, X1, X2)[2]
 
 
-def ard_gram_adjoint(params: ArdKernelParams, X: np.ndarray, gbar: np.ndarray, rows: bool = False):
+def ard_gram_adjoint(params: ArdKernelParams, parts, gbar: np.ndarray, rows: bool = False):
     """Pull an adjoint of the Gram ``K = K(X, X)`` back to its parameters.
 
-    Returns ``(g_params, g_rows)``: ``g_params[0] = <gbar, dK/dlog_amplitude>``
-    and ``g_params[1 + k] = <gbar, dK/dlog_lengthscale_k>``; with ``rows``,
-    ``g_rows`` is the gradient of ``<gbar, K>`` w.r.t. the rows of X (else
-    ``None``). ``gbar`` need not be symmetric: both the row-i and column-i
-    occurrences of each point are accounted for. The scaled distances and
-    ``K`` are built once for both.
+    ``parts`` is ``ard_gram_parts(params, X, X)``, the value pass's own
+    arrays: nothing is rebuilt here.  Returns ``(g_params, g_rows)``:
+    ``g_params[0] = <gbar, dK/dlog_amplitude>`` and ``g_params[1 + k] =
+    <gbar, dK/dlog_lengthscale_k>``; with ``rows``, ``g_rows`` is the
+    gradient of ``<gbar, K>`` w.r.t. the rows of X (else ``None``), from the
+    same pairwise differences.  ``gbar`` need not be symmetric: both the
+    row-i and column-i occurrences of each point are accounted for.
     """
-    d2 = _scaled_sq_dists(params, X, X)
-    K = params.amplitude * np.exp(-d2.sum(axis=2))
-    grads = [K] + [K * (2.0 * d2[:, :, k]) for k in range(d2.shape[2])]
-    g_params = np.array([float(np.sum(gbar * dK)) for dK in grads])
+    diff, d2, K = parts
+    g_params = np.empty(1 + len(d2))
+    g_params[0] = (gbar * K).sum()
+    for k, plane in enumerate(d2, start=1):
+        g_params[k] = (gbar * (K * (2.0 * plane))).sum()
     if not rows:
         return g_params, None
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     Wsym = gbar + gbar.T
-    diff = X[:, None, :] - X[None, :, :]
-    # d/dx_i K_ij = K_ij * (-2 (x_i - x_j) / l^2); sum over j with Wsym weights.
-    coeff = (Wsym * K)[:, :, None] * (-2.0 * diff / params.lengthscales**2)
+    # d/dx_i K_ij = K_ij * (-2 (x_i - x_j) / l^2); sum over j with Wsym
+    # weights, the terms laid out (i, j, dimension) for the sum's order.
+    step = (-2.0 * diff / (params.lengthscales**2)[:, None, None]).transpose(1, 2, 0)
+    coeff = np.multiply((Wsym * K)[:, :, None], step, out=np.empty(step.shape))
     return g_params, coeff.sum(axis=1)
 
 
@@ -105,7 +131,7 @@ class LatentFeatures:
     kernels: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.coords = [np.atleast_2d(np.asarray(V, dtype=float)) for V in self.coords]
+        self.coords = [as_float(V, 2) for V in self.coords]
         if len(self.coords) != len(self.kernels):
             raise ValueError("one kernel per latent coordinate matrix is required")
         for V, k in zip(self.coords, self.kernels):

@@ -76,7 +76,7 @@ def _finite_gradient(value, gradient):
     if not np.isfinite(value):
         return None
     g = np.asarray(gradient(), dtype=float)
-    return g if np.all(np.isfinite(g)) else None
+    return g if np.isfinite(g).all() else None
 
 
 def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None):

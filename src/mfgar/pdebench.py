@@ -147,6 +147,14 @@ class FieldSample:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _dgtsv():
+    """LAPACK ``dgtsv``, imported at its first use so that ``import mfgar`` loads no SciPy."""
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
 def _tridiag_solve(lower, diag, upper, rhs):
     """Solve a tridiagonal system with LAPACK ``gtsv``; the inputs are not modified.
 
@@ -155,9 +163,7 @@ def _tridiag_solve(lower, diag, upper, rhs):
     """
     if diag.size == 1:
         return rhs / diag[0]
-    from scipy.linalg.lapack import dgtsv
-
-    _, _, _, x, info = dgtsv(lower, diag, upper, rhs)
+    _, _, _, x, info = _dgtsv()(lower, diag, upper, rhs)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x
@@ -196,10 +202,11 @@ def _burgers_fields(viscosities, spec: PdeSpec, fidelity) -> np.ndarray:
     out = np.empty((viscosities.size, n_x, n_t))
     out[:, :, 0] = np.sin(np.pi * x / 2.0)
 
-    # interior assembly (Dirichlet walls eliminate the boundary rows)
+    # interior assembly (Dirichlet walls eliminate the boundary rows); the
+    # mass bands are single rows, so a lone row's sums need no broadcast
     n_i = n_x - 2
-    mass_d = np.full(n_i, 4.0 * h / 6.0)
-    mass_o = np.full(n_i - 1, h / 6.0)
+    mass_d = np.full((1, n_i), 4.0 * h / 6.0)
+    mass_o = np.full((1, n_i - 1), h / 6.0)
     visc_d = viscosities[:, None] * np.full(n_i, 2.0 / h)
     visc_o = viscosities[:, None] * np.full(n_i - 1, -1.0 / h)
 
@@ -207,17 +214,20 @@ def _burgers_fields(viscosities, spec: PdeSpec, fidelity) -> np.ndarray:
         """One backward-Euler step of each row via Picard sweeps.
 
         ``vd`` and ``vo`` are the rows' viscous diagonals.  Returns the new
-        states and a mask of the rows whose sweep contracted; the states of
-        the others are meaningless.
+        states and the positions of the rows whose sweep did not contract,
+        whose states are meaningless.
         """
         u_new = u_old.copy()
-        u_new[:, 0] = 0.0
-        u_new[:, -1] = 0.0
+        u_new[:, :: n_x - 1] = 0.0  # both walls
         # mass term of the old state, including its boundary columns (the
         # initial profile is nonzero at x = 1)
         rhs = _mass_apply(mass_d, mass_o, u_old[:, 1:-1])
-        rhs[:, 0] += h / 6.0 * u_old[:, 0]
-        rhs[:, -1] += h / 6.0 * u_old[:, -1]
+        walls = h / 6.0 * u_old[:, :: n_x - 1]
+        if n_i > 1:
+            rhs[:, :: n_i - 1] += walls
+        else:  # the one interior node takes both walls, left first
+            rhs += walls[:, :1]
+            rhs += walls[:, 1:]
         ok = np.zeros(len(u_old), dtype=bool)
         # the rows still sweeping: positions in u_new, states, rhs, viscous terms
         live, u = np.arange(len(u_old)), u_new
@@ -225,22 +235,30 @@ def _burgers_fields(viscosities, spec: PdeSpec, fidelity) -> np.ndarray:
             # Convection row i: int phi_i u_h phi_j' over the two neighbor
             # elements; with the left/right element averages
             #   I_L = u_{i-1}/6 + u_i/3,   I_R = u_i/3 + u_{i+1}/6
-            # the tridiagonal entries are (-I_L, I_L - I_R, I_R).
+            # the tridiagonal entries are (-I_L, I_L - I_R, I_R); adding -I_L
+            # is subtracting I_L, bit for bit.
             third = u[:, 1:-1] / 3.0
-            int_left = u[:, :-2] / 6.0 + third
-            int_right = third + u[:, 2:] / 6.0
-            cd = int_left - int_right
-            cu = int_right[:, :-1]
-            cl = -int_left[:, 1:]
-            diag = mass_d + dt_step * (vd + cd)
-            lowr = mass_o + dt_step * (vo + cl)
-            uppr = mass_o + dt_step * (vo + cu)
+            sixth = u / 6.0
+            int_left = sixth[:, :-2] + third
+            int_right = third + sixth[:, 2:]
+            diag = mass_d + dt_step * (vd + (int_left - int_right))
+            lowr = mass_o + dt_step * (vo - int_left[:, 1:])
+            uppr = mass_o + dt_step * (vo + int_right[:, :-1])
             candidate = _tridiag_rows(lowr, diag, uppr, rhs)
             change = np.abs(candidate - u[:, 1:-1]).max(axis=1)
             u[:, 1:-1] = candidate
-            converged = change < 1e-8
-            # u is finite, so a finite change means a finite candidate
-            if converged.any() or not np.isfinite(change).all():
+            # some row converged, or some change is not finite (NaN or inf
+            # at the max); u is finite, so a finite change means a finite
+            # candidate
+            if change.min() < 1e-8 or not change.max() < np.inf:
+                converged = change < 1e-8
+                if converged.all():
+                    # every row still sweeping is done at once, as a lone row always is
+                    if u is u_new:
+                        return u_new, live[:0]
+                    u_new[live] = u
+                    ok[live] = True
+                    break
                 going = np.isfinite(candidate).all(axis=1) & ~converged
                 u_new[live[converged]] = u[converged]
                 ok[live[converged]] = True
@@ -248,7 +266,7 @@ def _burgers_fields(viscosities, spec: PdeSpec, fidelity) -> np.ndarray:
                 vd, vo = vd[going], vo[going]
                 if not live.size:
                     break
-        return u_new, ok
+        return u_new, np.flatnonzero(~ok)
 
     def advance(u_old, vd, vo, dt_step, depth=0):
         """Advance by dt_step, halving the substep of the rows whose Picard stalls.
@@ -257,19 +275,20 @@ def _burgers_fields(viscosities, spec: PdeSpec, fidelity) -> np.ndarray:
         which the fixed-point sweep has no contraction; deterministic
         bisection restores it without changing the recorded grid.
         """
-        done, ok = picard_step(u_old, vd, vo, dt_step)
-        if ok.all():
+        done, stalled = picard_step(u_old, vd, vo, dt_step)
+        if not stalled.size:
             return done
         if depth >= 12:
             raise RuntimeError("Picard iteration did not converge at the smallest substep")
-        stalled = ~ok
         vd, vo = vd[stalled], vo[stalled]
         half = advance(u_old[stalled], vd, vo, dt_step / 2.0, depth + 1)
         done[stalled] = advance(half, vd, vo, dt_step / 2.0, depth + 1)
         return done
 
+    u = out[:, :, 0].copy()  # the state steps as contiguous rows
     for step in range(1, n_t):
-        out[:, :, step] = advance(out[:, :, step - 1], visc_d, visc_o, dt)
+        u = advance(u, visc_d, visc_o, dt)
+        out[:, :, step] = u
     return out
 
 

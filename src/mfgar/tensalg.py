@@ -18,6 +18,7 @@ Everything in this module is pure and reentrant.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -30,6 +31,19 @@ SYM_TOL = 1e-10
 NEG_EIG_TOL = 1e-12
 
 
+def as_float(a, ndim: int = 0) -> np.ndarray:
+    """``np.asarray(a, dtype=float)``, made at least ``ndim``-dimensional (1 or 2) by
+    ``np.atleast_1d`` or ``np.atleast_2d``.
+
+    A float64 ndarray of rank ``ndim`` or more, which those calls would
+    return unchanged, is returned as it is without them.
+    """
+    if type(a) is np.ndarray and a.dtype == np.float64 and a.ndim >= ndim:
+        return a
+    a = np.asarray(a, dtype=float)
+    return np.atleast_1d(a) if ndim == 1 else np.atleast_2d(a) if ndim == 2 else a
+
+
 def vec(tensor: np.ndarray) -> np.ndarray:
     """Flatten a tensor in the package's fixed (C-order) layout."""
     return np.asarray(tensor).reshape(-1)
@@ -39,7 +53,7 @@ def unvec(vector: np.ndarray, shape) -> np.ndarray:
     """Inverse of :func:`vec`: restore a tensor of the given mode sizes."""
     vector = np.asarray(vector)
     shape = tuple(int(s) for s in shape)
-    if vector.size != int(np.prod(shape)):
+    if vector.size != math.prod(shape):
         raise ValueError(f"cannot unvec length {vector.size} into shape {shape}")
     return vector.reshape(shape)
 
@@ -58,8 +72,10 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int, out=None) ->
     product in the layout it would be allocated in, and the result is a view
     of it.
     """
-    tensor = np.asarray(tensor)
-    matrix = np.asarray(matrix)
+    if type(tensor) is not np.ndarray:
+        tensor = np.asarray(tensor)
+    if type(matrix) is not np.ndarray:
+        matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("mode_product expects a matrix")
     shape = tensor.shape
@@ -68,15 +84,15 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int, out=None) ->
             f"mode {mode} has size {shape[mode]}, factor expects {matrix.shape[1]}"
         )
     mode = mode % tensor.ndim
-    pre = int(np.prod(shape[:mode]))
-    post = int(np.prod(shape[mode + 1 :]))
+    pre = math.prod(shape[:mode])
+    post = math.prod(shape[mode + 1 :])
     rows = matrix.shape[0]
     if post == 1:
         # operands in the order tensordot passes them to the GEMM
-        dest = None if out is None else np.reshape(out, (rows, pre), copy=False)
+        dest = None if out is None else out.reshape((rows, pre), copy=False)
         res = np.matmul(matrix, tensor.reshape(pre, shape[mode]).T, out=dest).T
     else:
-        dest = None if out is None else np.reshape(out, (pre, rows, post), copy=False)
+        dest = None if out is None else out.reshape((pre, rows, post), copy=False)
         res = np.matmul(matrix, tensor.reshape(pre, shape[mode], post), out=dest)
     return res.reshape(shape[:mode] + (rows,) + shape[mode + 1 :])
 
@@ -109,9 +125,9 @@ def kron_all(mats) -> np.ndarray:
 
 def kruskal_outer(vectors) -> np.ndarray:
     """Outer product of vectors: ``out[i, j, ..] = v0[i] * v1[j] * ..``."""
-    out = np.asarray(vectors[0], dtype=float)
+    out = as_float(vectors[0])
     for v in vectors[1:]:
-        out = np.multiply.outer(out, np.asarray(v, dtype=float))
+        out = np.multiply.outer(out, as_float(v))
     return out
 
 
@@ -149,7 +165,7 @@ def sym_eig(matrix: np.ndarray):
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("sym_eig expects a square matrix")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("sym_eig: matrix has non-finite entries")
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.T).max() > SYM_TOL * scale:
@@ -192,7 +208,9 @@ def _clamp_psd(values: np.ndarray) -> np.ndarray:
     """Zero out tiny negative eigenvalues of a PSD Gram matrix (round-off)."""
     top = max(values.max(initial=0.0), 0.0)
     out = values.copy()
-    out[out < 0] = np.where(np.abs(out[out < 0]) <= NEG_EIG_TOL * max(top, 1.0), 0.0, out[out < 0])
+    neg = out < 0
+    low = out[neg]
+    out[neg] = np.where(np.abs(low) <= NEG_EIG_TOL * max(top, 1.0), 0.0, low)
     return out
 
 
@@ -277,6 +295,6 @@ def kron_quad_and_logdet(eigs: EigenFactors, noise: float, Y: np.ndarray):
         raise ValueError(f"tensor shape {Y.shape} does not match factors {eigs.factor_sizes}")
     A = eigs.joint_values(noise)
     T1 = eigs.project(Y)
-    quad = float(np.sum(T1 * T1 / A))
-    logdet = float(np.sum(np.log(A)))
+    quad = float((T1 * T1 / A).sum())
+    logdet = float(np.log(A).sum())
     return quad, logdet

@@ -3,7 +3,8 @@
 Everything here deliberately materializes full joint covariances with
 ``np.kron`` and uses dense factorizations; nothing is shared with the
 package's eigendecomposition pipeline.  The dense non-subset stage-2 pack
-borrows only the production parameter plumbing around its dense core.
+borrows only the production parameter plumbing and Gram builder around its
+dense core.
 ``reference_nll_core`` is the exception: the eigenbasis NLL and adjoints
 with every temporary allocated, the bitwise reference for the production
 core's scratch arrays.  ``eager`` resolves a value-first objective's
@@ -17,7 +18,7 @@ import numpy as np
 
 from mfgar.gar import _embedded_cov, _Stage2Pack
 from mfgar.kernels import ArdKernelParams, LaplacePrior, LatentFeatures, ard_gram, output_cov
-from mfgar.hogp import TgpModel
+from mfgar.hogp import TgpModel, _gram_parts
 from mfgar.tensalg import kron_all, kruskal_outer, vec
 
 LOG2PI = float(np.log(2.0 * np.pi))
@@ -576,8 +577,10 @@ class DenseNonsubsetPack(_Stage2Pack):
     The adjoints contract ``T = 1/2 (Sigma^-1 - alpha alpha^T)`` against
     every factor but one: the input Gram, each latent output covariance, and
     each ``W_m`` through its sandwich ``W_m S_low_m W_m^T``.  Only the
-    covariance core is dense; the parameter packing, the residual and the W
-    gradient through it are the production ``_Stage2Pack`` plumbing.  This
+    covariance core is dense; the Gram parts (``_gram_parts``, which the
+    gradient pass pulls back through), the parameter packing, the residual
+    and the W gradient through it are the production ``_Stage2Pack``
+    plumbing.  This
     is the reference the identity-output pack is checked against, value and
     gradient.
     """
@@ -591,8 +594,9 @@ class DenseNonsubsetPack(_Stage2Pack):
     def _core(self, model, weights):
         from scipy.linalg import cho_factor, cho_solve
 
-        K_r = ard_gram(model.input_kernel, model.X, model.X)
-        s_mats = [np.eye(s) if isinstance(s, int) else s for s in model.output_covs()]
+        grams = _gram_parts(model)
+        K_r = grams[0][2]
+        s_mats = [K for _, _, K in grams[1:]] or [np.eye(d) for d in model.mode_sizes]
         sand = [w @ s @ w.T for w, s in zip(weights.factors, self.s_low)]
         n = model.Y.size
         sigma = kron_all([K_r] + s_mats) + kron_all([self.b_input] + sand)
@@ -615,7 +619,7 @@ class DenseNonsubsetPack(_Stage2Pack):
             q = kron_partial(blocks, correction, m + 1)
             w_cov_grads.append((q + q.T) @ w @ s)
         adjoints = gbars, float(np.trace(T)), alpha.reshape(model.Y.shape), w_cov_grads
-        return value, lambda: adjoints
+        return value, grams, lambda: adjoints
 
 
 def dense_nonsubset_pack(model, dataset, laplace=0.0):
@@ -768,6 +772,24 @@ def eager(objective):
         return value, lambda: g
 
     return resolved
+
+
+def count_gram_builds(monkeypatch) -> list:
+    """A list that gains the row count of every kernel Gram built from now on.
+
+    Every Gram of the package, in an objective or not, is built by
+    ``kernels.ard_gram_parts``, looked up on the module at each call.
+    """
+    import mfgar.kernels as kernels
+
+    real, built = kernels.ard_gram_parts, []
+
+    def counted(params, X1, X2, out=None):
+        built.append(len(X1))
+        return real(params, X1, X2, out=out)
+
+    monkeypatch.setattr(kernels, "ard_gram_parts", counted)
+    return built
 
 
 def grad_audit(objective, point, eps: float = 1e-5) -> float:

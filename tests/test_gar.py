@@ -8,7 +8,9 @@ from mfgar.gar import (
     GarConfig,
     MultiFidelityDataset,
     TuckerWeights,
+    _IdentityOutputNonsubsetPack,
     _ResidualPack,
+    _residual_template,
     ar_baseline_fit,
     build_subset_plan,
     gar_fit_recursive,
@@ -20,13 +22,16 @@ from mfgar.gar import (
 from mfgar.hogp import tgp_nll, tgp_predict
 from mfgar.kernels import LaplacePrior
 from mfgar.optim import OptimConfig, minimize
+from mfgar.pdebench import make_dataset, pde_spec
 from oracles import (
+    count_gram_builds,
     dense_two_level_nll,
     dense_two_level_predict,
     eager,
     gar_joint_nll_dense,
     grad_audit,
     low_stack,
+    make_random_nonsubset,
     make_random_two_level,
     scalar_ar_dense_nll,
 )
@@ -301,6 +306,75 @@ def test_stage2_objective_is_inf_where_the_eigen_step_fails():
     assert np.array_equal(grad(), np.zeros(pack.size))
 
 
+@pytest.mark.parametrize("kind", ["free", "orthonormal", "collapsed"])
+def test_stage2_value_pass_builds_each_gram_once_and_the_gradient_none(monkeypatch, kind):
+    # Every stage-2 core builds each kernel Gram of the residual once, in its
+    # value pass: the input Gram and each latent output covariance (the
+    # collapsed identity-output core has the input Gram only), and the
+    # gradient pulls back through those parts.
+    rng = np.random.default_rng(36)
+    if kind == "collapsed":
+        model, ds = make_random_nonsubset(
+            rng, 5, 2, 2, (2, 3), (4, 3), identity_outputs=True, orthonormal_w=True
+        )
+        trans = model.transitions[0]
+        pack = _IdentityOutputNonsubsetPack(
+            low_stack(trans, ds.levels[0].Y), ds.levels[1].Y[trans.plan.permutation],
+            trans.residual, trans.weights, "free", trans.workspace.s_hat, trans.plan.n_matched,
+        )
+        want = [4]
+    else:
+        model, ds = make_random_two_level(rng, 5, 3, (2, 3), (2, 3))
+        trans = model.transitions[0]
+        pack = _ResidualPack(
+            low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights,
+            kind, LaplacePrior(0.0),
+        )
+        want = [3, 2, 3]
+    built = count_gram_builds(monkeypatch)
+    _, gradient = pack.objective(pack.pack())
+    assert built == want
+    gradient()
+    assert built == want
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(GarConfig(), id="gar-free-W"),
+        pytest.param(
+            GarConfig(identity_outputs=True, w_mode="orthonormal"), id="cigar-orthonormal-W"
+        ),
+    ],
+)
+def test_warm_stage2_objective_allocates_under_three_data_tensors(config):
+    # A warm stage-2 residual evaluation at Poisson n_high = 16, (16, 32, 32)
+    # data tensors of 128 KiB, keeps the residual, the partial products and
+    # the data-sized temporaries of both passes in the fit's scratch: value
+    # plus gradient trace under three data tensors (about 330 KiB for GAR's
+    # latent outputs and free W, 340 KiB for CIGAR's orthonormal W).
+    import tracemalloc
+
+    ds = make_dataset(pde_spec("poisson"), 16, 16, aligned=True, seed=0)
+    low, high = ds.levels
+    w_init = TuckerWeights.initial(high.mode_sizes, low.mode_sizes)
+    template, _ = _residual_template(
+        high.X, high.mode_sizes, None, config, resid0=high.Y - w_init.apply(low.Y)
+    )
+    pack = _ResidualPack(low.Y, high.Y, template, w_init, config.w_mode, LaplacePrior(0.0))
+    point = pack.pack()
+    pack.objective(point)[1]()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pack.objective(point + 1e-3)[1]()  # the value pass and the gradient pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert high.Y.shape == (16, 32, 32)
+    assert peak - before <= 384 * 1024
+
+
 @pytest.mark.parametrize("broken", ["value", "gradient"])
 def test_stage2_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broken):
     # A core that returns NaN without raising never hands the optimizer a
@@ -317,13 +391,13 @@ def test_stage2_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broke
     real = _ResidualPack._core
 
     def nan_core(self, model, weights):
-        value, adjoint = real(self, model, weights)
+        value, grams, adjoint = real(self, model, weights)
 
         def nan_adjoint():
             gbars, d_noise, alpha, w_cov_grads = adjoint()
             return gbars, d_noise, np.full_like(alpha, np.nan), w_cov_grads
 
-        return (np.nan, adjoint) if broken == "value" else (value, nan_adjoint)
+        return (np.nan, grams, adjoint) if broken == "value" else (value, grams, nan_adjoint)
 
     monkeypatch.setattr(_ResidualPack, "_core", nan_core)
     p = pack.pack()

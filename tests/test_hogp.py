@@ -28,6 +28,7 @@ from mfgar.kernels import ArdKernelParams, LaplacePrior, LatentFeatures
 from mfgar.optim import OptimConfig, minimize
 from mfgar.tensalg import vec
 from oracles import (
+    count_gram_builds,
     dense_joint_cov,
     dense_tgp_adjoints,
     dense_tgp_nll,
@@ -131,7 +132,7 @@ def test_nll_core_adjoints_match_dense_adjoint(n, modes, identity, singular):
         model = duplicate_latent_row(model)
         lam = model.eigenfactors().values[1]
         assert lam.min() <= 1e-12 * lam.max()  # round-off, clamped at 0 when negative
-    nll, adjoint = _nll_core(model)
+    nll, _, adjoint = _nll_core(model)
     gbars, d_noise, At = adjoint()
     want, want_noise = dense_tgp_adjoints(model)
     assert_allclose(nll, dense_tgp_nll(model), rtol=1e-9)
@@ -172,8 +173,47 @@ def test_objective_projects_once_and_rebuilds_no_factor(monkeypatch, modes, iden
     assert sorted(modes_hit) == ([0] if identity else list(range(len(modes) + 1)))
 
 
+@pytest.mark.parametrize("modes,identity", [((3,), False), ((2, 3), False), ((2, 3), True)])
+def test_objective_builds_each_gram_once_and_its_gradient_none(monkeypatch, modes, identity):
+    # The value pass builds one Gram per factor (the input Gram, then each
+    # latent output covariance) and the gradient pulls the adjoints back
+    # through those parts, building none.
+    rng = np.random.default_rng(52)
+    model = make_random_tgp(rng, 4, modes, identity_outputs=identity)
+    pack = _TgpPack(model, LaplacePrior(0.0))
+    built = count_gram_builds(monkeypatch)
+    _, gradient = pack.objective(pack.pack(model))
+    want = [4] + ([] if identity else list(modes))
+    assert built == want
+    gradient()
+    assert built == want
+
+
+def test_objective_scratch_shared_by_models_is_bitwise_a_fresh_scratch():
+    # The Gram parts live in the fit's scratch, not on the model: one scratch
+    # serving a model, one with moved inputs built by replace (as the
+    # non-subset workspace builds its augmented model), one with fewer rows,
+    # and the first again gives each value and gradient bitwise as a fresh
+    # scratch does.
+    rng = np.random.default_rng(63)
+    first = make_random_tgp(rng, 6, (4, 3))
+    moved = replace(first, X=first.X + 0.3 * rng.standard_normal(first.X.shape), _eig=None)
+    fewer = replace(first, X=first.X[:4], Y=first.Y[:4], _eig=None)
+    shared = {}
+    for model in (first, moved, fewer, first):
+        fresh = _TgpPack(model, LaplacePrior(0.0))
+        reused = _TgpPack(model, LaplacePrior(0.0))
+        reused.scratch = shared
+        point = fresh.pack(model) + 1e-3
+        value, gradient = fresh.objective(point)
+        value_shared, gradient_shared = reused.objective(point)
+        assert np.array_equal(value_shared, value)
+        assert np.array_equal(gradient_shared(), gradient())
+    assert shared
+
+
 def assert_bitwise_core(got, want):
-    nll, adjoint = got
+    nll, _, adjoint = got
     gbars, d_noise, At = adjoint()
     assert np.array_equal(nll, want[0]) and np.array_equal(d_noise, want[2])
     assert len(gbars) == len(want[1])
@@ -401,13 +441,13 @@ def test_pack_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broken)
     real = hogp._nll_core
 
     def nan_core(m, scratch=None):
-        nll, adjoint = real(m, scratch)
+        nll, grams, adjoint = real(m, scratch)
 
         def nan_adjoint():
             gbars, _, At = adjoint()
             return gbars, np.nan, At
 
-        return (np.nan, adjoint) if broken == "value" else (nll, nan_adjoint)
+        return (np.nan, grams, adjoint) if broken == "value" else (nll, grams, nan_adjoint)
 
     monkeypatch.setattr(hogp, "_nll_core", nan_core)
     p = pack.pack(model)

@@ -10,9 +10,11 @@ from mfgar.kernels import (
     LatentFeatures,
     ard_gram,
     ard_gram_adjoint,
+    ard_gram_parts,
     laplace_log_prior,
     output_cov,
 )
+from oracles import make_random_tgp
 
 
 def test_zero_distance_gives_amplitude():
@@ -41,6 +43,25 @@ def test_gram_matches_naive_double_loop():
             d2 = sum((X[i, k] - X[j, k]) ** 2 / params.lengthscales[k] ** 2 for k in range(2))
             expected[i, j] = params.amplitude * np.exp(-d2)
     assert_allclose(K, expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 5, 7, 8, 9])
+@pytest.mark.parametrize("rows", [1, 6, 33])
+def test_gram_is_bitwise_the_sum_over_scaled_distances(dims, rows):
+    # The Gram folds the per-dimension planes where that is numpy's own
+    # order, and reduces a contiguous axis otherwise: the bits of the plain
+    # sum over the last axis of (n1, n2, l) distances.
+    rng = np.random.default_rng(dims * 100 + rows)
+    params = ArdKernelParams(0.3, rng.uniform(-1.0, 1.0, size=dims))
+    X1 = rng.standard_normal((rows, dims))
+    X2 = rng.standard_normal((rows + 2, dims))
+    d2 = ((X1[:, None, :] - X2[None, :, :]) / params.lengthscales) ** 2
+    want = params.amplitude * np.exp(-d2.sum(axis=2))
+    diff, got_d2, K = ard_gram_parts(params, X1, X2)
+    assert np.array_equal(got_d2, d2.transpose(2, 0, 1)) and np.array_equal(K, want)
+    scratch = tuple(np.empty_like(a) for a in (diff, got_d2, K))
+    assert all(a is b for a, b in zip(ard_gram_parts(params, X1, X2, out=scratch), scratch))
+    assert np.array_equal(scratch[2], want)
 
 
 def test_gram_psd_and_translation_invariant():
@@ -72,7 +93,7 @@ def test_param_grads_match_finite_differences():
     X = rng.standard_normal((4, 2))
     gbar = rng.standard_normal((4, 4))
     params = ArdKernelParams(0.3, np.array([-0.2, 0.4]))
-    grads, rows = ard_gram_adjoint(params, X, gbar)
+    grads, rows = ard_gram_adjoint(params, ard_gram_parts(params, X, X), gbar)
     assert rows is None
     eps = 1e-6
     raw = np.array([params.log_amplitude, *params.log_lengthscales])
@@ -90,7 +111,7 @@ def test_input_grad_matches_finite_differences():
     X = rng.standard_normal((4, 2))
     W = rng.standard_normal((4, 4))
     params = ArdKernelParams(0.1, np.array([0.2, -0.3]))
-    _, g = ard_gram_adjoint(params, X, W, rows=True)
+    _, g = ard_gram_adjoint(params, ard_gram_parts(params, X, X), W, rows=True)
     eps = 1e-6
     for a in range(4):
         for k in range(2):
@@ -115,9 +136,35 @@ def test_adjoint_equals_explicit_gram_partials_bitwise():
     d2 = (diff / params.lengthscales) ** 2
     partials = [K] + [K * (2.0 * d2[:, :, k]) for k in range(3)]
     coeff = ((gbar + gbar.T) * K)[:, :, None] * (-2.0 * diff / params.lengthscales**2)
-    grads, rows = ard_gram_adjoint(params, X, gbar, rows=True)
+    grads, rows = ard_gram_adjoint(params, ard_gram_parts(params, X, X), gbar, rows=True)
     assert np.array_equal(grads, [np.sum(gbar * dK) for dK in partials])
     assert np.array_equal(rows, coeff.sum(axis=1))
+
+
+@pytest.mark.parametrize("rows", [False, True])
+def test_adjoint_from_the_value_pass_parts_is_bitwise_from_fresh_parts(rows):
+    # The value pass writes each Gram's parts into the fit's scratch, here
+    # after the scratch served another model; the pull-back from them is
+    # bitwise the pull-back from parts built afresh.
+    from mfgar.hogp import _nll_core
+
+    rng = np.random.default_rng(8)
+    other = make_random_tgp(rng, 5, (4, 3))
+    model = make_random_tgp(rng, 5, (4, 3))
+    scratch = {}
+    _nll_core(other, scratch)
+    _, grams, _ = _nll_core(model, scratch)
+    kerns = [model.input_kernel, *model.output_features.kernels]
+    inputs = [model.X, *model.output_features.coords]
+    assert len(grams) == len(kerns)
+    for kern, X, parts in zip(kerns, inputs, grams):
+        fresh = ard_gram_parts(kern, X, X)
+        assert all(np.array_equal(a, b) for a, b in zip(parts, fresh))
+        gbar = rng.standard_normal((len(X), len(X)))
+        got = ard_gram_adjoint(kern, parts, gbar, rows=rows)
+        want = ard_gram_adjoint(kern, fresh, gbar, rows=rows)
+        assert np.array_equal(got[0], want[0])
+        assert (got[1] is None and want[1] is None) if not rows else np.array_equal(got[1], want[1])
 
 
 def test_output_cov_identical_rows_constant_matrix():
