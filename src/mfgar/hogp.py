@@ -147,7 +147,7 @@ class TgpModel:
         if self._eig is None:
             if grams is None:
                 grams = _gram_parts(self)
-            identity = [] if self.output_features is not None else [int(d) for d in self.mode_sizes]
+            identity = [] if self.output_features is not None else self.output_covs()
             self._eig = EigenFactors.from_matrices([K for _, _, K in grams] + identity)
         return self._eig
 

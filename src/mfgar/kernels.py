@@ -73,14 +73,8 @@ def ard_gram_parts(params: ArdKernelParams, X1: np.ndarray, X2: np.ndarray, out=
     diff = np.subtract(X1.T[:, :, None], X2.T[:, None, :], out=diff)
     d2 = np.divide(diff, params.lengthscales[:, None, None], out=d2)
     np.square(d2, out=d2)
-    if 0 < len(d2) < 8:
-        # numpy sums fewer than 8 terms of an axis left to right, so folding
-        # the planes gives the bits of the sum over the dimensions
-        K = np.positive(d2[0], out=K)
-        for plane in d2[1:]:
-            np.add(K, plane, out=K)
-    else:  # numpy's pairwise sum along a contiguous axis
-        K = np.ascontiguousarray(d2.transpose(1, 2, 0)).sum(axis=2, out=K)
+    # summed along a contiguous last axis, as over (n1, n2, l) distances
+    K = np.ascontiguousarray(d2.transpose(1, 2, 0)).sum(axis=2, out=K)
     np.negative(K, out=K)
     np.exp(K, out=K)
     np.multiply(K, params.amplitude, out=K)

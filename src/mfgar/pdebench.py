@@ -214,20 +214,17 @@ def _burgers_fields(viscosities, spec: PdeSpec, fidelity) -> np.ndarray:
         """One backward-Euler step of each row via Picard sweeps.
 
         ``vd`` and ``vo`` are the rows' viscous diagonals.  Returns the new
-        states and the positions of the rows whose sweep did not contract,
-        whose states are meaningless.
+        states and a mask of the rows whose sweep contracted; the states of
+        the others are meaningless.
         """
         u_new = u_old.copy()
-        u_new[:, :: n_x - 1] = 0.0  # both walls
+        u_new[:, 0] = 0.0
+        u_new[:, -1] = 0.0
         # mass term of the old state, including its boundary columns (the
         # initial profile is nonzero at x = 1)
         rhs = _mass_apply(mass_d, mass_o, u_old[:, 1:-1])
-        walls = h / 6.0 * u_old[:, :: n_x - 1]
-        if n_i > 1:
-            rhs[:, :: n_i - 1] += walls
-        else:  # the one interior node takes both walls, left first
-            rhs += walls[:, :1]
-            rhs += walls[:, 1:]
+        rhs[:, 0] += h / 6.0 * u_old[:, 0]
+        rhs[:, -1] += h / 6.0 * u_old[:, -1]
         ok = np.zeros(len(u_old), dtype=bool)
         # the rows still sweeping: positions in u_new, states, rhs, viscous terms
         live, u = np.arange(len(u_old)), u_new
@@ -254,8 +251,6 @@ def _burgers_fields(viscosities, spec: PdeSpec, fidelity) -> np.ndarray:
                 converged = change < 1e-8
                 if converged.all():
                     # every row still sweeping is done at once, as a lone row always is
-                    if u is u_new:
-                        return u_new, live[:0]
                     u_new[live] = u
                     ok[live] = True
                     break
@@ -266,7 +261,7 @@ def _burgers_fields(viscosities, spec: PdeSpec, fidelity) -> np.ndarray:
                 vd, vo = vd[going], vo[going]
                 if not live.size:
                     break
-        return u_new, np.flatnonzero(~ok)
+        return u_new, ok
 
     def advance(u_old, vd, vo, dt_step, depth=0):
         """Advance by dt_step, halving the substep of the rows whose Picard stalls.
@@ -275,20 +270,19 @@ def _burgers_fields(viscosities, spec: PdeSpec, fidelity) -> np.ndarray:
         which the fixed-point sweep has no contraction; deterministic
         bisection restores it without changing the recorded grid.
         """
-        done, stalled = picard_step(u_old, vd, vo, dt_step)
-        if not stalled.size:
+        done, ok = picard_step(u_old, vd, vo, dt_step)
+        if ok.all():
             return done
         if depth >= 12:
             raise RuntimeError("Picard iteration did not converge at the smallest substep")
+        stalled = ~ok
         vd, vo = vd[stalled], vo[stalled]
         half = advance(u_old[stalled], vd, vo, dt_step / 2.0, depth + 1)
         done[stalled] = advance(half, vd, vo, dt_step / 2.0, depth + 1)
         return done
 
-    u = out[:, :, 0].copy()  # the state steps as contiguous rows
     for step in range(1, n_t):
-        u = advance(u, visc_d, visc_o, dt)
-        out[:, :, step] = u
+        out[:, :, step] = advance(out[:, :, step - 1], visc_d, visc_o, dt)
     return out
 
 

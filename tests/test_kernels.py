@@ -48,9 +48,8 @@ def test_gram_matches_naive_double_loop():
 @pytest.mark.parametrize("dims", [1, 2, 5, 7, 8, 9])
 @pytest.mark.parametrize("rows", [1, 6, 33])
 def test_gram_is_bitwise_the_sum_over_scaled_distances(dims, rows):
-    # The Gram folds the per-dimension planes where that is numpy's own
-    # order, and reduces a contiguous axis otherwise: the bits of the plain
-    # sum over the last axis of (n1, n2, l) distances.
+    # The Gram has the bits of the plain sum over the last axis of
+    # (n1, n2, l) distances, whatever the number of dimensions.
     rng = np.random.default_rng(dims * 100 + rows)
     params = ArdKernelParams(0.3, rng.uniform(-1.0, 1.0, size=dims))
     X1 = rng.standard_normal((rows, dims))
