@@ -11,7 +11,7 @@ Everything downstream rests on two facts demonstrated here:
 
 import numpy as np
 
-from mfgar import EigenFactors, kron_quad_and_logdet, tucker_apply, vec
+from mfgar import EigenFactors, tucker_apply, vec
 from mfgar.tensalg import kron_all
 
 rng = np.random.default_rng(0)
@@ -33,8 +33,14 @@ K, S1, S2 = spd(6), spd(3), spd(4)
 noise = 0.1
 Y = rng.standard_normal((6, 3, 4))
 
+# rotate Y into the joint eigenbasis and divide by the joint eigenvalues
+# A = lam_K (o) lam_1 (o) lam_2 + noise: the quadratic form is <Z, Z / A>
+# and the log-determinant is the sum of log A
 eigs = EigenFactors.from_matrices([K, S1, S2])
-quad, logdet = kron_quad_and_logdet(eigs, noise, Y)
+A = eigs.joint_values(noise)
+Z = eigs.project(Y)
+quad = float(np.sum(Z * (Z / A)))
+logdet = float(np.sum(np.log(A)))
 
 sigma = kron_all([K, S1, S2]) + noise * np.eye(72)
 quad_dense = vec(Y) @ np.linalg.solve(sigma, vec(Y))

@@ -22,7 +22,6 @@ from .kernels import (
 )
 from .tensalg import (
     EigenFactors,
-    kron_quad_and_logdet,
     mode_product,
     sym_eig,
     tucker_apply,

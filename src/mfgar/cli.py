@@ -420,7 +420,7 @@ def cmd_benchmark(args) -> int:
     order = {k: i for i, k in enumerate(kinds)}
     rows.sort(key=lambda r: (order[r["model"]], r["n_high"], r["repeat"]))
 
-    summary = []
+    summary = {}  # (kind, n_high, "mean" or "std") -> row
     for kind in kinds:
         for n_high in sweep:
             vals = [
@@ -441,13 +441,13 @@ def cmd_benchmark(args) -> int:
                 if vals:
                     entry["rmse"] = repr(float(fn([v[0] for v in vals])))
                     entry["nll"] = repr(float(fn([v[1] for v in vals])))
-                summary.append(entry)
+                summary[kind, n_high, stat] = entry
 
     results_path = args.out / "results.csv"
     with open(results_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
         writer.writeheader()
-        for r in rows + summary:
+        for r in rows + list(summary.values()):
             writer.writerow({c: r.get(c, "") for c in RESULT_COLUMNS})
     with open(args.out / "timings.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -464,15 +464,8 @@ def cmd_benchmark(args) -> int:
         for kind in kinds:
             fh.write(f'"{kind}"\n')
             for n_high in sweep:
-                mean = next(
-                    r for r in summary
-                    if r["model"] == kind and r["n_high"] == n_high and r["repeat"] == "mean"
-                )
-                std = next(
-                    r for r in summary
-                    if r["model"] == kind and r["n_high"] == n_high and r["repeat"] == "std"
-                )
-                fh.write(f"{n_high} {mean['rmse'] or 'nan'} {std['rmse'] or 'nan'}\n")
+                mean, std = (summary[kind, n_high, stat]["rmse"] for stat in ("mean", "std"))
+                fh.write(f"{n_high} {mean or 'nan'} {std or 'nan'}\n")
             fh.write("\n\n")
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"wrote {results_path} ({n_ok}/{len(rows)} jobs ok)")

@@ -41,6 +41,7 @@ from .hogp import (
     _gram_parts,
     _mean_factors,
     _nll_core,
+    _nll_value,
     _predict_parts,
     _rejected,
     _scored,
@@ -653,10 +654,7 @@ def _nonsubset_workspace(low: TgpModel, x_hat: np.ndarray) -> NonSubsetWorkspace
     half = np.linalg.solve(chol, k_hat.T)
     s_hat = k_hh - half.T @ half
     aug_low = replace(
-        low,
-        X=np.vstack([low.X, x_hat]),
-        Y=np.concatenate([low.Y, imputed], axis=0),
-        _eig=None,
+        low, X=np.vstack([low.X, x_hat]), Y=np.concatenate([low.Y, imputed], axis=0)
     )
     return NonSubsetWorkspace(x_hat=x_hat, s_hat=0.5 * (s_hat + s_hat.T), aug_low=aug_low)
 
@@ -897,22 +895,20 @@ def _corrected_nll_low_rank(trans: GarTransition, low: TgpModel) -> float:
     builds its term, with ``G`` on both sides: the input mode contracted
     first, ``B[c0', c0, p..] = sum_i g_0[i, c0'] g_0[i, c0] / A[i, p..]``,
     then one Tucker product per input-root pair with the Khatri-Rao factors
-    ``E_k[(c', c), p] = g_k[p, c'] g_k[p, c]``.
+    ``E_k[(c', c), p] = g_k[p, c'] g_k[p, c]``.  The base NLL and its data
+    solve ``At`` are the residual's (``hogp._nll_value``), and the update
+    adds ``1/2 (log|cap| - |L^-1 G^T At|^2)`` with ``cap = L L^T``.
     """
     from scipy.linalg import cho_factor, solve_triangular
 
     res, ws = trans.residual, trans.workspace
-    eigs = res.eigenfactors()
+    nll_base, (eigs, A, _, At) = _nll_value(res)
     roots = _rotated_roots(
         eigs, _imputation_roots(ws.s_hat, low), trans.plan.n_matched, trans.weights
     )
     rank = int(np.prod([r.shape[1] for r in roots]))
-    A = eigs.joint_values(res.noise)
-    base_proj = eigs.project(res.centered)
-    quad_base = float(np.sum(base_proj * base_proj / A))
-    logdet_base = float(np.sum(np.log(A)))
 
-    lt_alpha = vec(tucker_apply(base_proj / A, [r.T for r in roots]))
+    lt_alpha = vec(tucker_apply(At, [r.T for r in roots]))
     # G^T D^-1 G entry by entry: rows (c0', c'), columns (c0, c); one slice
     # per input-root pair, each output mode a Khatri-Rao factor of its root.
     n_m, col_sizes = roots[0].shape[1], [r.shape[1] for r in roots[1:]]
@@ -930,9 +926,7 @@ def _corrected_nll_low_rank(trans: GarTransition, low: TgpModel) -> float:
     # log-determinant (symmetric, so the transpose is the Fortran-ordered matrix)
     chol, _ = cho_factor(cap.T, lower=True, overwrite_a=True)
     half = solve_triangular(chol, lt_alpha, lower=True)
-    quad = quad_base - float(half @ half)
-    logdet = logdet_base + 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return 0.5 * (quad + logdet + res.Y.size * LOG2PI)
+    return nll_base + 0.5 * (2.0 * float(np.sum(np.log(np.diag(chol)))) - float(half @ half))
 
 
 def gar_nll_nonsubset(model: GarModel) -> float:
@@ -1153,7 +1147,7 @@ def gar_to_dict(model: GarModel, dataset_ref: str | None = None) -> dict:
         if i > 0 and t.workspace is not None:
             aug = t.workspace.aug_low
             n_low = aug.n_samples - t.plan.n_unmatched
-            entry["low"] = tgp_to_dict(replace(aug, X=aug.X[:n_low], Y=aug.Y[:n_low], _eig=None))
+            entry["low"] = tgp_to_dict(replace(aug, X=aug.X[:n_low], Y=aug.Y[:n_low]))
         doc["transitions"].append(entry)
     return doc
 

@@ -18,12 +18,14 @@ Gradients of the NLL are hand-derived adjoints through this pipeline (they
 need eigenvalues and rotations only, never eigenvector derivatives, so they
 stay stable under repeated eigenvalues).  An evaluation is a value pass
 plus an adjoint pass over the same arrays (see ``_nll_core``).  The value
-pass factorizes, projects the data once, ``At = project(Yc) / A``, and
-reads the quadratic form and log-determinant off ``At`` and ``A``: M+1 mode
-products.  The adjoint pass stays in the joint eigenbasis: the adjoint of
-factor k is ``1/2 U_k (diag(c_k) - Q_k) U_k^T`` with ``c_k`` the sum of
-``lam_{-k} / A`` over the other axes and ``Q_k = At_(k) diag(lam_{-k})
-At_(k)^T``, where ``lam_{-k}`` is the outer product of the other factors'
+pass factorizes and makes the one data solve, ``_solve``: it projects the
+data once, ``At = project(Yc) / A`` (M+1 mode products), and the
+quadratic form and log-determinant are read off ``At`` and ``A``.  The
+same solve gives the predictive mean and the base of the non-subset NLL.
+The adjoint pass stays in the joint eigenbasis: the adjoint of factor k is
+``1/2 U_k (diag(c_k) - Q_k) U_k^T`` with ``c_k`` the sum of ``lam_{-k} /
+A`` over the other axes and ``Q_k = At_(k) diag(lam_{-k}) At_(k)^T``,
+where ``lam_{-k}`` is the outer product of the other factors'
 eigenvalues.  Each kernel Gram is built once per evaluation, by the value
 pass, into the fit's scratch arrays; the pull-back of its adjoint to the
 kernel parameters and latent rows reuses the pairwise differences and
@@ -53,7 +55,7 @@ from .kernels import (
     output_cov,
 )
 from .optim import OptimConfig, minimize
-from .tensalg import EigenFactors, as_float, kron_quad_and_logdet, kruskal_outer, tucker_apply
+from .tensalg import EigenFactors, as_float, kruskal_outer, tucker_apply
 
 # Noise variances are floored here; RBF Grams over clustered inputs are
 # near-singular and the floor is what keeps joint eigenvalues invertible.
@@ -83,7 +85,9 @@ class TgpModel:
 
     Instances are treated as immutable once constructed (fitting builds fresh
     candidates), which makes the cached eigendecomposition safe; construct a
-    new model rather than mutating parameters in place.
+    new model rather than mutating parameters in place.  The cache is not an
+    ``__init__`` field, so ``dataclasses.replace`` starts every copy without
+    one.
     ``output_features=None`` fixes every ``S_m`` to the identity, in which
     case no output-mode covariance is ever allocated or factorized.
     """
@@ -94,7 +98,7 @@ class TgpModel:
     X: np.ndarray
     Y: np.ndarray
     offset: np.ndarray | None = None
-    _eig: EigenFactors | None = field(default=None, repr=False, compare=False)
+    _eig: EigenFactors | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.X = as_float(self.X, 2)
@@ -183,10 +187,7 @@ def _gram_parts(model: TgpModel, scratch: dict | None = None) -> list:
 
 def tgp_nll(model: TgpModel) -> float:
     """Negative log marginal likelihood, including the (Nd/2) log(2 pi) term."""
-    eigs = model.eigenfactors()
-    quad, logdet = kron_quad_and_logdet(eigs, model.noise, model.centered)
-    n_total = model.n_samples * model.output_size
-    return 0.5 * (quad + logdet + n_total * LOG2PI)
+    return _nll_value(model)[0]
 
 
 def _work(scratch: dict | None, key, shape, order: str = "C"):
@@ -215,22 +216,49 @@ def _reshape(a: np.ndarray, shape, scratch: dict | None, key) -> np.ndarray:
         return buf.reshape(shape)
 
 
+def _solve(model: TgpModel, scratch: dict | None = None):
+    """The data solve in the joint eigenbasis, ``(eigs, A, T1, At)``.
+
+    ``eigs`` is the model's eigenbasis, ``A`` the joint eigenvalues, ``T1 =
+    project(Y - offset)`` and ``At = T1 / A``, so ``unproject(At)`` is
+    ``Sigma^{-1} vec(Y - offset)``.  Every TGP likelihood and prediction
+    reads this one solve.  With ``scratch`` the four tensors are its
+    work arrays (see :func:`_nll_core`).
+    """
+    eigs = model.eigenfactors()
+    shape = model.Y.shape
+    Yc = np.subtract(model.Y, model.offset, out=_work(scratch, "Yc", shape))
+    A = eigs.joint_values(model.noise, out=_work(scratch, "A", shape))
+    pair = None if scratch is None else (_work(scratch, "T", shape), _work(scratch, "T'", shape))
+    T1 = eigs.project(Yc, out=pair)
+    At = np.divide(T1, A, out=_work(scratch, "At", shape))
+    return eigs, A, T1, At
+
+
+def _nll_value(model: TgpModel, scratch: dict | None = None):
+    """``(nll, solve)``: the NLL read off :func:`_solve`'s arrays, and the solve."""
+    solve = _solve(model, scratch)
+    _, A, T1, At = solve
+    tmp = _work(scratch, "tmp", A.shape)
+    quad = float(np.multiply(T1, At, out=tmp).sum())
+    logdet = float(np.log(A, out=tmp).sum())
+    return 0.5 * (quad + logdet + A.size * LOG2PI), solve
+
+
 def _nll_core(model: TgpModel, scratch: dict | None = None):
     """NLL by the value pass, the Gram parts it built, and the adjoint pass as a callable.
 
     Returns ``(nll, grams, adjoint)``.  The value pass builds each kernel
     Gram once (``grams``, from :func:`_gram_parts`, which
     :meth:`_TgpPack.chain` pulls the Gram adjoints back through), factorizes
-    them (``eigenfactors``), centers the data, forms the joint eigenvalues
-    ``A``, projects the data once and divides, ``At = project(Yc) / A``, and
-    reads the quadratic form and log-determinant off them.  ``adjoint()``
-    runs the adjoint pass on the same arrays and returns ``(gbar, d_noise,
-    At)``: ``gbar[k]`` is the matrix pairing with an unconstrained
-    perturbation of factor k (k=0 the input Gram, then one per output mode;
-    ``None`` for identity factors),
-    ``d_noise`` the noise-variance partial, and ``At`` the data solve in the
-    joint eigenbasis (``unproject(At)`` is ``Sigma^{-1} vec(Yc)``, the data
-    adjoint).  A caller that needs the value only never pays for the
+    them (``eigenfactors``) and reads the NLL off the data solve
+    :func:`_solve` (:func:`_nll_value`).  ``adjoint()`` runs the adjoint
+    pass on the same arrays and returns ``(gbar, d_noise, At)``: ``gbar[k]``
+    is the matrix pairing with an unconstrained perturbation of factor k
+    (k=0 the input Gram, then one per output mode; ``None`` for identity
+    factors), ``d_noise`` the noise-variance partial, and ``At`` the data
+    solve in the joint eigenbasis (``unproject(At)`` is ``Sigma^{-1}
+    vec(Yc)``, the data adjoint).  A caller that needs the value only never pays for the
     adjoints.
 
     For a perturbation ``dF`` of factor k the NLL differential is
@@ -255,17 +283,9 @@ def _nll_core(model: TgpModel, scratch: dict | None = None):
     ``scratch=None``, which allocates every temporary.
     """
     grams = _gram_parts(model, scratch)
-    eigs = model.eigenfactors(grams)
-    shape = model.Y.shape
-    Yc = np.subtract(model.Y, model.offset, out=_work(scratch, "Yc", shape))
-    A = eigs.joint_values(model.noise, out=_work(scratch, "A", shape))
-    pair = None if scratch is None else (_work(scratch, "T", shape), _work(scratch, "T'", shape))
-    T1 = eigs.project(Yc, out=pair)
-    At = np.divide(T1, A, out=_work(scratch, "At", shape))
-    tmp = _work(scratch, "tmp", shape)
-    quad = float(np.multiply(T1, At, out=tmp).sum())
-    logdet = float(np.log(A, out=tmp).sum())
-    nll = 0.5 * (quad + logdet + Yc.size * LOG2PI)
+    model.eigenfactors(grams)
+    nll, (eigs, A, _, At) = _nll_value(model, scratch)
+    shape = A.shape
 
     def adjoint():
         inv_A = np.divide(1.0, A, out=_work(scratch, "1/A", shape))
@@ -296,7 +316,8 @@ def _nll_core(model: TgpModel, scratch: dict | None = None):
             Q = scaled @ Ak.T
             gbars.append(0.5 * ((U * c) @ U.T - U @ Q @ U.T))
 
-        d_noise = 0.5 * (float(inv_A.sum()) - float(np.multiply(At, At, out=tmp).sum()))
+        sq = np.multiply(At, At, out=_work(scratch, "tmp", shape))
+        d_noise = 0.5 * (float(inv_A.sum()) - float(sq.sum()))
         return gbars, d_noise, At
 
     return nll, grams, adjoint
@@ -331,13 +352,11 @@ class _TgpPack:
         # _nll_core's work arrays, reused by every evaluation of this fit
         self.scratch = {}
         self.slices = {}
-        self.active = set()
         idx = 0
 
         def add(name, size):
             nonlocal idx
             self.slices[name] = slice(idx, idx + size)
-            self.active.add(name)
             idx += size
 
         add("input", template.input_kernel.n_params)
@@ -360,7 +379,7 @@ class _TgpPack:
                 zip(model.output_features.coords, model.output_features.kernels)
             ):
                 p[self.slices[f"kern{m}"]] = np.concatenate([[k.log_amplitude], k.log_lengthscales])
-                if f"coords{m}" in self.active:
+                if f"coords{m}" in self.slices:
                     p[self.slices[f"coords{m}"]] = V.ravel()
         p[self.slices["noise"]] = model.log_noise
         return p
@@ -376,7 +395,7 @@ class _TgpPack:
             for m, (V, k) in enumerate(zip(t.output_features.coords, t.output_features.kernels)):
                 kr = p[self.slices[f"kern{m}"]]
                 kerns.append(ArdKernelParams(kr[0], kr[1:]))
-                if f"coords{m}" in self.active:
+                if f"coords{m}" in self.slices:
                     coords.append(p[self.slices[f"coords{m}"]].reshape(V.shape))
                 else:
                     coords.append(V.copy())
@@ -409,7 +428,7 @@ class _TgpPack:
         g[self.slices["input"]], _ = ard_gram_adjoint(model.input_kernel, grams[0], gbars[0])
         if model.output_features is not None:
             for m, kern in enumerate(model.output_features.kernels):
-                rows = f"coords{m}" in self.active
+                rows = f"coords{m}" in self.slices
                 g_kern, g_coords = ard_gram_adjoint(kern, grams[m + 1], gbars[m + 1], rows=rows)
                 g[self.slices[f"kern{m}"]] = g_kern
                 if rows:
@@ -417,7 +436,7 @@ class _TgpPack:
         g[self.slices["noise"]] = d_noise * model.noise
         if self.laplace.scale > 0 and model.output_features is not None:
             for m, gv in enumerate(laplace_log_prior_grad(model.output_features, self.laplace)):
-                if f"coords{m}" in self.active:
+                if f"coords{m}" in self.slices:
                     g[self.slices[f"coords{m}"]] -= gv.ravel()
         return g
 
@@ -505,15 +524,8 @@ class KronPsd:
         return np.multiply.outer(self.scale, kruskal_outer(diags))
 
     def sandwich(self, weights) -> "KronPsd":
-        mats, sizes = [], []
-        for W, S, s in zip(weights, self.mats, self.sizes):
-            if W is None:
-                mats.append(S)
-                sizes.append(s)
-            else:
-                mats.append(W @ W.T if S is None else W @ S @ W.T)
-                sizes.append(W.shape[0])
-        return KronPsd(self.scale, mats, tuple(sizes))
+        mats = [W @ W.T if S is None else W @ S @ W.T for W, S in zip(weights, self.mats)]
+        return KronPsd(self.scale, mats, tuple(W.shape[0] for W in weights))
 
 
 @dataclass
@@ -534,36 +546,8 @@ class KronSq:
         return self.sign * tucker_apply(self.weights, sq)
 
     def sandwich(self, weights) -> "KronSq":
-        factors = []
-        for W, F in zip(weights, self.factors):
-            if W is None:
-                factors.append(F)
-            else:
-                factors.append(W.copy() if F is None else W @ F)
+        factors = [W.copy() if F is None else W @ F for W, F in zip(weights, self.factors)]
         return KronSq(self.sign, self.q_factor, factors, self.weights)
-
-
-def _variance_terms(model: TgpModel, k_star: np.ndarray):
-    """Latent predictive covariance at the queries as structured terms.
-
-    The exact conditional covariance is ``k** (x) S - B B^T`` with
-    ``B = (k* U (x) U_1 L_1 (x) ..) (A)^{-1/2}``; both pieces stay closed
-    under per-mode sandwiching, which is what the fidelity recursion needs.
-    """
-    eigs = model.eigenfactors()
-    A = eigs.joint_values(model.noise)
-    n_star = k_star.shape[0]
-    prior = KronPsd(
-        np.full(n_star, model.input_kernel.amplitude),
-        [None if U is None else eigs.reconstruct(k + 1) for k, U in enumerate(eigs.vectors[1:])],
-        model.mode_sizes,
-    )
-    U0 = eigs.vectors[0]
-    factors = []
-    for U, lam in zip(eigs.vectors[1:], eigs.values[1:]):
-        factors.append(None if U is None else U * lam)
-    corr = KronSq(-1.0, k_star @ U0, factors, 1.0 / A)
-    return [prior, corr]
 
 
 def _mean_factors(model: TgpModel, k_star: np.ndarray):
@@ -577,14 +561,24 @@ def _mean_factors(model: TgpModel, k_star: np.ndarray):
 
 
 def _predict_parts(model: TgpModel, x_star: np.ndarray):
-    """Batched conditional mean (without offset) and variance terms."""
+    """Batched conditional mean (without offset) and noise-free variance terms.
+
+    The mean applies :func:`_mean_factors` to the data solve ``At``.  The
+    exact conditional covariance is ``k** (x) S - B B^T`` with ``B = (k* U
+    (x) U_1 L_1 (x) ..) (A)^{-1/2}``, the same factors; both terms stay
+    closed under per-mode sandwiching, which is what the fidelity recursion
+    needs.
+    """
     Xs = np.atleast_2d(np.asarray(x_star, dtype=float))
     k_star = ard_gram(model.input_kernel, Xs, model.X)
-    eigs = model.eigenfactors()
-    A = eigs.joint_values(model.noise)
-    At = eigs.project(model.centered) / A
-    mean = tucker_apply(At, _mean_factors(model, k_star))
-    return mean, _variance_terms(model, k_star)
+    eigs, A, _, At = _solve(model)
+    facs = _mean_factors(model, k_star)
+    prior = KronPsd(
+        np.full(Xs.shape[0], model.input_kernel.amplitude),
+        [None if U is None else eigs.reconstruct(k + 1) for k, U in enumerate(eigs.vectors[1:])],
+        model.mode_sizes,
+    )
+    return tucker_apply(At, facs), [prior, KronSq(-1.0, facs[0], facs[1:], 1.0 / A)]
 
 
 def tgp_predict(model: TgpModel, x_star) -> PosteriorField:

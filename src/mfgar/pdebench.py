@@ -460,9 +460,9 @@ def solve_cache():
     the fidelity's mesh and the input bytes, and returns a copy of the stored
     sample on a repeat; the stored arrays are read-only so no caller can
     alter them.  :func:`make_dataset` and :func:`make_test_set` store the
-    Burgers rows they solve as one batch the same way.  Failed solves are not stored, so a bad input raises on every
-    call.  A nested block shares the outer one's store, which is dropped when
-    the outermost block exits.
+    Burgers rows they solve as one batch the same way.  Failed solves are not
+    stored, so a bad input raises on every call.  A nested block shares the
+    outer one's store, which is dropped when the outermost block exits.
     """
     if _SOLVE_CACHE.get() is not None:
         yield

@@ -256,21 +256,19 @@ class EigenFactors:
         np.multiply.outer(kruskal_outer(self.values[:-1]), self.values[-1], out=out)
         return np.add(out, noise, out=out)
 
-    def project(self, tensor: np.ndarray, mode_offset: int = 0, out=None) -> np.ndarray:
+    def project(self, tensor: np.ndarray, out=None) -> np.ndarray:
         """Rotate a tensor into the joint eigenbasis (apply U^T per mode).
 
         ``out`` is the work pair of :func:`tucker_apply`.
         """
-        return tucker_apply(
-            tensor, [None if U is None else U.T for U in self.vectors], mode_offset, out=out
-        )
+        return tucker_apply(tensor, [None if U is None else U.T for U in self.vectors], out=out)
 
-    def unproject(self, tensor: np.ndarray, mode_offset: int = 0, out=None) -> np.ndarray:
+    def unproject(self, tensor: np.ndarray, out=None) -> np.ndarray:
         """Rotate back from the joint eigenbasis (apply U per mode).
 
         ``out`` is the work pair of :func:`tucker_apply`.
         """
-        return tucker_apply(tensor, self.vectors, mode_offset, out=out)
+        return tucker_apply(tensor, self.vectors, out=out)
 
     def reconstruct(self, k: int) -> np.ndarray:
         """Dense k-th factor matrix (mainly for oracles and serialization)."""
@@ -278,23 +276,3 @@ class EigenFactors:
         if U is None:
             return np.diag(lam)
         return (U * lam) @ U.T
-
-
-def kron_quad_and_logdet(eigs: EigenFactors, noise: float, Y: np.ndarray):
-    """Quadratic form and log-determinant of ``(K (x) S_1 .. + noise I)``.
-
-    Returns ``(quad, logdet)`` with ``quad = vec(Y)^T Sigma^{-1} vec(Y)`` and
-    ``logdet = log|Sigma|``, computed entirely from the factor
-    eigendecompositions: project Y into the joint eigenbasis, divide by the
-    joint eigenvalues plus noise, and read the determinant off the diagonal.
-    """
-    if not noise > 0:
-        raise ValueError("noise variance must be positive")
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape != eigs.factor_sizes:
-        raise ValueError(f"tensor shape {Y.shape} does not match factors {eigs.factor_sizes}")
-    A = eigs.joint_values(noise)
-    T1 = eigs.project(Y)
-    quad = float((T1 * T1 / A).sum())
-    logdet = float(np.log(A).sum())
-    return quad, logdet

@@ -534,7 +534,7 @@ def make_random_nonsubset(
     matched_low = rng.choice(n_low, size=n_matched, replace=False)
     X_h = np.vstack([X_l[matched_low], rng.uniform(-1.0, 1.0, size=(n_unmatched, input_dim))])
     low = make_random_tgp(rng, n_low, low_modes, input_dim, identity_outputs, noise_low)
-    low = dc_replace(low, X=X_l, Y=rng.standard_normal((n_low, *low_modes)), _eig=None)
+    low = dc_replace(low, X=X_l, Y=rng.standard_normal((n_low, *low_modes)))
     facs = [rng.standard_normal((dh, dl)) for dh, dl in zip(high_modes, low_modes)]
     if orthonormal_w:
         from mfgar.cigar import orthonormalize
@@ -548,7 +548,7 @@ def make_random_nonsubset(
     stack = np.concatenate([low.Y[matched_low], ws.aug_low.Y[n_low:]], axis=0)
     resid = y_high - weights.apply(stack)
     res_proto = make_random_tgp(rng, n_high, high_modes, input_dim, identity_outputs, noise_res)
-    res = dc_replace(res_proto, X=X_h, Y=resid, _eig=None)
+    res = dc_replace(res_proto, X=X_h, Y=resid)
     model = GarModel(low=low, transitions=[GarTransition(weights, res, plan, ws)])
     dataset = MultiFidelityDataset([(X_l, low.Y), (X_h, y_high)])
     return model, dataset

@@ -160,7 +160,6 @@ def test_criterion_4_autokrigeability():
         trans.weights = orthonormalize(trans.weights)
         stack = low_stack(trans, ds.levels[0].Y)
         trans.residual.Y = ds.levels[1].Y - trans.weights.apply(stack)
-        object.__setattr__(trans.residual, "_eig", None)
         cig = CigarModel(low=model.low, transitions=model.transitions, kind="cigar")
         Xq = rng.uniform(-1, 1, size=(3, 2))
         fast = gar_predict(cig, Xq)
@@ -279,7 +278,6 @@ def test_criterion_6_degeneracy_chain():
     rho = -0.6
     trans.weights.factors[0][:] = rho
     trans.residual.Y = ds.levels[1].Y - rho * ds.levels[0].Y[:3]
-    object.__setattr__(trans.residual, "_eig", None)
     s_l = float(model.low.output_covs()[0][0, 0])
     s_r = float(trans.residual.output_covs()[0][0, 0])
     k_low = ArdKernelParams(

@@ -283,7 +283,6 @@ def test_predictive_mean_matches_general_machinery_under_identity():
         trans.weights = orthonormalize(trans.weights)
         stack = low_stack(trans, ds.levels[0].Y)
         trans.residual.Y = ds.levels[1].Y - trans.weights.apply(stack)
-        object.__setattr__(trans.residual, "_eig", None)
         cig = CigarModel(low=model.low, transitions=model.transitions, kind="cigar")
         Xq = rng.uniform(-1, 1, size=(3, 2))
         fast = gar_predict(cig, Xq)
@@ -301,7 +300,6 @@ def test_square_orthogonal_weights_variance_reduces_to_scalar_form():
     trans = model.transitions[0]
     trans.weights = orthonormalize(trans.weights)
     trans.residual.Y = ds.levels[1].Y - trans.weights.apply(low_stack(trans, ds.levels[0].Y))
-    object.__setattr__(trans.residual, "_eig", None)
     cig = CigarModel(low=model.low, transitions=model.transitions, kind="cigar")
     far = np.array([70.0, -80.0])
     pred = gar_predict(cig, far)

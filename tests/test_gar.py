@@ -153,7 +153,6 @@ def test_zero_weights_decouple_levels():
     for f in trans.weights.factors:
         f[:] = 0.0
     trans.residual.Y = ds.levels[1].Y.copy()
-    object.__setattr__(trans.residual, "_eig", None)
     joint = gar_joint_nll_dense(model, ds)
     independent_high = tgp_nll(trans.residual)
     assert_allclose(joint, tgp_nll(model.low) + independent_high, rtol=1e-9)
@@ -166,7 +165,6 @@ def test_scalar_outputs_match_classic_ar_density():
     rho = 0.8
     trans.weights.factors[0][:] = rho
     trans.residual.Y = ds.levels[1].Y - rho * ds.levels[0].Y[:3]
-    object.__setattr__(trans.residual, "_eig", None)
     # scalar-output covariance factors are 1x1; fold them into the kernels
     s_l = float(model.low.output_covs()[0][0, 0])
     s_r = float(trans.residual.output_covs()[0][0, 0])
@@ -516,7 +514,6 @@ def test_zero_rho_degenerates_to_high_only_tgp():
     for f in trans.weights.factors:
         f[:] = np.eye(2) * 0.0
     trans.residual.Y = ds.levels[1].Y.copy()
-    object.__setattr__(trans.residual, "_eig", None)
     q = rng.uniform(-1, 1, size=(2, 2))
     fused = gar_predict(model, q)
     alone = tgp_predict(trans.residual, q)

@@ -290,7 +290,7 @@ def test_gamma_variance_mixed_output_covariances_matches_reference():
     rng = np.random.default_rng(19)
     model, _ = make_random_nonsubset(rng, 5, 2, 3, (2, 3), (3, 2))
     trans = model.transitions[0]
-    trans = replace(trans, residual=replace(trans.residual, output_features=None, _eig=None))
+    trans = replace(trans, residual=replace(trans.residual, output_features=None))
     down = TuckerWeights([rng.standard_normal((2, 3)), rng.standard_normal((4, 2))])
     Xq = rng.uniform(-1, 1, size=(3, 2))
     for chain, shape in (([], (3, 2)), ([down], (2, 4))):
@@ -543,6 +543,11 @@ def test_nll_low_rank_route_matches_dense():
     dense = tgp_nll(model.low) + pack.objective(pack.pack())[0]
     lowrank = tgp_nll(model.low) + _corrected_nll_low_rank(trans, model.low)
     assert_allclose(lowrank, dense, rtol=1e-9)
+    # With no imputation uncertainty the update vanishes and the route reads
+    # the residual's own NLL off the same solve, bitwise.
+    ws = trans.workspace
+    certain = replace(trans, workspace=replace(ws, s_hat=np.zeros_like(ws.s_hat)))
+    assert np.array_equal(_corrected_nll_low_rank(certain, model.low), tgp_nll(trans.residual))
     oracle = dense_marginal_nonsubset_nll(
         model.low, trans.weights, trans.residual, trans.plan,
         trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],

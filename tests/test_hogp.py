@@ -108,7 +108,7 @@ def duplicate_latent_row(model: TgpModel) -> TgpModel:
     coords = [V.copy() for V in model.output_features.coords]
     coords[0][1] = coords[0][0]
     feats = LatentFeatures(coords, model.output_features.kernels)
-    return replace(model, output_features=feats, _eig=None)
+    return replace(model, output_features=feats)
 
 
 @pytest.mark.parametrize(
@@ -197,8 +197,8 @@ def test_objective_scratch_shared_by_models_is_bitwise_a_fresh_scratch():
     # scratch does.
     rng = np.random.default_rng(63)
     first = make_random_tgp(rng, 6, (4, 3))
-    moved = replace(first, X=first.X + 0.3 * rng.standard_normal(first.X.shape), _eig=None)
-    fewer = replace(first, X=first.X[:4], Y=first.Y[:4], _eig=None)
+    moved = replace(first, X=first.X + 0.3 * rng.standard_normal(first.X.shape))
+    fewer = replace(first, X=first.X[:4], Y=first.Y[:4])
     shared = {}
     for model in (first, moved, fewer, first):
         fresh = _TgpPack(model, LaplacePrior(0.0))
@@ -228,15 +228,31 @@ def test_nll_core_scratch_is_bitwise_the_allocating_reference(modes, identity):
     # The scratch arrays keep the layouts of the temporaries they stand for,
     # so the BLAS products and pairwise sums give the same bits; a second
     # parameter point through the same scratch shows no stale buffer leaks.
+    # tgp_nll reads the same solve, so it is the core's value bitwise.
     rng = np.random.default_rng(60 + len(modes))
     first = make_random_tgp(rng, 6, modes, identity_outputs=identity)
-    second = replace(first, log_noise=first.log_noise + 0.7, Y=1.5 * first.Y + 0.2, _eig=None)
+    second = replace(first, log_noise=first.log_noise + 0.7, Y=1.5 * first.Y + 0.2)
     scratch = {}
     for model in (first, second, first):
-        want = reference_nll_core(replace(model, _eig=None))
-        assert_bitwise_core(_nll_core(replace(model, _eig=None)), want)
-        assert_bitwise_core(_nll_core(replace(model, _eig=None), scratch), want)
+        want = reference_nll_core(replace(model))
+        assert_bitwise_core(_nll_core(replace(model)), want)
+        assert_bitwise_core(_nll_core(replace(model), scratch), want)
+        assert np.array_equal(tgp_nll(replace(model)), want[0])
     assert scratch
+
+
+def test_replace_drops_the_cached_eigenbasis():
+    # The eigenbasis belongs to the model's inputs and parameters: a copy
+    # made by replace() with other inputs factorizes its own, so its NLL is
+    # bitwise that of the same model built from scratch.
+    rng = np.random.default_rng(64)
+    model = make_random_tgp(rng, 5, (3, 4))
+    tgp_nll(model)  # caches the eigenbasis
+    X2 = model.X + 0.5 * rng.standard_normal(model.X.shape)
+    fresh = TgpModel(
+        model.input_kernel, model.output_features, model.log_noise, X2, model.Y, model.offset
+    )
+    assert np.array_equal(tgp_nll(replace(model, X=X2)), tgp_nll(fresh))
 
 
 def test_warm_objective_allocates_no_data_sized_temporary():
@@ -481,7 +497,7 @@ def test_serialization_rejects_unknown_schema():
 def test_bundle_arrays_roundtrip_bitwise(identity_outputs, tmp_path):
     rng = np.random.default_rng(18)
     model = make_random_tgp(rng, 5, (3, 2), identity_outputs=identity_outputs)
-    model = replace(model, offset=rng.standard_normal((3, 2)), _eig=None)
+    model = replace(model, offset=rng.standard_normal((3, 2)))
     path = tmp_path / "model.json"
     save_tgp(model, path)
     back = load_tgp(path)
