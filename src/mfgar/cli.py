@@ -98,6 +98,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown model kind {kind!r}")
         if not self.sweep:
             raise ValueError("empty high-fidelity sweep")
+        # each (kind, n_high, repeat) job writes its own directory
+        for option, values in (("--model", self.models), ("--n-high-sweep", self.sweep)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{option} repeats {', '.join(map(str, repeated))}")
         sizes = (("n_low", self.n_low), ("n_test", self.n_test), ("sweep values", min(self.sweep)))
         for name, n in sizes:
             if n < 1:

@@ -44,6 +44,7 @@ from .hogp import (
     _nll_value,
     _predict_parts,
     _rejected,
+    _reshape,
     _scored,
     _tgp_from_doc,
     _work,
@@ -380,9 +381,11 @@ class _Stage2Pack:
     partial products ``z[m]`` and contracts the data adjoint with each for
     the W gradient, then maps it through the weight parametrization: M
     weight products per value, M(M-1)+1 with the gradient.  The
-    residual and every partial product live in the fit's scratch (the
-    residual pack's ``tgp.scratch``), each in the layout of the temporary it
-    stands for, so the gradient is valid until the objective's next call.
+    residual, every partial product and the unfoldings the W gradient
+    contracts live in the fit's scratch (the residual pack's
+    ``tgp.scratch``), each in the layout of the temporary it stands for, so
+    the results are bitwise those of allocating and the gradient is valid
+    until the objective's next call.
 
     A subclass supplies only ``_core(model, weights)`` at the unpacked
     residual model, returning ``(value, grams, adjoint)``: the NLL, the
@@ -472,8 +475,16 @@ class _Stage2Pack:
             w_grads = []
             for m in range(last + 1):
                 z_m = z_last if m == last else self._partial(weights, m, scratch)
+                # as np.tensordot(alpha, z_m, axes=(other, other)) does it:
+                # axis m+1 moved first in alpha and last in z_m, the rest
+                # flattened, one matrix product; the copies go to scratch
                 other = [a for a in range(alpha.ndim) if a != m + 1]
-                g = -np.tensordot(alpha, z_m, axes=(other, other))
+                a_m = alpha.transpose(m + 1, *other)
+                z_t = z_m.transpose(*other, m + 1)
+                g = -np.dot(
+                    _reshape(a_m, (a_m.shape[0], -1), scratch, "W-grad alpha"),
+                    _reshape(z_t, (-1, z_t.shape[-1]), scratch, "W-grad z"),
+                )
                 w_grads.append(g if w_cov_grads is None else g + w_cov_grads[m])
             return np.concatenate([w_pullback(w_grads), g_t])
 
@@ -898,35 +909,75 @@ def _corrected_nll_low_rank(trans: GarTransition, low: TgpModel) -> float:
     ``E_k[(c', c), p] = g_k[p, c'] g_k[p, c]``.  The base NLL and its data
     solve ``At`` are the residual's (``hogp._nll_value``), and the update
     adds ``1/2 (log|cap| - |L^-1 G^T At|^2)`` with ``cap = L L^T``.
+
+    The capacitance is split into ``n_m x n_m`` blocks of size ``r = prod_k
+    c_k``, block (i, j) the input-root pair's slice ``i n_m + j``, and only
+    the ``n_m (n_m + 1) / 2`` blocks of the lower triangle are built: ``n_m
+    (n_m + 1) / 2 r^2`` doubles where the dense matrix has ``n_m^2 r^2``.
+    A right-looking block Cholesky factors them in place (``dpotrf`` on the
+    diagonal, ``dtrsm`` for the panel, ``dsyrk``/``dgemm`` for the trailing
+    updates), carrying the log-determinant and the forward solve along, and
+    drops each block column once factored; at ``n_m = 1`` it is one
+    ``dpotrf``.  A non-finite capacitance entry raises ``ValueError`` and a
+    non-positive pivot ``np.linalg.LinAlgError``.
     """
-    from scipy.linalg import cho_factor, solve_triangular
+    from scipy.linalg.blas import dgemm, dsyrk, dtrsm
+    from scipy.linalg.lapack import dpotrf, dtrtrs
 
     res, ws = trans.residual, trans.workspace
     nll_base, (eigs, A, _, At) = _nll_value(res)
     roots = _rotated_roots(
         eigs, _imputation_roots(ws.s_hat, low), trans.plan.n_matched, trans.weights
     )
-    rank = int(np.prod([r.shape[1] for r in roots]))
+    n_m, col_sizes = roots[0].shape[1], [r.shape[1] for r in roots[1:]]
+    r = int(np.prod(col_sizes))
+    # G^T At, rows (c0, c); the forward solve overwrites it block row by block row
+    half = vec(tucker_apply(At, [g.T for g in roots])).reshape(n_m, r)
 
-    lt_alpha = vec(tucker_apply(At, [r.T for r in roots]))
     # G^T D^-1 G entry by entry: rows (c0', c'), columns (c0, c); one slice
     # per input-root pair, each output mode a Khatri-Rao factor of its root.
-    n_m, col_sizes = roots[0].shape[1], [r.shape[1] for r in roots[1:]]
-    cap = np.eye(rank)
-    cap_t = cap.reshape(n_m, *col_sizes, n_m, *col_sizes)
-    core = _input_contraction(roots[0].T, roots[0], A)
+    # The C-ordered slice j n_m + i (j <= i) read in Fortran order is its
+    # transpose, lower block (i, j) by symmetry, which the BLAS and LAPACK
+    # calls below update in place.
+    upper = [j * n_m + i for i in range(n_m) for j in range(i + 1)]
+    L = [[None] * (i + 1) for i in range(n_m)]
     pairs = [a for c in col_sizes[:-1] for a in (c, c)]
     n_modes = len(col_sizes)
     order = [*range(0, 2 * n_modes, 2), *range(1, 2 * n_modes, 2)]
-    for b, rows, out in _khatri_rao_blocks(core, [r.T for r in roots[1:]], roots[1:]):
-        c0_row, c0 = divmod(b, n_m)
+    core = _input_contraction(roots[0].T, roots[0], A)[upper]
+    for t, rows, out in _khatri_rao_blocks(core, [g.T for g in roots[1:]], roots[1:]):
+        if not np.isfinite(out).all():
+            raise ValueError("capacitance has non-finite entries")
+        j, i = divmod(upper[t], n_m)
+        if rows.start == 0:
+            L[i][j] = np.empty((r, r)).T
         block = out.reshape(*pairs, -1, col_sizes[-1]).transpose(order)
-        cap_t[(c0_row, *[slice(None)] * (n_modes - 1), rows, c0)] += block
-    # eigenvalues >= 1: one Cholesky, in place, gives the solve and the
-    # log-determinant (symmetric, so the transpose is the Fortran-ordered matrix)
-    chol, _ = cho_factor(cap.T, lower=True, overwrite_a=True)
-    half = solve_triangular(chol, lt_alpha, lower=True)
-    return nll_base + 0.5 * (2.0 * float(np.sum(np.log(np.diag(chol)))) - float(half @ half))
+        L[i][j].T.reshape(*col_sizes, *col_sizes)[(*[slice(None)] * (n_modes - 1), rows)] = block
+    for i in range(n_m):
+        L[i][i].T.reshape(-1)[:: r + 1] += 1.0
+
+    diag = np.empty(n_m * r)
+    for k in range(n_m):
+        L_kk, info = dpotrf(L[k][k], lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{k * r + info}-th leading minor of the capacitance is not positive definite"
+            )
+        diag[k * r : (k + 1) * r] = np.diagonal(L_kk)
+        half[k], _ = dtrtrs(L_kk, half[k], lower=1, overwrite_b=1)
+        for i in range(k + 1, n_m):
+            L[i][k] = dtrsm(1.0, L_kk, L[i][k], side=1, lower=1, trans_a=1, overwrite_b=1)
+            half[i] -= L[i][k] @ half[k]
+        for i in range(k + 1, n_m):
+            L[i][i] = dsyrk(-1.0, L[i][k], beta=1.0, c=L[i][i], lower=1, overwrite_c=1)
+            for j in range(k + 1, i):
+                L[i][j] = dgemm(
+                    -1.0, L[i][k], L[j][k], beta=1.0, c=L[i][j], trans_b=1, overwrite_c=1
+                )
+        for i in range(k, n_m):
+            L[i][k] = None
+    half = half.ravel()
+    return nll_base + 0.5 * (2.0 * float(np.sum(np.log(diag))) - float(half @ half))
 
 
 def gar_nll_nonsubset(model: GarModel) -> float:
@@ -942,9 +993,11 @@ def gar_nll_nonsubset(model: GarModel) -> float:
     fit's objective uses, and only an N_h x N_h matrix and the weight
     factors are ever factorized.  For latent output covariances the NLL is
     a low-rank update of the residual's eigen-solvable covariance
-    (``_corrected_nll_low_rank``): one Cholesky of the Woodbury capacitance,
-    whose size is the unmatched count times the low output size.  No
-    output-sized dense covariance is built on either route.
+    (``_corrected_nll_low_rank``): one block Cholesky of the Woodbury
+    capacitance, whose size is the unmatched count ``n_m`` times the low
+    output size ``r``, built and factored in its ``n_m (n_m + 1) / 2`` lower
+    ``r x r`` blocks only.  No output-sized dense covariance is built on
+    either route.
     """
     if len(model.transitions) != 1:
         raise ValueError("non-subset evaluation covers a single transition")

@@ -588,7 +588,42 @@ def upsample_bilinear(sample: FieldSample, target_axes) -> FieldSample:
 # Input sampling
 # ---------------------------------------------------------------------------
 
-SOBOL_MAX_DIM = 21201  # direction-number table limit
+# Joe-Kuo direction numbers (new-joe-kuo-6.21201), one row per dimension:
+# the primitive polynomial with its leading and trailing bits, and the
+# initial direction numbers m_1..m_s of its degree s.  Dimension 1 is the
+# van der Corput sequence.  The PDE inputs have at most 5 dimensions.
+_SOBOL_TABLE = (
+    (1, ()),
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+)
+SOBOL_MAX_DIM = len(_SOBOL_TABLE)
+_SOBOL_BITS = 30
+
+
+def _sobol_directions(dims: int) -> np.ndarray:
+    """Direction numbers ``v[d, j] = m_j 2^(bits - 1 - j)``, shape ``(dims, bits)``.
+
+    ``m_j`` past the tabled ones follow the polynomial's recurrence
+    ``m_j = 2 a_1 m_{j-1} ^ .. ^ 2^(s-1) a_{s-1} m_{j-s+1} ^ 2^s m_{j-s} ^ m_{j-s}``.
+    """
+    v = np.empty((dims, _SOBOL_BITS), dtype=np.uint64)
+    for d, (poly, init) in enumerate(_SOBOL_TABLE[:dims]):
+        s = len(init)
+        m = list(init) if s else [1] * _SOBOL_BITS
+        for j in range(len(m), _SOBOL_BITS):
+            new = m[j - s] ^ (m[j - s] << s)
+            for k in range(1, s):
+                if (poly >> (s - k)) & 1:
+                    new ^= m[j - k] << k
+            m.append(new)
+        v[d] = [mj << (_SOBOL_BITS - 1 - j) for j, mj in enumerate(m)]
+    return v
 
 
 def sobol_points(n: int, dims: int) -> np.ndarray:
@@ -596,20 +631,18 @@ def sobol_points(n: int, dims: int) -> np.ndarray:
 
     The all-zeros index-0 point is dropped, so the sequence starts at the
     0.5 midpoint (1-D: 0.5, 0.75, 0.25, ...); deterministic, no scrambling.
+    Gray-code order with 30-bit direction numbers, so point ``i`` is point
+    ``i - 1`` XOR the direction number of the lowest set bit of ``i``: the
+    points of ``scipy.stats.qmc.Sobol(dims, scramble=False)``, bit for bit.
     """
     if dims < 1 or dims > SOBOL_MAX_DIM:
         raise ValueError(f"dims must be in [1, {SOBOL_MAX_DIM}]")
-    if n == 0:
-        return np.empty((0, dims))
-    import warnings
-
-    from scipy.stats import qmc
-
-    eng = qmc.Sobol(d=dims, scramble=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pts = eng.random(n + 1)
-    return pts[1:]
+    if not 0 <= n < 1 << _SOBOL_BITS:
+        raise ValueError(f"n must be in [0, 2^{_SOBOL_BITS})")
+    i = np.arange(1, n + 1)
+    lowest_bit = np.frexp(i & -i)[1] - 1
+    quasi = np.bitwise_xor.accumulate(_sobol_directions(dims).T[lowest_bit], axis=0)
+    return quasi * 2.0**-_SOBOL_BITS
 
 
 def _map_to_ranges(unit: np.ndarray, ranges) -> np.ndarray:

@@ -9,6 +9,9 @@ dense core.
 with every temporary allocated, the bitwise reference for the production
 core's scratch arrays.  ``eager`` resolves a value-first objective's
 gradients at once, the bitwise reference for deferring them.
+``dense_capacitance_corrected_nll`` builds the low-rank non-subset NLL's
+capacitance from the production slices but whole, the reference for its
+blocked lower-triangle factorization.
 Instances are kept tiny.  The PDE solver references at the end rebuild
 each linear system from scratch and solve it through SciPy's validating
 entry points, one input at a time.
@@ -640,6 +643,49 @@ def dense_nonsubset_pack(model, dataset, laplace=0.0):
         model.low.output_covs(),
         trans.plan.n_matched,
     )
+
+
+def dense_capacitance_corrected_nll(trans, low) -> float:
+    """``gar._corrected_nll_low_rank`` with the whole Woodbury capacitance built and factored.
+
+    The same rotated roots and Khatri-Rao slices as production, but every
+    input-root pair's slice is written into one dense ``rank x rank``
+    matrix ``I + G^T D^-1 G``, which SciPy's validating ``cho_factor`` and
+    ``solve_triangular`` factor and solve in one piece.  Reference for the
+    blocked lower-triangle factorization.
+    """
+    from scipy.linalg import cho_factor, solve_triangular
+
+    from mfgar.gar import (
+        _imputation_roots,
+        _input_contraction,
+        _khatri_rao_blocks,
+        _rotated_roots,
+    )
+    from mfgar.hogp import _nll_value
+    from mfgar.tensalg import tucker_apply
+
+    res, ws = trans.residual, trans.workspace
+    nll_base, (eigs, A, _, At) = _nll_value(res)
+    roots = _rotated_roots(
+        eigs, _imputation_roots(ws.s_hat, low), trans.plan.n_matched, trans.weights
+    )
+    rank = int(np.prod([r.shape[1] for r in roots]))
+    lt_alpha = vec(tucker_apply(At, [r.T for r in roots]))
+    n_m, col_sizes = roots[0].shape[1], [r.shape[1] for r in roots[1:]]
+    cap = np.eye(rank)
+    cap_t = cap.reshape(n_m, *col_sizes, n_m, *col_sizes)
+    core = _input_contraction(roots[0].T, roots[0], A)
+    pairs = [a for c in col_sizes[:-1] for a in (c, c)]
+    n_modes = len(col_sizes)
+    order = [*range(0, 2 * n_modes, 2), *range(1, 2 * n_modes, 2)]
+    for b, rows, out in _khatri_rao_blocks(core, [r.T for r in roots[1:]], roots[1:]):
+        c0_row, c0 = divmod(b, n_m)
+        block = out.reshape(*pairs, -1, col_sizes[-1]).transpose(order)
+        cap_t[(c0_row, *[slice(None)] * (n_modes - 1), rows, c0)] += block
+    chol, _ = cho_factor(cap.T, lower=True, overwrite_a=True)
+    half = solve_triangular(chol, lt_alpha, lower=True)
+    return nll_base + 0.5 * (2.0 * float(np.sum(np.log(np.diag(chol)))) - float(half @ half))
 
 
 def make_random_two_level(

@@ -366,3 +366,18 @@ def test_benchmark_validates_arguments(tmp_path, capsys):
         ) == 1
         assert f"{name} must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
+
+
+def test_benchmark_refuses_repeated_sweep_values(tmp_path, capsys):
+    # each (model, n_high, repeat) job owns one jobs/ directory, so a
+    # repeated value would run one job several times into the same place
+    for values, option in (
+        (("--model", "gar,gar", "--n-high-sweep", "2"), "--model repeats gar"),
+        (("--model", "gar,hogp", "--n-high-sweep", "2,3,2"), "--n-high-sweep repeats 2"),
+    ):
+        assert run(
+            "benchmark", "--pde", "poisson", "--n-low", 6, "--repeats", 1, *values,
+            "--out", tmp_path / "x",
+        ) == 1
+        assert option in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

@@ -47,3 +47,15 @@ def test_cli_help_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
     assert "usage: mfgar" in proc.stdout
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_sobol_draw_loads_no_scipy():
+    # the Sobol generator is numpy only: no scipy.stats (nor any scipy) behind a draw
+    code = (
+        "from mfgar.pdebench import pde_spec, sample_inputs\n"
+        "assert sample_inputs(pde_spec('poisson'), 8, 'sobol', seed=0).shape == (8, 5)\n"
+        f"{REPORT_SCIPY}\n"
+    )
+    proc = _child(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

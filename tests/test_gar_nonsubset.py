@@ -36,6 +36,7 @@ from mfgar.optim import OptimConfig
 from mfgar.tensalg import kron_all, vec
 from oracles import (
     column_stream_gamma_variance,
+    dense_capacitance_corrected_nll,
     dense_marginal_nonsubset_nll,
     dense_nonsubset_pack,
     dense_nonsubset_predict,
@@ -595,6 +596,138 @@ def test_nll_low_rank_route_scales_past_dense_cap():
     assert n_block > 4096
     value = gar_nll_nonsubset(model)
     assert np.isfinite(value)
+
+
+BLOCKED_CASES = [
+    # (n_matched, n_unmatched = n_m, low_modes, high_modes)
+    pytest.param(2, 1, (3, 2), (3, 2), id="one-block"),
+    pytest.param(1, 2, (2, 3), (3, 2), id="two-blocks-rectangular-W"),
+    pytest.param(2, 3, (2, 2), (2, 2), id="three-blocks"),
+    pytest.param(0, 5, (3,), (4,), id="five-blocks-one-mode"),
+    pytest.param(2, 3, (2, 2, 2), (2, 3, 2), id="three-blocks-three-modes"),
+]
+
+
+@pytest.mark.parametrize("kr_block", [None, 1], ids=["slice-blocks", "row-blocks"])
+@pytest.mark.parametrize("n_matched, n_unmatched, low_modes, high_modes", BLOCKED_CASES)
+def test_blocked_capacitance_matches_the_dense_one(
+    monkeypatch, n_matched, n_unmatched, low_modes, high_modes, kr_block
+):
+    # The lower-triangle block Cholesky against the whole capacitance built
+    # and factored by cho_factor, with the Khatri-Rao products in one block
+    # per slice and in single-row blocks.
+    import mfgar.gar as gar
+
+    if kr_block is not None:
+        monkeypatch.setattr(gar, "_KR_BLOCK", kr_block)
+    rng = np.random.default_rng(40 + n_unmatched)
+    model, _ = make_random_nonsubset(rng, 7, n_matched, n_unmatched, low_modes, high_modes)
+    trans = model.transitions[0]
+    assert trans.workspace.s_hat.shape == (n_unmatched, n_unmatched)
+    assert_allclose(
+        _corrected_nll_low_rank(trans, model.low),
+        dense_capacitance_corrected_nll(trans, model.low),
+        rtol=1e-12,
+    )
+
+
+def test_capacitance_multiplies_one_triangle_of_slices(monkeypatch):
+    # n_m = 4 unmatched rows: 10 of the 16 input-root pair slices enter the
+    # Khatri-Rao products, each once.
+    import mfgar.gar as gar
+
+    real = gar._khatri_rao_blocks
+    calls = []
+
+    def spy(core, fs, gs):
+        slices = []
+        calls.append((core.shape[0], slices))
+        for b, rows, out in real(core, fs, gs):
+            if rows.start == 0:
+                slices.append(b)
+            yield b, rows, out
+
+    monkeypatch.setattr(gar, "_khatri_rao_blocks", spy)
+    rng = np.random.default_rng(44)
+    model, _ = make_random_nonsubset(rng, 8, 1, 4, (2, 3), (2, 2))
+    _corrected_nll_low_rank(model.transitions[0], model.low)
+    assert calls == [(10, list(range(10)))]
+
+
+def test_capacitance_peak_memory_is_one_triangle():
+    # n_m = 3 blocks of r = 144: the call's traced peak is the six lower
+    # blocks, one Khatri-Rao buffer and factor-sized arrays, below the dense
+    # rank x rank capacitance alone.
+    import tracemalloc
+
+    import mfgar.gar as gar
+
+    rng = np.random.default_rng(31)
+    model, _ = make_random_nonsubset(rng, 8, 1, 3, (12, 12), (4, 5))
+    trans = model.transitions[0]
+    value = _corrected_nll_low_rank(trans, model.low)  # warms the eigenbases
+    n_m, r = 3, 144
+    block = r * r * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert _corrected_nll_low_rank(trans, model.low) == value
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    bound = n_m * (n_m + 1) // 2 * block + min(block, 8 * gar._KR_BLOCK) + 64 * 1024
+    assert bound < (n_m * r) ** 2 * 8
+    assert peak <= bound
+
+
+def test_capacitance_refuses_non_finite_entries(monkeypatch):
+    # A NaN in S_hat is refused, and so is one that first shows in the
+    # capacitance itself, block by block.
+    import mfgar.gar as gar
+
+    rng = np.random.default_rng(45)
+    model, _ = make_random_nonsubset(rng, 7, 1, 3, (2, 2), (2, 3))
+    trans = model.transitions[0]
+    s_hat = trans.workspace.s_hat.copy()
+    s_hat[1, 1] = np.nan
+    bad = replace(trans, workspace=replace(trans.workspace, s_hat=s_hat))
+    with pytest.raises(ValueError):
+        _corrected_nll_low_rank(bad, model.low)
+
+    real = gar._input_contraction
+
+    def nan_slice(k, g0, A):
+        core = real(k, g0, A)
+        core[-1, 0] = np.nan  # the last diagonal block
+        return core
+
+    monkeypatch.setattr(gar, "_input_contraction", nan_slice)
+    with pytest.raises(ValueError, match="non-finite"):
+        _corrected_nll_low_rank(trans, model.low)
+
+
+@pytest.mark.parametrize("slice_index, block_row", [(0, 0), (8, 2)], ids=["first", "last"])
+def test_capacitance_refuses_a_non_positive_pivot(monkeypatch, slice_index, block_row):
+    # -1e6 times one diagonal slice of n_m = 3 makes its block indefinite:
+    # the first block fails at once, the last one after the other two have
+    # factored, and the error names the pivot's row in the whole capacitance.
+    import mfgar.gar as gar
+
+    real = gar._input_contraction
+
+    def negated(k, g0, A):
+        core = real(k, g0, A)
+        core[slice_index] *= -1e6
+        return core
+
+    monkeypatch.setattr(gar, "_input_contraction", negated)
+    rng = np.random.default_rng(46)
+    model, _ = make_random_nonsubset(rng, 7, 1, 3, (2, 2), (3, 2))
+    r = 4
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite") as err:
+        _corrected_nll_low_rank(model.transitions[0], model.low)
+    row = int(str(err.value).split("-th")[0])
+    assert block_row * r < row <= (block_row + 1) * r
 
 
 def test_mixed_chain_nonsubset_then_subset_collapse():

@@ -19,6 +19,7 @@ from mfgar.pdebench import (
     pde_spec,
     sample_inputs,
     save_dataset,
+    SOBOL_MAX_DIM,
     sobol_points,
     solve_burgers,
     solve_cache,
@@ -368,6 +369,26 @@ def test_sobol_dims_validation():
         sobol_points(4, 0)
     with pytest.raises(ValueError):
         sobol_points(4, 10**6)
+    with pytest.raises(ValueError):
+        sobol_points(4, SOBOL_MAX_DIM + 1)
+    with pytest.raises(ValueError):
+        sobol_points(-1, 2)
+
+
+@pytest.mark.parametrize("dims", range(1, SOBOL_MAX_DIM + 1))
+def test_sobol_is_bitwise_scipy_qmc(dims):
+    # every tabled dimension, at point counts on and off powers of two
+    import warnings
+
+    from scipy.stats import qmc
+
+    for n in (0, 1, 7, 64, 1000, 4097):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # qmc warns when n + 1 is no power of two
+            ref = qmc.Sobol(dims, scramble=False).random(n + 1)[1:]
+        pts = sobol_points(n, dims)
+        assert pts.shape == ref.shape
+        assert np.array_equal(pts, ref)
 
 
 def star_discrepancy_estimate(pts, rng, n_boxes=4000):
