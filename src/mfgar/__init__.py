@@ -14,10 +14,8 @@ the toolkit.
 
 from .kernels import (
     ArdKernelParams,
-    LaplacePrior,
     LatentFeatures,
     ard_gram,
-    laplace_log_prior,
     output_cov,
 )
 from .tensalg import (

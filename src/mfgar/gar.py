@@ -32,13 +32,13 @@ import numpy as np
 
 from .hogp import (
     FitConfig,
-    JITTER,
     LOG2PI,
     PosteriorField,
     TgpModel,
     _TgpPack,
     _check_schema,
     _gram_parts,
+    _initial_model,
     _mean_factors,
     _nll_core,
     _nll_value,
@@ -55,9 +55,9 @@ from .hogp import (
     tgp_predict,
     tgp_to_dict,
 )
-from .kernels import ArdKernelParams, LaplacePrior, LatentFeatures, ard_gram
+from .kernels import ArdKernelParams, LatentFeatures, ard_gram
 from .optim import OptimConfig, minimize
-from .tensalg import kron_all, kruskal_outer, mode_product, polar, sym_eig, tucker_apply, vec
+from .tensalg import kruskal_outer, mode_product, polar, sym_eig, tucker_apply, vec
 
 # ---------------------------------------------------------------------------
 # Datasets
@@ -226,9 +226,6 @@ class TuckerWeights:
         """Transform output modes of a (samples, d_1, ..) tensor."""
         return tucker_apply(tensor, self.factors, mode_offset=1)
 
-    def dense(self) -> np.ndarray:
-        return kron_all(self.factors)
-
 
 # ---------------------------------------------------------------------------
 # Model containers
@@ -293,17 +290,12 @@ class GarConfig:
     """Fusion fit settings shared by all model kinds."""
 
     optim: OptimConfig = OptimConfig()
-    laplace: LaplacePrior = LaplacePrior(0.0)
     identity_outputs: bool = False
     w_mode: str = "free"  # free | scalar | identity | orthonormal
-    share_latents: bool | None = None
+    share_latents: bool = True  # aligned latent levels: the residual keeps the low coordinates
 
     def fit_config(self) -> FitConfig:
-        return FitConfig(
-            optim=self.optim,
-            laplace=self.laplace,
-            identity_outputs=self.identity_outputs,
-        )
+        return FitConfig(optim=self.optim, identity_outputs=self.identity_outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +367,12 @@ class _Stage2Pack:
     ``optim``'s value-first protocol.  Its value pass forms the partial
     product ``z[M]`` (the low stack with every weight factor applied but the
     last, ``W_M``), rebuilds the residual ``y_high - z[M] x_M W_M`` from it,
-    scores it with the subclass's covariance core and adds the Laplace
-    penalty.  Its gradient pass runs the core's adjoint pass, pulls the
-    covariance adjoints back through ``_TgpPack.chain``, forms the other
-    partial products ``z[m]`` and contracts the data adjoint with each for
-    the W gradient, then maps it through the weight parametrization: M
-    weight products per value, M(M-1)+1 with the gradient.  The
+    and scores it with the subclass's covariance core.  Its gradient pass
+    runs the core's adjoint pass, pulls the covariance adjoints back through
+    ``_TgpPack.chain``, forms the other partial products ``z[m]`` and
+    contracts the data adjoint with each for the W gradient, then maps it
+    through the weight parametrization: M weight products per value,
+    M(M-1)+1 with the gradient.  The
     residual, every partial product and the unfoldings the W gradient
     contracts live in the fit's scratch (the residual pack's
     ``tgp.scratch``), each in the layout of the temporary it stands for, so
@@ -409,13 +401,12 @@ class _Stage2Pack:
         template: TgpModel,
         w_init: TuckerWeights,
         w_mode: str,
-        laplace: LaplacePrior,
         freeze_coords: bool = False,
     ):
         self.low_stack = low_stack
         self.y_high = y_high
         self.w = _WParam(w_init, w_mode)
-        self.tgp = _TgpPack(template, laplace, freeze_coords=freeze_coords)
+        self.tgp = _TgpPack(template, freeze_coords=freeze_coords)
         self.size = self.w.size + self.tgp.size
 
     def split(self, p):
@@ -488,7 +479,7 @@ class _Stage2Pack:
                 w_grads.append(g if w_cov_grads is None else g + w_cov_grads[m])
             return np.concatenate([w_pullback(w_grads), g_t])
 
-        return _scored(self.tgp.penalized(model, value), gradient, self.size)
+        return _scored(value, gradient, self.size)
 
 
 class _ResidualPack(_Stage2Pack):
@@ -607,7 +598,7 @@ class _IdentityOutputNonsubsetPack(_Stage2Pack):
     ):
         if template.output_features is not None:
             raise ValueError("identity-output pack requires identity output covariances")
-        super().__init__(low_stack, y_high, template, w_init, w_mode, LaplacePrior(0.0))
+        super().__init__(low_stack, y_high, template, w_init, w_mode)
         self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
 
     def _core(self, model: TgpModel, weights: TuckerWeights):
@@ -620,38 +611,31 @@ class _IdentityOutputNonsubsetPack(_Stage2Pack):
 
 
 def _residual_template(X_res, mode_sizes_high, low_model, config: GarConfig, resid0=0.0):
-    """Initial residual model; latents optionally shared with the low level."""
-    share = config.share_latents
-    aligned = (
-        low_model is not None
+    """Initial residual model and whether it shares the low level's latent coordinates.
+
+    With ``config.share_latents`` the residual takes over the low model's
+    latent coordinates (with fresh unit kernels) when both levels have latent
+    output covariances over the same mode sizes; otherwise it draws its own.
+    Amplitude and noise are scaled to the residual ``resid0`` at the initial
+    weights, as a plain TGP fit scales them to its data.
+    """
+    share = (
+        config.share_latents
+        and not config.identity_outputs
+        and low_model is not None
         and low_model.output_features is not None
         and tuple(mode_sizes_high) == low_model.mode_sizes
     )
-    if share is None:
-        share = aligned and not config.identity_outputs
-    if share and not aligned:
-        raise ValueError("latent features can only be shared across aligned levels")
-    span = np.maximum(X_res.max(axis=0) - X_res.min(axis=0), 1e-3)
     feats = None
-    if not config.identity_outputs:
-        if share:
-            feats = LatentFeatures(
-                [V.copy() for V in low_model.output_features.coords],
-                [ArdKernelParams.default(V.shape[1]) for V in low_model.output_features.coords],
-            )
-        else:
-            feats = LatentFeatures.initialize(tuple(mode_sizes_high), seed=config.optim.seed)
-    # scale the initial amplitude and noise to the residual at the initial
-    # weights, mirroring the data-scaled init of the plain TGP fit
-    var0 = max(float(np.var(resid0)), 1e-8)
-    template = TgpModel(
-        input_kernel=ArdKernelParams(np.log(var0), np.log(span)),
-        output_features=feats,
-        log_noise=np.log(1e-2 * var0 + JITTER),
-        X=X_res,
-        Y=np.zeros((X_res.shape[0], *mode_sizes_high)),
-    )
-    return template, share
+    if share:
+        feats = LatentFeatures(
+            [V.copy() for V in low_model.output_features.coords],
+            [ArdKernelParams.default(V.shape[1]) for V in low_model.output_features.coords],
+        )
+    elif not config.identity_outputs:
+        feats = LatentFeatures.initialize(tuple(mode_sizes_high), seed=config.optim.seed)
+    Y = np.zeros((X_res.shape[0], *mode_sizes_high))
+    return _initial_model(X_res, Y, float(np.var(resid0)), feats), share
 
 
 def _nonsubset_workspace(low: TgpModel, x_hat: np.ndarray) -> NonSubsetWorkspace:
@@ -706,7 +690,7 @@ def _fit_transition(
     if workspace is not None and config.identity_outputs:
         pack = _IdentityOutputNonsubsetPack(*args, workspace.s_hat, plan.n_matched)
     else:
-        pack = _ResidualPack(*args, config.laplace, freeze_coords=shared)
+        pack = _ResidualPack(*args, freeze_coords=shared)
 
     p_opt, trace = minimize(pack.objective, pack.pack(), config.optim)
     weights, residual = pack.unpack(p_opt)

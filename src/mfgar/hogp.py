@@ -46,12 +46,9 @@ import numpy as np
 from . import kernels
 from .kernels import (
     ArdKernelParams,
-    LaplacePrior,
     LatentFeatures,
     ard_gram,
     ard_gram_adjoint,
-    laplace_log_prior,
-    laplace_log_prior_grad,
     output_cov,
 )
 from .optim import OptimConfig, minimize
@@ -333,7 +330,6 @@ class FitConfig:
     """Settings for a single TGP fit (and reused by the fusion models)."""
 
     optim: OptimConfig = OptimConfig()
-    laplace: LaplacePrior = LaplacePrior(0.0)
     identity_outputs: bool = False
 
 
@@ -341,14 +337,12 @@ class _TgpPack:
     """Flat-vector packing of all trainable TGP parameters.
 
     ``freeze_coords`` keeps latent coordinates fixed at the template's values
-    (the shared-latent-features option of the fusion models) while their
+    (a fusion residual that shares the low level's coordinates) while their
     kernels stay trainable.
     """
 
-    def __init__(self, template: TgpModel, laplace: LaplacePrior, freeze_coords: bool = False):
+    def __init__(self, template: TgpModel, freeze_coords: bool = False):
         self.template = template
-        self.laplace = laplace
-        self.freeze_coords = freeze_coords
         # _nll_core's work arrays, reused by every evaluation of this fit
         self.scratch = {}
         self.slices = {}
@@ -409,14 +403,8 @@ class _TgpPack:
             offset=t.offset,
         )
 
-    def penalized(self, model: TgpModel, nll: float) -> float:
-        """The NLL at ``model`` with the Laplace penalty on the latent coordinates added."""
-        if self.laplace.scale > 0 and model.output_features is not None:
-            nll -= laplace_log_prior(model.output_features, self.laplace)
-        return nll
-
     def chain(self, model: TgpModel, grams, gbars, d_noise: float) -> np.ndarray:
-        """Gradient of :meth:`penalized` from the covariance adjoints.
+        """Gradient of the NLL at ``model`` from the covariance adjoints.
 
         ``grams`` are the value pass's Gram parts (:func:`_gram_parts`) and
         ``gbars`` their adjoints: the input Gram's, then one per output mode
@@ -434,10 +422,6 @@ class _TgpPack:
                 if rows:
                     g[self.slices[f"coords{m}"]] = g_coords.ravel()
         g[self.slices["noise"]] = d_noise * model.noise
-        if self.laplace.scale > 0 and model.output_features is not None:
-            for m, gv in enumerate(laplace_log_prior_grad(model.output_features, self.laplace)):
-                if f"coords{m}" in self.slices:
-                    g[self.slices[f"coords{m}"]] -= gv.ravel()
         return g
 
     def objective(self, p: np.ndarray):
@@ -449,9 +433,7 @@ class _TgpPack:
             nll, grams, adjoint = _nll_core(model, self.scratch)
         except (np.linalg.LinAlgError, ValueError):
             return _rejected(self.size)
-        return _scored(
-            self.penalized(model, nll), lambda: self.chain(model, grams, *adjoint()[:2]), self.size
-        )
+        return _scored(nll, lambda: self.chain(model, grams, *adjoint()[:2]), self.size)
 
 
 def _rejected(size: int):
@@ -464,22 +446,17 @@ def _scored(value: float, gradient, size: int):
     return (value, gradient) if np.isfinite(value) else _rejected(size)
 
 
-def _initial_model(X, Y, config: FitConfig) -> TgpModel:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    offset = Y.mean(axis=0)
-    Yc = Y - offset
+def _initial_model(X, Y, var: float, features, offset=None) -> TgpModel:
+    """A fit's starting model, scaled to the variance ``var`` of its centered data.
+
+    The input kernel's amplitude is ``var`` and its lengthscales the span of
+    ``X``; the noise is ``1e-2 var + JITTER``.  ``var`` is floored at 1e-8.
+    """
+    var = max(var, 1e-8)
     span = np.maximum(X.max(axis=0) - X.min(axis=0), 1e-3)
-    var = max(float(Yc.var()), 1e-8)
-    input_kernel = ArdKernelParams(np.log(var), np.log(span))
-    feats = None
-    if not config.identity_outputs:
-        feats = LatentFeatures.initialize(Y.shape[1:], seed=config.optim.seed)
     return TgpModel(
-        input_kernel=input_kernel,
-        output_features=feats,
+        input_kernel=ArdKernelParams(np.log(var), np.log(span)),
+        output_features=features,
         log_noise=np.log(1e-2 * var + JITTER),
         X=X,
         Y=Y,
@@ -488,15 +465,23 @@ def _initial_model(X, Y, config: FitConfig) -> TgpModel:
 
 
 def tgp_fit(X, Y, config: FitConfig = FitConfig()):
-    """Fit a TGP by maximum (penalized) likelihood.
+    """Fit a TGP by maximum likelihood.
 
     Outputs are centered per entry before fitting (and un-centered at
     prediction); hyperparameters, latent features and noise are optimized
     jointly in unconstrained coordinates.
     Returns ``(model, trace)``.
     """
-    init = _initial_model(X, Y, config)
-    pack = _TgpPack(init, config.laplace)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    offset = Y.mean(axis=0)
+    feats = None
+    if not config.identity_outputs:
+        feats = LatentFeatures.initialize(Y.shape[1:], seed=config.optim.seed)
+    init = _initial_model(X, Y, float((Y - offset).var()), feats, offset)
+    pack = _TgpPack(init)
     p_opt, trace = minimize(pack.objective, pack.pack(init), config.optim)
     return pack.unpack(p_opt), trace
 

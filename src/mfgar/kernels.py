@@ -1,4 +1,4 @@
-"""Input-space ARD kernels, latent-feature output covariances, Laplace prior.
+"""Input-space ARD kernels and latent-feature output covariances.
 
 The ARD (automatic relevance determination) squared-exponential kernel used
 throughout is
@@ -141,13 +141,13 @@ class LatentFeatures:
         return tuple(V.shape[0] for V in self.coords)
 
     @classmethod
-    def initialize(cls, mode_sizes, seed: int = 0, scale: float = 0.1):
-        """Deterministic seeded init: small normal rank-``min(d, 2)`` coordinates, unit kernels."""
+    def initialize(cls, mode_sizes, seed: int = 0):
+        """Deterministic seeded init: rank-``min(d, 2)`` coordinates ~ N(0, 0.1^2), unit kernels."""
         rng = np.random.default_rng(seed)
         coords, kernels = [], []
         for d in mode_sizes:
             r = min(d, 2)
-            coords.append(scale * rng.standard_normal((d, r)))
+            coords.append(0.1 * rng.standard_normal((d, r)))
             kernels.append(ArdKernelParams.default(r))
         return cls(coords, kernels)
 
@@ -157,25 +157,3 @@ def output_cov(features: LatentFeatures, mode: int) -> np.ndarray:
     if not 0 <= mode < features.n_modes:
         raise IndexError(f"mode {mode} out of range")
     return ard_gram(features.kernels[mode], features.coords[mode], features.coords[mode])
-
-
-@dataclass(frozen=True)
-class LaplacePrior:
-    """Sparsity prior on latent features, log-density -scale * ||V||_1."""
-
-    scale: float = 0.0
-
-    def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError("Laplace scale must be nonnegative")
-
-
-def laplace_log_prior(features: LatentFeatures, prior: LaplacePrior) -> float:
-    """Log prior of all latent coordinates, -scale * sum |v|."""
-    total = sum(np.abs(V).sum() for V in features.coords)
-    return -prior.scale * float(total)
-
-
-def laplace_log_prior_grad(features: LatentFeatures, prior: LaplacePrior):
-    """Subgradient of :func:`laplace_log_prior` per latent matrix."""
-    return [-prior.scale * np.sign(V) for V in features.coords]

@@ -25,8 +25,7 @@ block-diagonal join, and each row's field is bitwise the one it gets alone
 (see :func:`_burgers_fields`).  The Poisson operator depends on
 the mesh alone, so each mesh's operator is factorized once per process and a
 solve only assembles its right-hand side.  Fields are recorded on the
-solver's own grid unless a record grid is set on the spec, in which case
-they are resampled bilinearly.  Everything here is deterministic: identical
+solver's own grid.  Everything here is deterministic: identical
 inputs produce bit-identical fields, which is what lets :func:`solve_cache`
 hand back a stored field in place of a repeated solve.
 """
@@ -47,11 +46,6 @@ from .gar import MultiFidelityDataset
 
 PDE_KINDS = ("burgers", "poisson", "heat")
 
-# Per-problem record grids used by the fine-grid variants of the benchmark;
-# dataset generation keeps each fidelity on its native solver grid so that
-# unaligned output experiments stay meaningful.
-FINE_RECORD_GRIDS = {"burgers": (128, 128), "poisson": (32, 32), "heat": (100, 100)}
-
 INPUT_RANGES = {
     "burgers": [(0.001, 0.1)],
     "poisson": [(0.1, 0.9)] * 5,
@@ -69,7 +63,6 @@ class PdeSpec:
     input_ranges: tuple
     mesh_low: tuple
     mesh_high: tuple
-    record_grid: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in PDE_KINDS:
@@ -542,12 +535,7 @@ def _solve(spec: PdeSpec, params: np.ndarray, fidelity) -> FieldSample:
 
 
 def _record(spec: PdeSpec, params, values, mesh) -> FieldSample:
-    axes = spec.grid_axes(mesh)
-    if spec.record_grid is not None:
-        target = spec.grid_axes(spec.record_grid)
-        values = interp_grid(values, axes, target)
-        axes = target
-    return FieldSample(params, values, axes)
+    return FieldSample(params, values, spec.grid_axes(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +724,6 @@ def spec_to_dict(spec: PdeSpec) -> dict:
         "input_ranges": [list(r) for r in spec.input_ranges],
         "mesh_low": list(spec.mesh_low),
         "mesh_high": list(spec.mesh_high),
-        "record_grid": None if spec.record_grid is None else list(spec.record_grid),
     }
 
 

@@ -20,7 +20,7 @@ entry points, one input at a time.
 import numpy as np
 
 from mfgar.gar import _embedded_cov, _Stage2Pack
-from mfgar.kernels import ArdKernelParams, LaplacePrior, LatentFeatures, ard_gram, output_cov
+from mfgar.kernels import ArdKernelParams, LatentFeatures, ard_gram, output_cov
 from mfgar.hogp import TgpModel, _gram_parts
 from mfgar.tensalg import kron_all, kruskal_outer, vec
 
@@ -75,7 +75,7 @@ def gar_joint_nll_dense(model, dataset, cap: int = 400) -> float:
             raise ValueError("dense joint oracle requires subset structure at every level")
         sel = np.zeros((trans.plan.n_matched, dataset.levels[i].n_samples))
         sel[np.arange(trans.plan.n_matched), trans.plan.matched_low] = 1.0
-        G = np.kron(sel, trans.weights.dense())
+        G = np.kron(sel, kron_all(trans.weights.factors))
         res_cov = dense_joint_cov(trans.residual)
         prev = blocks[i]
         blocks.append(G @ prev @ G.T + res_cov)
@@ -588,9 +588,8 @@ class DenseNonsubsetPack(_Stage2Pack):
     gradient.
     """
 
-    def __init__(self, low_stack, y_high, template, w_init, w_mode, laplace, s_hat, s_low,
-                 n_matched):
-        super().__init__(low_stack, y_high, template, w_init, w_mode, laplace)
+    def __init__(self, low_stack, y_high, template, w_init, w_mode, s_hat, s_low, n_matched):
+        super().__init__(low_stack, y_high, template, w_init, w_mode)
         self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
         self.s_low = [np.eye(s) if isinstance(s, int) else s for s in s_low]
 
@@ -625,7 +624,7 @@ class DenseNonsubsetPack(_Stage2Pack):
         return value, grams, lambda: adjoints
 
 
-def dense_nonsubset_pack(model, dataset, laplace=0.0):
+def dense_nonsubset_pack(model, dataset):
     """``DenseNonsubsetPack`` at a two-level non-subset model's own parameters, free W.
 
     ``model`` and ``dataset`` as ``make_random_nonsubset`` returns them; the
@@ -638,7 +637,6 @@ def dense_nonsubset_pack(model, dataset, laplace=0.0):
         trans.residual,
         trans.weights,
         "free",
-        LaplacePrior(laplace),
         trans.workspace.s_hat,
         model.low.output_covs(),
         trans.plan.n_matched,

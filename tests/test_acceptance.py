@@ -25,7 +25,7 @@ from mfgar.gar import (
     gar_predict,
 )
 from mfgar.hogp import _TgpPack, tgp_nll, tgp_predict
-from mfgar.kernels import ArdKernelParams, LaplacePrior
+from mfgar.kernels import ArdKernelParams
 from mfgar.optim import OptimConfig
 from mfgar.pdebench import pde_spec, solve_field, solve_poisson, upsample_bilinear
 from oracles import (
@@ -201,10 +201,10 @@ def test_criterion_5_kronecker_pipeline_and_gradients():
 
     audits = {}
     model = make_random_tgp(rng, 3, (2, 2), noise=0.1)
-    pack = _TgpPack(model, LaplacePrior(0.0))
+    pack = _TgpPack(model)
     audits["tgp"] = grad_audit(pack.objective, pack.pack(model), eps=1e-5)
     ident = make_random_tgp(rng, 4, (3,), identity_outputs=True, noise=0.2)
-    pack = _TgpPack(ident, LaplacePrior(0.0))
+    pack = _TgpPack(ident)
     audits["tgp identity-S"] = grad_audit(pack.objective, pack.pack(ident), eps=1e-5)
 
     model, ds = make_random_two_level(rng, 5, 3, (2, 2), (2, 2))
@@ -212,7 +212,7 @@ def test_criterion_5_kronecker_pipeline_and_gradients():
     for mode in ("free", "scalar"):
         pack = _ResidualPack(
             low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights,
-            mode, LaplacePrior(0.0),
+            mode,
         )
         audits[f"stage2 {mode} W"] = grad_audit(pack.objective, pack.pack(), eps=1e-5)
 
@@ -223,7 +223,7 @@ def test_criterion_5_kronecker_pipeline_and_gradients():
     t = ns_model.transitions[0]
     pack = _ResidualPack(
         low_stack(t, ns_ds.levels[0].Y), ns_ds.levels[1].Y[t.plan.permutation],
-        t.residual, t.weights, "free", LaplacePrior(0.0),
+        t.residual, t.weights, "free",
     )
     audits["non-subset imputed residual"] = grad_audit(pack.objective, pack.pack(), eps=1e-5)
 

@@ -186,7 +186,6 @@ def test_orthonormality_holds_at_every_evaluated_point():
     ds = smooth_two_level(rng, n_low=8, n_high=4, d_low=3, d_high=5)
     from mfgar.gar import _ResidualPack, _residual_template, build_subset_plan
     from mfgar.hogp import FitConfig, tgp_fit
-    from mfgar.kernels import LaplacePrior
     from mfgar.optim import minimize
 
     cfg = GarConfig(optim=OptimConfig(max_iters=40, step=0.05), identity_outputs=True)
@@ -200,9 +199,7 @@ def test_orthonormality_holds_at_every_evaluated_point():
         ds.levels[1].X, ds.levels[1].mode_sizes, low, cfg,
         resid0=ds.levels[1].Y - w_init.apply(low_stack),
     )
-    pack = _ResidualPack(
-        low_stack, ds.levels[1].Y, template, w_init, "orthonormal", LaplacePrior(0.0)
-    )
+    pack = _ResidualPack(low_stack, ds.levels[1].Y, template, w_init, "orthonormal")
     errors = []
 
     def instrumented(p):
@@ -245,14 +242,13 @@ def test_orthonormal_objective_is_inf_at_a_rank_deficient_factor():
     # objective scores +inf there, which the optimizer backtracks from,
     # instead of raising.
     from mfgar.gar import _ResidualPack
-    from mfgar.kernels import LaplacePrior
 
     rng = np.random.default_rng(33)
     model, ds = make_random_two_level(rng, 5, 3, (2, 2), (3, 2), identity_outputs=True)
     trans = model.transitions[0]
     pack = _ResidualPack(
         low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights,
-        "orthonormal", LaplacePrior(0.0),
+        "orthonormal",
     )
     p = pack.pack()
     assert np.isfinite(pack.objective(p)[0])

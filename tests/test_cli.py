@@ -1,6 +1,7 @@
 """CLI harness: dataset generation, training, benchmark sweeps, exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -129,6 +130,30 @@ def test_train_ar_runs_on_aligned(aligned_dataset, tmp_path):
     ) == 0
     model = load_gar(tmp_path / "a" / "model.json")
     assert model.kind == "ar" and model.rho is not None
+
+
+def test_train_reads_a_dataset_whose_spec_has_a_record_grid(small_dataset, tmp_path):
+    # Dataset directories written while PdeSpec still had a record grid hold
+    # "record_grid": null in the manifest's spec: they load to bitwise the
+    # same levels and train to the same bundle.
+    old = tmp_path / "old"
+    shutil.copytree(small_dataset, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    assert "record_grid" not in manifest["spec"]
+    manifest["spec"]["record_grid"] = None
+    (old / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    (new_ds, _), (old_ds, old_manifest) = load_dataset(small_dataset), load_dataset(old)
+    assert old_manifest["spec"]["record_grid"] is None
+    for a, b in zip(new_ds.levels, old_ds.levels):
+        for x, y in ((a.X, b.X), (a.Y, b.Y)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    bundles = []
+    for data, out in ((small_dataset, tmp_path / "m_new"), (old, tmp_path / "m_old")):
+        assert run("train", "--data", data, "--model", "gar", "--max-iters", 5, "--out", out) == 0
+        doc = json.loads((out / "model.json").read_text())
+        assert doc.pop("dataset_ref") == str(data)
+        bundles.append(doc)
+    assert bundles[0] == bundles[1]
 
 
 def test_train_missing_dataset_is_user_error(tmp_path, capsys):

@@ -20,7 +20,6 @@ from mfgar.gar import (
     gar_to_dict,
 )
 from mfgar.hogp import tgp_nll, tgp_predict
-from mfgar.kernels import LaplacePrior
 from mfgar.optim import OptimConfig, minimize
 from mfgar.pdebench import make_dataset, pde_spec
 from oracles import (
@@ -261,26 +260,23 @@ def test_predict_interpolates_high_fidelity_data():
 
 
 @pytest.mark.parametrize(
-    "w_mode, low_modes, high_modes, laplace",
+    "w_mode, low_modes, high_modes",
     [
-        pytest.param("free", (2, 2), (2, 2), 0.0, id="free"),
-        pytest.param("scalar", (2, 2), (2, 2), 0.0, id="scalar"),
+        pytest.param("free", (2, 2), (2, 2), id="free"),
+        pytest.param("scalar", (2, 2), (2, 2), id="scalar"),
         # the partial products of W at every mode position, and at M = 1
-        pytest.param("free", (2, 3, 2), (3, 2, 2), 0.0, id="free-three-mode-rect"),
-        pytest.param("free", (3,), (2,), 0.0, id="free-one-mode"),
-        # the Laplace penalty on the latent coordinates
-        pytest.param("free", (2, 2), (2, 2), 0.4, id="free-laplace"),
+        pytest.param("free", (2, 3, 2), (3, 2, 2), id="free-three-mode-rect"),
+        pytest.param("free", (3,), (2,), id="free-one-mode"),
         # the polar pullback of every unconstrained factor
-        pytest.param("orthonormal", (2, 3), (3, 4), 0.0, id="orthonormal-rect"),
+        pytest.param("orthonormal", (2, 3), (3, 4), id="orthonormal-rect"),
     ],
 )
-def test_stage2_gradient_audit(w_mode, low_modes, high_modes, laplace):
+def test_stage2_gradient_audit(w_mode, low_modes, high_modes):
     rng = np.random.default_rng(12)
     model, ds = make_random_two_level(rng, 5, 3, low_modes, high_modes)
     trans = model.transitions[0]
     pack = _ResidualPack(
         low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights, w_mode,
-        LaplacePrior(laplace),
     )
     assert grad_audit(pack.objective, pack.pack(), eps=1e-5) < 1e-4
 
@@ -294,7 +290,6 @@ def test_stage2_objective_is_inf_where_the_eigen_step_fails():
     trans = model.transitions[0]
     pack = _ResidualPack(
         low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights, "free",
-        LaplacePrior(0.0),
     )
     p = pack.pack()
     p[pack.w.size + pack.tgp.slices["input"].start] = 800.0
@@ -326,7 +321,7 @@ def test_stage2_value_pass_builds_each_gram_once_and_the_gradient_none(monkeypat
         trans = model.transitions[0]
         pack = _ResidualPack(
             low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights,
-            kind, LaplacePrior(0.0),
+            kind,
         )
         want = [3, 2, 3]
     built = count_gram_builds(monkeypatch)
@@ -360,7 +355,7 @@ def test_warm_stage2_objective_allocates_under_three_data_tensors(config):
     template, _ = _residual_template(
         high.X, high.mode_sizes, None, config, resid0=high.Y - w_init.apply(low.Y)
     )
-    pack = _ResidualPack(low.Y, high.Y, template, w_init, config.w_mode, LaplacePrior(0.0))
+    pack = _ResidualPack(low.Y, high.Y, template, w_init, config.w_mode)
     point = pack.pack()
     pack.objective(point)[1]()
     tracemalloc.start()
@@ -385,7 +380,6 @@ def test_stage2_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broke
     trans = model.transitions[0]
     pack = _ResidualPack(
         low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights, "free",
-        LaplacePrior(0.0),
     )
     real = _ResidualPack._core
 
@@ -444,6 +438,29 @@ def test_fit_planted_linear_map_residual_vanishes():
     assert float(np.abs(res.Y).max()) < 1e-2
     pred_train = gar_predict(model, ds.levels[1].X)
     assert float(np.max(np.abs(pred_train.mean - ds.levels[1].Y))) < 1e-3
+
+
+def test_residual_shares_latent_coordinates_only_across_aligned_levels():
+    # With latent outputs on aligned levels the default config hands the low
+    # level's latent coordinates to the residual and holds them fixed; with
+    # share_latents=False, or across unaligned levels, the residual draws and
+    # trains its own.
+    from mfgar.tensalg import tucker_apply
+
+    ds, _ = planted_dataset(np.random.default_rng(40))
+    X_l, Y_l = ds.levels[0].X, ds.levels[0].Y
+    w_wide = [np.array([[1.0, 0.5], [0.2, 1.0], [0.3, -0.3]]), np.eye(2)]
+    Y_wide = tucker_apply(Y_l[:8], w_wide, mode_offset=1)
+    unaligned = MultiFidelityDataset([(X_l, Y_l), (X_l[:8], Y_wide)])
+    default = GarConfig(OptimConfig(max_iters=20))
+    own = GarConfig(OptimConfig(max_iters=20), share_latents=False)
+    for data, config, kept in ((ds, default, True), (ds, own, False), (unaligned, default, False)):
+        model = gar_fit_subset(data, config)
+        low = model.low.output_features.coords
+        res = model.transitions[0].residual.output_features
+        assert res.mode_sizes == data.levels[1].mode_sizes
+        same = [a.shape == b.shape and np.array_equal(a, b) for a, b in zip(low, res.coords)]
+        assert all(same) if kept else not any(same)
 
 
 def test_fit_identity_weights_zero_residual_graceful():

@@ -312,14 +312,6 @@ def test_nonsubset_pack_gradient_audit():
     assert grad_audit(pack.objective, pack.pack(), eps=1e-5) < 1e-4
 
 
-def test_nonsubset_pack_gradient_audit_with_laplace_penalty():
-    # two latent modes, so the penalty covers several coordinate blocks
-    rng = np.random.default_rng(8)
-    model, ds = make_random_nonsubset(rng, 4, 1, 2, (2, 2), (2, 3))
-    pack = dense_nonsubset_pack(model, ds, laplace=0.4)
-    assert grad_audit(pack.objective, pack.pack(), eps=1e-5) < 1e-4
-
-
 def test_nonsubset_pack_value_is_corrected_marginal():
     rng = np.random.default_rng(9)
     model, ds = make_random_nonsubset(rng, 5, 2, 2, (2,), (3,))

@@ -24,7 +24,7 @@ from mfgar.hogp import (
     tgp_predict,
     tgp_to_dict,
 )
-from mfgar.kernels import ArdKernelParams, LaplacePrior, LatentFeatures
+from mfgar.kernels import ArdKernelParams, LatentFeatures
 from mfgar.optim import OptimConfig, minimize
 from mfgar.tensalg import vec
 from oracles import (
@@ -154,7 +154,7 @@ def test_objective_projects_once_and_rebuilds_no_factor(monkeypatch, modes, iden
     # one mode product per non-identity factor, no dense factor matrix.
     rng = np.random.default_rng(50)
     model = make_random_tgp(rng, 4, modes, identity_outputs=identity)
-    pack = _TgpPack(model, LaplacePrior(0.0))
+    pack = _TgpPack(model)
     point = pack.pack(model)
     modes_hit = []
     real = tensalg.mode_product
@@ -180,7 +180,7 @@ def test_objective_builds_each_gram_once_and_its_gradient_none(monkeypatch, mode
     # through those parts, building none.
     rng = np.random.default_rng(52)
     model = make_random_tgp(rng, 4, modes, identity_outputs=identity)
-    pack = _TgpPack(model, LaplacePrior(0.0))
+    pack = _TgpPack(model)
     built = count_gram_builds(monkeypatch)
     _, gradient = pack.objective(pack.pack(model))
     want = [4] + ([] if identity else list(modes))
@@ -201,8 +201,8 @@ def test_objective_scratch_shared_by_models_is_bitwise_a_fresh_scratch():
     fewer = replace(first, X=first.X[:4], Y=first.Y[:4])
     shared = {}
     for model in (first, moved, fewer, first):
-        fresh = _TgpPack(model, LaplacePrior(0.0))
-        reused = _TgpPack(model, LaplacePrior(0.0))
+        fresh = _TgpPack(model)
+        reused = _TgpPack(model)
         reused.scratch = shared
         point = fresh.pack(model) + 1e-3
         value, gradient = fresh.objective(point)
@@ -263,7 +263,7 @@ def test_warm_objective_allocates_no_data_sized_temporary():
 
     rng = np.random.default_rng(61)
     model = make_random_tgp(rng, 32, (32, 32))
-    pack = _TgpPack(model, LaplacePrior(0.0))
+    pack = _TgpPack(model)
     point = pack.pack(model)
     pack.objective(point)[1]()
     tracemalloc.start()
@@ -281,7 +281,7 @@ def test_gradient_audit_all_parameters():
     for seed in (3, 4, 5):
         rng = np.random.default_rng(seed)
         model = make_random_tgp(rng, 3, (2, 2), noise=0.1)
-        pack = _TgpPack(model, LaplacePrior(0.0))
+        pack = _TgpPack(model)
         point = pack.pack(model)
         assert grad_audit(pack.objective, point, eps=1e-5) < 1e-4
 
@@ -289,14 +289,7 @@ def test_gradient_audit_all_parameters():
 def test_gradient_audit_identity_outputs():
     rng = np.random.default_rng(6)
     model = make_random_tgp(rng, 4, (3,), identity_outputs=True, noise=0.2)
-    pack = _TgpPack(model, LaplacePrior(0.0))
-    assert grad_audit(pack.objective, pack.pack(model), eps=1e-5) < 1e-4
-
-
-def test_gradient_audit_with_laplace_penalty():
-    rng = np.random.default_rng(7)
-    model = make_random_tgp(rng, 3, (3,), noise=0.1)
-    pack = _TgpPack(model, LaplacePrior(0.4))
+    pack = _TgpPack(model)
     assert grad_audit(pack.objective, pack.pack(model), eps=1e-5) < 1e-4
 
 
@@ -326,20 +319,6 @@ def test_fit_recovers_lengthscale_within_factor_two():
     )
     fitted = model.input_kernel.lengthscales[0]
     assert 0.15 < fitted < 0.6
-
-
-def test_laplace_prior_shrinks_latent_features():
-    rng = np.random.default_rng(18)
-    X = rng.uniform(0, 1, size=(12, 2))
-    Y = np.stack([np.sin(2 * np.pi * x[0]) * np.ones((3, 3)) + x[1] for x in X])
-    cfg = OptimConfig(max_iters=120, step=0.05)
-    free, _ = tgp_fit(X, Y, FitConfig(optim=cfg))
-    from mfgar.kernels import LaplacePrior
-
-    shrunk, _ = tgp_fit(X, Y, FitConfig(optim=cfg, laplace=LaplacePrior(50.0)))
-    norm_free = sum(np.abs(V).sum() for V in free.output_features.coords)
-    norm_shrunk = sum(np.abs(V).sum() for V in shrunk.output_features.coords)
-    assert norm_shrunk < norm_free
 
 
 def test_predict_interpolates_training_data():
@@ -435,7 +414,7 @@ def test_pack_objective_is_inf_where_the_eigen_step_fails():
     # backtracks from, instead of raising.
     rng = np.random.default_rng(31)
     model = make_random_tgp(rng, 4, (2, 3))
-    pack = _TgpPack(model, LaplacePrior(0.0))
+    pack = _TgpPack(model)
     p = pack.pack(model)
     p[pack.slices["input"].start] = 800.0
     with pytest.warns(RuntimeWarning, match="overflow"):
@@ -453,7 +432,7 @@ def test_pack_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broken)
     # is resolved (eager) and which the optimizer refuses.
     rng = np.random.default_rng(33)
     model = make_random_tgp(rng, 4, (2, 3))
-    pack = _TgpPack(model, LaplacePrior(0.0))
+    pack = _TgpPack(model)
     real = hogp._nll_core
 
     def nan_core(m, scratch=None):

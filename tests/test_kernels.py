@@ -1,4 +1,4 @@
-"""ARD kernel, latent-feature output covariances, Laplace prior."""
+"""ARD kernel and latent-feature output covariances."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,10 @@ from numpy.testing import assert_allclose
 
 from mfgar.kernels import (
     ArdKernelParams,
-    LaplacePrior,
     LatentFeatures,
     ard_gram,
     ard_gram_adjoint,
     ard_gram_parts,
-    laplace_log_prior,
     output_cov,
 )
 from oracles import make_random_tgp
@@ -200,22 +198,6 @@ def test_output_cov_mode_out_of_range():
     feats = LatentFeatures.initialize((3,))
     with pytest.raises(IndexError):
         output_cov(feats, 1)
-
-
-def test_laplace_prior_values():
-    feats = LatentFeatures([np.zeros((3, 2))], [ArdKernelParams.default(2)])
-    assert laplace_log_prior(feats, LaplacePrior(0.5)) == 0.0
-    feats = LatentFeatures([np.array([[2.0]])], [ArdKernelParams.default(1)])
-    assert_allclose(laplace_log_prior(feats, LaplacePrior(0.5)), -1.0)
-
-
-def test_laplace_prior_sign_flip_invariance():
-    rng = np.random.default_rng(6)
-    V = rng.standard_normal((4, 2))
-    prior = LaplacePrior(0.7)
-    f1 = LatentFeatures([V], [ArdKernelParams.default(2)])
-    f2 = LatentFeatures([-V], [ArdKernelParams.default(2)])
-    assert laplace_log_prior(f1, prior) == laplace_log_prior(f2, prior)
 
 
 def test_latent_initialize_deterministic():

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from mfgar.gar import _IdentityOutputNonsubsetPack, _ResidualPack
 from mfgar.hogp import _TgpPack
-from mfgar.kernels import LaplacePrior
 from mfgar.optim import OptimConfig, minimize
 from oracles import (
     eager,
@@ -164,7 +163,7 @@ def test_gradient_runs_only_at_the_start_and_at_accepted_steps():
 
 def _latent_tgp_pack():
     model = make_random_tgp(np.random.default_rng(70), 6, (3, 4))
-    pack = _TgpPack(model, LaplacePrior(0.2))
+    pack = _TgpPack(model)
     return pack, pack.pack(model)
 
 
@@ -176,7 +175,7 @@ def _residual_pack(w_mode):
         trans = model.transitions[0]
         pack = _ResidualPack(
             low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights,
-            w_mode, LaplacePrior(0.1),
+            w_mode,
         )
         return pack, pack.pack()
 

@@ -532,20 +532,6 @@ def test_make_test_set_disjoint_from_training():
         assert not any(np.array_equal(row, r) for r in ds.levels[0].X)
 
 
-def test_record_grid_resamples_solver_output():
-    from dataclasses import replace
-
-    from mfgar.pdebench import FINE_RECORD_GRIDS
-
-    base = pde_spec("poisson")
-    spec = replace(base, record_grid=FINE_RECORD_GRIDS["poisson"])
-    s = solve_poisson(np.array([0.2, 0.7, 0.4, 0.6, 0.5]), spec, "low")
-    assert s.field.shape == (32, 32)
-    native = solve_poisson(np.array([0.2, 0.7, 0.4, 0.6, 0.5]), base, "low")
-    manual = interp_grid(native.field, native.axes, spec.grid_axes((32, 32)))
-    assert_allclose(s.field, manual, rtol=1e-12)
-
-
 def test_fidelity_ordering_single_input_each_pde():
     # low-fidelity error vs a refined reference exceeds high-fidelity error
     for kind, params in [
