@@ -896,13 +896,18 @@ def _corrected_nll_low_rank(trans: GarTransition, low: TgpModel) -> float:
 
     The capacitance is split into ``n_m x n_m`` blocks of size ``r = prod_k
     c_k``, block (i, j) the input-root pair's slice ``i n_m + j``, and only
-    the ``n_m (n_m + 1) / 2`` blocks of the lower triangle are built: ``n_m
-    (n_m + 1) / 2 r^2`` doubles where the dense matrix has ``n_m^2 r^2``.
-    A right-looking block Cholesky factors them in place (``dpotrf`` on the
-    diagonal, ``dtrsm`` for the panel, ``dsyrk``/``dgemm`` for the trailing
-    updates), carrying the log-determinant and the forward solve along, and
-    drops each block column once factored; at ``n_m = 1`` it is one
-    ``dpotrf``.  A non-finite capacitance entry raises ``ValueError`` and a
+    blocks of the lower triangle are built.  A left-looking block Cholesky
+    (Golub and Van Loan, Matrix Computations, 4.2) factors them in place:
+    block column k is built only when it is about to be factored, takes
+    the ``dsyrk``/``dgemm`` updates of the factored columns before it in
+    ascending order, then ``dpotrf`` on the diagonal and ``dtrsm`` below
+    it, and block row k is dropped once its column is done.  At most
+    ``(k + 1)(n_m - k)`` blocks of ``r^2`` doubles are live at column k
+    (6 at ``n_m = 4``) where the dense matrix has ``n_m^2``; the
+    log-determinant and the forward solve are carried along, and at ``n_m
+    = 1`` it is one ``dpotrf``.  Each block takes its updates in the order
+    a right-looking factorization would apply them, so both orders give
+    the same bits.  A non-finite capacitance entry raises ``ValueError`` and a
     non-positive pivot ``np.linalg.LinAlgError``.
     """
     from scipy.linalg.blas import dgemm, dsyrk, dtrsm
@@ -919,47 +924,46 @@ def _corrected_nll_low_rank(trans: GarTransition, low: TgpModel) -> float:
     half = vec(tucker_apply(At, [g.T for g in roots])).reshape(n_m, r)
 
     # G^T D^-1 G entry by entry: rows (c0', c'), columns (c0, c); one slice
-    # per input-root pair, each output mode a Khatri-Rao factor of its root.
-    # The C-ordered slice j n_m + i (j <= i) read in Fortran order is its
-    # transpose, lower block (i, j) by symmetry, which the BLAS and LAPACK
-    # calls below update in place.
-    upper = [j * n_m + i for i in range(n_m) for j in range(i + 1)]
+    # per input-root pair, each output mode a Khatri-Rao factor of its root,
+    # the lower slices in block-column order.  The C-ordered slice k n_m + i
+    # (k <= i) read in Fortran order is its transpose, lower block (i, k) by
+    # symmetry, which the BLAS and LAPACK calls below update in place.
+    cols = [k * n_m + i for k in range(n_m) for i in range(k, n_m)]
     L = [[None] * (i + 1) for i in range(n_m)]
     pairs = [a for c in col_sizes[:-1] for a in (c, c)]
     n_modes = len(col_sizes)
     order = [*range(0, 2 * n_modes, 2), *range(1, 2 * n_modes, 2)]
-    core = _input_contraction(roots[0].T, roots[0], A)[upper]
+    core = _input_contraction(roots[0].T, roots[0], A)[cols]
+    diag = np.empty(n_m * r)
     for t, rows, out in _khatri_rao_blocks(core, [g.T for g in roots[1:]], roots[1:]):
         if not np.isfinite(out).all():
             raise ValueError("capacitance has non-finite entries")
-        j, i = divmod(upper[t], n_m)
+        k, i = divmod(cols[t], n_m)
         if rows.start == 0:
-            L[i][j] = np.empty((r, r)).T
+            L[i][k] = np.empty((r, r)).T
         block = out.reshape(*pairs, -1, col_sizes[-1]).transpose(order)
-        L[i][j].T.reshape(*col_sizes, *col_sizes)[(*[slice(None)] * (n_modes - 1), rows)] = block
-    for i in range(n_m):
-        L[i][i].T.reshape(-1)[:: r + 1] += 1.0
-
-    diag = np.empty(n_m * r)
-    for k in range(n_m):
-        L_kk, info = dpotrf(L[k][k], lower=1, clean=0, overwrite_a=1)
+        L[i][k].T.reshape(*col_sizes, *col_sizes)[(*[slice(None)] * (n_modes - 1), rows)] = block
+        if i < n_m - 1 or rows.stop < col_sizes[-1]:
+            continue
+        # block column k is built: update it by the factored columns, factor it
+        L[k][k].T.reshape(-1)[:: r + 1] += 1.0
+        for j in range(k):
+            L[k][k] = dsyrk(-1.0, L[k][j], beta=1.0, c=L[k][k], lower=1, overwrite_c=1)
+            for i in range(k + 1, n_m):
+                L[i][k] = dgemm(
+                    -1.0, L[i][j], L[k][j], beta=1.0, c=L[i][k], trans_b=1, overwrite_c=1
+                )
+        L[k][k], info = dpotrf(L[k][k], lower=1, clean=0, overwrite_a=1)
         if info > 0:
             raise np.linalg.LinAlgError(
                 f"{k * r + info}-th leading minor of the capacitance is not positive definite"
             )
-        diag[k * r : (k + 1) * r] = np.diagonal(L_kk)
-        half[k], _ = dtrtrs(L_kk, half[k], lower=1, overwrite_b=1)
+        diag[k * r : (k + 1) * r] = np.diagonal(L[k][k])
+        half[k], _ = dtrtrs(L[k][k], half[k], lower=1, overwrite_b=1)
         for i in range(k + 1, n_m):
-            L[i][k] = dtrsm(1.0, L_kk, L[i][k], side=1, lower=1, trans_a=1, overwrite_b=1)
+            L[i][k] = dtrsm(1.0, L[k][k], L[i][k], side=1, lower=1, trans_a=1, overwrite_b=1)
             half[i] -= L[i][k] @ half[k]
-        for i in range(k + 1, n_m):
-            L[i][i] = dsyrk(-1.0, L[i][k], beta=1.0, c=L[i][i], lower=1, overwrite_c=1)
-            for j in range(k + 1, i):
-                L[i][j] = dgemm(
-                    -1.0, L[i][k], L[j][k], beta=1.0, c=L[i][j], trans_b=1, overwrite_c=1
-                )
-        for i in range(k, n_m):
-            L[i][k] = None
+        L[k] = None
     half = half.ravel()
     return nll_base + 0.5 * (2.0 * float(np.sum(np.log(diag))) - float(half @ half))
 
@@ -977,11 +981,12 @@ def gar_nll_nonsubset(model: GarModel) -> float:
     fit's objective uses, and only an N_h x N_h matrix and the weight
     factors are ever factorized.  For latent output covariances the NLL is
     a low-rank update of the residual's eigen-solvable covariance
-    (``_corrected_nll_low_rank``): one block Cholesky of the Woodbury
-    capacitance, whose size is the unmatched count ``n_m`` times the low
-    output size ``r``, built and factored in its ``n_m (n_m + 1) / 2`` lower
-    ``r x r`` blocks only.  No output-sized dense covariance is built on
-    either route.
+    (``_corrected_nll_low_rank``): one left-looking block Cholesky of the
+    Woodbury capacitance, whose size is the unmatched count ``n_m`` times
+    the low output size ``r``, built in ``r x r`` lower blocks one block
+    column at a time as it is factored, so that at most ``(k + 1)(n_m - k)``
+    blocks are held at column k.  No output-sized dense covariance is built
+    on either route.
     """
     if len(model.transitions) != 1:
         raise ValueError("non-subset evaluation covers a single transition")

@@ -766,10 +766,18 @@ def load_dataset(out_dir) -> tuple:
     out = Path(out_dir)
     with open(out / "manifest.json") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"dataset manifest is a JSON {type(manifest).__name__}, not an object")
     if manifest.get("format") != DATASET_FORMAT:
         raise ValueError(f"unsupported dataset format {manifest.get('format')!r}")
+    if not isinstance(manifest.get("levels"), list):
+        raise ValueError("dataset manifest has no 'levels' list")
     levels = []
     for entry in manifest["levels"]:
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(k), str) for k in ("inputs", "fields")
+        ):
+            raise ValueError("'levels' entries need string 'inputs' and 'fields' file names")
         X = np.loadtxt(out / entry["inputs"], delimiter=",", skiprows=1, ndmin=2)
         Y = np.load(out / entry["fields"])
         levels.append((X, Y))

@@ -161,6 +161,29 @@ def test_train_missing_dataset_is_user_error(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "manifest, field",
+    [
+        ({"format": "mfgar/dataset-1"}, "'levels'"),
+        (["mfgar/dataset-1"], "JSON list"),
+        ({"format": "mfgar/dataset-1", "levels": [{"inputs": "level_0_inputs.csv"}]}, "'fields'"),
+    ],
+    ids=["no-levels", "a-list", "no-fields"],
+)
+def test_train_malformed_manifest_is_user_error(tmp_path, capsys, manifest, field):
+    # A manifest that parses as JSON but misses or mistypes a field is a
+    # user error naming it, not a traceback.
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=field):
+        load_dataset(data)
+    assert run("train", "--data", data, "--model", "gar", "--out", tmp_path / "m") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load dataset: ") and field in err
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_rejects_non_finite_dataset(tmp_path, capsys):
     data = tmp_path / "nan_data"
     assert run(

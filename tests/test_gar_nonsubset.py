@@ -597,6 +597,7 @@ BLOCKED_CASES = [
     pytest.param(2, 3, (2, 2), (2, 2), id="three-blocks"),
     pytest.param(0, 5, (3,), (4,), id="five-blocks-one-mode"),
     pytest.param(2, 3, (2, 2, 2), (2, 3, 2), id="three-blocks-three-modes"),
+    pytest.param(1, 4, (2, 3), (3, 2), id="four-blocks"),  # the benchmark's n_m
 ]
 
 
@@ -605,7 +606,7 @@ BLOCKED_CASES = [
 def test_blocked_capacitance_matches_the_dense_one(
     monkeypatch, n_matched, n_unmatched, low_modes, high_modes, kr_block
 ):
-    # The lower-triangle block Cholesky against the whole capacitance built
+    # The left-looking block Cholesky against the whole capacitance built
     # and factored by cho_factor, with the Khatri-Rao products in one block
     # per slice and in single-row blocks.
     import mfgar.gar as gar
@@ -646,19 +647,21 @@ def test_capacitance_multiplies_one_triangle_of_slices(monkeypatch):
     assert calls == [(10, list(range(10)))]
 
 
-def test_capacitance_peak_memory_is_one_triangle():
-    # n_m = 3 blocks of r = 144: the call's traced peak is the six lower
-    # blocks, one Khatri-Rao buffer and factor-sized arrays, below the dense
-    # rank x rank capacitance alone.
+@pytest.mark.parametrize("n_m", [3, 5], ids=lambda n: f"n_m={n}")
+def test_capacitance_peak_memory_is_the_left_looking_bound(n_m):
+    # n_m blocks of r = 144 per side: the call's traced peak is the live
+    # blocks of the left-looking order, max_k (k + 1)(n_m - k) (4 of the 6
+    # lower blocks at n_m = 3, 9 of 15 at n_m = 5), one Khatri-Rao buffer
+    # and factor-sized arrays, below the lower triangle alone.
     import tracemalloc
 
     import mfgar.gar as gar
 
     rng = np.random.default_rng(31)
-    model, _ = make_random_nonsubset(rng, 8, 1, 3, (12, 12), (4, 5))
+    model, _ = make_random_nonsubset(rng, 8, 1, n_m, (12, 12), (4, 5))
     trans = model.transitions[0]
     value = _corrected_nll_low_rank(trans, model.low)  # warms the eigenbases
-    n_m, r = 3, 144
+    r = 144
     block = r * r * 8
     tracemalloc.start()
     try:
@@ -667,8 +670,9 @@ def test_capacitance_peak_memory_is_one_triangle():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    bound = n_m * (n_m + 1) // 2 * block + min(block, 8 * gar._KR_BLOCK) + 64 * 1024
-    assert bound < (n_m * r) ** 2 * 8
+    live = max((k + 1) * (n_m - k) for k in range(n_m))
+    bound = live * block + min(block, 8 * gar._KR_BLOCK) + 64 * 1024
+    assert bound < n_m * (n_m + 1) // 2 * block
     assert peak <= bound
 
 
