@@ -32,7 +32,8 @@ print("== the collapsed fit never factorizes an output-sized matrix ==")
 ds = smooth_dataset(d_low=5, d_high=64)
 with track_eig_sizes() as sizes:
     fast = cigar_fit(ds, GarConfig(optim=OptimConfig(max_iters=60, step=0.05)))
-print(f"matrix sizes eigendecomposed during the collapsed fit: {sorted(set(sizes))}")
+print(f"matrix sizes eigendecomposed during the collapsed fit: {sorted(set(sizes))}"
+      " (its likelihoods run on N x N Choleskys)")
 with track_eig_sizes() as sizes:
     full = gar_fit_recursive(ds, GarConfig(optim=OptimConfig(max_iters=60, step=0.05)))
 print(f"... and during the full fit:                        {sorted(set(sizes))}")

@@ -3,11 +3,18 @@ weights, input-space-only inference.
 
 With every output covariance fixed to the identity and the weight factors
 constrained to orthonormal columns, all likelihood algebra collapses onto
-N x N input-space matrices: the subset objective is a multi-channel GP, and
-the non-subset correction block becomes ``embed(S_hat) (x) W W^T``.  The
-fit optimizes unconstrained matrices and uses their polar factors as W.  The
-fit objective and the exact NLL (``gar_nll_nonsubset``) share one routine,
-exact for any W: whitening by ``chol(G0)`` (``G0`` the residual input Gram
+N x N input-space matrices.  The stage-1 fit and the subset stage-2
+objective are multi-channel GPs with one shared kernel, scored by
+``hogp._input_space_core``: one Cholesky of ``K + noise I`` and the N x N
+Gram of the data (built once for stage 1, from the residual at each stage-2
+evaluation), so their cost per evaluation does not grow with the output
+size beyond forming that residual and, for the weight gradient, one N x N
+by N x d product.  The fit optimizes unconstrained matrices and uses their
+polar factors as W.
+
+On non-subset data the correction block becomes ``embed(S_hat) (x) W
+W^T``.  The fit objective and the exact NLL (``gar_nll_nonsubset``) share
+one routine, exact for any W: whitening by ``chol(G0)`` (``G0`` the residual input Gram
 plus noise), one N_h x N_h eigendecomposition and the SVD of each weight
 factor diagonalize the corrected covariance, with eigenvalues
 ``1 + beta (o) mu_1 (o) ..``.  Orthonormal W is the case where every

@@ -111,6 +111,8 @@ class ExperimentConfig:
             raise ValueError("sweep values must not exceed n_low for subset runs")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        # the jobs' optimizer settings, refused here before any output is written
+        OptimConfig(max_iters=self.max_iters, step=self.step, seed=self.seed)
         if "ar" in self.models and not self.aligned:
             # fidelity meshes differ for every benchmark problem, so the
             # scalar transfer needs the interpolated (aligned) outputs
@@ -220,8 +222,8 @@ def cmd_train(args) -> int:
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: cannot load dataset: {exc}\n")
         return USER_ERROR
-    optim = OptimConfig(max_iters=args.max_iters, step=args.step, seed=args.seed)
     try:
+        optim = OptimConfig(max_iters=args.max_iters, step=args.step, seed=args.seed)
         family, model = _fit_model(args.model, dataset, optim)
     except ValueError as exc:
         # contract violations (e.g. scalar transfer on unaligned outputs)

@@ -491,17 +491,17 @@ class _ResidualPack(_Stage2Pack):
     the imputation-uncertainty correction (exact as the uncertainty
     vanishes); ``gar_nll_nonsubset`` scores the fitted model exactly.  The
     covariance does not depend on W, and the NLL and adjoints run through
-    the eigendecomposition pipeline (``_nll_core``).
+    ``hogp._nll_core``: in input space, on the residual's N x N Gram, for
+    identity output covariances, and through the eigendecomposition
+    pipeline for latent ones.
     """
 
     def _core(self, model: TgpModel, weights: TuckerWeights):
-        scratch = self.tgp.scratch
-        nll, grams, adjoint = _nll_core(model, scratch)
+        nll, grams, adjoint = _nll_core(model, self.tgp.scratch)
 
         def core_adjoint():
-            gbars, d_noise, At = adjoint()
-            pair = (_work(scratch, "alpha", At.shape), _work(scratch, "alpha'", At.shape))
-            return gbars, d_noise, model.eigenfactors().unproject(At, out=pair), None
+            gbars, d_noise, alpha = adjoint()
+            return gbars, d_noise, alpha(), None
 
         return nll, grams, core_adjoint
 

@@ -5,33 +5,44 @@ inputs ``X`` is
 
     vec(Y - offset) ~ N(0,  K(X, X) (x) S_1 (x) .. (x) S_M  +  noise * I)
 
-with an ARD input kernel ``K``, per-mode output covariances ``S_m`` built
-from latent coordinate features, and additive observation noise on the full
-joint covariance.  All likelihood and posterior linear algebra runs through
-the factor eigendecompositions (never the dense joint matrix): with
-``K = U diag(lam) U^T`` and ``S_m = U_m diag(lam_m) U_m^T``, the joint
-eigenvalues are the Kruskal tensor ``A = lam o lam_1 o .. o lam_M + noise``
-and every solve is a Tucker rotation, an elementwise divide by ``A``, and a
-rotation back.
+with an ARD input kernel ``K``, per-mode output covariances ``S_m`` either
+built from latent coordinate features or all fixed to the identity, and
+additive observation noise on the full joint covariance.  The dense joint
+matrix is never built.  Each of the two covariance classes has one NLL
+route (``_nll_core`` dispatches on the class):
 
-Gradients of the NLL are hand-derived adjoints through this pipeline (they
-need eigenvalues and rotations only, never eigenvector derivatives, so they
-stay stable under repeated eigenvalues).  An evaluation is a value pass
-plus an adjoint pass over the same arrays (see ``_nll_core``).  The value
-pass factorizes and makes the one data solve, ``_solve``: it projects the
-data once, ``At = project(Yc) / A`` (M+1 mode products), and the
-quadratic form and log-determinant are read off ``At`` and ``A``.  The
-same solve gives the predictive mean and the base of the non-subset NLL.
-The adjoint pass stays in the joint eigenbasis: the adjoint of factor k is
-``1/2 U_k (diag(c_k) - Q_k) U_k^T`` with ``c_k`` the sum of ``lam_{-k} /
-A`` over the other axes and ``Q_k = At_(k) diag(lam_{-k}) At_(k)^T``,
-where ``lam_{-k}`` is the outer product of the other factors'
-eigenvalues.  Each kernel Gram is built once per evaluation, by the value
-pass, into the fit's scratch arrays; the pull-back of its adjoint to the
-kernel parameters and latent rows reuses the pairwise differences and
-scaled distances it was built from.  The fit's objective returns the value
-and defers the adjoint pass, which the optimizer runs only at points it
-accepts.  Finite differences are used solely as the test-side audit.
+- *Latent outputs* run through the factor eigendecompositions: with ``K =
+  U diag(lam) U^T`` and ``S_m = U_m diag(lam_m) U_m^T``, the joint
+  eigenvalues are the Kruskal tensor ``A = lam o lam_1 o .. o lam_M +
+  noise`` and every solve is a Tucker rotation, an elementwise divide by
+  ``A``, and a rotation back (``_eigen_core``).
+- *Identity outputs*, ``(K + noise I) (x) I``, run in input space
+  (``_input_space_core``): the covariance sees the data only through the
+  N x N Gram ``Y_(0) Y_(0)^T`` of its sample-mode unfolding, so an
+  evaluation is one Cholesky of ``K + noise I`` and a few N x N solves, and
+  a fit whose data is fixed builds that Gram once.  Only the data adjoint
+  ``Sigma^-1 r`` that a stage-2 fit needs for its weight gradient is
+  output-sized.
+
+Gradients of the NLL are hand-derived adjoints (the eigen route's need
+eigenvalues and rotations only, never eigenvector derivatives, so they stay
+stable under repeated eigenvalues).  An evaluation is a value pass plus an
+adjoint pass over the same arrays (see ``_nll_core``).  On the eigen route
+the value pass factorizes and makes the one data solve, ``_solve``: it
+projects the data once, ``At = project(Yc) / A`` (M+1 mode products), and
+the quadratic form and log-determinant are read off ``At`` and ``A``.  The
+same solve gives the predictive mean, for both covariance classes, and the
+base of the latent non-subset NLL.  The adjoint pass stays in the joint
+eigenbasis: the adjoint of factor k is ``1/2 U_k (diag(c_k) - Q_k) U_k^T``
+with ``c_k`` the sum of ``lam_{-k} / A`` over the other axes and ``Q_k =
+At_(k) diag(lam_{-k}) At_(k)^T``, where ``lam_{-k}`` is the outer product of
+the other factors' eigenvalues.  Each kernel Gram is built once per
+evaluation, by the value pass, into the fit's scratch arrays; the pull-back
+of its adjoint to the kernel parameters and latent rows reuses the pairwise
+differences and scaled distances it was built from.  The fit's objective
+returns the value and defers the adjoint pass, which the optimizer runs
+only at points it accepts.  Finite differences are used solely as the
+test-side audit.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ import base64
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,7 +98,8 @@ class TgpModel:
     ``__init__`` field, so ``dataclasses.replace`` starts every copy without
     one.
     ``output_features=None`` fixes every ``S_m`` to the identity, in which
-    case no output-mode covariance is ever allocated or factorized.
+    case no output-mode covariance is ever allocated or factorized, and the
+    likelihood factorizes no eigenbasis either (only prediction does).
     """
 
     input_kernel: ArdKernelParams
@@ -183,7 +196,14 @@ def _gram_parts(model: TgpModel, scratch: dict | None = None) -> list:
 
 
 def tgp_nll(model: TgpModel) -> float:
-    """Negative log marginal likelihood, including the (Nd/2) log(2 pi) term."""
+    """Negative log marginal likelihood, including the (Nd/2) log(2 pi) term.
+
+    Identity output covariances are scored in input space
+    (:func:`_input_space_core`), latent ones off the eigenbasis data solve
+    (:func:`_nll_value`).
+    """
+    if model.output_features is None:
+        return _input_space_core(model)[0]
     return _nll_value(model)[0]
 
 
@@ -213,6 +233,11 @@ def _reshape(a: np.ndarray, shape, scratch: dict | None, key) -> np.ndarray:
         return buf.reshape(shape)
 
 
+def _centered(model: TgpModel, scratch: dict | None) -> np.ndarray:
+    """``model.centered``, in the scratch array ``"Yc"`` when ``scratch`` is given."""
+    return np.subtract(model.Y, model.offset, out=_work(scratch, "Yc", model.Y.shape))
+
+
 def _solve(model: TgpModel, scratch: dict | None = None):
     """The data solve in the joint eigenbasis, ``(eigs, A, T1, At)``.
 
@@ -224,7 +249,7 @@ def _solve(model: TgpModel, scratch: dict | None = None):
     """
     eigs = model.eigenfactors()
     shape = model.Y.shape
-    Yc = np.subtract(model.Y, model.offset, out=_work(scratch, "Yc", shape))
+    Yc = _centered(model, scratch)
     A = eigs.joint_values(model.noise, out=_work(scratch, "A", shape))
     pair = None if scratch is None else (_work(scratch, "T", shape), _work(scratch, "T'", shape))
     T1 = eigs.project(Yc, out=pair)
@@ -233,7 +258,10 @@ def _solve(model: TgpModel, scratch: dict | None = None):
 
 
 def _nll_value(model: TgpModel, scratch: dict | None = None):
-    """``(nll, solve)``: the NLL read off :func:`_solve`'s arrays, and the solve."""
+    """``(nll, solve)``: the NLL read off :func:`_solve`'s arrays, and the solve.
+
+    The latent-output NLL; identity outputs have :func:`_input_space_core`.
+    """
     solve = _solve(model, scratch)
     _, A, T1, At = solve
     tmp = _work(scratch, "tmp", A.shape)
@@ -242,24 +270,44 @@ def _nll_value(model: TgpModel, scratch: dict | None = None):
     return 0.5 * (quad + logdet + A.size * LOG2PI), solve
 
 
-def _nll_core(model: TgpModel, scratch: dict | None = None):
+def _nll_core(model: TgpModel, scratch: dict | None = None, data_gram=None):
     """NLL by the value pass, the Gram parts it built, and the adjoint pass as a callable.
 
-    Returns ``(nll, grams, adjoint)``.  The value pass builds each kernel
-    Gram once (``grams``, from :func:`_gram_parts`, which
-    :meth:`_TgpPack.chain` pulls the Gram adjoints back through), factorizes
-    them (``eigenfactors``) and reads the NLL off the data solve
-    :func:`_solve` (:func:`_nll_value`).  ``adjoint()`` runs the adjoint
-    pass on the same arrays and returns ``(gbar, d_noise, At)``: ``gbar[k]``
-    is the matrix pairing with an unconstrained perturbation of factor k
-    (k=0 the input Gram, then one per output mode; ``None`` for identity
-    factors), ``d_noise`` the noise-variance partial, and ``At`` the data
-    solve in the joint eigenbasis (``unproject(At)`` is ``Sigma^{-1}
-    vec(Yc)``, the data adjoint).  A caller that needs the value only never pays for the
-    adjoints.
+    Returns ``(nll, grams, adjoint)`` on the route of the model's covariance
+    class: :func:`_input_space_core` for identity output covariances (where
+    ``data_gram`` applies), :func:`_eigen_core` for latent ones.  The value
+    pass builds each kernel Gram once (``grams``, from :func:`_gram_parts`,
+    which :meth:`_TgpPack.chain` pulls the Gram adjoints back through).
+    ``adjoint()`` runs the adjoint pass on the same arrays and returns
+    ``(gbars, d_noise, alpha)``: ``gbars[k]`` is the matrix pairing with an
+    unconstrained perturbation of factor k (k=0 the input Gram, then, latent
+    outputs only, one per output mode), ``d_noise`` the noise-variance
+    partial, and ``alpha()`` the data adjoint ``Sigma^{-1} vec(Yc)`` in the
+    data's tensor shape, formed only when called (a stage-2 fit calls it, a
+    plain fit does not).  A caller that needs the value only never pays for
+    the adjoints.
 
-    For a perturbation ``dF`` of factor k the NLL differential is
-    ``<gbar[k], dF>`` with
+    ``scratch``, a dict that one fit passes to every evaluation, holds the
+    data-sized temporaries of both passes and the Gram parts between calls,
+    so an evaluation allocates only factor-sized arrays; ``grams``,
+    ``adjoint`` and ``alpha()`` then read scratch arrays and are valid until
+    the next call.  Each scratch array has the layout of the temporary it
+    stands for, because the BLAS products and pairwise sums read their
+    operands in memory order: the results are bitwise those of
+    ``scratch=None``, which allocates every temporary.
+    """
+    if model.output_features is None:
+        return _input_space_core(model, scratch, data_gram)
+    return _eigen_core(model, scratch)
+
+
+def _eigen_core(model: TgpModel, scratch: dict | None = None):
+    """:func:`_nll_core` for latent output covariances, in the joint eigenbasis.
+
+    The value pass factorizes the Grams (``eigenfactors``) and reads the NLL
+    off the data solve :func:`_solve` (:func:`_nll_value`).  For a
+    perturbation ``dF`` of factor k the NLL differential is ``<gbar[k],
+    dF>`` with
 
         gbar[k] = 1/2 U_k (diag(c_k) - Q_k) U_k^T,
         c_k = sum_{axes != k} lam_{-k} / A,
@@ -268,16 +316,8 @@ def _nll_core(model: TgpModel, scratch: dict | None = None):
     where ``lam_{-k}`` is the outer product of every factor's eigenvalues but
     factor k's.  Each other factor ``U_j diag(lam_j) U_j^T`` acts on the
     rotated data as its eigenvalues alone because ``U_j`` is orthogonal, so
-    this is exact and needs no dense factor and no rotation back.
-
-    ``scratch``, a dict that one fit passes to every evaluation, holds the
-    data-sized temporaries of both passes and the Gram parts between calls,
-    so an evaluation allocates only factor-sized arrays; ``grams``,
-    ``adjoint`` and the ``At`` it returns then read scratch arrays and are
-    valid until the next call.  Each scratch array has the layout of the
-    temporary it stands for, because the BLAS products and pairwise sums
-    read their operands in memory order: the results are bitwise those of
-    ``scratch=None``, which allocates every temporary.
+    this is exact and needs no dense factor and no rotation back; only
+    ``alpha()`` rotates the solve ``At`` back (``unproject``).
     """
     grams = _gram_parts(model, scratch)
     model.eigenfactors(grams)
@@ -288,9 +328,6 @@ def _nll_core(model: TgpModel, scratch: dict | None = None):
         inv_A = np.divide(1.0, A, out=_work(scratch, "1/A", shape))
         gbars = []
         for k, U in enumerate(eigs.vectors):
-            if U is None:
-                gbars.append(None)
-                continue
             # Trace part: contract 1/A with every other factor's eigenvalues,
             # as np.tensordot(c, lam_j, axes=([j], [0])) does it: axis j moved
             # last, the rest flattened, one matrix-vector product.
@@ -315,7 +352,65 @@ def _nll_core(model: TgpModel, scratch: dict | None = None):
 
         sq = np.multiply(At, At, out=_work(scratch, "tmp", shape))
         d_noise = 0.5 * (float(inv_A.sum()) - float(sq.sum()))
-        return gbars, d_noise, At
+
+        def alpha():
+            pair = (_work(scratch, "alpha", shape), _work(scratch, "alpha'", shape))
+            return eigs.unproject(At, out=pair)
+
+        return gbars, d_noise, alpha
+
+    return nll, grams, adjoint
+
+
+def _input_space_core(model: TgpModel, scratch: dict | None = None, data_gram=None):
+    """:func:`_nll_core` for identity output covariances, ``(K + noise I) (x) I``.
+
+    Such a covariance sees the data only through the N x N Gram ``C = Y_(0)
+    Y_(0)^T`` of its centered sample-mode unfolding ``Y_(0)`` (N x d):
+    ``data_gram`` when the caller holds it (a fit whose data is fixed builds
+    it once), else built here.  With ``G = K + noise I = L L^T``,
+
+        NLL = 1/2 (tr(G^-1 C) + d log|G| + N d log(2 pi)),
+        gbar_0 = 1/2 (d G^-1 - G^-1 C G^-1),   d_noise = tr(gbar_0),
+        alpha = G^-1 Y_(0)
+
+    (the shared-kernel multi-output GP; Rasmussen and Williams 2006, §5.4.1,
+    applied to each output column).  The value pass is one Cholesky, the
+    triangular inverse ``L^-1``, ``G^-1 = L^-T L^-1`` and ``G^-1 C``, the
+    adjoint pass one more product, all N x N; only ``alpha()`` touches
+    output-sized data, one N x N by N x d product into ``scratch``.  A
+    non-finite Gram raises ``ValueError`` and a ``G`` that is not positive
+    definite ``LinAlgError``.
+    """
+    from scipy.linalg.lapack import dtrtri
+
+    grams = _gram_parts(model, scratch)
+    n, d = model.n_samples, model.output_size
+    Yc = None
+    if data_gram is None:
+        Yc = _centered(model, scratch).reshape(n, d)
+        data_gram = np.matmul(Yc, Yc.T, out=_work(scratch, "C", (n, n)))
+    G = grams[0][2] + model.noise * np.eye(n)
+    if not (np.isfinite(G).all() and np.isfinite(data_gram).all()):
+        raise ValueError("input-space NLL: non-finite Gram")
+    # numpy's Cholesky, as the eigen route's eigh: scipy's dpotrf would first
+    # touch about 0.5 MB more of scipy's own BLAS buffers in every process
+    L = np.linalg.cholesky(G)  # LinAlgError where G is not positive definite
+    l_inv, _ = dtrtri(L, lower=1)
+    g_inv = l_inv.T @ l_inv
+    solved = g_inv @ data_gram  # G^-1 C
+    logdet = 2.0 * float(np.log(L.diagonal()).sum())
+    nll = 0.5 * (float(np.trace(solved)) + d * logdet + n * d * LOG2PI)
+
+    def adjoint():
+        gbar = 0.5 * (d * g_inv - solved @ g_inv)  # G^-1 C G^-1
+
+        def alpha():
+            data = _centered(model, scratch).reshape(n, d) if Yc is None else Yc
+            out = _work(scratch, "alpha", (n, d))
+            return np.matmul(g_inv, data, out=out).reshape(model.Y.shape)
+
+        return [gbar], float(np.trace(gbar)), alpha
 
     return nll, grams, adjoint
 
@@ -424,13 +519,21 @@ class _TgpPack:
         g[self.slices["noise"]] = d_noise * model.noise
         return g
 
+    @cached_property
+    def data_gram(self) -> np.ndarray:
+        """``Y_(0) Y_(0)^T`` of the template's centered data, which is every
+        identity-output evaluation's view of it (:func:`_input_space_core`)."""
+        Yc = self.template.centered.reshape(self.template.n_samples, -1)
+        return Yc @ Yc.T
+
     def objective(self, p: np.ndarray):
         """``(value, gradient)`` at ``p`` (the protocol of ``optim``); ``(inf, 0)``,
-        which the optimizer backtracks from, where the eigen step fails or the
+        which the optimizer backtracks from, where a factorization fails or the
         value is not finite.  A non-finite gradient is the optimizer's to reject."""
         model = self.unpack(p)
         try:
-            nll, grams, adjoint = _nll_core(model, self.scratch)
+            gram = self.data_gram if model.output_features is None else None
+            nll, grams, adjoint = _nll_core(model, self.scratch, gram)
         except (np.linalg.LinAlgError, ValueError):
             return _rejected(self.size)
         return _scored(nll, lambda: self.chain(model, grams, *adjoint()[:2]), self.size)

@@ -21,6 +21,8 @@ constrained quantities.  No caller in the package passes ``project``.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,15 +38,29 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.step <= 0 or self.tol <= 0:
-            raise ValueError("OptimConfig fields must be positive")
+        # bool is an Integral; NaN fails every comparison, so test it explicitly
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters < 1:
+            raise ValueError(f"OptimConfig.max_iters must be an integer >= 1, got {iters!r}")
+        for name in ("step", "tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"OptimConfig.{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
 class OptimTrace:
-    """Accepted-step history: (iteration, objective, gradient norm) rows."""
+    """Accepted-step history: (iteration, objective, gradient norm) rows.
+
+    ``stop`` says why :func:`minimize` stopped: ``"converged"`` (the
+    relative decrease stayed under ``tol`` for two accepted steps),
+    ``"max_iters"`` (the iteration budget ran out) or ``"line_search"`` (no
+    step size found a finite point with a value no higher than the current
+    one).
+    """
 
     records: list = field(default_factory=list)
+    stop: str | None = None
 
     @property
     def objectives(self) -> list:
@@ -99,7 +115,8 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
     Returns
     -------
     (params, trace)
-        Best-seen parameter vector and the accepted-step :class:`OptimTrace`.
+        Best-seen parameter vector and the accepted-step :class:`OptimTrace`,
+        whose ``stop`` gives the exit reason.
     """
     p = np.asarray(init, dtype=float).copy()
     if project is not None:
@@ -118,6 +135,7 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
     disp = np.zeros_like(p)
     small_changes = 0
 
+    trace.stop = "max_iters"
     for it in range(1, config.max_iters + 1):
         v = _BETA2 * v + (1.0 - _BETA2) * g * g
         direction = g / (np.sqrt(v) + 1e-8)
@@ -137,6 +155,7 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
                 break
 
         if not accepted:
+            trace.stop = "line_search"
             break
 
         disp = cand - p
@@ -147,6 +166,7 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
 
         small_changes = small_changes + 1 if change <= config.tol * max(1.0, abs(f)) else 0
         if small_changes >= 2:
+            trace.stop = "converged"
             break
 
     return p, trace

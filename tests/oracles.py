@@ -138,10 +138,13 @@ def dense_tgp_adjoints(model: TgpModel):
 def reference_nll_core(model: TgpModel):
     """``hogp._nll_core`` and its adjoint pass with freshly allocated temporaries.
 
-    Returns ``(nll, gbars, d_noise, At)``.  The same operations in the same
-    order and operand layouts, so the production core must match it bitwise
-    with and without its scratch.
+    Returns ``(nll, gbars, d_noise, alpha)``.  The same operations in the
+    same order and operand layouts, on the route of the model's covariance
+    class, so the production core must match it bitwise with and without
+    its scratch.
     """
+    if model.output_features is None:
+        return _reference_input_space_core(model)
     eigs = model.eigenfactors()
     Yc = model.centered
     A = eigs.joint_values(model.noise)
@@ -154,9 +157,6 @@ def reference_nll_core(model: TgpModel):
     inv_A = 1.0 / A
     gbars = []
     for k, U in enumerate(eigs.vectors):
-        if U is None:
-            gbars.append(None)
-            continue
         c = inv_A
         for j in range(len(eigs.values) - 1, -1, -1):
             if j != k:
@@ -167,7 +167,24 @@ def reference_nll_core(model: TgpModel):
         gbars.append(0.5 * ((U * c) @ U.T - U @ Q @ U.T))
 
     d_noise = 0.5 * (float(np.sum(inv_A)) - float(np.sum(At * At)))
-    return nll, gbars, d_noise, At
+    return nll, gbars, d_noise, eigs.unproject(At)
+
+
+def _reference_input_space_core(model: TgpModel):
+    """:func:`reference_nll_core` for identity output covariances."""
+    from scipy.linalg.lapack import dtrtri
+
+    n, d = model.n_samples, model.output_size
+    Yc = model.centered.reshape(n, d)
+    K = _gram_parts(model)[0][2]
+    L = np.linalg.cholesky(K + model.noise * np.eye(n))
+    l_inv, _ = dtrtri(L, lower=1)
+    g_inv = l_inv.T @ l_inv
+    solved = g_inv @ (Yc @ Yc.T)
+    logdet = 2.0 * float(np.log(L.diagonal()).sum())
+    nll = 0.5 * (float(np.trace(solved)) + d * logdet + n * d * LOG2PI)
+    gbar = 0.5 * (d * g_inv - solved @ g_inv)
+    return nll, [gbar], float(np.trace(gbar)), (g_inv @ Yc).reshape(model.Y.shape)
 
 
 def kron_partial(T_blocks, mats, open_idx):
@@ -834,6 +851,18 @@ def count_gram_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(kernels, "ard_gram_parts", counted)
     return built
+
+
+def record_cholesky_sizes(monkeypatch) -> list:
+    """A list that gains the order of every matrix ``np.linalg.cholesky`` factors from now on."""
+    real, sizes = np.linalg.cholesky, []
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recorded)
+    return sizes
 
 
 def grad_audit(objective, point, eps: float = 1e-5) -> float:

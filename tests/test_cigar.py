@@ -30,6 +30,7 @@ from oracles import (
     gar_joint_nll_dense,
     low_stack,
     make_random_two_level,
+    record_cholesky_sizes,
 )
 
 # ---------------------------------------------------------------------------
@@ -134,14 +135,17 @@ def test_cigar_fit_subset_orthonormal_throughout():
     assert np.all(np.isfinite(pred.mean))
 
 
-def test_cigar_fit_never_factorizes_output_covariances():
+def test_cigar_fit_never_factorizes_output_covariances(monkeypatch):
+    # A subset fit stays in input space throughout: no eigendecomposition at
+    # all, and every Cholesky factors an input Gram (12 low, 5 high samples),
+    # never a 7 x 7 or 9 x 9 output covariance.
     rng = np.random.default_rng(4)
     ds = smooth_two_level(rng, d_low=7, d_high=9)
+    chol_sizes = record_cholesky_sizes(monkeypatch)
     with track_eig_sizes() as sizes:
         cigar_fit(ds, GarConfig(optim=OptimConfig(max_iters=25)))
-    assert sizes, "fit must factorize input Grams"
-    assert max(sizes) <= ds.levels[0].n_samples
-    assert 7 not in sizes and 9 not in sizes
+    assert sizes == []
+    assert set(chol_sizes) == {ds.levels[0].n_samples, ds.levels[1].n_samples}
 
 
 def test_cigar_nonsubset_fit_collapsed_path():

@@ -375,17 +375,23 @@ def test_train_gar_poisson_within_time_budget(tmp_path):
     assert time.perf_counter() - start < 60.0
 
 
-def test_train_cigar_records_no_output_covariance_factorization(small_dataset, tmp_path):
+def test_train_cigar_records_no_output_covariance_factorization(
+    small_dataset, tmp_path, monkeypatch
+):
     from mfgar.tensalg import track_eig_sizes
+    from oracles import record_cholesky_sizes
 
+    chol_sizes = record_cholesky_sizes(monkeypatch)
     with track_eig_sizes() as sizes:
         assert run(
             "train", "--data", small_dataset, "--model", "cigar", "--max-iters", 15,
             "--out", tmp_path / "c",
         ) == 0
-    # input Grams only: never a d_m-sized (8 or 32 per mode) factorization
-    assert sizes and max(sizes) <= 8  # n_low of the fixture dataset
-    assert 32 not in sizes
+    # input Grams only, and on this subset data by Cholesky alone: never a
+    # d_m-sized (8 or 32 per mode) factorization
+    assert sizes == []
+    assert chol_sizes and max(chol_sizes) <= 8  # n_low of the fixture dataset
+    assert 32 not in chol_sizes
 
 
 def test_benchmark_validates_arguments(tmp_path, capsys):
@@ -414,6 +420,29 @@ def test_benchmark_validates_arguments(tmp_path, capsys):
         ) == 1
         assert f"{name} must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [("--max-iters", "0", "max_iters"), ("--step", "-1", "step"), ("--step", "nan", "step")],
+)
+def test_benchmark_refuses_bad_optimizer_settings(tmp_path, capsys, flag, value, field):
+    # refused before anything is written, as --repeats 0 is, naming the field
+    assert run(
+        "benchmark", "--pde", "poisson", "--model", "gar", "--n-low", 4,
+        "--n-high-sweep", "2", "--n-test", "2", flag, value, "--out", tmp_path / "w",
+    ) == 1
+    assert f"error: OptimConfig.{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_train_refuses_bad_optimizer_settings(small_dataset, tmp_path, capsys):
+    assert run(
+        "train", "--data", small_dataset, "--model", "gar", "--max-iters", 0,
+        "--out", tmp_path / "m",
+    ) == 1
+    assert "error: OptimConfig.max_iters must be" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_benchmark_refuses_repeated_sweep_values(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Fusion on subset data: plans, separable likelihood, posterior, baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,11 +21,12 @@ from mfgar.gar import (
     gar_predict,
     gar_to_dict,
 )
-from mfgar.hogp import tgp_nll, tgp_predict
+from mfgar.hogp import JITTER, tgp_nll, tgp_predict
 from mfgar.optim import OptimConfig, minimize
 from mfgar.pdebench import make_dataset, pde_spec
 from oracles import (
     count_gram_builds,
+    dense_tgp_nll,
     dense_two_level_nll,
     dense_two_level_predict,
     eager,
@@ -32,6 +35,7 @@ from oracles import (
     low_stack,
     make_random_nonsubset,
     make_random_two_level,
+    sample_from_model,
     scalar_ar_dense_nll,
 )
 
@@ -260,25 +264,63 @@ def test_predict_interpolates_high_fidelity_data():
 
 
 @pytest.mark.parametrize(
-    "w_mode, low_modes, high_modes",
+    "w_mode, low_modes, high_modes, identity",
     [
-        pytest.param("free", (2, 2), (2, 2), id="free"),
-        pytest.param("scalar", (2, 2), (2, 2), id="scalar"),
+        pytest.param("free", (2, 2), (2, 2), False, id="free"),
+        pytest.param("scalar", (2, 2), (2, 2), False, id="scalar"),
         # the partial products of W at every mode position, and at M = 1
-        pytest.param("free", (2, 3, 2), (3, 2, 2), id="free-three-mode-rect"),
-        pytest.param("free", (3,), (2,), id="free-one-mode"),
+        pytest.param("free", (2, 3, 2), (3, 2, 2), False, id="free-three-mode-rect"),
+        pytest.param("free", (3,), (2,), False, id="free-one-mode"),
         # the polar pullback of every unconstrained factor
-        pytest.param("orthonormal", (2, 3), (3, 4), id="orthonormal-rect"),
+        pytest.param("orthonormal", (2, 3), (3, 4), False, id="orthonormal-rect"),
+        # identity output covariances: the residual scored in input space
+        pytest.param("orthonormal", (2, 3), (3, 4), True, id="identity-orthonormal-rect"),
+        pytest.param("free", (2, 3, 2), (3, 2, 2), True, id="identity-free-three-mode-rect"),
     ],
 )
-def test_stage2_gradient_audit(w_mode, low_modes, high_modes):
+def test_stage2_gradient_audit(w_mode, low_modes, high_modes, identity):
     rng = np.random.default_rng(12)
-    model, ds = make_random_two_level(rng, 5, 3, low_modes, high_modes)
+    model, ds = make_random_two_level(
+        rng, 5, 3, low_modes, high_modes, identity_outputs=identity
+    )
     trans = model.transitions[0]
     pack = _ResidualPack(
         low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights, w_mode,
     )
     assert grad_audit(pack.objective, pack.pack(), eps=1e-5) < 1e-4
+
+
+def test_identity_stage2_matches_the_dense_oracles_at_the_noise_floor():
+    # The identity-output residual is scored through its N x N Gram.  With
+    # two equal residual inputs (a singular K), the noise at its floor and a
+    # residual drawn from the residual model itself, so that it lies almost
+    # in K's range, the value is still the dense residual NLL and the
+    # gradient the finite-difference one in every coordinate but the noise,
+    # which the floor clamps from below.
+    rng = np.random.default_rng(38)
+    model, ds = make_random_two_level(
+        rng, 6, 4, (2, 3), (3, 4), identity_outputs=True, noise_res=JITTER
+    )
+    trans = model.transitions[0]
+    X = trans.residual.X.copy()
+    X[1] = X[0]
+    template = replace(trans.residual, X=X)
+    stack = low_stack(trans, ds.levels[0].Y)
+    y_high = trans.weights.apply(stack) + sample_from_model(rng, template)
+    pack = _ResidualPack(stack, y_high, template, trans.weights, "free")
+    point = pack.pack()
+    value, _ = pack.objective(point)
+    _, residual = pack.unpack(point)
+    assert_allclose(residual.noise, JITTER, rtol=1e-15)
+    assert_allclose(value, dense_tgp_nll(residual), rtol=1e-8)
+
+    noise = pack.w.size + pack.tgp.slices["noise"].start
+
+    def noise_held(q):
+        value, gradient = pack.objective(np.insert(q, noise, point[noise]))
+        return value, lambda: np.delete(gradient(), noise)
+
+    assert grad_audit(noise_held, np.delete(point, noise), eps=1e-5) < 1e-4
 
 
 def test_stage2_objective_is_inf_where_the_eigen_step_fails():

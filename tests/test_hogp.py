@@ -121,37 +121,49 @@ def duplicate_latent_row(model: TgpModel) -> TgpModel:
         (1, (2, 3), False, False),
         (1, (3,), True, False),
         (4, (3, 2), False, True),
+        (5, (3, 4), True, True),
     ],
 )
 def test_nll_core_adjoints_match_dense_adjoint(n, modes, identity, singular):
     # The eigenbasis adjoints equal 1/2 (Sigma^-1 - alpha alpha^T) contracted
     # against the other factors, also where an S eigenvalue is (numerically) 0.
+    # The input-space adjoints of identity outputs match too, also where K is
+    # singular (two equal inputs), the noise sits at its floor and the data,
+    # drawn from the model, lies almost in K's range, where reading the data
+    # through its Gram Y Y^T could lose digits.
     rng = np.random.default_rng(40 + 10 * n + len(modes))
     model = make_random_tgp(rng, n, modes, identity_outputs=identity, noise=0.05)
-    if singular:
+    if singular and identity:
+        X = model.X.copy()
+        X[1] = X[0]
+        model = replace(model, X=X, log_noise=float(np.log(hogp.JITTER)))
+        model = replace(model, Y=sample_from_model(rng, model))
+        assert_allclose(model.noise, hogp.JITTER, rtol=1e-15)
+    elif singular:
         model = duplicate_latent_row(model)
         lam = model.eigenfactors().values[1]
         assert lam.min() <= 1e-12 * lam.max()  # round-off, clamped at 0 when negative
     nll, _, adjoint = _nll_core(model)
-    gbars, d_noise, At = adjoint()
+    gbars, d_noise, alpha = adjoint()
     want, want_noise = dense_tgp_adjoints(model)
     assert_allclose(nll, dense_tgp_nll(model), rtol=1e-9)
-    assert len(gbars) == len(want) == len(modes) + 1
-    for k, (got, ref) in enumerate(zip(gbars, want)):
-        if identity and k > 0:
-            assert got is None
-        else:
-            assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+    # identity outputs have the input Gram's adjoint only
+    assert len(want) == len(modes) + 1
+    assert len(gbars) == (1 if identity else len(want))
+    for got, ref in zip(gbars, want):
+        assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
     assert_allclose(d_noise, want_noise, rtol=1e-9)
-    alpha = np.linalg.solve(dense_joint_cov(model), vec(model.centered))
-    got_alpha = vec(model.eigenfactors().unproject(At))
-    assert_allclose(got_alpha, alpha, rtol=1e-9, atol=1e-9 * np.abs(alpha).max())
+    want_alpha = np.linalg.solve(dense_joint_cov(model), vec(model.centered))
+    got_alpha = vec(alpha())
+    assert_allclose(got_alpha, want_alpha, rtol=1e-9, atol=1e-9 * np.abs(want_alpha).max())
 
 
 @pytest.mark.parametrize("modes,identity", [((3,), False), ((2, 3), False), ((2, 3), True)])
 def test_objective_projects_once_and_rebuilds_no_factor(monkeypatch, modes, identity):
-    # One evaluation rotates the data into the eigenbasis and stays there:
-    # one mode product per non-identity factor, no dense factor matrix.
+    # One latent evaluation rotates the data into the eigenbasis and stays
+    # there: one mode product per factor, no dense factor matrix.  An
+    # identity-output evaluation reads the fit's N x N data Gram and makes
+    # no mode product at all.
     rng = np.random.default_rng(50)
     model = make_random_tgp(rng, 4, modes, identity_outputs=identity)
     pack = _TgpPack(model)
@@ -170,7 +182,7 @@ def test_objective_projects_once_and_rebuilds_no_factor(monkeypatch, modes, iden
     monkeypatch.setattr(tensalg.EigenFactors, "reconstruct", forbidden)
     _, gradient = pack.objective(point)
     gradient()
-    assert sorted(modes_hit) == ([0] if identity else list(range(len(modes) + 1)))
+    assert sorted(modes_hit) == ([] if identity else list(range(len(modes) + 1)))
 
 
 @pytest.mark.parametrize("modes,identity", [((3,), False), ((2, 3), False), ((2, 3), True)])
@@ -214,12 +226,13 @@ def test_objective_scratch_shared_by_models_is_bitwise_a_fresh_scratch():
 
 def assert_bitwise_core(got, want):
     nll, _, adjoint = got
-    gbars, d_noise, At = adjoint()
+    gbars, d_noise, alpha = adjoint()
     assert np.array_equal(nll, want[0]) and np.array_equal(d_noise, want[2])
     assert len(gbars) == len(want[1])
     for g, w in zip(gbars, want[1]):
-        assert (g is None and w is None) or np.array_equal(g, w)
-    assert At.shape == want[3].shape and np.array_equal(At, want[3])
+        assert np.array_equal(g, w)
+    alpha = alpha()
+    assert alpha.shape == want[3].shape and np.array_equal(alpha, want[3])
 
 
 @pytest.mark.parametrize("identity", [False, True])
@@ -228,7 +241,9 @@ def test_nll_core_scratch_is_bitwise_the_allocating_reference(modes, identity):
     # The scratch arrays keep the layouts of the temporaries they stand for,
     # so the BLAS products and pairwise sums give the same bits; a second
     # parameter point through the same scratch shows no stale buffer leaks.
-    # tgp_nll reads the same solve, so it is the core's value bitwise.
+    # tgp_nll reads the same solve, so it is the core's value bitwise.  An
+    # identity-output core given the fit's once-built data Gram
+    # (_TgpPack.data_gram) is bitwise the one that builds it per call.
     rng = np.random.default_rng(60 + len(modes))
     first = make_random_tgp(rng, 6, modes, identity_outputs=identity)
     second = replace(first, log_noise=first.log_noise + 0.7, Y=1.5 * first.Y + 0.2)
@@ -238,6 +253,9 @@ def test_nll_core_scratch_is_bitwise_the_allocating_reference(modes, identity):
         assert_bitwise_core(_nll_core(replace(model)), want)
         assert_bitwise_core(_nll_core(replace(model), scratch), want)
         assert np.array_equal(tgp_nll(replace(model)), want[0])
+        if identity:
+            gram = _TgpPack(model).data_gram
+            assert_bitwise_core(_nll_core(replace(model), scratch, gram), want)
     assert scratch
 
 
@@ -274,6 +292,41 @@ def test_warm_objective_allocates_no_data_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak - before <= 256 * 1024
+
+
+def test_warm_identity_evaluation_is_independent_of_the_output_size(monkeypatch):
+    # An identity-output fit reads its data through the N x N Gram built on
+    # its first evaluation: a warm evaluation makes no mode product and its
+    # traced peak is the same at 32 x 32 as at 64 x 64 outputs.
+    import tracemalloc
+
+    real, hits = tensalg.mode_product, []
+
+    def counted(*args, **kwargs):
+        hits.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tensalg, "mode_product", counted)
+    peaks = []
+    for modes in ((32, 32), (64, 64)):
+        rng = np.random.default_rng(62)
+        model = make_random_tgp(rng, 8, modes, identity_outputs=True)
+        pack = _TgpPack(model)
+        point = pack.pack(model)
+        pack.objective(point)[1]()
+        pack.objective(point + 1e-3)  # the value pass alone
+        assert hits == []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pack.objective(point + 2e-3)[1]()  # the value pass and the adjoint pass
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert hits == []
+    # equal up to the interpreter's own bookkeeping, which drifts by a few
+    # bytes between calls; one output-sized temporary is 64 or 256 KiB here
+    assert abs(peaks[1] - peaks[0]) < 1024
 
 
 def test_gradient_audit_all_parameters():
@@ -424,6 +477,40 @@ def test_pack_objective_is_inf_where_the_eigen_step_fails():
 
 
 
+@pytest.mark.parametrize("fault", ["kernel-gram", "data-gram", "indefinite"])
+def test_identity_objective_is_inf_where_the_input_space_step_fails(monkeypatch, fault):
+    # The input-space route refuses a non-finite kernel or data Gram, which
+    # LAPACK's Cholesky would factor into NaN entries without an error, and a
+    # K + noise I that is not positive definite: the objective scores
+    # (inf, 0), which the optimizer backtracks from, instead of raising.
+    import mfgar.kernels as kernels
+
+    rng = np.random.default_rng(35)
+    model = make_random_tgp(rng, 4, (2, 3), identity_outputs=True)
+    if fault == "data-gram":
+        model = replace(model, Y=1e200 * model.Y)
+    pack = _TgpPack(model)
+    p = pack.pack(model)
+    if fault == "indefinite":
+        real = kernels.ard_gram_parts
+
+        def indefinite(params, X1, X2, out=None):
+            diff, d2, K = real(params, X1, X2, out=out)
+            K -= 10.0 * np.eye(len(K))
+            return diff, d2, K
+
+        monkeypatch.setattr(kernels, "ard_gram_parts", indefinite)
+    if fault == "kernel-gram":
+        p[pack.slices["input"].start] = 800.0
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            value, grad = pack.objective(p)
+    else:
+        with np.errstate(over="ignore"):
+            value, grad = pack.objective(p)
+    assert value == np.inf
+    assert np.array_equal(grad(), np.zeros(pack.size))
+
+
 @pytest.mark.parametrize("broken", ["value", "gradient"])
 def test_pack_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broken):
     # A core that returns NaN without raising never hands the optimizer a
@@ -435,12 +522,12 @@ def test_pack_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broken)
     pack = _TgpPack(model)
     real = hogp._nll_core
 
-    def nan_core(m, scratch=None):
-        nll, grams, adjoint = real(m, scratch)
+    def nan_core(m, *args):
+        nll, grams, adjoint = real(m, *args)
 
         def nan_adjoint():
-            gbars, _, At = adjoint()
-            return gbars, np.nan, At
+            gbars, _, alpha = adjoint()
+            return gbars, np.nan, alpha
 
         return (np.nan, grams, adjoint) if broken == "value" else (nll, grams, nan_adjoint)
 

@@ -266,3 +266,52 @@ def test_config_validation():
         OptimConfig(max_iters=0)
     with pytest.raises(ValueError):
         OptimConfig(step=-1.0)
+
+
+@pytest.mark.parametrize(
+    "settings,field",
+    [
+        ({"max_iters": 0}, "max_iters"),
+        ({"max_iters": 2.5}, "max_iters"),
+        ({"max_iters": True}, "max_iters"),
+        ({"step": float("nan")}, "step"),
+        ({"step": float("inf")}, "step"),
+        ({"step": -1.0}, "step"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": 0.0}, "tol"),
+    ],
+)
+def test_config_refuses_each_bad_setting_by_name(settings, field):
+    # A NaN step used to pass and make minimize backtrack 40 times and return
+    # the initial point, a silent no-op fit.
+    with pytest.raises(ValueError, match=f"OptimConfig.{field} must be"):
+        OptimConfig(**settings)
+
+
+def test_config_accepts_numpy_scalars():
+    cfg = OptimConfig(max_iters=np.int64(3), step=np.float64(0.1), tol=np.float64(1e-6))
+    assert minimize(quadratic_about(np.ones(2)), np.zeros(2), cfg)[1].stop == "max_iters"
+
+
+def test_stop_converged():
+    cfg = OptimConfig(max_iters=2000, step=0.1, tol=1e-12)
+    _, trace = minimize(quadratic_about(np.array([1.5, -2.0])), np.zeros(2), cfg)
+    assert trace.stop == "converged"
+    assert trace.records[-1][0] < cfg.max_iters
+
+
+def test_stop_max_iters():
+    _, trace = minimize(rosenbrock, np.array([-1.2, 1.0]), OptimConfig(max_iters=5))
+    assert trace.stop == "max_iters"
+    assert [r[0] for r in trace.records] == list(range(6))
+
+
+def test_stop_line_search():
+    # A gradient that points nowhere downhill: every step from the minimum
+    # raises the value, so the backtracking gives up on the first iteration.
+    def objective(p):
+        return float(p @ p), lambda: np.ones_like(p)
+
+    p, trace = minimize(objective, np.zeros(2), OptimConfig(max_iters=50))
+    assert trace.stop == "line_search"
+    assert len(trace.records) == 1 and np.array_equal(p, np.zeros(2))
