@@ -50,7 +50,8 @@ model = cigar_fit(ds, GarConfig(optim=OptimConfig(max_iters=25, step=0.05)))
 with track_eig_sizes() as sizes:
     gar_predict(model, Xq)
 print("d_high = 256, 3 of 5 fine inputs without a coarse twin")
-print(f"matrix sizes eigendecomposed during gar_predict:       {sorted(set(sizes))}")
+print(f"matrix sizes eigendecomposed during gar_predict:       {sorted(set(sizes))}"
+      " (none: each level reads k* G^-1 off one N x N Cholesky)")
 with track_eig_sizes() as sizes:
     nll = gar_nll_nonsubset(model)
 print(f"... and during gar_nll_nonsubset:                      {sorted(set(sizes))}")

@@ -22,14 +22,16 @@ factor diagonalize the corrected covariance, with eigenvalues
 
     (G0 (x) I + B (x) P)^{-1} = G0^{-1} (x) (I - P) + (G0 + B)^{-1} (x) P,
 
-with ``P = W W^T`` the per-mode projector.  The imputation-variance term of
-the prediction uses the same input-space reduction: with identity output
-covariances the joint eigenvalues depend on the input index only, so
-neither the fit, the NLL nor the prediction ever builds an ``N_h d_h``
-matrix or a Kronecker root column.  Predictive means coincide
-with the full model's means when the latter also carries identity output
-covariances (the mean never depends on the output covariance); predictive
-variances are the price paid for the speedup.
+with ``P = W W^T`` the per-mode projector.  Prediction stays in input
+space as well: each level's mean and variance are read off ``k* G^-1`` from
+one Cholesky of its ``K + noise I``, and the imputation-variance term is
+``diag(delta S_hat delta^T)``, ``delta`` the difference of two such weights
+on the imputed rows, times the squared row norms of the composed weights.
+So neither the fit, the NLL nor the prediction ever builds an ``N_h d_h``
+matrix, a Kronecker root column or a model's eigenbasis.  Predictive means
+coincide with the full model's means when the latter also carries identity
+output covariances (the mean never depends on the output covariance);
+predictive variances are the price paid for the speedup.
 """
 
 from __future__ import annotations
@@ -56,11 +58,10 @@ class CigarModel(GarModel):
     kind: str = "cigar"
 
     def __post_init__(self):
+        super().__post_init__()  # one output-covariance kind along the chain
         if self.low.output_features is not None:
             raise ValueError("conditional-independent model requires identity output covariances")
         for t in self.transitions:
-            if t.residual.output_features is not None:
-                raise ValueError("residual output covariances must be identity")
             err = orthonormality_error(t.weights)
             if err > ORTHO_TOL:
                 raise ValueError(f"weight factors not orthonormal (error {err:.2e})")

@@ -39,6 +39,7 @@ from .hogp import (
     _check_schema,
     _gram_parts,
     _initial_model,
+    _input_space_weights,
     _mean_factors,
     _nll_core,
     _nll_value,
@@ -209,14 +210,6 @@ class TuckerWeights:
     def __post_init__(self):
         self.factors = [np.atleast_2d(np.asarray(f, dtype=float)) for f in self.factors]
 
-    @property
-    def high_sizes(self) -> tuple:
-        return tuple(f.shape[0] for f in self.factors)
-
-    @property
-    def low_sizes(self) -> tuple:
-        return tuple(f.shape[1] for f in self.factors)
-
     @classmethod
     def initial(cls, high_sizes, low_sizes) -> "TuckerWeights":
         """Identity when square, ones on the main diagonal otherwise."""
@@ -271,11 +264,25 @@ class GarTransition:
 
 @dataclass
 class GarModel:
-    """Chain of fitted transitions; a bundle loads as the subclass of its ``kind``."""
+    """Chain of fitted transitions; a bundle loads as the subclass of its ``kind``.
+
+    Every TGP in the chain (``low``, each residual and each imputation's
+    low model) has output covariances of one kind, all identity or all
+    latent; a mixed chain raises ``ValueError``.
+    """
 
     low: TgpModel
     transitions: list
     kind: str = "gar"
+
+    def __post_init__(self):
+        tgps = [self.low] + [t.residual for t in self.transitions]
+        tgps += [t.workspace.aug_low for t in self.transitions if t.workspace is not None]
+        if len({m.output_features is None for m in tgps}) > 1:
+            raise ValueError(
+                "mixed output covariances: the low, residual and imputation models "
+                "must all have identity or all latent output covariances"
+            )
 
     @property
     def rho(self) -> float | None:
@@ -355,9 +362,9 @@ def _ravel_all(mats) -> np.ndarray:
 
 def _embedded_cov(s_hat: np.ndarray, n_high: int, n_matched: int) -> np.ndarray:
     """Imputation covariance ``S_hat`` embedded into the matched-first high row order."""
-    emb = np.zeros((n_high, s_hat.shape[0]))
-    emb[n_matched:, :] = np.eye(s_hat.shape[0])
-    return emb @ s_hat @ emb.T
+    emb = np.zeros((n_high, n_high))
+    emb[n_matched:, n_matched:] = s_hat
+    return emb
 
 
 class _Stage2Pack:
@@ -794,24 +801,16 @@ def ar_baseline_fit(
 # ---------------------------------------------------------------------------
 
 
-def _psd_root(s: np.ndarray) -> np.ndarray:
-    """Square root ``R`` with ``R R^T = s`` from the eigendecomposition."""
-    U, lam = sym_eig(s)
-    return U * np.sqrt(np.clip(lam, 0.0, None))
-
-
 def _imputation_roots(s_hat: np.ndarray, low: TgpModel) -> list:
     """Square roots of the imputation covariance factors ``S_hat (x) S_low``.
 
-    One root per factor: ``S_hat`` first, then each output covariance of the
-    low model, ``U_k sqrt(lam_k)`` from its cached eigenfactors (an explicit
-    identity for identity factors).
+    One root ``U sqrt(lam)`` per factor, negative round-off eigenvalues
+    clipped: ``S_hat`` first, from its eigendecomposition, then each latent
+    output covariance of the low model, from its cached eigenfactors.
     """
     eigs = low.eigenfactors()
-    return [_psd_root(s_hat)] + [
-        np.eye(lam.size) if U is None else U * np.sqrt(np.clip(lam, 0.0, None))
-        for U, lam in zip(eigs.vectors[1:], eigs.values[1:])
-    ]
+    pairs = [sym_eig(s_hat), *zip(eigs.vectors[1:], eigs.values[1:])]
+    return [U * np.sqrt(np.clip(lam, 0.0, None)) for U, lam in pairs]
 
 
 def _rotated_roots(eigs, roots: list, offset: int, weights: TuckerWeights | None = None) -> list:
@@ -827,7 +826,7 @@ def _rotated_roots(eigs, roots: list, offset: int, weights: TuckerWeights | None
     for m, (U, r) in enumerate(zip(eigs.vectors[1:], roots[1:])):
         if weights is not None:
             r = weights.factors[m] @ r
-        out.append(r if U is None else U.T @ r)
+        out.append(U.T @ r)
     return out
 
 
@@ -871,12 +870,6 @@ def _khatri_rao_blocks(core: np.ndarray, fs: list, gs: list):
             out = buf[: lead * (rows.stop - j0) * c_last].reshape(lead, -1)
             np.matmul(head, E[-1][j0 * c_last : rows.stop * c_last].T, out=out)
             yield b, rows, out
-
-
-def _identity_outputs(trans: GarTransition) -> bool:
-    """Whether a non-subset transition's low and residual models both have ``S = I``."""
-    low, res = trans.workspace.aug_low, trans.residual
-    return low.output_features is None and res.output_features is None
 
 
 def _corrected_nll_low_rank(trans: GarTransition, low: TgpModel) -> float:
@@ -995,7 +988,7 @@ def gar_nll_nonsubset(model: GarModel) -> float:
     res = trans.residual
     if trans.is_subset:
         return low_part + tgp_nll(res)
-    if _identity_outputs(trans):
+    if res.output_features is None:
         b_input = _embedded_cov(trans.workspace.s_hat, res.n_samples, trans.plan.n_matched)
         value, _, _ = _identity_output_objective(res, trans.weights, b_input)  # value pass only
         return low_part + value
@@ -1010,13 +1003,12 @@ def gar_nll_nonsubset(model: GarModel) -> float:
 def _fold_weights(facs: list, chain: list) -> list:
     """Per-mode factors ``W^(n)_m .. W^(1)_m F_m`` for a chain of weights.
 
-    ``chain`` lists the weights in the order they act; a ``None`` factor is
-    the identity, and stays ``None`` when the chain is empty.
+    ``chain`` lists the weights in the order they act.
     """
     out = []
     for m, f in enumerate(facs):
         for w in chain:
-            f = w.factors[m] if f is None else w.factors[m] @ f
+            f = w.factors[m] @ f
         out.append(f)
     return out
 
@@ -1039,12 +1031,13 @@ def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape)
     ``c`` axes are the term.  The products are formed in bounded blocks
     (``_khatri_rao_blocks``), and no root column is built.
 
-    With identity output covariances on both paths the joint eigenvalues
-    depend on the input index only, so the term factorizes as
-    ``gamma[s, j] = a[s] b[j]``: ``a`` from the two paths' input-space
-    operators applied to the ``S_hat`` root, ``b`` the squared row norms of
-    the composed weights ``D_m .. W_m`` per mode.  No output-sized product
-    is formed there.
+    With identity output covariances (on both paths: a chain has one kind)
+    the term factorizes as ``gamma[s, j] = a[s] b[j]``: ``a = diag(delta
+    S_hat delta^T)``, ``delta`` the difference of the two paths' input-space
+    weights ``k* G^-1`` (``hogp._input_space_weights``) on the imputed rows,
+    and ``b`` the squared row norms of the composed weights ``D_m .. W_m``
+    per mode.  No root, no eigendecomposition and no output-sized product is
+    formed there.
     """
     ws = trans.workspace
     aug = ws.aug_low
@@ -1054,19 +1047,15 @@ def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape)
     n_low = aug.n_samples - n_m
     n_matched = trans.plan.n_matched
 
-    if _identity_outputs(trans):
-        s_root = _psd_root(ws.s_hat)
-
-        def sensitivity(model, offset):
-            # k_* G^-1 on the imputed rows, applied to the S_hat root
-            eigs = model.eigenfactors()
-            U0 = eigs.vectors[0]
-            k_star = ard_gram(model.input_kernel, Xs, model.X)
-            return (k_star @ U0) / (eigs.values[0] + model.noise) @ (U0[offset:].T @ s_root)
-
-        diff = sensitivity(aug, n_low) - sensitivity(res, n_matched)
-        facs = _fold_weights([None] * len(trans.weights.factors), [trans.weights, *downstream])
-        return kruskal_outer([np.sum(diff * diff, axis=1)] + [np.sum(f * f, axis=1) for f in facs])
+    if res.output_features is None:
+        # k_* G^-1 on the imputed rows, augmented-low path minus residual path
+        diff = (
+            _input_space_weights(aug, Xs)[0][:, n_low:]
+            - _input_space_weights(res, Xs)[0][:, n_matched:]
+        )
+        facs = _fold_weights(trans.weights.factors, downstream)
+        a = np.einsum("ij,ij->i", diff @ ws.s_hat, diff)
+        return kruskal_outer([a] + [np.sum(f * f, axis=1) for f in facs])
 
     # Prediction-mean operators (projected-basis form), with the weights the
     # path passes through folded into the per-mode output factors.
@@ -1096,10 +1085,7 @@ def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape)
     core[(slice(None), *[slice(a, None) for a in p_aug])] = -_input_contraction(
         k_fac_res, rot_res[0], A_res
     )
-    fs = [
-        np.hstack([fa, np.eye(gr.shape[0]) if fr is None else fr])
-        for fa, fr, gr in zip(facs_aug, facs_res, rot_res[1:])
-    ]
+    fs = [np.hstack(pair) for pair in zip(facs_aug, facs_res)]
     gs = [np.vstack(pair) for pair in zip(rot_aug[1:], rot_res[1:])]
     col_sizes = [g.shape[1] for g in gs]
     pairs = [a for d, c in zip(out_shape[:-1], col_sizes[:-1]) for a in (d, c)]
@@ -1163,6 +1149,7 @@ def gar_predict(model: GarModel, x_star) -> PosteriorField:
 # ---------------------------------------------------------------------------
 
 GAR_SCHEMA = "mfgar/gar-4"
+GAR_KINDS = ("gar", "ar", "cigar")
 _PLAN_FIELDS = ("matched_high", "matched_low", "unmatched_high")
 
 
@@ -1225,9 +1212,14 @@ def gar_from_dict(doc: dict) -> GarModel:
 
     A document loads as the ``GarModel`` subclass of its kind, so a
     ``cigar`` document becomes a ``CigarModel`` and its identity-output and
-    orthonormal-weight constraints are checked on load.
+    orthonormal-weight constraints are checked on load.  A ``kind`` other
+    than those of :data:`GAR_KINDS`, or a chain whose models mix identity
+    and latent output covariances, raises ``ValueError``.
     """
     _check_schema(doc, GAR_SCHEMA)
+    kind = doc.get("kind")
+    if kind not in GAR_KINDS:
+        raise ValueError(f"kind: unknown model kind {kind!r} (expected one of {GAR_KINDS})")
     low = _tgp_from_doc(doc["low"], "low.")
     transitions = []
     level_low = low  # a model holding the pair's low level: sample count and output sizes
@@ -1255,7 +1247,6 @@ def gar_from_dict(doc: dict) -> GarModel:
             )
         )
         level_low = residual
-    kind = doc["kind"]
     model_cls = next((c for c in GarModel.__subclasses__() if c.kind == kind), GarModel)
     return model_cls(low=low, transitions=transitions, kind=kind)
 

@@ -31,8 +31,10 @@ adjoint pass over the same arrays (see ``_nll_core``).  On the eigen route
 the value pass factorizes and makes the one data solve, ``_solve``: it
 projects the data once, ``At = project(Yc) / A`` (M+1 mode products), and
 the quadratic form and log-determinant are read off ``At`` and ``A``.  The
-same solve gives the predictive mean, for both covariance classes, and the
-base of the latent non-subset NLL.  The adjoint pass stays in the joint
+same solve gives the latent model's predictive mean and the base of the
+latent non-subset NLL.  Identity-output prediction stays in input space too:
+one Cholesky of ``K + noise I`` gives ``k* G^-1``, the mean and the one
+variance term (``_input_space_weights``).  The adjoint pass stays in the joint
 eigenbasis: the adjoint of factor k is ``1/2 U_k (diag(c_k) - Q_k) U_k^T``
 with ``c_k`` the sum of ``lam_{-k} / A`` over the other axes and ``Q_k =
 At_(k) diag(lam_{-k}) At_(k)^T``, where ``lam_{-k}`` is the outer product of
@@ -61,7 +63,6 @@ from .kernels import (
     LatentFeatures,
     ard_gram,
     ard_gram_adjoint,
-    output_cov,
 )
 from .optim import OptimConfig, minimize
 from .tensalg import EigenFactors, as_float, kruskal_outer, tucker_apply
@@ -98,8 +99,9 @@ class TgpModel:
     ``__init__`` field, so ``dataclasses.replace`` starts every copy without
     one.
     ``output_features=None`` fixes every ``S_m`` to the identity, in which
-    case no output-mode covariance is ever allocated or factorized, and the
-    likelihood factorizes no eigenbasis either (only prediction does).
+    case no output-mode covariance is ever allocated or factorized, and
+    neither the likelihood nor prediction factorizes an eigenbasis: both run
+    in input space, and such a model has no ``eigenfactors``.
     """
 
     input_kernel: ArdKernelParams
@@ -146,23 +148,18 @@ class TgpModel:
     def centered(self) -> np.ndarray:
         return self.Y - self.offset
 
-    def output_covs(self):
-        """Per-mode output covariances; ints mark identity factors."""
-        if self.output_features is None:
-            return [int(d) for d in self.mode_sizes]
-        return [output_cov(self.output_features, m) for m in range(len(self.mode_sizes))]
-
     def eigenfactors(self, grams=None) -> EigenFactors:
         """Eigendecompositions of the input Gram and every output factor, made on first use.
 
         ``grams``, this model's :func:`_gram_parts`, are factorized when
-        given; otherwise they are built here.
+        given; otherwise they are built here.  Latent output covariances only.
         """
+        if self.output_features is None:
+            raise ValueError("no eigenbasis: identity output covariances are solved in input space")
         if self._eig is None:
             if grams is None:
                 grams = _gram_parts(self)
-            identity = [] if self.output_features is not None else self.output_covs()
-            self._eig = EigenFactors.from_matrices([K for _, _, K in grams] + identity)
+            self._eig = EigenFactors.from_matrices([K for _, _, K in grams])
         return self._eig
 
 
@@ -243,8 +240,8 @@ def _solve(model: TgpModel, scratch: dict | None = None):
 
     ``eigs`` is the model's eigenbasis, ``A`` the joint eigenvalues, ``T1 =
     project(Y - offset)`` and ``At = T1 / A``, so ``unproject(At)`` is
-    ``Sigma^{-1} vec(Y - offset)``.  Every TGP likelihood and prediction
-    reads this one solve.  With ``scratch`` the four tensors are its
+    ``Sigma^{-1} vec(Y - offset)``.  The latent-output likelihood and
+    prediction read this one solve.  With ``scratch`` the four tensors are its
     work arrays (see :func:`_nll_core`).
     """
     eigs = model.eigenfactors()
@@ -590,7 +587,7 @@ def tgp_fit(X, Y, config: FitConfig = FitConfig()):
 
 
 # ---------------------------------------------------------------------------
-# Prediction: exact conditional via the eigen pipeline
+# Prediction: exact conditional, on each covariance class's route
 # ---------------------------------------------------------------------------
 
 
@@ -620,8 +617,8 @@ class KronPsd:
 class KronSq:
     """Variance term ``sign * F diag(weights) F^T`` with Kronecker-factored F.
 
-    ``q_factor`` holds the per-query first-factor rows; ``factors[m] = None``
-    denotes an identity output factor. Only the diagonal is ever materialized.
+    ``q_factor`` holds the per-query first-factor rows. Only the diagonal is
+    ever materialized.
     """
 
     sign: float
@@ -630,11 +627,11 @@ class KronSq:
     weights: np.ndarray
 
     def diag(self) -> np.ndarray:
-        sq = [self.q_factor**2] + [None if F is None else F**2 for F in self.factors]
+        sq = [self.q_factor**2] + [F**2 for F in self.factors]
         return self.sign * tucker_apply(self.weights, sq)
 
     def sandwich(self, weights) -> "KronSq":
-        factors = [W.copy() if F is None else W @ F for W, F in zip(weights, self.factors)]
+        factors = [W @ F for W, F in zip(weights, self.factors)]
         return KronSq(self.sign, self.q_factor, factors, self.weights)
 
 
@@ -642,30 +639,50 @@ def _mean_factors(model: TgpModel, k_star: np.ndarray):
     """Factors producing the conditional mean from the projected data tensor."""
     eigs = model.eigenfactors()
     U0 = eigs.vectors[0]
-    facs = [k_star @ U0]
-    for U, lam in zip(eigs.vectors[1:], eigs.values[1:]):
-        facs.append(None if U is None else U * lam)
-    return facs
+    return [k_star @ U0] + [U * lam for U, lam in zip(eigs.vectors[1:], eigs.values[1:])]
+
+
+def _input_space_weights(model: TgpModel, Xs: np.ndarray):
+    """``(k* G^-1, diag(k* G^-1 k*^T))`` at the queries ``Xs``, identity outputs.
+
+    With ``G = K + noise I = L L^T`` (numpy's Cholesky and the triangular
+    inverse ``L^-1``, as in :func:`_input_space_core`) and ``h = k* L^-T``,
+    the weights are ``h L^-1`` and the quadratic form the row sums of ``h *
+    h``; all N x N or queries x N.
+    """
+    from scipy.linalg.lapack import dtrtri
+
+    k_star = ard_gram(model.input_kernel, Xs, model.X)
+    G = ard_gram(model.input_kernel, model.X, model.X) + model.noise * np.eye(model.n_samples)
+    l_inv, _ = dtrtri(np.linalg.cholesky(G), lower=1)
+    h = k_star @ l_inv.T
+    return h @ l_inv, np.einsum("ij,ij->i", h, h)
 
 
 def _predict_parts(model: TgpModel, x_star: np.ndarray):
     """Batched conditional mean (without offset) and noise-free variance terms.
 
-    The mean applies :func:`_mean_factors` to the data solve ``At``.  The
+    Identity output covariances are predicted in input space
+    (:func:`_input_space_weights`): the mean is ``k* G^-1 Y_(0)`` and the
+    variance the single term ``(amp - diag(k* G^-1 k*^T)) (x) I`` (Rasmussen
+    and Williams 2006, Algorithm 2.1, per output column).  For latent ones
+    the mean applies :func:`_mean_factors` to the data solve ``At``, and the
     exact conditional covariance is ``k** (x) S - B B^T`` with ``B = (k* U
-    (x) U_1 L_1 (x) ..) (A)^{-1/2}``, the same factors; both terms stay
-    closed under per-mode sandwiching, which is what the fidelity recursion
-    needs.
+    (x) U_1 L_1 (x) ..) (A)^{-1/2}``, the same factors.  Both kinds of term
+    stay closed under per-mode sandwiching, which is what the fidelity
+    recursion needs.
     """
     Xs = np.atleast_2d(np.asarray(x_star, dtype=float))
+    amp = np.full(Xs.shape[0], model.input_kernel.amplitude)
+    sizes = model.mode_sizes
+    if model.output_features is None:
+        weights, quad = _input_space_weights(model, Xs)
+        mean = weights @ model.centered.reshape(model.n_samples, -1)
+        return mean.reshape(-1, *sizes), [KronPsd(amp - quad, [None] * len(sizes), sizes)]
     k_star = ard_gram(model.input_kernel, Xs, model.X)
     eigs, A, _, At = _solve(model)
     facs = _mean_factors(model, k_star)
-    prior = KronPsd(
-        np.full(Xs.shape[0], model.input_kernel.amplitude),
-        [None if U is None else eigs.reconstruct(k + 1) for k, U in enumerate(eigs.vectors[1:])],
-        model.mode_sizes,
-    )
+    prior = KronPsd(amp, [eigs.reconstruct(k) for k in range(1, len(eigs.vectors))], sizes)
     return tucker_apply(At, facs), [prior, KronSq(-1.0, facs[0], facs[1:], 1.0 / A)]
 
 

@@ -100,20 +100,14 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int, out=None) ->
 def tucker_apply(tensor: np.ndarray, factors, mode_offset: int = 0, out=None) -> np.ndarray:
     """Apply a sequence of mode products, factor m at mode ``m + mode_offset``.
 
-    ``None`` entries stand for identity factors and are skipped (used by the
-    identity-output-covariance models to avoid touching those modes).
     ``out``, a pair of C-contiguous arrays, takes the products in turn (each
     must hold every product, and neither may hold ``tensor``); the result is
     then a view of one of them.
     """
     result = np.asarray(tensor)
-    applied = 0
     for m, factor in enumerate(factors):
-        if factor is None:
-            continue
-        dest = None if out is None else out[applied % 2]
+        dest = None if out is None else out[m % 2]
         result = mode_product(result, factor, m + mode_offset, out=dest)
-        applied += 1
     return result
 
 
@@ -218,10 +212,8 @@ def _clamp_psd(values: np.ndarray) -> np.ndarray:
 class EigenFactors:
     """Cached eigendecompositions of an input Gram K and output factors S_m.
 
-    ``vectors[k]`` may be ``None`` to denote an identity factor of size
-    ``len(values[k])`` (then ``values[k]`` is all ones); this is how the
-    identity-output-covariance models avoid allocating or factorizing any
-    d_m x d_m matrix.
+    Only latent-output models have one: identity output covariances are
+    solved in input space and never factorize an eigenbasis.
     """
 
     vectors: list = field(default_factory=list)
@@ -229,21 +221,13 @@ class EigenFactors:
 
     @classmethod
     def from_matrices(cls, mats) -> "EigenFactors":
-        """Factorize a list of PSD matrices; ints denote identity factors."""
+        """Factorize a list of PSD matrices."""
         vectors, values = [], []
         for m in mats:
-            if isinstance(m, (int, np.integer)):
-                vectors.append(None)
-                values.append(np.ones(int(m)))
-            else:
-                U, lam = sym_eig(m)
-                vectors.append(U)
-                values.append(_clamp_psd(lam))
+            U, lam = sym_eig(m)
+            vectors.append(U)
+            values.append(_clamp_psd(lam))
         return cls(vectors, values)
-
-    @property
-    def factor_sizes(self) -> tuple:
-        return tuple(len(v) for v in self.values)
 
     def joint_values(self, noise: float, out=None) -> np.ndarray:
         """Tensor of joint eigenvalues ``lam (o) lam_1 (o) .. + noise``.
@@ -261,7 +245,7 @@ class EigenFactors:
 
         ``out`` is the work pair of :func:`tucker_apply`.
         """
-        return tucker_apply(tensor, [None if U is None else U.T for U in self.vectors], out=out)
+        return tucker_apply(tensor, [U.T for U in self.vectors], out=out)
 
     def unproject(self, tensor: np.ndarray, out=None) -> np.ndarray:
         """Rotate back from the joint eigenbasis (apply U per mode).
@@ -273,6 +257,4 @@ class EigenFactors:
     def reconstruct(self, k: int) -> np.ndarray:
         """Dense k-th factor matrix (mainly for oracles and serialization)."""
         U, lam = self.vectors[k], self.values[k]
-        if U is None:
-            return np.diag(lam)
         return (U * lam) @ U.T

@@ -35,14 +35,16 @@ def gaussian_nll(y, mean, cov):
     return 0.5 * (r @ np.linalg.solve(cov, r) + logdet + y.size * LOG2PI)
 
 
+def output_factors(model: TgpModel) -> list:
+    """Dense per-mode output covariances, ``np.eye`` where ``S_m = I``."""
+    if model.output_features is None:
+        return [np.eye(d) for d in model.mode_sizes]
+    return [output_cov(model.output_features, m) for m in range(len(model.mode_sizes))]
+
+
 def dense_output_cov(model: TgpModel) -> np.ndarray:
     """Kronecker product of all output factors (identity when S_m = I)."""
-    mats = []
-    for m, d in enumerate(model.mode_sizes):
-        if model.output_features is None:
-            mats.append(np.eye(d))
-        else:
-            mats.append(output_cov(model.output_features, m))
+    mats = output_factors(model)
     return kron_all(mats) if mats else np.eye(1)
 
 
@@ -125,12 +127,7 @@ def dense_tgp_adjoints(model: TgpModel):
     T = 0.5 * (inv - np.outer(alpha, alpha))
     sizes = (model.n_samples, *model.mode_sizes)
     blocks = T.reshape(sizes + sizes)
-    factors = [ard_gram(model.input_kernel, model.X, model.X)]
-    for m, d in enumerate(model.mode_sizes):
-        if model.output_features is None:
-            factors.append(np.eye(d))
-        else:
-            factors.append(output_cov(model.output_features, m))
+    factors = [ard_gram(model.input_kernel, model.X, model.X)] + output_factors(model)
     gbars = [kron_partial(blocks, factors, k) for k in range(len(factors))]
     return gbars, float(np.trace(T))
 
@@ -608,7 +605,7 @@ class DenseNonsubsetPack(_Stage2Pack):
     def __init__(self, low_stack, y_high, template, w_init, w_mode, s_hat, s_low, n_matched):
         super().__init__(low_stack, y_high, template, w_init, w_mode)
         self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
-        self.s_low = [np.eye(s) if isinstance(s, int) else s for s in s_low]
+        self.s_low = s_low
 
     def _core(self, model, weights):
         from scipy.linalg import cho_factor, cho_solve
@@ -655,7 +652,7 @@ def dense_nonsubset_pack(model, dataset):
         trans.weights,
         "free",
         trans.workspace.s_hat,
-        model.low.output_covs(),
+        output_factors(model.low),
         trans.plan.n_matched,
     )
 
@@ -760,13 +757,13 @@ def column_stream_gamma_variance(trans, Xs, downstream, out_shape):
 
     Reference for ``gar._gamma_variance``: every column of a square root of
     ``S_hat (x) S_low`` is zero-padded into the augmented-low and residual
-    data tensors, projected into each model's eigenbasis in full, divided by
-    the joint eigenvalues, pushed through the prediction-mean factors and the
+    data tensors, projected in full into an eigenbasis of each model's
+    dense factors (``np.eye`` ones for identity outputs), divided by the
+    joint eigenvalues, pushed through the prediction-mean factors and the
     downstream weights, and the squared difference of the two paths is
     summed.  No rotated roots and no chunking.
     """
-    from mfgar.hogp import _mean_factors
-    from mfgar.tensalg import tucker_apply
+    from mfgar.tensalg import EigenFactors, tucker_apply
 
     ws, res = trans.workspace, trans.residual
     aug = ws.aug_low
@@ -777,17 +774,7 @@ def column_stream_gamma_variance(trans, Xs, downstream, out_shape):
         lam, U = np.linalg.eigh(s)
         return U * np.sqrt(np.clip(lam, 0.0, None))
 
-    roots = [root(ws.s_hat)] + [
-        np.eye(s) if isinstance(s, int) else root(s) for s in aug.output_covs()
-    ]
-
-    def chain(mean_facs, weights_list):
-        facs = []
-        for m, f in enumerate(mean_facs[1:]):
-            for w in weights_list:
-                f = w.factors[m] if f is None else w.factors[m] @ f
-            facs.append(f)
-        return [mean_facs[0]] + facs
+    roots = [root(ws.s_hat)] + [root(s) for s in output_factors(aug)]
 
     # (model, first imputed row, weights folded into the perturbation,
     #  weights composed after the model's own mean factors)
@@ -796,9 +783,14 @@ def column_stream_gamma_variance(trans, Xs, downstream, out_shape):
         (aug, n_low, None, [trans.weights] + list(downstream)),
         (res, n_matched, trans.weights, list(downstream)),
     ):
-        k_star = ard_gram(model.input_kernel, Xs, model.X)
-        eigs = model.eigenfactors()
-        facs = chain(_mean_factors(model, k_star), after)
+        K = ard_gram(model.input_kernel, model.X, model.X)
+        eigs = EigenFactors.from_matrices([K] + output_factors(model))
+        facs = [ard_gram(model.input_kernel, Xs, model.X) @ eigs.vectors[0]]
+        for m, (U, lam) in enumerate(zip(eigs.vectors[1:], eigs.values[1:])):
+            f = U * lam
+            for w in after:
+                f = w.factors[m] @ f
+            facs.append(f)
         paths.append((model, offset, fold, facs, eigs, eigs.joint_values(model.noise)))
 
     total = np.zeros((Xs.shape[0], *out_shape))

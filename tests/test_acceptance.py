@@ -41,6 +41,7 @@ from oracles import (
     make_random_nonsubset,
     make_random_tgp,
     make_random_two_level,
+    output_factors,
     scalar_ar_dense_nll,
 )
 
@@ -278,8 +279,8 @@ def test_criterion_6_degeneracy_chain():
     rho = -0.6
     trans.weights.factors[0][:] = rho
     trans.residual.Y = ds.levels[1].Y - rho * ds.levels[0].Y[:3]
-    s_l = float(model.low.output_covs()[0][0, 0])
-    s_r = float(trans.residual.output_covs()[0][0, 0])
+    s_l = float(output_factors(model.low)[0][0, 0])
+    s_r = float(output_factors(trans.residual)[0][0, 0])
     k_low = ArdKernelParams(
         model.low.input_kernel.log_amplitude + np.log(s_l),
         model.low.input_kernel.log_lengthscales,

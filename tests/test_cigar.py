@@ -22,7 +22,7 @@ from mfgar.gar import (
     gar_predict,
     gar_to_dict,
 )
-from mfgar.hogp import decode_array, encode_array, tgp_nll
+from mfgar.hogp import decode_array, encode_array, tgp_nll, tgp_predict
 from mfgar.optim import OptimConfig
 from mfgar.tensalg import track_eig_sizes
 from oracles import (
@@ -158,6 +158,26 @@ def test_cigar_nonsubset_fit_collapsed_path():
     assert orthonormality_error(model.transitions[0].weights) <= 1e-8
     pred = gar_predict(model, rng.uniform(0, 1, size=(3, 2)))
     assert np.all(pred.variance_diag >= 0)
+
+
+@pytest.mark.parametrize("unmatched", [0, 3], ids=["subset", "nonsubset"])
+def test_cigar_prediction_builds_no_eigenbasis(unmatched):
+    # Identity-output prediction runs in input space: neither tgp_predict
+    # nor gar_predict (with the non-subset imputation-variance term) makes
+    # an eigendecomposition, and no model of the chain caches an eigenbasis.
+    rng = np.random.default_rng(13)
+    ds = smooth_two_level(rng, n_high=6, unmatched=unmatched)
+    model = cigar_fit(ds, GarConfig(optim=OptimConfig(max_iters=15)))
+    trans = model.transitions[0]
+    assert trans.is_subset == (unmatched == 0)
+    q = rng.uniform(0, 1, size=(4, 2))
+    with track_eig_sizes() as sizes:
+        tgp_predict(model.low, q)
+        pred = gar_predict(model, q)
+    assert sizes == []
+    assert np.all(np.isfinite(pred.mean)) and np.all(pred.variance_diag >= 0)
+    tgps = [model.low, trans.residual] + ([] if trans.is_subset else [trans.workspace.aug_low])
+    assert all(m._eig is None for m in tgps)
 
 
 def test_cigar_subset_nll_matches_dense_joint_oracle():

@@ -35,6 +35,7 @@ from oracles import (
     low_stack,
     make_random_nonsubset,
     make_random_two_level,
+    output_factors,
     sample_from_model,
     scalar_ar_dense_nll,
 )
@@ -169,8 +170,8 @@ def test_scalar_outputs_match_classic_ar_density():
     trans.weights.factors[0][:] = rho
     trans.residual.Y = ds.levels[1].Y - rho * ds.levels[0].Y[:3]
     # scalar-output covariance factors are 1x1; fold them into the kernels
-    s_l = float(model.low.output_covs()[0][0, 0])
-    s_r = float(trans.residual.output_covs()[0][0, 0])
+    s_l = float(output_factors(model.low)[0][0, 0])
+    s_r = float(output_factors(trans.residual)[0][0, 0])
     from mfgar.kernels import ArdKernelParams
 
     k_low = ArdKernelParams(

@@ -17,6 +17,7 @@ from numpy.testing import assert_allclose
 from mfgar.cigar import CigarModel, cigar_fit
 from mfgar.gar import (
     GarConfig,
+    GarModel,
     MultiFidelityDataset,
     TuckerWeights,
     _IdentityOutputNonsubsetPack,
@@ -32,8 +33,9 @@ from mfgar.gar import (
     save_gar,
 )
 from mfgar.hogp import encode_array, tgp_nll
+from mfgar.kernels import LatentFeatures
 from mfgar.optim import OptimConfig
-from mfgar.tensalg import kron_all, vec
+from mfgar.tensalg import kron_all, track_eig_sizes, vec
 from oracles import (
     column_stream_gamma_variance,
     dense_capacitance_corrected_nll,
@@ -285,18 +287,20 @@ def test_gamma_variance_matches_column_stream_reference(
     assert_allclose(_gamma_variance(trans, Xq, [down], down_modes), ref, rtol=1e-10)
 
 
-def test_gamma_variance_mixed_output_covariances_matches_reference():
-    # Latent low covariances with an identity-output residual: the residual
-    # path's mean factors are identities, with and without downstream weights.
-    rng = np.random.default_rng(19)
-    model, _ = make_random_nonsubset(rng, 5, 2, 3, (2, 3), (3, 2))
+def test_identity_output_gamma_variance_builds_no_eigenbasis():
+    # With identity outputs the imputation-variance term reads k* G^-1 of
+    # both paths: no eigendecomposition, not even of S_hat, and no cached
+    # eigenbasis, and it still matches the column stream.
+    rng = np.random.default_rng(21)
+    model, _ = make_random_nonsubset(rng, 5, 2, 3, (2, 3), (4, 3), identity_outputs=True)
     trans = model.transitions[0]
-    trans = replace(trans, residual=replace(trans.residual, output_features=None))
-    down = TuckerWeights([rng.standard_normal((2, 3)), rng.standard_normal((4, 2))])
+    down = TuckerWeights([rng.standard_normal((3, 4)), rng.standard_normal((2, 3))])
     Xq = rng.uniform(-1, 1, size=(3, 2))
-    for chain, shape in (([], (3, 2)), ([down], (2, 4))):
-        ref = column_stream_gamma_variance(trans, Xq, chain, shape)
-        assert_allclose(_gamma_variance(trans, Xq, chain, shape), ref, rtol=1e-10)
+    with track_eig_sizes() as sizes:
+        gamma = _gamma_variance(trans, Xq, [down], (3, 2))
+    assert sizes == []
+    assert trans.residual._eig is None and trans.workspace.aug_low._eig is None
+    assert_allclose(gamma, column_stream_gamma_variance(trans, Xq, [down], (3, 2)), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -911,4 +915,52 @@ def test_bundle_refuses_float_plan_indices(name):
     doc["transitions"][0]["plan"][name] = encode_array(indices)
     assert doc["transitions"][0]["plan"][name]["dtype"] == "<f8"
     with pytest.raises(ValueError, match=rf"^transitions\[0\]\.plan\.{name}: dtype '<f8'"):
+        gar_from_dict(doc)
+
+
+def test_bundle_refuses_an_unknown_kind():
+    rng = np.random.default_rng(32)
+    model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (2,))
+    doc = gar_to_dict(model)
+    doc["kind"] = "foo"
+    with pytest.raises(ValueError, match=r"^kind: unknown model kind 'foo'"):
+        gar_from_dict(doc)
+
+
+def test_model_refuses_mixed_output_covariances():
+    # The low, residual and imputation models share one output-covariance
+    # kind: swapping any one of them to the other kind is refused.
+    rng = np.random.default_rng(33)
+    model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (3,))
+    trans, ws = model.transitions[0], model.transitions[0].workspace
+    edits = [
+        replace(trans, residual=replace(trans.residual, output_features=None)),
+        replace(trans, workspace=replace(ws, aug_low=replace(ws.aug_low, output_features=None))),
+    ]
+    for edited in edits:
+        with pytest.raises(ValueError, match="mixed output covariances"):
+            GarModel(low=model.low, transitions=[edited])
+    cig, _ = make_random_nonsubset(
+        rng, 5, 1, 2, (2,), (3,), identity_outputs=True, orthonormal_w=True
+    )
+    trans = cig.transitions[0]
+    latent = LatentFeatures.initialize(trans.residual.mode_sizes)
+    with pytest.raises(ValueError, match="mixed output covariances"):
+        CigarModel(
+            low=cig.low,
+            transitions=[replace(trans, residual=replace(trans.residual, output_features=latent))],
+            kind="cigar",
+        )
+
+
+@pytest.mark.parametrize("edited", ["residual", "low"])
+def test_bundle_refuses_mixed_output_covariances(edited):
+    # A latent bundle whose residual or low model is edited to identity
+    # output covariances loads no model.
+    rng = np.random.default_rng(34)
+    model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (3,))
+    doc = gar_to_dict(model)
+    node = doc["low"] if edited == "low" else doc["transitions"][0]["residual"]
+    node["output_features"] = None
+    with pytest.raises(ValueError, match="mixed output covariances"):
         gar_from_dict(doc)

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfgar.hogp import TgpModel, _solve
-from mfgar.kernels import ArdKernelParams
+from mfgar.kernels import ArdKernelParams, LatentFeatures
 from mfgar.tensalg import (
     EigenFactors,
     kron_all,
@@ -35,10 +35,13 @@ def quad_logdet(eigs, noise, y):
 
 def solve_quad_logdet(y, noise):
     """:func:`quad_logdet` through ``hogp._solve`` on a TGP whose covariance is
-    ``(1 + noise) I``: unit amplitude, inputs too far apart to correlate,
-    identity output factors."""
+    ``(1 + noise) I``: unit amplitudes, and inputs and latent output
+    coordinates too far apart to correlate."""
     X = 100.0 * np.arange(len(y))[:, None]
-    model = TgpModel(ArdKernelParams(0.0, np.zeros(1)), None, np.log(noise), X, y)
+    unit = ArdKernelParams(0.0, np.zeros(1))
+    coords = [100.0 * np.arange(d)[:, None] for d in y.shape[1:]]
+    feats = LatentFeatures(coords, [unit] * len(coords))
+    model = TgpModel(unit, feats, np.log(noise), X, y)
     _, A, T1, At = _solve(model)
     return float(np.sum(T1 * At)), float(np.sum(np.log(A)))
 
@@ -89,7 +92,6 @@ def test_tucker_apply_identity_factors_noop():
     t = rng.standard_normal((3, 4))
     out = tucker_apply(t, [np.eye(3), np.eye(4)])
     assert_allclose(out, t, rtol=1e-15)
-    assert_allclose(tucker_apply(t, [None, None]), t)
 
 
 def test_single_mode_product_matches_direct_summation():
@@ -148,15 +150,12 @@ def test_mode_product_matches_einsum_on_strided_views():
 def test_tucker_apply_offset_matches_einsum_on_strided_views():
     rng = np.random.default_rng(41)
     for t in _strided_views(rng):
-        for skip in range(t.ndim - 1):
-            facs = [
-                None if m == skip else rng.standard_normal((d, d + 1)).T
-                for m, d in enumerate(t.shape[1:])
-            ]
+        for n_facs in range(1, t.ndim):
+            # factors for the first n_facs modes after the offset
+            facs = [rng.standard_normal((d, d + 1)).T for d in t.shape[1 : n_facs + 1]]
             expected = t
             for m, f in enumerate(facs):
-                if f is not None:
-                    expected = _einsum_mode_product(expected, f, m + 1)
+                expected = _einsum_mode_product(expected, f, m + 1)
             out = tucker_apply(t, facs, mode_offset=1)
             assert_allclose(out, expected, rtol=1e-12, atol=1e-13)
 
@@ -235,22 +234,10 @@ def test_logdet_noise_monotone():
     assert np.all(np.diff(logdets) > 0)
 
 
-def test_identity_factor_markers():
-    rng = np.random.default_rng(13)
-    K = random_spd(rng, 3)
-    y = rng.standard_normal((3, 4))
-    eigs = EigenFactors.from_matrices([K, 4])
-    assert eigs.vectors[1] is None
-    quad, logdet = quad_logdet(eigs, 0.1, y)
-    sigma = np.kron(K, np.eye(4)) + 0.1 * np.eye(12)
-    assert_allclose(quad, vec(y) @ np.linalg.solve(sigma, vec(y)), rtol=1e-9)
-    assert_allclose(logdet, np.linalg.slogdet(sigma)[1], rtol=1e-9)
-
-
 def test_track_eig_sizes_records_dimensions():
     rng = np.random.default_rng(14)
     with track_eig_sizes() as sizes:
-        EigenFactors.from_matrices([random_spd(rng, 3), 7, random_spd(rng, 5)])
+        EigenFactors.from_matrices([random_spd(rng, 3), random_spd(rng, 5)])
     assert sizes == [3, 5]
 
 
