@@ -34,8 +34,10 @@ print(f"design: {dataset.levels[0].n_samples} coarse, {dataset.levels[1].n_sampl
       f"matched {plan.n_matched}, imaginary {plan.n_unmatched}")
 
 model = gar_fit_recursive(dataset, GarConfig(optim=OptimConfig(max_iters=120, step=0.05)))
-ws = model.transitions[0].workspace
-print(f"imputation: posterior mean at {ws.x_hat.shape[0]} imaginary inputs, "
+trans = model.transitions[0]
+ws = trans.workspace
+x_hat = trans.residual.X[trans.plan.n_matched :]  # the unmatched (imaginary) inputs
+print(f"imputation: posterior mean at {x_hat.shape[0]} imaginary inputs, "
       f"input-space uncertainty trace {np.trace(ws.s_hat):.3e}")
 print("fit objective: imputed residual (no imputation-uncertainty inflation)")
 print(f"exact marginal NLL of the fit (imaginary block integrated out): "

@@ -5,33 +5,34 @@ With every output covariance fixed to the identity and the weight factors
 constrained to orthonormal columns, all likelihood algebra collapses onto
 N x N input-space matrices.  The stage-1 fit and the subset stage-2
 objective are multi-channel GPs with one shared kernel, scored by
-``hogp._input_space_core``: one Cholesky of ``K + noise I`` and the N x N
-Gram of the data (built once for stage 1, from the residual at each stage-2
-evaluation), so their cost per evaluation does not grow with the output
-size beyond forming that residual and, for the weight gradient, one N x N
-by N x d product.  The fit optimizes unconstrained matrices and uses their
-polar factors as W.
+``hogp._input_space_core``: one ``hogp._input_factor`` of ``K + noise I``
+and the N x N Gram of the data (built once for stage 1, from the residual
+at each stage-2 evaluation), so their cost per evaluation does not grow
+with the output size beyond forming that residual and, for the weight
+gradient, one N x N by N x d product.  The fit optimizes unconstrained
+matrices and uses their polar factors as W.
 
 On non-subset data the correction block becomes ``embed(S_hat) (x) W
 W^T``.  The fit objective and the exact NLL (``gar_nll_nonsubset``) share
-one routine, exact for any W: whitening by ``chol(G0)`` (``G0`` the residual input Gram
-plus noise), one N_h x N_h eigendecomposition and the SVD of each weight
-factor diagonalize the corrected covariance, with eigenvalues
-``1 + beta (o) mu_1 (o) ..``.  Orthonormal W is the case where every
+one routine, exact for any W: whitening by ``L^-1`` of ``G0 = L L^T`` (the
+residual input Gram plus noise), one N_h x N_h eigendecomposition and the
+SVD of each weight factor diagonalize the corrected covariance (eigenvalues
+``1 + beta (o) mu_1 (o) ..``).  Orthonormal W is the case where every
 ``mu`` is 0 or 1, and the diagonalization reduces to the projector split
 
     (G0 (x) I + B (x) P)^{-1} = G0^{-1} (x) (I - P) + (G0 + B)^{-1} (x) P,
 
 with ``P = W W^T`` the per-mode projector.  Prediction stays in input
 space as well: each level's mean and variance are read off ``k* G^-1`` from
-one Cholesky of its ``K + noise I``, and the imputation-variance term is
-``diag(delta S_hat delta^T)``, ``delta`` the difference of two such weights
-on the imputed rows, times the squared row norms of the composed weights.
-So neither the fit, the NLL nor the prediction ever builds an ``N_h d_h``
-matrix, a Kronecker root column or a model's eigenbasis.  Predictive means
-coincide with the full model's means when the latter also carries identity
-output covariances (the mean never depends on the output covariance);
-predictive variances are the price paid for the speedup.
+one factorization of its ``K + noise I``, and the imputation-variance term
+is ``diag(delta S_hat delta^T)``, ``delta`` the difference of those two
+paths' ``k* G^-1`` on the imputed rows, times the squared row norms of the
+composed weights.  So neither the fit, the NLL nor the prediction ever
+builds an ``N_h d_h`` matrix, a Kronecker root column or a model's
+eigenbasis.  Predictive means coincide with the full model's means when the
+latter also carries identity output covariances (the mean never depends on
+the output covariance); predictive variances are the price paid for the
+speedup.
 """
 
 from __future__ import annotations

@@ -39,8 +39,7 @@ from .hogp import (
     _check_schema,
     _gram_parts,
     _initial_model,
-    _input_space_weights,
-    _mean_factors,
+    _input_factor,
     _nll_core,
     _nll_value,
     _predict_parts,
@@ -79,6 +78,8 @@ class FidelityLevel:
             self.Y = self.Y[:, None]
         if self.Y.shape[0] != self.X.shape[0]:
             raise ValueError("sample counts of X and Y differ")
+        if self.X.shape[0] == 0:
+            raise ValueError("empty fidelity level: X and Y have no samples")
         for name, values in (("X", self.X), ("Y", self.Y)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} contains non-finite values")
@@ -104,9 +105,13 @@ class MultiFidelityDataset:
     levels: list
 
     def __post_init__(self):
-        self.levels = [
-            lv if isinstance(lv, FidelityLevel) else FidelityLevel(*lv) for lv in self.levels
-        ]
+        levels = []
+        for i, lv in enumerate(self.levels):
+            try:
+                levels.append(lv if isinstance(lv, FidelityLevel) else FidelityLevel(*lv))
+            except ValueError as err:
+                raise ValueError(f"level {i}: {err}") from None
+        self.levels = levels
         if len(self.levels) < 1:
             raise ValueError("dataset needs at least one level")
         dims = {lv.X.shape[1] for lv in self.levels}
@@ -229,16 +234,15 @@ class TuckerWeights:
 class NonSubsetWorkspace:
     """Imaginary-subset quantities for one non-subset transition.
 
-    All three are functions of the pair's fitted low model and the unmatched
-    inputs, built by ``_nonsubset_workspace`` only and never serialized:
-    ``x_hat`` are the unmatched inputs, ``s_hat`` the low model's
-    input-space posterior covariance there, and ``aug_low`` the low model
-    augmented with the posterior means at ``x_hat`` as pseudo-observations
+    Both are functions of the pair's fitted low model and the unmatched
+    inputs (the residual's inputs from ``plan.n_matched`` on), built by
+    ``_nonsubset_workspace`` only and never serialized: ``s_hat`` is the low
+    model's input-space posterior covariance there, and ``aug_low`` the low
+    model augmented with the posterior means there as pseudo-observations
     (its trailing rows are the imputed mean, and it is the operator behind
     the corrected prediction).
     """
 
-    x_hat: np.ndarray
     s_hat: np.ndarray
     aug_low: TgpModel
 
@@ -532,20 +536,16 @@ def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: n
 
     Returns the ``_Stage2Pack._core`` triple ``(value, grams, adjoint)``.
     The value pass is the parts of ``K_r`` (``grams``, the only Gram), the
-    Cholesky, the eigendecomposition, the SVDs, ``Z``, the quadratic form
-    and the log-determinant; ``adjoint()`` forms ``Zh``,
-    ``alpha`` and the adjoints from them and returns ``([gbar_g0], d_noise,
-    alpha, w_cov_grads)``, the noise-variance partial being ``tr(gbar_g0)``.
+    ``hogp._input_factor`` of ``G0``, the eigendecomposition, the SVDs,
+    ``Z``, the quadratic form and the log-determinant; ``adjoint()`` forms
+    ``Zh``, ``alpha`` and the adjoints from them and returns ``([gbar_g0],
+    d_noise, alpha, w_cov_grads)``, the noise partial being ``tr(gbar_g0)``.
     """
-    from scipy.linalg import solve_triangular
-
     n_high = res.n_samples
     grams = _gram_parts(res)
-    K_r = grams[0][2]
-    L = np.linalg.cholesky(K_r + res.noise * np.eye(n_high))
-    half = solve_triangular(L, b_input, lower=True)
-    Q, beta = sym_eig(solve_triangular(L, half.T, lower=True))
-    t0 = solve_triangular(L, Q, lower=True, trans="T").T
+    l_inv, logdet_g0 = _input_factor(res, grams[0][2])
+    Q, beta = sym_eig(l_inv @ b_input @ l_inv.T)
+    t0 = Q.T @ l_inv
     rotations, mus = [t0], [beta]
     for w in weights.factors:
         V, s, _ = np.linalg.svd(w)
@@ -558,7 +558,7 @@ def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: n
         raise np.linalg.LinAlgError("corrected covariance not positive definite")
     Z = tucker_apply(res.centered, rotations)
     quad = float((Z * Z / A).sum())
-    logdet = 2.0 * res.output_size * float(np.log(np.diag(L)).sum()) + float(np.log(A).sum())
+    logdet = res.output_size * logdet_g0 + float(np.log(A).sum())
     value = 0.5 * (quad + logdet + n_high * res.output_size * LOG2PI)
 
     def adjoint():
@@ -648,17 +648,14 @@ def _residual_template(X_res, mode_sizes_high, low_model, config: GarConfig, res
 def _nonsubset_workspace(low: TgpModel, x_hat: np.ndarray) -> NonSubsetWorkspace:
     """Impute the low level at the unmatched inputs ``x_hat`` from its fitted model."""
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=float))
-    imputed = tgp_predict(low, x_hat).mean
-    K = ard_gram(low.input_kernel, low.X, low.X)
-    k_hat = ard_gram(low.input_kernel, x_hat, low.X)
-    k_hh = ard_gram(low.input_kernel, x_hat, x_hat)
-    chol = np.linalg.cholesky(K + low.noise * np.eye(K.shape[0]))
-    half = np.linalg.solve(chol, k_hat.T)
-    s_hat = k_hh - half.T @ half
+    imputed = _predict_parts(low, x_hat)[0] + low.offset
+    l_inv, _ = _input_factor(low)
+    h = ard_gram(low.input_kernel, x_hat, low.X) @ l_inv.T
+    s_hat = ard_gram(low.input_kernel, x_hat, x_hat) - h @ h.T
     aug_low = replace(
         low, X=np.vstack([low.X, x_hat]), Y=np.concatenate([low.Y, imputed], axis=0)
     )
-    return NonSubsetWorkspace(x_hat=x_hat, s_hat=0.5 * (s_hat + s_hat.T), aug_low=aug_low)
+    return NonSubsetWorkspace(s_hat=0.5 * (s_hat + s_hat.T), aug_low=aug_low)
 
 
 def _fit_transition(
@@ -1013,54 +1010,52 @@ def _fold_weights(facs: list, chain: list) -> list:
     return out
 
 
-def _gamma_variance(trans: GarTransition, Xs: np.ndarray, downstream, out_shape):
+def _gamma_variance(trans: GarTransition, op_aug, op_res, downstream, out_shape):
     """Diagonal of the imputation-uncertainty term of the predictive variance.
 
     The term is the prediction mean's sensitivity to the imputed block
     (augmented-low path minus residual path, through every downstream
     weight) applied to a square root ``R_0 (x) R_1 (x) ..`` of the
     imputation covariance ``S_hat (x) S_low``, squared and summed over the
-    root's columns.  The roots are rotated into each path's eigenbasis once
-    per mode (``g_k``), and the input mode is contracted first, once per
-    path: ``B[s, c0, p..] = sum_i k_fac[s, i] g_0[i, c0] / A[i, p..]``.
-    Each output mode is then one Khatri-Rao factor
-    ``E_k[(j, c), p] = f_k[j, p] g_k[p, c]`` with the two paths stacked
-    along ``p``, against the block-diagonal core ``diag(B_aug, -B_res)``,
-    so one Tucker product per (query, imputed row) gives the difference of
-    the paths for every root column at once; its squares summed over the
-    ``c`` axes are the term.  The products are formed in bounded blocks
-    (``_khatri_rao_blocks``), and no root column is built.
+    root's columns, read off the paths' mean operators ``op_aug`` and
+    ``op_res`` (``hogp._predict_parts``'s).  The roots are rotated into each
+    path's eigenbasis once per mode (``g_k``), and the input mode is
+    contracted first, once per path:
+    ``B[s, c0, p..] = sum_i k_fac[s, i] g_0[i, c0] / A[i, p..]``.  Each
+    output mode is then one Khatri-Rao factor ``E_k[(j, c), p] = f_k[j, p]
+    g_k[p, c]`` with the two paths stacked along ``p``, against the
+    block-diagonal core ``diag(B_aug, -B_res)``, so one Tucker product per
+    (query, imputed row) gives the difference of the paths for every root
+    column at once; its squares summed over the ``c`` axes are the term.
+    The products are formed in bounded blocks (``_khatri_rao_blocks``), and
+    no root column is built.
 
     With identity output covariances (on both paths: a chain has one kind)
     the term factorizes as ``gamma[s, j] = a[s] b[j]``: ``a = diag(delta
-    S_hat delta^T)``, ``delta`` the difference of the two paths' input-space
-    weights ``k* G^-1`` (``hogp._input_space_weights``) on the imputed rows,
-    and ``b`` the squared row norms of the composed weights ``D_m .. W_m``
-    per mode.  No root, no eigendecomposition and no output-sized product is
-    formed there.
+    S_hat delta^T)``, ``delta`` the difference of the two paths' operators
+    ``k* G^-1`` on the imputed rows, and ``b`` the squared row norms of the
+    composed weights ``D_m .. W_m`` per mode.  No root, no
+    eigendecomposition and no output-sized product is formed there.
     """
     ws = trans.workspace
     aug = ws.aug_low
     res = trans.residual
-    n_star = Xs.shape[0]
     n_m = ws.s_hat.shape[0]
     n_low = aug.n_samples - n_m
     n_matched = trans.plan.n_matched
 
     if res.output_features is None:
         # k_* G^-1 on the imputed rows, augmented-low path minus residual path
-        diff = (
-            _input_space_weights(aug, Xs)[0][:, n_low:]
-            - _input_space_weights(res, Xs)[0][:, n_matched:]
-        )
+        diff = op_aug[:, n_low:] - op_res[:, n_matched:]
         facs = _fold_weights(trans.weights.factors, downstream)
         a = np.einsum("ij,ij->i", diff @ ws.s_hat, diff)
         return kruskal_outer([a] + [np.sum(f * f, axis=1) for f in facs])
 
     # Prediction-mean operators (projected-basis form), with the weights the
     # path passes through folded into the per-mode output factors.
-    k_fac_aug, *facs_aug = _mean_factors(aug, ard_gram(aug.input_kernel, Xs, aug.X))
-    k_fac_res, *facs_res = _mean_factors(res, ard_gram(res.input_kernel, Xs, res.X))
+    k_fac_aug, *facs_aug = op_aug
+    k_fac_res, *facs_res = op_res
+    n_star = k_fac_aug.shape[0]
     facs_aug = _fold_weights(facs_aug, [trans.weights, *downstream])
     facs_res = _fold_weights(facs_res, downstream)
     roots = _imputation_roots(ws.s_hat, aug)
@@ -1106,39 +1101,33 @@ def gar_predict(model: GarModel, x_star) -> PosteriorField:
     carried as structured Kronecker terms that stay closed under the
     per-mode weight transforms, so the reported variance diagonal is exact
     at any depth.  Observation noise of the top level is added at the end.
+    The imputation-variance terms read the mean operators of the mean pass.
     """
+    if not model.transitions:
+        return tgp_predict(model.low, x_star)
     Xs = np.atleast_2d(np.asarray(x_star, dtype=float))
     single = np.asarray(x_star).ndim == 1
-
-    first = model.transitions[0] if model.transitions else None
-    base = first.workspace.aug_low if (first is not None and first.workspace) else model.low
-    mean, terms = _predict_parts(base, Xs)
-    mean = mean + base.offset
-    gamma_jobs = []
-
     for i, trans in enumerate(model.transitions):
-        if i > 0 and trans.workspace is not None:
-            # Non-subset above the bottom pair: restart from the transition's
-            # own augmented low model (the objective conditioned on it).
-            mean, terms = _predict_parts(trans.workspace.aug_low, Xs)
-            mean = mean + trans.workspace.aug_low.offset
+        ws = trans.workspace
+        if i == 0 or ws is not None:
+            # the bottom pair's base, or a non-subset pair's own augmented low
+            base = model.low if ws is None else ws.aug_low
+            mean, terms, op_aug = _predict_parts(base, Xs)
+            mean = mean + base.offset
             gamma_jobs = []
         res = trans.residual
-        res_mean, res_terms = _predict_parts(res, Xs)
+        res_mean, res_terms, op_res = _predict_parts(res, Xs)
         mean = trans.weights.apply(mean) + (res_mean + res.offset)
         terms = [t.sandwich(trans.weights.factors) for t in terms] + res_terms
         for job in gamma_jobs:
-            job[1].append(trans.weights)
-        if trans.workspace is not None:
-            gamma_jobs.append((trans, []))
+            job[-1].append(trans.weights)
+        if ws is not None:
+            gamma_jobs.append((trans, op_aug, op_res, []))
 
-    out_shape = model.transitions[-1].residual.mode_sizes if model.transitions else model.low.mode_sizes
     var = sum(t.diag() for t in terms)
-    for trans, downstream in gamma_jobs:
-        var = var + _gamma_variance(trans, Xs, downstream, out_shape)
-    var = np.clip(var, 0.0, None)
-    top_noise = model.transitions[-1].residual.noise if model.transitions else model.low.noise
-    var = var + top_noise
+    for job in gamma_jobs:
+        var = var + _gamma_variance(*job, res.mode_sizes)
+    var = np.clip(var, 0.0, None) + res.noise
     if single:
         return PosteriorField(mean[0], var[0])
     return PosteriorField(mean, var)

@@ -19,10 +19,10 @@ route (``_nll_core`` dispatches on the class):
 - *Identity outputs*, ``(K + noise I) (x) I``, run in input space
   (``_input_space_core``): the covariance sees the data only through the
   N x N Gram ``Y_(0) Y_(0)^T`` of its sample-mode unfolding, so an
-  evaluation is one Cholesky of ``K + noise I`` and a few N x N solves, and
-  a fit whose data is fixed builds that Gram once.  Only the data adjoint
-  ``Sigma^-1 r`` that a stage-2 fit needs for its weight gradient is
-  output-sized.
+  evaluation is one Cholesky of ``K + noise I`` (``_input_factor``, which
+  every input-space solve reads) and a few N x N products, and a fit whose
+  data is fixed builds that Gram once.  Only the data adjoint ``Sigma^-1
+  r`` that a stage-2 fit needs for its weight gradient is output-sized.
 
 Gradients of the NLL are hand-derived adjoints (the eigen route's need
 eigenvalues and rotations only, never eigenvector derivatives, so they stay
@@ -33,8 +33,8 @@ projects the data once, ``At = project(Yc) / A`` (M+1 mode products), and
 the quadratic form and log-determinant are read off ``At`` and ``A``.  The
 same solve gives the latent model's predictive mean and the base of the
 latent non-subset NLL.  Identity-output prediction stays in input space too:
-one Cholesky of ``K + noise I`` gives ``k* G^-1``, the mean and the one
-variance term (``_input_space_weights``).  The adjoint pass stays in the joint
+``_input_factor`` gives ``k* G^-1``, the mean and the one variance term
+(``_predict_parts``).  The adjoint pass stays in the joint
 eigenbasis: the adjoint of factor k is ``1/2 U_k (diag(c_k) - Q_k) U_k^T``
 with ``c_k`` the sum of ``lam_{-k} / A`` over the other axes and ``Q_k =
 At_(k) diag(lam_{-k}) At_(k)^T``, where ``lam_{-k}`` is the outer product of
@@ -359,6 +359,27 @@ def _eigen_core(model: TgpModel, scratch: dict | None = None):
     return nll, grams, adjoint
 
 
+def _input_factor(model: TgpModel, K: np.ndarray | None = None):
+    """``(L^-1, log|G|)`` for ``G = K + noise I = L L^T``: every input-space solve reads it.
+
+    ``K``, the model's input Gram, is built here unless given.  A non-finite
+    ``G`` raises ``ValueError`` (LAPACK would factor it into NaN entries
+    without an error), one not positive definite ``LinAlgError``.
+    """
+    from scipy.linalg.lapack import dtrtri
+
+    if K is None:
+        K = ard_gram(model.input_kernel, model.X, model.X)
+    G = K + model.noise * np.eye(model.n_samples)
+    if not np.isfinite(G).all():
+        raise ValueError("input-space solve: non-finite Gram")
+    # numpy's Cholesky, as the eigen route's eigh: scipy's dpotrf would first
+    # touch about 0.5 MB more of scipy's own BLAS buffers in every process
+    L = np.linalg.cholesky(G)
+    l_inv, _ = dtrtri(L, lower=1)
+    return l_inv, 2.0 * float(np.log(L.diagonal()).sum())
+
+
 def _input_space_core(model: TgpModel, scratch: dict | None = None, data_gram=None):
     """:func:`_nll_core` for identity output covariances, ``(K + noise I) (x) I``.
 
@@ -372,31 +393,24 @@ def _input_space_core(model: TgpModel, scratch: dict | None = None, data_gram=No
         alpha = G^-1 Y_(0)
 
     (the shared-kernel multi-output GP; Rasmussen and Williams 2006, §5.4.1,
-    applied to each output column).  The value pass is one Cholesky, the
-    triangular inverse ``L^-1``, ``G^-1 = L^-T L^-1`` and ``G^-1 C``, the
-    adjoint pass one more product, all N x N; only ``alpha()`` touches
-    output-sized data, one N x N by N x d product into ``scratch``.  A
-    non-finite Gram raises ``ValueError`` and a ``G`` that is not positive
-    definite ``LinAlgError``.
+    applied to each output column).  The value pass is :func:`_input_factor`
+    of the Gram it built, ``G^-1 = L^-T L^-1`` and ``G^-1 C``, the adjoint
+    pass one more product, all N x N; only ``alpha()`` touches output-sized
+    data, one N x N by N x d product into ``scratch``.  A non-finite Gram
+    raises ``ValueError`` and a ``G`` that is not positive definite
+    ``LinAlgError``.
     """
-    from scipy.linalg.lapack import dtrtri
-
     grams = _gram_parts(model, scratch)
     n, d = model.n_samples, model.output_size
     Yc = None
     if data_gram is None:
         Yc = _centered(model, scratch).reshape(n, d)
         data_gram = np.matmul(Yc, Yc.T, out=_work(scratch, "C", (n, n)))
-    G = grams[0][2] + model.noise * np.eye(n)
-    if not (np.isfinite(G).all() and np.isfinite(data_gram).all()):
+    if not np.isfinite(data_gram).all():
         raise ValueError("input-space NLL: non-finite Gram")
-    # numpy's Cholesky, as the eigen route's eigh: scipy's dpotrf would first
-    # touch about 0.5 MB more of scipy's own BLAS buffers in every process
-    L = np.linalg.cholesky(G)  # LinAlgError where G is not positive definite
-    l_inv, _ = dtrtri(L, lower=1)
+    l_inv, logdet = _input_factor(model, grams[0][2])
     g_inv = l_inv.T @ l_inv
     solved = g_inv @ data_gram  # G^-1 C
-    logdet = 2.0 * float(np.log(L.diagonal()).sum())
     nll = 0.5 * (float(np.trace(solved)) + d * logdet + n * d * LOG2PI)
 
     def adjoint():
@@ -576,6 +590,9 @@ def tgp_fit(X, Y, config: FitConfig = FitConfig()):
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
+    for name, a in (("X", X), ("Y", Y)):
+        if a.shape[0] == 0:
+            raise ValueError(f"tgp_fit: {name} has no samples")
     offset = Y.mean(axis=0)
     feats = None
     if not config.identity_outputs:
@@ -593,24 +610,16 @@ def tgp_fit(X, Y, config: FitConfig = FitConfig()):
 
 @dataclass
 class KronPsd:
-    """Variance term ``scale_q * (S_1 (x) .. (x) S_M)`` per query point q.
-
-    ``mats[m] = None`` denotes an identity factor of size ``sizes[m]``.
-    """
+    """Variance term ``scale_q * (S_1 (x) .. (x) S_M)`` per query point q."""
 
     scale: np.ndarray
     mats: list
-    sizes: tuple
 
     def diag(self) -> np.ndarray:
-        diags = [
-            np.ones(s) if m is None else np.diag(m).copy() for m, s in zip(self.mats, self.sizes)
-        ]
-        return np.multiply.outer(self.scale, kruskal_outer(diags))
+        return np.multiply.outer(self.scale, kruskal_outer([np.diag(m) for m in self.mats]))
 
     def sandwich(self, weights) -> "KronPsd":
-        mats = [W @ W.T if S is None else W @ S @ W.T for W, S in zip(weights, self.mats)]
-        return KronPsd(self.scale, mats, tuple(W.shape[0] for W in weights))
+        return KronPsd(self.scale, [W @ S @ W.T for W, S in zip(weights, self.mats)])
 
 
 @dataclass
@@ -642,48 +651,34 @@ def _mean_factors(model: TgpModel, k_star: np.ndarray):
     return [k_star @ U0] + [U * lam for U, lam in zip(eigs.vectors[1:], eigs.values[1:])]
 
 
-def _input_space_weights(model: TgpModel, Xs: np.ndarray):
-    """``(k* G^-1, diag(k* G^-1 k*^T))`` at the queries ``Xs``, identity outputs.
-
-    With ``G = K + noise I = L L^T`` (numpy's Cholesky and the triangular
-    inverse ``L^-1``, as in :func:`_input_space_core`) and ``h = k* L^-T``,
-    the weights are ``h L^-1`` and the quadratic form the row sums of ``h *
-    h``; all N x N or queries x N.
-    """
-    from scipy.linalg.lapack import dtrtri
-
-    k_star = ard_gram(model.input_kernel, Xs, model.X)
-    G = ard_gram(model.input_kernel, model.X, model.X) + model.noise * np.eye(model.n_samples)
-    l_inv, _ = dtrtri(np.linalg.cholesky(G), lower=1)
-    h = k_star @ l_inv.T
-    return h @ l_inv, np.einsum("ij,ij->i", h, h)
-
-
 def _predict_parts(model: TgpModel, x_star: np.ndarray):
-    """Batched conditional mean (without offset) and noise-free variance terms.
+    """Batched conditional mean (without offset), noise-free variance terms and mean operator.
 
-    Identity output covariances are predicted in input space
-    (:func:`_input_space_weights`): the mean is ``k* G^-1 Y_(0)`` and the
-    variance the single term ``(amp - diag(k* G^-1 k*^T)) (x) I`` (Rasmussen
-    and Williams 2006, Algorithm 2.1, per output column).  For latent ones
-    the mean applies :func:`_mean_factors` to the data solve ``At``, and the
+    Identity output covariances are predicted in input space from
+    :func:`_input_factor`: with ``h = k* L^-T`` the operator is ``k* G^-1 =
+    h L^-1``, the mean ``k* G^-1 Y_(0)`` and the variance the single term
+    ``(amp - diag(k* G^-1 k*^T)) (x) I``, read off the row sums of ``h * h``
+    (Rasmussen and Williams 2006, Algorithm 2.1).  For latent ones the
+    operator :func:`_mean_factors` applies to the data solve ``At``, and the
     exact conditional covariance is ``k** (x) S - B B^T`` with ``B = (k* U
-    (x) U_1 L_1 (x) ..) (A)^{-1/2}``, the same factors.  Both kinds of term
-    stay closed under per-mode sandwiching, which is what the fidelity
-    recursion needs.
+    (x) U_1 L_1 (x) ..) (A)^{-1/2}``.  Both kinds of term stay closed under
+    per-mode sandwiching, which is what the fidelity recursion needs.
     """
     Xs = np.atleast_2d(np.asarray(x_star, dtype=float))
     amp = np.full(Xs.shape[0], model.input_kernel.amplitude)
     sizes = model.mode_sizes
-    if model.output_features is None:
-        weights, quad = _input_space_weights(model, Xs)
-        mean = weights @ model.centered.reshape(model.n_samples, -1)
-        return mean.reshape(-1, *sizes), [KronPsd(amp - quad, [None] * len(sizes), sizes)]
     k_star = ard_gram(model.input_kernel, Xs, model.X)
+    if model.output_features is None:
+        l_inv, _ = _input_factor(model)
+        h = k_star @ l_inv.T
+        op = h @ l_inv
+        mean = (op @ model.centered.reshape(model.n_samples, -1)).reshape(-1, *sizes)
+        prior = KronPsd(amp - np.einsum("ij,ij->i", h, h), [np.eye(s) for s in sizes])
+        return mean, [prior], op
     eigs, A, _, At = _solve(model)
-    facs = _mean_factors(model, k_star)
-    prior = KronPsd(amp, [eigs.reconstruct(k) for k in range(1, len(eigs.vectors))], sizes)
-    return tucker_apply(At, facs), [prior, KronSq(-1.0, facs[0], facs[1:], 1.0 / A)]
+    op = _mean_factors(model, k_star)
+    prior = KronPsd(amp, [eigs.reconstruct(k) for k in range(1, len(eigs.vectors))])
+    return tucker_apply(At, op), [prior, KronSq(-1.0, op[0], op[1:], 1.0 / A)], op
 
 
 def tgp_predict(model: TgpModel, x_star) -> PosteriorField:
@@ -695,7 +690,7 @@ def tgp_predict(model: TgpModel, x_star) -> PosteriorField:
     """
     x_star = np.asarray(x_star, dtype=float)
     single = x_star.ndim == 1
-    mean, terms = _predict_parts(model, x_star)
+    mean, terms, _ = _predict_parts(model, x_star)
     var = sum(t.diag() for t in terms)
     var = np.clip(var, 0.0, None) + model.noise
     mean = mean + model.offset

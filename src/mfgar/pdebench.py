@@ -151,7 +151,7 @@ def _dgtsv():
 def _tridiag_solve(lower, diag, upper, rhs):
     """Solve a tridiagonal system with LAPACK ``gtsv``; the inputs are not modified.
 
-    The same routine and arithmetic as ``scipy.linalg.solve_banded`` on (1, 1)
+    The same routine and arithmetic as scipy's ``solve_banded`` on (1, 1)
     bands, without its per-call validation; one unknown is a division, as there.
     """
     if diag.size == 1:

@@ -96,7 +96,8 @@ def test_criterion_2_nonsubset_marginal_identity():
         closed = gar_nll_nonsubset(model)
         oracle = dense_marginal_nonsubset_nll(
             model.low, trans.weights, trans.residual, trans.plan,
-            trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
+            trans.residual.X[trans.plan.n_matched :],
+            ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
         )
         worst = max(worst, abs(closed - oracle) / abs(oracle))
     elapsed = time.perf_counter() - start
@@ -131,7 +132,7 @@ def test_criterion_3_posterior_oracles():
         pred = gar_predict(model, Xq)
         mean_d, var_d = dense_nonsubset_predict(
             model.low, trans.weights, trans.residual, trans.plan,
-            trans.workspace.x_hat, ds.levels[0].Y, Xq,
+            trans.residual.X[trans.plan.n_matched :], ds.levels[0].Y, Xq,
         )
         scale_m = np.maximum(np.abs(mean_d), 1e-9)
         scale_v = np.maximum(np.abs(var_d), 1e-9)

@@ -180,6 +180,20 @@ def test_cigar_prediction_builds_no_eigenbasis(unmatched):
     assert all(m._eig is None for m in tgps)
 
 
+def test_cigar_nonsubset_prediction_factors_each_input_gram_once(monkeypatch):
+    # The mean pass factors the augmented-low and residual input Grams once
+    # each, and the imputation-variance term reads the mean operators it
+    # built instead of factoring them again.
+    rng = np.random.default_rng(14)
+    ds = smooth_two_level(rng, n_high=6, unmatched=3)
+    model = cigar_fit(ds, GarConfig(optim=OptimConfig(max_iters=15)))
+    trans = model.transitions[0]
+    chol_sizes = record_cholesky_sizes(monkeypatch)
+    pred = gar_predict(model, rng.uniform(0, 1, size=(4, 2)))
+    assert chol_sizes == [trans.workspace.aug_low.n_samples, trans.residual.n_samples]
+    assert np.all(np.isfinite(pred.mean)) and np.all(pred.variance_diag >= 0)
+
+
 def test_cigar_subset_nll_matches_dense_joint_oracle():
     # The collapsed likelihood evaluated at the fitted constrained parameters
     # equals the full dense joint density at those same parameters.

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mfgar.gar import (
+    FidelityLevel,
     GarConfig,
     MultiFidelityDataset,
     TuckerWeights,
@@ -57,6 +58,17 @@ def test_dataset_pads_modes_and_validates():
         MultiFidelityDataset(
             [(rng.uniform(size=(2, 2)), rng.uniform(size=(2, 3))), (rng.uniform(size=(5, 2)), rng.uniform(size=(5, 3)))]
         )
+
+
+def test_dataset_refuses_an_empty_level():
+    # An empty level is refused where it enters, naming the level, instead
+    # of failing the fit of its transition on a zero-size reduction.
+    rng = np.random.default_rng(0)
+    X, Y = rng.uniform(size=(4, 2)), rng.uniform(size=(4, 3))
+    with pytest.raises(ValueError, match=r"^level 1: empty fidelity level"):
+        MultiFidelityDataset([(X, Y), (np.empty((0, 2)), np.empty((0, 3)))])
+    with pytest.raises(ValueError, match="^empty fidelity level"):
+        FidelityLevel(np.empty((0, 2)), np.empty((0, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -32,7 +32,7 @@ from mfgar.gar import (
     load_gar,
     save_gar,
 )
-from mfgar.hogp import encode_array, tgp_nll
+from mfgar.hogp import _predict_parts, encode_array, tgp_nll
 from mfgar.kernels import LatentFeatures
 from mfgar.optim import OptimConfig
 from mfgar.tensalg import kron_all, track_eig_sizes, vec
@@ -76,7 +76,7 @@ def _high_given_low_oracle(model, ds):
         trans.weights,
         trans.residual,
         trans.plan,
-        trans.workspace.x_hat,
+        trans.residual.X[trans.plan.n_matched :],
         ds.levels[0].Y,
         ds.levels[1].Y[trans.plan.permutation],
     )
@@ -90,7 +90,8 @@ def test_closed_form_equals_full_dense_marginal():
     closed = gar_nll_nonsubset(model)
     oracle = dense_marginal_nonsubset_nll(
         model.low, trans.weights, trans.residual, trans.plan,
-        trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
+        trans.residual.X[trans.plan.n_matched :],
+        ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
     )
     assert_allclose(closed, oracle, rtol=1e-8)
 
@@ -104,7 +105,8 @@ def test_sandwich_orientation_resolution():
     res = trans.residual
     oracle = dense_marginal_nonsubset_nll(
         model.low, trans.weights, trans.residual, trans.plan,
-        trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
+        trans.residual.X[trans.plan.n_matched :],
+        ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
     )
     assert_allclose(gar_nll_nonsubset(model), oracle, rtol=1e-8)
 
@@ -136,7 +138,8 @@ def test_scalar_outputs_reduce_to_scalar_formula():
     trans = model.transitions[0]
     oracle = dense_marginal_nonsubset_nll(
         model.low, trans.weights, trans.residual, trans.plan,
-        trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
+        trans.residual.X[trans.plan.n_matched :],
+        ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
     )
     assert_allclose(gar_nll_nonsubset(model), oracle, rtol=1e-8)
 
@@ -163,7 +166,8 @@ def test_identity_output_nll_equals_dense_marginal(n_matched, low_modes, high_mo
     trans = model.transitions[0]
     oracle = dense_marginal_nonsubset_nll(
         model.low, trans.weights, trans.residual, trans.plan,
-        trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
+        trans.residual.X[trans.plan.n_matched :],
+        ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
     )
     assert_allclose(gar_nll_nonsubset(model), oracle, rtol=1e-8)
 
@@ -214,7 +218,7 @@ def test_nonsubset_predict_matches_dense_composition():
     pred = gar_predict(model, Xq)
     mean_d, var_d = dense_nonsubset_predict(
         model.low, trans.weights, trans.residual, trans.plan,
-        trans.workspace.x_hat, ds.levels[0].Y, Xq,
+        trans.residual.X[trans.plan.n_matched :], ds.levels[0].Y, Xq,
     )
     assert_allclose(pred.mean, mean_d, rtol=1e-7, atol=1e-10)
     assert_allclose(pred.variance_diag, var_d, rtol=1e-6, atol=1e-9)
@@ -227,12 +231,12 @@ def test_nonsubset_predict_identity_outputs_and_coincident_point():
     )
     trans = model.transitions[0]
     # query exactly at an imaginary input: must stay finite and match dense
-    Xq = np.vstack([trans.workspace.x_hat[0], rng.uniform(-1, 1, size=(1, 2))])
+    Xq = np.vstack([trans.residual.X[trans.plan.n_matched], rng.uniform(-1, 1, size=(1, 2))])
     pred = gar_predict(model, Xq)
     assert np.all(np.isfinite(pred.mean)) and np.all(pred.variance_diag >= 0)
     mean_d, var_d = dense_nonsubset_predict(
         model.low, trans.weights, trans.residual, trans.plan,
-        trans.workspace.x_hat, ds.levels[0].Y, Xq,
+        trans.residual.X[trans.plan.n_matched :], ds.levels[0].Y, Xq,
     )
     assert_allclose(pred.mean, mean_d, rtol=1e-7, atol=1e-10)
     assert_allclose(pred.variance_diag, var_d, rtol=1e-6, atol=1e-9)
@@ -281,10 +285,11 @@ def test_gamma_variance_matches_column_stream_reference(
     assert trans.plan.n_matched == 2
     down = TuckerWeights([rng.standard_normal((b, a)) for b, a in zip(down_modes, high_modes)])
     Xq = rng.uniform(-1, 1, size=(3, 2))
+    ops = [_predict_parts(m, Xq)[2] for m in (trans.workspace.aug_low, trans.residual)]
     ref = column_stream_gamma_variance(trans, Xq, [down], down_modes)
-    assert_allclose(_gamma_variance(trans, Xq, [down], down_modes), ref, rtol=1e-10)
+    assert_allclose(_gamma_variance(trans, *ops, [down], down_modes), ref, rtol=1e-10)
     monkeypatch.setattr(gar, "_KR_BLOCK", 1)
-    assert_allclose(_gamma_variance(trans, Xq, [down], down_modes), ref, rtol=1e-10)
+    assert_allclose(_gamma_variance(trans, *ops, [down], down_modes), ref, rtol=1e-10)
 
 
 def test_identity_output_gamma_variance_builds_no_eigenbasis():
@@ -297,7 +302,8 @@ def test_identity_output_gamma_variance_builds_no_eigenbasis():
     down = TuckerWeights([rng.standard_normal((3, 4)), rng.standard_normal((2, 3))])
     Xq = rng.uniform(-1, 1, size=(3, 2))
     with track_eig_sizes() as sizes:
-        gamma = _gamma_variance(trans, Xq, [down], (3, 2))
+        ops = [_predict_parts(m, Xq)[2] for m in (trans.workspace.aug_low, trans.residual)]
+        gamma = _gamma_variance(trans, *ops, [down], (3, 2))
     assert sizes == []
     assert trans.residual._eig is None and trans.workspace.aug_low._eig is None
     assert_allclose(gamma, column_stream_gamma_variance(trans, Xq, [down], (3, 2)), rtol=1e-10)
@@ -547,7 +553,8 @@ def test_nll_low_rank_route_matches_dense():
     assert np.array_equal(_corrected_nll_low_rank(certain, model.low), tgp_nll(trans.residual))
     oracle = dense_marginal_nonsubset_nll(
         model.low, trans.weights, trans.residual, trans.plan,
-        trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
+        trans.residual.X[trans.plan.n_matched :],
+        ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
     )
     assert_allclose(lowrank, oracle, rtol=1e-7)
 
@@ -563,7 +570,8 @@ def test_nll_low_rank_route_three_modes_matches_dense_marginal(monkeypatch):
     trans = model.transitions[0]
     oracle = dense_marginal_nonsubset_nll(
         model.low, trans.weights, trans.residual, trans.plan,
-        trans.workspace.x_hat, ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
+        trans.residual.X[trans.plan.n_matched :],
+        ds.levels[0].Y, ds.levels[1].Y[trans.plan.permutation],
     )
     assert_allclose(gar_nll_nonsubset(model), oracle, rtol=1e-7)
     monkeypatch.setattr(gar, "_KR_BLOCK", 1)
@@ -781,7 +789,7 @@ def assert_bundle_roundtrip(model, path, q):
     for t, b in zip(model.transitions, back.transitions):
         assert (t.workspace is None) == (b.workspace is None)
         if t.workspace is not None:
-            assert np.array_equal(b.workspace.x_hat, t.workspace.x_hat)
+            assert np.array_equal(b.workspace.aug_low.X, t.workspace.aug_low.X)
             assert np.array_equal(b.workspace.s_hat, t.workspace.s_hat)
     arrays, arrays_back = stored_arrays(model), stored_arrays(back)
     assert arrays_back.keys() == arrays.keys()

@@ -346,6 +346,15 @@ def test_gradient_audit_identity_outputs():
     assert grad_audit(pack.objective, pack.pack(model), eps=1e-5) < 1e-4
 
 
+@pytest.mark.parametrize("empty", ["X", "Y"])
+def test_tgp_fit_refuses_empty_data(empty):
+    rng = np.random.default_rng(0)
+    data = {"X": rng.uniform(size=(3, 2)), "Y": rng.uniform(size=(3, 4))}
+    data[empty] = data[empty][:0]
+    with pytest.raises(ValueError, match=f"^tgp_fit: {empty} has no samples"):
+        tgp_fit(data["X"], data["Y"])
+
+
 def test_fit_constant_outputs():
     rng = np.random.default_rng(8)
     X = rng.uniform(0, 1, size=(10, 2))
