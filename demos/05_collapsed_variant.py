@@ -60,7 +60,7 @@ print(f"exact non-subset NLL: {nll:.1f}")
 print("\n== wall-time scaling in the output dimension (fixed sample counts) ==")
 for d_high in (64, 256, 1024):
     ds = smooth_dataset(d_low=5, d_high=d_high)
-    cfg = GarConfig(optim=OptimConfig(max_iters=25, step=0.05), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=25, step=0.05))
     t0 = time.perf_counter()
     cigar_fit(ds, cfg)
     t_fast = time.perf_counter() - t0

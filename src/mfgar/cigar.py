@@ -12,12 +12,15 @@ with the output size beyond forming that residual and, for the weight
 gradient, one N x N by N x d product.  The fit optimizes unconstrained
 matrices and uses their polar factors as W.
 
-On non-subset data the correction block becomes ``embed(S_hat) (x) W
-W^T``.  The fit objective and the exact NLL (``gar_nll_nonsubset``) share
-one routine, exact for any W: whitening by ``L^-1`` of ``G0 = L L^T`` (the
-residual input Gram plus noise), one N_h x N_h eigendecomposition and the
-SVD of each weight factor diagonalize the corrected covariance (eigenvalues
-``1 + beta (o) mu_1 (o) ..``).  Orthonormal W is the case where every
+On non-subset data the correction block becomes ``B (x) W W^T``, where
+``B`` holds the imputation covariance ``S_hat`` on the imputed rows and
+zeros on the matched ones.  The fit objective and the exact NLL
+(``gar_nll_nonsubset``) share one routine, exact for any W: whitening by
+``L^-1`` of ``G0 = L L^T`` (the residual input Gram plus noise), one N_h x
+N_h eigendecomposition and the SVD of each weight factor diagonalize the
+corrected covariance (eigenvalues ``1 + beta (o) mu_1 (o) ..``).  Only the
+columns of ``L^-1`` that meet the imputed rows touch ``S_hat``, so ``B``
+itself is never formed.  Orthonormal W is the case where every
 ``mu`` is 0 or 1, and the diagonalization reduces to the projector split
 
     (G0 (x) I + B (x) P)^{-1} = G0^{-1} (x) (I - P) + (G0 + B)^{-1} (x) P,

@@ -37,6 +37,7 @@ from .hogp import (
     TgpModel,
     _TgpPack,
     _check_schema,
+    _entry,
     _gram_parts,
     _initial_model,
     _input_factor,
@@ -303,7 +304,6 @@ class GarConfig:
     optim: OptimConfig = OptimConfig()
     identity_outputs: bool = False
     w_mode: str = "free"  # free | scalar | identity | orthonormal
-    share_latents: bool = True  # aligned latent levels: the residual keeps the low coordinates
 
     def fit_config(self) -> FitConfig:
         return FitConfig(optim=self.optim, identity_outputs=self.identity_outputs)
@@ -362,13 +362,6 @@ def _ravel_all(mats) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Stage-2 objectives
 # ---------------------------------------------------------------------------
-
-
-def _embedded_cov(s_hat: np.ndarray, n_high: int, n_matched: int) -> np.ndarray:
-    """Imputation covariance ``S_hat`` embedded into the matched-first high row order."""
-    emb = np.zeros((n_high, n_high))
-    emb[n_matched:, n_matched:] = s_hat
-    return emb
 
 
 class _Stage2Pack:
@@ -517,16 +510,21 @@ class _ResidualPack(_Stage2Pack):
         return nll, grams, core_adjoint
 
 
-def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: np.ndarray):
+def _identity_output_objective(
+    res: TgpModel, weights: TuckerWeights, s_hat: np.ndarray, n_matched: int
+):
     """Corrected residual NLL with identity output covariances, and its adjoints.
 
     The covariance is ``G0 (x) I + B (x) W W^T`` with ``G0 = K_r + noise I =
-    L L^T`` and ``B = b_input``, the embedded imputation covariance.
-    Whitening by ``L`` and diagonalizing ``L^-1 B L^-T = Q diag(beta) Q^T``
-    (N_h x N_h) and, per mode, ``W_m W_m^T = V_m diag(mu_m) V_m^T`` (from the
-    SVD of ``W_m``) makes it diagonal, ``A = 1 + beta (o) mu_1 (o) ..``, in
-    the rotation ``T0 = Q^T L^-1`` and ``V_m^T``, for any W.  With ``Z`` the
-    rotated residual and ``Zh = Z / A`` the adjoints need no SVD derivative:
+    L L^T`` and ``B`` the imputation covariance ``s_hat`` on the imputed rows
+    (the residual rows from ``n_matched`` on), zero elsewhere.  ``B`` itself
+    is never formed: whitening by ``L`` needs only ``L^-1 B L^-T = M s_hat
+    M^T`` with ``M = L^-1[:, n_matched:]``.  Diagonalizing that, ``Q
+    diag(beta) Q^T`` (N_h x N_h), and, per mode, ``W_m W_m^T = V_m
+    diag(mu_m) V_m^T`` (from the SVD of ``W_m``) makes the covariance
+    diagonal, ``A = 1 + beta (o) mu_1 (o) ..``, in the rotation ``T0 = Q^T
+    L^-1`` and ``V_m^T``, for any W.  With ``Z`` the rotated residual and
+    ``Zh = Z / A`` the adjoints need no SVD derivative:
 
     - input Gram ``G0``: ``1/2 T0^T (diag(sum_j 1/A) - Zh_(0) Zh_(0)^T) T0``;
     - ``W_m`` through the covariance: ``V_m (diag(c_m) - N_m) V_m^T W_m``,
@@ -544,7 +542,8 @@ def _identity_output_objective(res: TgpModel, weights: TuckerWeights, b_input: n
     n_high = res.n_samples
     grams = _gram_parts(res)
     l_inv, logdet_g0 = _input_factor(res, grams[0][2])
-    Q, beta = sym_eig(l_inv @ b_input @ l_inv.T)
+    l_imp = l_inv[:, n_matched:]  # the columns of L^-1 that meet the imputed rows
+    Q, beta = sym_eig(l_imp @ s_hat @ l_imp.T)
     t0 = Q.T @ l_inv
     rotations, mus = [t0], [beta]
     for w in weights.factors:
@@ -587,10 +586,11 @@ class _IdentityOutputNonsubsetPack(_Stage2Pack):
 
     Every identity-output non-subset transition fits here, for any weight
     mode and block size: ``_identity_output_objective`` evaluates the
-    corrected residual NLL and its adjoints with one N_h x N_h
-    eigendecomposition and the SVD of each weight factor, so no output-sized
-    matrix is ever built.  ``gar_nll_nonsubset`` scores fitted models with
-    the same routine.
+    corrected residual NLL and its adjoints from ``s_hat`` and the matched
+    row count with one N_h x N_h eigendecomposition and the SVD of each
+    weight factor, so neither an output-sized matrix nor the zero-padded
+    N_h x N_h imputation covariance is ever built.  ``gar_nll_nonsubset``
+    scores fitted models with the same routine.
     """
 
     def __init__(
@@ -606,10 +606,11 @@ class _IdentityOutputNonsubsetPack(_Stage2Pack):
         if template.output_features is not None:
             raise ValueError("identity-output pack requires identity output covariances")
         super().__init__(low_stack, y_high, template, w_init, w_mode)
-        self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
+        self.s_hat = s_hat
+        self.n_matched = n_matched
 
     def _core(self, model: TgpModel, weights: TuckerWeights):
-        return _identity_output_objective(model, weights, self.b_input)
+        return _identity_output_objective(model, weights, self.s_hat, self.n_matched)
 
 
 # ---------------------------------------------------------------------------
@@ -620,15 +621,15 @@ class _IdentityOutputNonsubsetPack(_Stage2Pack):
 def _residual_template(X_res, mode_sizes_high, low_model, config: GarConfig, resid0=0.0):
     """Initial residual model and whether it shares the low level's latent coordinates.
 
-    With ``config.share_latents`` the residual takes over the low model's
-    latent coordinates (with fresh unit kernels) when both levels have latent
-    output covariances over the same mode sizes; otherwise it draws its own.
+    When both levels have latent output covariances over the same mode
+    sizes, the residual takes over the low model's latent coordinates (with
+    fresh unit kernels), which the fit then holds fixed; otherwise a latent
+    residual draws its own.
     Amplitude and noise are scaled to the residual ``resid0`` at the initial
     weights, as a plain TGP fit scales them to its data.
     """
     share = (
-        config.share_latents
-        and not config.identity_outputs
+        not config.identity_outputs
         and low_model is not None
         and low_model.output_features is not None
         and tuple(mode_sizes_high) == low_model.mode_sizes
@@ -968,8 +969,9 @@ def gar_nll_nonsubset(model: GarModel) -> float:
     carry identity output covariances (the conditional-independent model,
     or any ``identity_outputs`` fit), the correction diagonalizes in input
     space for any W through ``_identity_output_objective``, the routine the
-    fit's objective uses, and only an N_h x N_h matrix and the weight
-    factors are ever factorized.  For latent output covariances the NLL is
+    fit's objective uses, from ``S_hat`` on the imputed rows with no padded
+    copy, and only an N_h x N_h matrix and the weight factors are ever
+    factorized.  For latent output covariances the NLL is
     a low-rank update of the residual's eigen-solvable covariance
     (``_corrected_nll_low_rank``): one left-looking block Cholesky of the
     Woodbury capacitance, whose size is the unmatched count ``n_m`` times
@@ -986,8 +988,9 @@ def gar_nll_nonsubset(model: GarModel) -> float:
     if trans.is_subset:
         return low_part + tgp_nll(res)
     if res.output_features is None:
-        b_input = _embedded_cov(trans.workspace.s_hat, res.n_samples, trans.plan.n_matched)
-        value, _, _ = _identity_output_objective(res, trans.weights, b_input)  # value pass only
+        value, _, _ = _identity_output_objective(  # value pass only
+            res, trans.weights, trans.workspace.s_hat, trans.plan.n_matched
+        )
         return low_part + value
     return low_part + _corrected_nll_low_rank(trans, model.low)
 
@@ -1209,23 +1212,25 @@ def gar_from_dict(doc: dict) -> GarModel:
     kind = doc.get("kind")
     if kind not in GAR_KINDS:
         raise ValueError(f"kind: unknown model kind {kind!r} (expected one of {GAR_KINDS})")
-    low = _tgp_from_doc(doc["low"], "low.")
+    low = _tgp_from_doc(_entry(doc, "low", ""), "low.")
     transitions = []
     level_low = low  # a model holding the pair's low level: sample count and output sizes
-    for i, entry in enumerate(doc["transitions"]):
+    for i, entry in enumerate(_entry(doc, "transitions", "", list)):
         where = f"transitions[{i}]."
+        plan_doc = _entry(entry, "plan", where)
         plan = SubsetPlan(
             *(
-                decode_array(entry["plan"][name], f"{where}plan.{name}", "<i8")
+                decode_array(_entry(plan_doc, name, where + "plan."), f"{where}plan.{name}", "<i8")
                 for name in _PLAN_FIELDS
             )
         )
-        residual = _tgp_from_doc(entry["residual"], where + "residual.")
-        weights = [decode_array(f, f"{where}weights[{m}]") for m, f in enumerate(entry["weights"])]
+        residual = _tgp_from_doc(_entry(entry, "residual", where), where + "residual.")
+        weights = _entry(entry, "weights", where, list)
+        weights = [decode_array(f, f"{where}weights[{m}]") for m, f in enumerate(weights)]
         _check_stored_transition(where, plan, residual, weights, level_low)
         workspace = None
         if not plan.fully_matched:
-            pair_low = low if i == 0 else _tgp_from_doc(entry["low"], where + "low.")
+            pair_low = low if i == 0 else _tgp_from_doc(_entry(entry, "low", where), where + "low.")
             workspace = _nonsubset_workspace(pair_low, residual.X[plan.n_matched :])
         transitions.append(
             GarTransition(

@@ -122,6 +122,8 @@ class TgpModel:
         if self.output_features is not None:
             if self.output_features.mode_sizes != self.Y.shape[1:]:
                 raise ValueError("latent feature mode sizes do not match Y")
+        if not np.isfinite(self.log_noise):
+            raise ValueError(f"log_noise must be finite, got {self.log_noise!r}")
         self.log_noise = float(max(self.log_noise, _LOG_JITTER))
         if self.offset is None:
             self.offset = np.zeros(self.Y.shape[1:])
@@ -195,13 +197,10 @@ def _gram_parts(model: TgpModel, scratch: dict | None = None) -> list:
 def tgp_nll(model: TgpModel) -> float:
     """Negative log marginal likelihood, including the (Nd/2) log(2 pi) term.
 
-    Identity output covariances are scored in input space
-    (:func:`_input_space_core`), latent ones off the eigenbasis data solve
-    (:func:`_nll_value`).
+    The value pass of :func:`_nll_core`, on the route of the model's
+    covariance class.
     """
-    if model.output_features is None:
-        return _input_space_core(model)[0]
-    return _nll_value(model)[0]
+    return _nll_core(model)[0]
 
 
 def _work(scratch: dict | None, key, shape, order: str = "C"):
@@ -750,9 +749,35 @@ def decode_array(payload, name: str, expect: str | None = None) -> np.ndarray:
     return arr
 
 
-def _check_schema(doc: dict, schema: str):
-    if doc.get("schema") != schema:
-        raise ValueError(f"unsupported model schema {doc.get('schema')!r} (expected {schema!r})")
+def _entry(doc, key: str, where: str, kind: type = object):
+    """``doc[key]`` of the bundle object at path ``where`` ("" at the top, else ending in ".").
+
+    A ``doc`` that is no JSON object, a missing ``key`` or a value that is
+    not a ``kind`` raises ``ValueError`` starting with the path, as
+    :func:`decode_array`'s errors do.
+    """
+    if not isinstance(doc, dict):
+        name = where[:-1] or "bundle"
+        raise ValueError(f"{name}: expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{where}{key}: missing")
+    if not isinstance(doc[key], kind):
+        raise ValueError(f"{where}{key}: expected a {kind.__name__}, got {type(doc[key]).__name__}")
+    return doc[key]
+
+
+def _finite_entry(doc, key: str, where: str):
+    """:func:`_entry` for a scalar parameter: a finite JSON number."""
+    value = _entry(doc, key, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{where}{key}: expected a finite number, got {value!r}")
+    return value
+
+
+def _check_schema(doc, schema: str, where: str = ""):
+    found = _entry(doc, "schema", where)
+    if found != schema:
+        raise ValueError(f"{where}schema: unsupported model schema {found!r} (expected {schema!r})")
 
 
 def tgp_to_dict(model: TgpModel, dataset_ref: str | None = None) -> dict:
@@ -790,28 +815,30 @@ def tgp_from_dict(doc: dict) -> TgpModel:
 
 def _tgp_from_doc(doc: dict, prefix: str) -> TgpModel:
     """:func:`tgp_from_dict` with ``prefix`` (the document's path inside an
-    enclosing bundle) put before the array names in errors."""
-    _check_schema(doc, TGP_SCHEMA)
+    enclosing bundle, ending in ".") put before the field names in errors."""
+    _check_schema(doc, TGP_SCHEMA, prefix)
+
+    def kernel(node, where):
+        ls = decode_array(_entry(node, "log_lengthscales", where), where + "log_lengthscales")
+        return ArdKernelParams(_finite_entry(node, "log_amplitude", where), ls)
+
     feats = None
-    if doc["output_features"] is not None:
+    if _entry(doc, "output_features", prefix) is not None:
         coords, kerns = [], []
-        for m, f in enumerate(doc["output_features"]):
+        for m, f in enumerate(_entry(doc, "output_features", prefix, list)):
             where = f"{prefix}output_features[{m}]."
-            coords.append(decode_array(f["coords"], where + "coords"))
-            ls = decode_array(f["log_lengthscales"], where + "log_lengthscales")
-            kerns.append(ArdKernelParams(f["log_amplitude"], ls))
+            coords.append(decode_array(_entry(f, "coords", where), where + "coords"))
+            kerns.append(kernel(f, where))
         feats = LatentFeatures(coords, kerns)
-    ik = doc["input_kernel"]
+    arrays = {
+        name: decode_array(_entry(doc, name, prefix), prefix + name)
+        for name in ("X", "Y", "offset")
+    }
     return TgpModel(
-        input_kernel=ArdKernelParams(
-            ik["log_amplitude"],
-            decode_array(ik["log_lengthscales"], f"{prefix}input_kernel.log_lengthscales"),
-        ),
+        input_kernel=kernel(_entry(doc, "input_kernel", prefix), prefix + "input_kernel."),
         output_features=feats,
-        log_noise=doc["log_noise"],
-        X=decode_array(doc["X"], f"{prefix}X"),
-        Y=decode_array(doc["Y"], f"{prefix}Y"),
-        offset=decode_array(doc["offset"], f"{prefix}offset"),
+        log_noise=_finite_entry(doc, "log_noise", prefix),
+        **arrays,
     )
 
 

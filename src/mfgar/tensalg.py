@@ -230,14 +230,11 @@ class EigenFactors:
         return cls(vectors, values)
 
     def joint_values(self, noise: float, out=None) -> np.ndarray:
-        """Tensor of joint eigenvalues ``lam (o) lam_1 (o) .. + noise``.
+        """Tensor of joint eigenvalues ``lam (o) lam_1 (o) .. + noise`` (two factors or more).
 
-        ``out``, an array of the tensor's shape, receives it when given (two
-        factors or more).
+        ``out``, an array of the tensor's shape, receives it when given.
         """
-        if out is None:
-            return kruskal_outer(self.values) + noise
-        np.multiply.outer(kruskal_outer(self.values[:-1]), self.values[-1], out=out)
+        out = np.multiply.outer(kruskal_outer(self.values[:-1]), self.values[-1], out=out)
         return np.add(out, noise, out=out)
 
     def project(self, tensor: np.ndarray, out=None) -> np.ndarray:

@@ -19,7 +19,7 @@ entry points, one input at a time.
 
 import numpy as np
 
-from mfgar.gar import _embedded_cov, _Stage2Pack
+from mfgar.gar import _Stage2Pack
 from mfgar.kernels import ArdKernelParams, LatentFeatures, ard_gram, output_cov
 from mfgar.hogp import TgpModel, _gram_parts
 from mfgar.tensalg import kron_all, kruskal_outer, vec
@@ -585,6 +585,13 @@ def low_stack(trans, y_low):
     return np.concatenate([stack, imputed], axis=0)
 
 
+def embedded_cov(s_hat, n_high, n_matched):
+    """Imputation covariance ``S_hat`` embedded into the matched-first high row order."""
+    emb = np.zeros((n_high, n_high))
+    emb[n_matched:, n_matched:] = s_hat
+    return emb
+
+
 class DenseNonsubsetPack(_Stage2Pack):
     """Exact corrected non-subset stage-2 objective on the dense covariance.
 
@@ -604,7 +611,7 @@ class DenseNonsubsetPack(_Stage2Pack):
 
     def __init__(self, low_stack, y_high, template, w_init, w_mode, s_hat, s_low, n_matched):
         super().__init__(low_stack, y_high, template, w_init, w_mode)
-        self.b_input = _embedded_cov(s_hat, y_high.shape[0], n_matched)
+        self.b_input = embedded_cov(s_hat, y_high.shape[0], n_matched)
         self.s_low = s_low
 
     def _core(self, model, weights):

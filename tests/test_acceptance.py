@@ -301,7 +301,7 @@ def test_criterion_6_degeneracy_chain():
     X = rng.uniform(0, 1, size=(10, 2))
     Y1 = np.stack([np.sin(2 * np.pi * x[0]) * np.ones((2, 2)) + x[1] for x in X])
     ds2 = MultiFidelityDataset([(X, Y1), (X[:4], 1.3 * Y1[:4])])
-    cfg = GarConfig(optim=OptimConfig(max_iters=30), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=30))
     pa = gar_predict(gar_fit_subset(ds2, cfg), q)
     pb = gar_predict(gar_fit_recursive(ds2, cfg), q)
     checks.append(

@@ -363,7 +363,7 @@ def test_runtime_scaling_in_output_dimension():
     # collapsed fit's wall time stays near-flat while the full model pays for
     # its output-covariance factorizations and latent-feature gradients.
     rng = np.random.default_rng(10)
-    cfg = GarConfig(optim=OptimConfig(max_iters=12), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=12))
     small = smooth_two_level(rng, n_low=8, n_high=4, d_low=3, d_high=48)
     big = smooth_two_level(rng, n_low=8, n_high=4, d_low=3, d_high=192)
     # warm-up to stabilize allocators

@@ -1,6 +1,6 @@
 """Fusion on subset data: plans, separable likelihood, posterior, baselines."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -486,7 +486,7 @@ def planted_dataset(rng, n_low=18, n_high=8, modes=(2, 2), noise=1e-6):
 def test_fit_planted_linear_map_residual_vanishes():
     rng = np.random.default_rng(13)
     ds, w_true = planted_dataset(rng)
-    cfg = GarConfig(optim=OptimConfig(max_iters=600, step=0.05, tol=1e-10), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=600, step=0.05, tol=1e-10))
     model = gar_fit_subset(ds, cfg)
     res = model.transitions[0].residual
     # planted exact map: the fitted weights absorb (nearly) all the signal
@@ -496,10 +496,9 @@ def test_fit_planted_linear_map_residual_vanishes():
 
 
 def test_residual_shares_latent_coordinates_only_across_aligned_levels():
-    # With latent outputs on aligned levels the default config hands the low
-    # level's latent coordinates to the residual and holds them fixed; with
-    # share_latents=False, or across unaligned levels, the residual draws and
-    # trains its own.
+    # With latent outputs on aligned levels the residual takes over the low
+    # level's latent coordinates and holds them fixed; across unaligned
+    # levels it draws and trains its own.  Sharing is not a setting.
     from mfgar.tensalg import tucker_apply
 
     ds, _ = planted_dataset(np.random.default_rng(40))
@@ -507,15 +506,16 @@ def test_residual_shares_latent_coordinates_only_across_aligned_levels():
     w_wide = [np.array([[1.0, 0.5], [0.2, 1.0], [0.3, -0.3]]), np.eye(2)]
     Y_wide = tucker_apply(Y_l[:8], w_wide, mode_offset=1)
     unaligned = MultiFidelityDataset([(X_l, Y_l), (X_l[:8], Y_wide)])
-    default = GarConfig(OptimConfig(max_iters=20))
-    own = GarConfig(OptimConfig(max_iters=20), share_latents=False)
-    for data, config, kept in ((ds, default, True), (ds, own, False), (unaligned, default, False)):
+    config = GarConfig(OptimConfig(max_iters=20), identity_outputs=False)
+    for data, kept in ((ds, True), (unaligned, False)):
         model = gar_fit_subset(data, config)
         low = model.low.output_features.coords
         res = model.transitions[0].residual.output_features
         assert res.mode_sizes == data.levels[1].mode_sizes
         same = [a.shape == b.shape and np.array_equal(a, b) for a, b in zip(low, res.coords)]
         assert all(same) if kept else not any(same)
+    names = [f.name for f in fields(GarConfig)]
+    assert names == ["optim", "identity_outputs", "w_mode"]
 
 
 def test_fit_identity_weights_zero_residual_graceful():
@@ -526,7 +526,6 @@ def test_fit_identity_weights_zero_residual_graceful():
     cfg = GarConfig(
         optim=OptimConfig(max_iters=300, step=0.05, tol=1e-10),
         w_mode="identity",
-        share_latents=False,
     )
     model = gar_fit_subset(ds, cfg)
     res = model.transitions[0].residual
@@ -548,7 +547,7 @@ def test_fit_subset_rejects_nonsubset_data():
 def test_fitted_model_keeps_separability_identity():
     rng = np.random.default_rng(16)
     ds, _ = planted_dataset(rng, n_low=8, n_high=3, noise=1e-4)
-    cfg = GarConfig(optim=OptimConfig(max_iters=40), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=40))
     model = gar_fit_subset(ds, cfg)
     parts = tgp_nll(model.low) + tgp_nll(model.transitions[0].residual)
     assert_allclose(parts, gar_joint_nll_dense(model, ds), rtol=1e-8)
@@ -565,7 +564,7 @@ def test_ar_baseline_recovers_planted_scale():
     Y_l = np.stack([np.sin(2 * np.pi * x[0]) * np.ones((2, 2)) + x[1] for x in X_l])
     Y_h = 2.0 * Y_l[:6]
     ds = MultiFidelityDataset([(X_l, Y_l), (X_l[:6], Y_h)])
-    cfg = GarConfig(optim=OptimConfig(max_iters=300, step=0.05), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=300, step=0.05))
     model = ar_baseline_fit(ds, cfg)
     assert model.kind == "ar"
     assert abs(model.rho - 2.0) < 1e-2
@@ -601,7 +600,7 @@ def test_zero_rho_degenerates_to_high_only_tgp():
 def test_recursive_two_levels_equals_subset_fit():
     rng = np.random.default_rng(20)
     ds, _ = planted_dataset(rng, n_low=10, n_high=4)
-    cfg = GarConfig(optim=OptimConfig(max_iters=30), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=30))
     a = gar_fit_subset(ds, cfg)
     b = gar_fit_recursive(ds, cfg)
     q = rng.uniform(0, 1, size=(3, 2))
@@ -617,7 +616,7 @@ def test_recursive_middle_equals_top_collapse():
     Y2 = 1.5 * Y1[:6] + 0.1
     ds3 = MultiFidelityDataset([(X, Y1), (X[:6], Y2), (X[:6], Y2.copy())])
     ds2 = MultiFidelityDataset([(X, Y1), (X[:6], Y2)])
-    cfg = GarConfig(optim=OptimConfig(max_iters=80), w_mode="identity", share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=80), w_mode="identity")
     m3 = gar_fit_recursive(ds3, cfg)
     m2 = gar_fit_recursive(ds2, cfg)
     q = rng.uniform(0, 1, size=(4, 2))
@@ -633,7 +632,7 @@ def test_three_level_separability_identity():
     Y2 = 1.4 * Y1[:5] + 0.1 * rng.standard_normal((5, 2, 2))
     Y3 = 0.7 * Y2[:2] + 0.05 * rng.standard_normal((2, 2, 2))
     ds = MultiFidelityDataset([(X, Y1), (X[:5], Y2), (X[:2], Y3)])
-    cfg = GarConfig(optim=OptimConfig(max_iters=40), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=40))
     model = gar_fit_recursive(ds, cfg)
     parts = tgp_nll(model.low) + sum(tgp_nll(t.residual) for t in model.transitions)
     assert_allclose(parts, gar_joint_nll_dense(model, ds), rtol=1e-8)
@@ -649,7 +648,7 @@ def test_recursive_three_level_chain_beats_top_pair_alone():
     Y3 = 0.8 * Y2[:n3] + 0.02 * np.cos(2 * X[:n3, :1])[:, :, None]
     ds3 = MultiFidelityDataset([(X, Y1), (X[:n2], Y2), (X[:n3], Y3)])
     ds_top = MultiFidelityDataset([(X[:n2], Y2), (X[:n3], Y3)])
-    cfg = GarConfig(optim=OptimConfig(max_iters=150, step=0.05), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=150, step=0.05))
     chain = gar_fit_recursive(ds3, cfg)
     pair = gar_fit_recursive(ds_top, cfg)
     Xq = rng.uniform(0, 1, size=(64, 2))

@@ -8,6 +8,7 @@ correction sandwich (W S W^T, not W^T S W) before anything else relies on it.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from mfgar.gar import (
     load_gar,
     save_gar,
 )
-from mfgar.hogp import _predict_parts, encode_array, tgp_nll
+from mfgar.hogp import _predict_parts, encode_array, tgp_from_dict, tgp_nll, tgp_to_dict
 from mfgar.kernels import LatentFeatures
 from mfgar.optim import OptimConfig
 from mfgar.tensalg import kron_all, track_eig_sizes, vec
@@ -111,14 +112,12 @@ def test_sandwich_orientation_resolution():
     assert_allclose(gar_nll_nonsubset(model), oracle, rtol=1e-8)
 
     from mfgar.kernels import ard_gram
-    from oracles import dense_output_cov, gaussian_nll
+    from oracles import dense_output_cov, embedded_cov, gaussian_nll
 
     w_dense = kron_all(trans.weights.factors)
     s_low = dense_output_cov(model.low)
-    n_high, n = res.n_samples, res.Y.size
-    emb = np.zeros((n_high, trans.workspace.s_hat.shape[0]))
-    emb[trans.plan.n_matched :, :] = np.eye(trans.workspace.s_hat.shape[0])
-    b_input = emb @ trans.workspace.s_hat @ emb.T
+    n = res.Y.size
+    b_input = embedded_cov(trans.workspace.s_hat, res.n_samples, trans.plan.n_matched)
     K_r = ard_gram(res.input_kernel, res.X, res.X)
     base = np.kron(K_r, dense_output_cov(res)) + res.noise * np.eye(n)
     phi = vec(res.Y)
@@ -444,7 +443,7 @@ def nonsubset_dataset(rng, n_low=14, n_matched=2, n_unmatched=5):
 def test_fit_nonsubset_end_to_end():
     rng = np.random.default_rng(12)
     ds = nonsubset_dataset(rng)
-    cfg = GarConfig(optim=OptimConfig(max_iters=150, step=0.05), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=150, step=0.05))
     model = gar_fit_recursive(ds, cfg)
     trans = model.transitions[0]
     assert trans.workspace is not None
@@ -462,7 +461,7 @@ def test_fit_nonsubset_cap_falls_back_to_imputed_objective():
     # and still scores a finite exact NLL
     rng = np.random.default_rng(13)
     ds = nonsubset_dataset(rng, n_low=10, n_matched=1, n_unmatched=3)
-    cfg = GarConfig(optim=OptimConfig(max_iters=60), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=60))
     model = gar_fit_recursive(ds, cfg)
     assert model.transitions[0].workspace is not None
     assert np.isfinite(gar_nll_nonsubset(model))
@@ -518,7 +517,7 @@ def test_stage2_fits_use_the_packs_the_benchmark_tracer_counts(monkeypatch):
 
     monkeypatch.setattr(gar, "minimize", recording)
     rng = np.random.default_rng(17)
-    cfg = GarConfig(optim=OptimConfig(max_iters=3), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=3))
     gar_fit_recursive(nonsubset_dataset(rng, n_low=8, n_matched=3, n_unmatched=0), cfg)
     cigar_fit(nonsubset_dataset(rng, n_low=8), cfg)
     gar_fit_recursive(nonsubset_dataset(rng, n_low=8), cfg)
@@ -749,9 +748,7 @@ def test_mixed_chain_nonsubset_then_subset_collapse():
     ds3 = MultiFidelityDataset(
         [(ds2.levels[0].X, ds2.levels[0].Y), (X_h, Y_h), (X_h, Y_h.copy())]
     )
-    cfg = GarConfig(
-        optim=OptimConfig(max_iters=80, step=0.05), w_mode="identity", share_latents=False
-    )
+    cfg = GarConfig(optim=OptimConfig(max_iters=80, step=0.05), w_mode="identity")
     m2 = gar_fit_recursive(ds2, cfg)
     m3 = gar_fit_recursive(ds3, cfg)
     assert m3.transitions[0].workspace is not None
@@ -811,7 +808,7 @@ def test_nonsubset_bundle_roundtrip(fit, tmp_path):
     # model and the residual inputs, and every output comes back bitwise.
     rng = np.random.default_rng(24)
     ds = nonsubset_dataset(rng, n_low=10, n_matched=1, n_unmatched=3)
-    cfg = GarConfig(optim=OptimConfig(max_iters=20, step=0.05), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=20, step=0.05))
     model = fit(ds, cfg)
     assert model.transitions[0].workspace is not None
     q = np.vstack([ds.levels[1].X, rng.uniform(0, 1, size=(3, 2))])
@@ -834,7 +831,7 @@ def test_three_level_chain_with_nonsubset_top_roundtrip(tmp_path):
     ds = MultiFidelityDataset(
         [(X, f(X)), (X[:7], 1.2 * f(X[:7]) + 0.1), (X_top, 1.4 * f(X_top) + 0.05)]
     )
-    cfg = GarConfig(optim=OptimConfig(max_iters=20, step=0.05), share_latents=False)
+    cfg = GarConfig(optim=OptimConfig(max_iters=20, step=0.05))
     model = gar_fit_recursive(ds, cfg)
     assert model.transitions[0].workspace is None
     assert model.transitions[1].workspace is not None
@@ -933,6 +930,69 @@ def test_bundle_refuses_an_unknown_kind():
     doc["kind"] = "foo"
     with pytest.raises(ValueError, match=r"^kind: unknown model kind 'foo'"):
         gar_from_dict(doc)
+
+
+DROP = object()  # the edit removes the field
+T0 = ("transitions", 0)
+RESIDUAL = (*T0, "residual")
+FINITE = "expected a finite number, got "
+MISSING = "missing"
+
+
+@pytest.mark.parametrize(
+    "loader, path, value, message",
+    [
+        pytest.param("gar", ("low", "log_noise"), np.nan, FINITE + "nan", id="nan-noise"),
+        pytest.param("gar", (*RESIDUAL, "log_noise"), np.inf, FINITE + "inf", id="inf-noise"),
+        pytest.param("tgp", ("log_noise",), -np.inf, FINITE + "-inf", id="tgp-inf-noise"),
+        pytest.param(
+            "gar", (*RESIDUAL, "input_kernel", "log_amplitude"), "0.5", FINITE + "'0.5'",
+            id="text-amplitude",
+        ),
+        pytest.param(
+            "gar", ("low", "output_features", 0, "log_amplitude"), None, FINITE + "None",
+            id="null-amplitude",
+        ),
+        pytest.param("tgp", ("log_noise",), [0.1], FINITE + "[0.1]", id="list-noise"),
+        pytest.param("gar", ("transitions",), DROP, MISSING, id="no-transitions"),
+        pytest.param("gar", RESIDUAL, DROP, MISSING, id="no-residual"),
+        pytest.param("gar", (*T0, "plan"), DROP, MISSING, id="no-plan"),
+        pytest.param("gar", (*T0, "plan", "matched_low"), DROP, MISSING, id="no-matched-low"),
+        pytest.param("gar", (*T0, "weights"), DROP, MISSING, id="no-weights"),
+        pytest.param("gar", ("low", "log_noise"), DROP, MISSING, id="no-noise"),
+        pytest.param("gar", (*RESIDUAL, "input_kernel"), DROP, MISSING, id="no-input-kernel"),
+        pytest.param("tgp", ("output_features",), DROP, MISSING, id="no-features"),
+        pytest.param("gar", ("transitions",), {}, "expected a list, got dict", id="dict-list"),
+        pytest.param("gar", ("low",), [1], "expected a JSON object, got list", id="list-low"),
+        pytest.param("gar", (), None, "expected a JSON object, got list", id="list-bundle"),
+        pytest.param("tgp", (), None, "expected a JSON object, got list", id="tgp-list-bundle"),
+    ],
+)
+def test_bundle_refuses_bad_fields_naming_the_path(loader, path, value, message):
+    # A malformed bundle loads no model: a non-finite or non-numeric scalar,
+    # a missing field and a field of the wrong JSON type each raise
+    # ValueError with the field's path first (``transitions[0].plan``, or
+    # ``bundle`` for the document, here edited into a one-item list), never
+    # a KeyError, TypeError or AttributeError.
+    rng = np.random.default_rng(35)
+    model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (2,))
+    if loader == "gar":
+        doc, load = gar_to_dict(model), gar_from_dict
+    else:
+        doc, load = tgp_to_dict(model.low), tgp_from_dict
+    if path:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    else:
+        doc = [doc]
+    name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:] or "bundle"
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name}: {message}")):
+        load(json.loads(json.dumps(doc)))
 
 
 def test_model_refuses_mixed_output_covariances():

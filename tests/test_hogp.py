@@ -635,3 +635,12 @@ def test_serialization_rejects_previous_schema():
     doc["schema"] = "mfgar/tgp-2"
     with pytest.raises(ValueError, match="'mfgar/tgp-2'"):
         tgp_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_refuses_non_finite_log_noise(bad):
+    # A NaN or infinite log noise would otherwise survive the noise floor
+    # (max(nan, floor) is nan) and make every prediction non-finite.
+    model = make_random_tgp(np.random.default_rng(21), 3, (2,))
+    with pytest.raises(ValueError, match="log_noise must be finite"):
+        replace(model, log_noise=bad)
