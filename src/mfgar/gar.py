@@ -647,12 +647,22 @@ def _residual_template(X_res, mode_sizes_high, low_model, config: GarConfig, res
 
 
 def _nonsubset_workspace(low: TgpModel, x_hat: np.ndarray) -> NonSubsetWorkspace:
-    """Impute the low level at the unmatched inputs ``x_hat`` from its fitted model."""
+    """Impute the low level at the unmatched inputs ``x_hat`` from its fitted model.
+
+    ``Ŝ = k_hh - k̂ G^-1 k̂^T`` reads the mean operator ``k̂ G^-1`` of an
+    identity-output low model, so its ``G = K + noise I`` is factored once;
+    a latent one predicts in its eigenbasis and factors ``G`` for ``Ŝ``.
+    """
     x_hat = np.atleast_2d(np.asarray(x_hat, dtype=float))
-    imputed = _predict_parts(low, x_hat)[0] + low.offset
-    l_inv, _ = _input_factor(low)
-    h = ard_gram(low.input_kernel, x_hat, low.X) @ l_inv.T
-    s_hat = ard_gram(low.input_kernel, x_hat, x_hat) - h @ h.T
+    mean, _, op = _predict_parts(low, x_hat)
+    imputed = mean + low.offset
+    k_hat = ard_gram(low.input_kernel, x_hat, low.X)
+    if low.output_features is None:
+        explained = op @ k_hat.T
+    else:
+        h = k_hat @ _input_factor(low)[0].T
+        explained = h @ h.T
+    s_hat = ard_gram(low.input_kernel, x_hat, x_hat) - explained
     aug_low = replace(
         low, X=np.vstack([low.X, x_hat]), Y=np.concatenate([low.Y, imputed], axis=0)
     )

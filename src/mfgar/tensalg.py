@@ -179,14 +179,16 @@ def polar(f: np.ndarray):
     pullback)``; ``pullback(g)`` maps a gradient in ``q`` to one in ``f`` with
     the same SVD: ``u [(m - m^T) / (s_i + s_j)] vh + (I - u u^T) g vh^T
     diag(1/s) vh``, ``m = u^T g vh^T`` (Higham, *Functions of Matrices*,
-    ch. 8).  A wide or rank-deficient ``f``, whose factor is not unique,
-    raises ``ValueError``.
+    ch. 8).  The thin SVD is LAPACK's ``gesdd`` through numpy.  A wide or
+    rank-deficient ``f``, whose factor is not unique, raises ``ValueError``,
+    and so does one holding NaN or inf, which ``gesdd`` would turn into NaN
+    singular values without an error.
     """
-    from scipy.linalg import svd
-
     if f.shape[0] < f.shape[1]:
         raise ValueError("cannot orthonormalize more columns than rows")
-    u, s, vh = svd(f, full_matrices=False)
+    if not np.isfinite(f).all():
+        raise ValueError("cannot orthonormalize a factor holding NaN or inf")
+    u, s, vh = np.linalg.svd(f, full_matrices=False)
     if s[-1] <= 1e-12 * max(s[0], 1.0):
         raise ValueError("rank-deficient weight factor cannot be orthonormalized")
 

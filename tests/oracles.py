@@ -169,13 +169,11 @@ def reference_nll_core(model: TgpModel):
 
 def _reference_input_space_core(model: TgpModel):
     """:func:`reference_nll_core` for identity output covariances."""
-    from scipy.linalg.lapack import dtrtri
-
     n, d = model.n_samples, model.output_size
     Yc = model.centered.reshape(n, d)
     K = _gram_parts(model)[0][2]
     L = np.linalg.cholesky(K + model.noise * np.eye(n))
-    l_inv, _ = dtrtri(L, lower=1)
+    l_inv = np.linalg.inv(L)
     g_inv = l_inv.T @ l_inv
     solved = g_inv @ (Yc @ Yc.T)
     logdet = 2.0 * float(np.log(L.diagonal()).sum())
@@ -989,8 +987,8 @@ def spsolve_poisson_field(values, mesh):
     u[-1, :], fixed[-1, :] = right, True
     u[1:-1, 0], fixed[1:-1, 0] = bottom, True
     u[1:-1, -1], fixed[1:-1, -1] = top, True
-    for i in _center_nodes(n):
-        for j in _center_nodes(m):
+    for i in center_nodes(n):
+        for j in center_nodes(m):
             u[i, j], fixed[i, j] = center, True
     free = ~fixed
     n_free = int(free.sum())
@@ -1018,7 +1016,8 @@ def spsolve_poisson_field(values, mesh):
     return u
 
 
-def _center_nodes(n):
+def center_nodes(n):
+    """Indices of the pinned center nodes along a Poisson mesh axis of ``n`` nodes."""
     return [n // 2] if n % 2 == 1 else [n // 2 - 1, n // 2]
 
 
@@ -1039,8 +1038,8 @@ def dense_poisson_oracle(values, n):
     for i in range(1, n - 1):
         fixed[k(i, 0)] = bottom
         fixed[k(i, n - 1)] = top
-    for i in _center_nodes(n):
-        for j in _center_nodes(n):
+    for i in center_nodes(n):
+        for j in center_nodes(n):
             fixed[k(i, j)] = center
     for i in range(n):
         for j in range(n):

@@ -17,6 +17,7 @@ from mfgar.gar import (
     GarConfig,
     MultiFidelityDataset,
     TuckerWeights,
+    _nonsubset_workspace,
     gar_fit_recursive,
     gar_from_dict,
     gar_predict,
@@ -29,6 +30,7 @@ from oracles import (
     dense_two_level_predict,
     gar_joint_nll_dense,
     low_stack,
+    make_random_tgp,
     make_random_two_level,
     record_cholesky_sizes,
 )
@@ -192,6 +194,18 @@ def test_cigar_nonsubset_prediction_factors_each_input_gram_once(monkeypatch):
     pred = gar_predict(model, rng.uniform(0, 1, size=(4, 2)))
     assert chol_sizes == [trans.workspace.aug_low.n_samples, trans.residual.n_samples]
     assert np.all(np.isfinite(pred.mean)) and np.all(pred.variance_diag >= 0)
+
+
+def test_nonsubset_workspace_factors_an_identity_low_once(monkeypatch):
+    # The imputation covariance reads the mean operator of the imputed-mean
+    # pass, so one workspace build factors the identity low model's input
+    # Gram once.
+    rng = np.random.default_rng(15)
+    low = make_random_tgp(rng, 8, (3, 4), identity_outputs=True)
+    chol_sizes = record_cholesky_sizes(monkeypatch)
+    workspace = _nonsubset_workspace(low, rng.uniform(-1.0, 1.0, size=(3, 2)))
+    assert chol_sizes == [low.n_samples]
+    assert np.all(np.linalg.eigvalsh(workspace.s_hat) > 0)
 
 
 def test_cigar_subset_nll_matches_dense_joint_oracle():

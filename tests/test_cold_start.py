@@ -1,10 +1,13 @@
 """Cold start: a fresh interpreter loads numpy only, never scipy, on import.
 
 scipy subsystems are imported inside the functions that use them, so
-``import mfgar`` and the CLI's argument parsing pay for none of them.  The
-checks look at ``sys.modules`` in a child interpreter, not at timings.
+``import mfgar`` and the CLI's argument parsing pay for none of them, and
+the Poisson subset path (solver, fits, prediction, saving) uses none.  The
+checks run in a child interpreter and look at ``sys.modules`` or block
+scipy, not at timings.
 """
 
+import csv
 import os
 import subprocess
 import sys
@@ -59,3 +62,26 @@ def test_sobol_draw_loads_no_scipy():
     proc = _child(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_poisson_subset_benchmark_runs_without_scipy(tmp_path):
+    # A Poisson subset sweep (solve, fit, predict and save) is numpy only:
+    # with scipy unimportable every gar, cigar and hogp job still succeeds.
+    out = tmp_path / "run"
+    argv = [
+        "benchmark", "--pde", "poisson", "--aligned", "--structure", "subset",
+        "--model", "gar,cigar,hogp", "--n-low", "6", "--n-high-sweep", "2,3",
+        "--n-test", "4", "--repeats", "1", "--max-iters", "5", "--out", str(out),
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from mfgar.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    proc = _child(code)
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "results.csv", newline="") as fh:
+        jobs = [r for r in csv.DictReader(fh) if not r["status"].startswith("summary")]
+    assert len(jobs) == 6
+    assert all(r["status"] == "ok" for r in jobs), [r["status"] for r in jobs]

@@ -261,3 +261,12 @@ def test_polar_pullback_matches_central_differences(shape):
         e[idx] = eps
         fd[idx] = (np.sum(c * polar(f + e)[0]) - np.sum(c * polar(f - e)[0])) / (2.0 * eps)
     assert np.linalg.norm(pullback(c) - fd) <= 1e-7 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_polar_refuses_non_finite_factor(bad):
+    # an SVD of a non-finite factor returns NaN singular values without an error
+    f = np.random.default_rng(3).standard_normal((5, 3))
+    f[2, 1] = bad
+    with pytest.raises(ValueError):
+        polar(f)
