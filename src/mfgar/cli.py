@@ -27,9 +27,9 @@ Subcommands
   refit.  ``fit_s`` therefore carries the base fit at a group's first sweep
   point only.
 
-Exit codes: 0 ok, 1 user error, 2 fit failure.  The worker count for
-benchmark groups comes from the ``MFGAR_WORKERS`` environment variable, a
-positive integer (default 1).
+Exit codes: 0 ok, 1 user error (an ``--out`` that cannot be written
+included), 2 fit failure.  The worker count for benchmark groups comes from
+the ``MFGAR_WORKERS`` environment variable, a positive integer (default 1).
 """
 
 from __future__ import annotations
@@ -93,6 +93,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if not self.models:
+            raise ValueError("empty model list")
         for kind in self.models:
             if kind not in MODEL_KINDS:
                 raise ValueError(f"unknown model kind {kind!r}")
@@ -479,6 +481,15 @@ def cmd_benchmark(args) -> int:
     return 0 if n_ok else FIT_FAILURE
 
 
+def _check_out(path: Path):
+    """Refuse an ``--out`` that is a file or lies under one, before any work is done."""
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise NotADirectoryError(f"--out {path}: {p} is not a directory")
+            return
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -486,12 +497,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out(args.out)
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "train":
             return cmd_train(args)
         return cmd_benchmark(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USER_ERROR
 

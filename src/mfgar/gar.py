@@ -45,10 +45,8 @@ from .hogp import (
     _nll_value,
     _predict_parts,
     _rejected,
-    _reshape,
     _scored,
     _tgp_from_doc,
-    _work,
     decode_array,
     encode_array,
     tgp_fit,
@@ -376,12 +374,7 @@ class _Stage2Pack:
     ``_TgpPack.chain``, forms the other partial products ``z[m]`` and
     contracts the data adjoint with each for the W gradient, then maps it
     through the weight parametrization: M weight products per value,
-    M(M-1)+1 with the gradient.  The
-    residual, every partial product and the unfoldings the W gradient
-    contracts live in the fit's scratch (the residual pack's
-    ``tgp.scratch``), each in the layout of the temporary it stands for, so
-    the results are bitwise those of allocating and the gradient is valid
-    until the objective's next call.
+    M(M-1)+1 with the gradient.
 
     A subclass supplies only ``_core(model, weights)`` at the unpacked
     residual model, returning ``(value, grams, adjoint)``: the NLL, the
@@ -419,35 +412,25 @@ class _Stage2Pack:
     def pack(self) -> np.ndarray:
         return np.concatenate([self.w.init, self.tgp.pack(self.tgp.template)])
 
-    def _partial(self, weights: TuckerWeights, skip: int, scratch: dict | None):
+    def _partial(self, weights: TuckerWeights, skip: int):
         """``z[skip]``: the low stack with every weight factor but ``W_skip`` applied.
 
-        The factors go in ``weights.apply``'s order, each product into its
-        own ``scratch`` array when one is given.
+        The factors go in ``weights.apply``'s order.
         """
         z = self.low_stack
         for m, w in enumerate(weights.factors):
             if m != skip:
-                shape = z.shape[: m + 1] + (w.shape[0],) + z.shape[m + 2 :]
-                z = mode_product(z, w, m + 1, out=_work(scratch, ("z", skip, m), shape))
+                z = mode_product(z, w, m + 1)
         return z
 
-    def _unpack(self, p: np.ndarray, scratch: dict | None = None):
-        """Weights, their gradient pullback, the residual model and ``z[M]`` at ``p``.
-
-        With ``scratch`` the residual and ``z[M]`` are scratch arrays, valid
-        until the next call.
-        """
+    def _unpack(self, p: np.ndarray):
+        """Weights, their gradient pullback, the residual model and ``z[M]`` at ``p``."""
         pw, pt = self.split(p)
         weights, w_pullback = self.w.unpack(pw)
         last = len(weights.factors) - 1
-        z_last = self._partial(weights, last, scratch)
+        z_last = self._partial(weights, last)
         # the factors in weights.apply's order, so the residual is bitwise the same
-        shape = self.y_high.shape
-        transformed = mode_product(
-            z_last, weights.factors[last], last + 1, out=_work(scratch, "Wz", shape)
-        )
-        resid = np.subtract(self.y_high, transformed, out=_work(scratch, "resid", shape))
+        resid = self.y_high - mode_product(z_last, weights.factors[last], last + 1)
         return weights, w_pullback, self.tgp.unpack(pt, Y=resid), z_last
 
     def unpack(self, p: np.ndarray):
@@ -455,9 +438,8 @@ class _Stage2Pack:
         return weights, model
 
     def objective(self, p: np.ndarray):
-        scratch = self.tgp.scratch
         try:
-            weights, w_pullback, model, z_last = self._unpack(p, scratch)
+            weights, w_pullback, model, z_last = self._unpack(p)
             value, grams, adjoint = self._core(model, weights)
         except (np.linalg.LinAlgError, ValueError):
             return _rejected(self.size)
@@ -469,17 +451,9 @@ class _Stage2Pack:
             last = len(weights.factors) - 1
             w_grads = []
             for m in range(last + 1):
-                z_m = z_last if m == last else self._partial(weights, m, scratch)
-                # as np.tensordot(alpha, z_m, axes=(other, other)) does it:
-                # axis m+1 moved first in alpha and last in z_m, the rest
-                # flattened, one matrix product; the copies go to scratch
+                z_m = z_last if m == last else self._partial(weights, m)
                 other = [a for a in range(alpha.ndim) if a != m + 1]
-                a_m = alpha.transpose(m + 1, *other)
-                z_t = z_m.transpose(*other, m + 1)
-                g = -np.dot(
-                    _reshape(a_m, (a_m.shape[0], -1), scratch, "W-grad alpha"),
-                    _reshape(z_t, (-1, z_t.shape[-1]), scratch, "W-grad z"),
-                )
+                g = -np.tensordot(alpha, z_m, axes=(other, other))
                 w_grads.append(g if w_cov_grads is None else g + w_cov_grads[m])
             return np.concatenate([w_pullback(w_grads), g_t])
 
@@ -501,7 +475,7 @@ class _ResidualPack(_Stage2Pack):
     """
 
     def _core(self, model: TgpModel, weights: TuckerWeights):
-        nll, grams, adjoint = _nll_core(model, self.tgp.scratch)
+        nll, grams, adjoint = _nll_core(model)
 
         def core_adjoint():
             gbars, d_noise, alpha = adjoint()

@@ -39,9 +39,9 @@ eigenbasis: the adjoint of factor k is ``1/2 U_k (diag(c_k) - Q_k) U_k^T``
 with ``c_k`` the sum of ``lam_{-k} / A`` over the other axes and ``Q_k =
 At_(k) diag(lam_{-k}) At_(k)^T``, where ``lam_{-k}`` is the outer product of
 the other factors' eigenvalues.  Each kernel Gram is built once per
-evaluation, by the value pass, into the fit's scratch arrays; the pull-back
-of its adjoint to the kernel parameters and latent rows reuses the pairwise
-differences and scaled distances it was built from.  The fit's objective
+evaluation, by the value pass; the pull-back of its adjoint to the kernel
+parameters and latent rows reuses the pairwise differences and scaled
+distances it was built from.  The fit's objective
 returns the value and defers the adjoint pass, which the optimizer runs
 only at points it accepts.  Finite differences are used solely as the
 test-side audit.
@@ -165,28 +165,16 @@ class TgpModel:
         return self._eig
 
 
-def _gram_parts(model: TgpModel, scratch: dict | None = None) -> list:
+def _gram_parts(model: TgpModel) -> list:
     """``ard_gram_parts`` of every kernel Gram of ``model``, one build each.
 
     The input Gram comes first, then (latent outputs only) the covariance of
-    each output mode.  With ``scratch`` the parts are written into its
-    arrays and stay valid until the next evaluation that uses it.
+    each output mode.
     """
     pairs = [(model.input_kernel, model.X)]
     if model.output_features is not None:
         pairs += zip(model.output_features.kernels, model.output_features.coords)
-    grams = []
-    for k, (kern, rows) in enumerate(pairs):
-        n, dims = rows.shape
-        out = None
-        if scratch is not None:
-            out = (
-                _work(scratch, ("diff", k), (dims, n, n)),
-                _work(scratch, ("d2", k), (dims, n, n)),
-                _work(scratch, ("K", k), (n, n)),
-            )
-        grams.append(kernels.ard_gram_parts(kern, rows, rows, out=out))
-    return grams
+    return [kernels.ard_gram_parts(kern, rows, rows) for kern, rows in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -203,70 +191,33 @@ def tgp_nll(model: TgpModel) -> float:
     return _nll_core(model)[0]
 
 
-def _work(scratch: dict | None, key, shape, order: str = "C"):
-    """Work array ``key`` of ``shape`` held in ``scratch``, made on first use.
-
-    Without a scratch this is ``None``, so the ufunc or product it is passed
-    to as ``out`` allocates its result as usual.
-    """
-    if scratch is None:
-        return None
-    key = (key, shape, order)
-    if key not in scratch:
-        scratch[key] = np.empty(shape, order=order)
-    return scratch[key]
-
-
-def _reshape(a: np.ndarray, shape, scratch: dict | None, key) -> np.ndarray:
-    """``a.reshape(shape)``, with the copy it makes, if any, in scratch ``key``."""
-    if scratch is None:
-        return a.reshape(shape)
-    try:
-        return a.reshape(shape, copy=False)
-    except ValueError:
-        buf = _work(scratch, key, a.shape)
-        np.copyto(buf, a)
-        return buf.reshape(shape)
-
-
-def _centered(model: TgpModel, scratch: dict | None) -> np.ndarray:
-    """``model.centered``, in the scratch array ``"Yc"`` when ``scratch`` is given."""
-    return np.subtract(model.Y, model.offset, out=_work(scratch, "Yc", model.Y.shape))
-
-
-def _solve(model: TgpModel, scratch: dict | None = None):
+def _solve(model: TgpModel):
     """The data solve in the joint eigenbasis, ``(eigs, A, T1, At)``.
 
     ``eigs`` is the model's eigenbasis, ``A`` the joint eigenvalues, ``T1 =
     project(Y - offset)`` and ``At = T1 / A``, so ``unproject(At)`` is
     ``Sigma^{-1} vec(Y - offset)``.  The latent-output likelihood and
-    prediction read this one solve.  With ``scratch`` the four tensors are its
-    work arrays (see :func:`_nll_core`).
+    prediction read this one solve.
     """
     eigs = model.eigenfactors()
-    shape = model.Y.shape
-    Yc = _centered(model, scratch)
-    A = eigs.joint_values(model.noise, out=_work(scratch, "A", shape))
-    pair = None if scratch is None else (_work(scratch, "T", shape), _work(scratch, "T'", shape))
-    T1 = eigs.project(Yc, out=pair)
-    At = np.divide(T1, A, out=_work(scratch, "At", shape))
-    return eigs, A, T1, At
+    A = eigs.joint_values(model.noise)
+    T1 = eigs.project(model.centered)
+    return eigs, A, T1, T1 / A
 
 
-def _nll_value(model: TgpModel, scratch: dict | None = None):
+def _nll_value(model: TgpModel):
     """``(nll, solve)``: the NLL read off :func:`_solve`'s arrays, and the solve.
 
     The latent-output NLL; identity outputs have :func:`_input_space_core`.
     """
-    solve = _solve(model, scratch)
+    solve = _solve(model)
     _, A, T1, At = solve
-    tmp = _work(scratch, "tmp", A.shape)
-    quad = float(np.multiply(T1, At, out=tmp).sum())
-    logdet = float(np.log(A, out=tmp).sum())
+    quad = float(np.sum(T1 * At))
+    logdet = float(np.sum(np.log(A)))
     return 0.5 * (quad + logdet + A.size * LOG2PI), solve
 
 
-def _nll_core(model: TgpModel, scratch: dict | None = None, data_gram=None):
+def _nll_core(model: TgpModel, data_gram=None):
     """NLL by the value pass, the Gram parts it built, and the adjoint pass as a callable.
 
     Returns ``(nll, grams, adjoint)`` on the route of the model's covariance
@@ -281,23 +232,15 @@ def _nll_core(model: TgpModel, scratch: dict | None = None, data_gram=None):
     partial, and ``alpha()`` the data adjoint ``Sigma^{-1} vec(Yc)`` in the
     data's tensor shape, formed only when called (a stage-2 fit calls it, a
     plain fit does not).  A caller that needs the value only never pays for
-    the adjoints.
-
-    ``scratch``, a dict that one fit passes to every evaluation, holds the
-    data-sized temporaries of both passes and the Gram parts between calls,
-    so an evaluation allocates only factor-sized arrays; ``grams``,
-    ``adjoint`` and ``alpha()`` then read scratch arrays and are valid until
-    the next call.  Each scratch array has the layout of the temporary it
-    stands for, because the BLAS products and pairwise sums read their
-    operands in memory order: the results are bitwise those of
-    ``scratch=None``, which allocates every temporary.
+    the adjoints.  Every evaluation allocates its own arrays, so ``grams``,
+    ``adjoint`` and ``alpha()`` stay valid however many evaluations follow.
     """
     if model.output_features is None:
-        return _input_space_core(model, scratch, data_gram)
-    return _eigen_core(model, scratch)
+        return _input_space_core(model, data_gram)
+    return _eigen_core(model)
 
 
-def _eigen_core(model: TgpModel, scratch: dict | None = None):
+def _eigen_core(model: TgpModel):
     """:func:`_nll_core` for latent output covariances, in the joint eigenbasis.
 
     The value pass factorizes the Grams (``eigenfactors``) and reads the NLL
@@ -315,45 +258,28 @@ def _eigen_core(model: TgpModel, scratch: dict | None = None):
     this is exact and needs no dense factor and no rotation back; only
     ``alpha()`` rotates the solve ``At`` back (``unproject``).
     """
-    grams = _gram_parts(model, scratch)
+    grams = _gram_parts(model)
     model.eigenfactors(grams)
-    nll, (eigs, A, _, At) = _nll_value(model, scratch)
-    shape = A.shape
+    nll, (eigs, A, _, At) = _nll_value(model)
 
     def adjoint():
-        inv_A = np.divide(1.0, A, out=_work(scratch, "1/A", shape))
+        inv_A = 1.0 / A
         gbars = []
         for k, U in enumerate(eigs.vectors):
-            # Trace part: contract 1/A with every other factor's eigenvalues,
-            # as np.tensordot(c, lam_j, axes=([j], [0])) does it: axis j moved
-            # last, the rest flattened, one matrix-vector product.
+            # trace part: 1/A contracted with every other factor's eigenvalues
             c = inv_A
             for j in range(len(eigs.values) - 1, -1, -1):
                 if j != k:
-                    moved = c.transpose((*range(j), *range(j + 1, c.ndim), j))
-                    lam = eigs.values[j]
-                    flat = _reshape(moved, (c.size // lam.size, lam.size), scratch, "trace")
-                    c = np.dot(flat, lam.reshape(-1, 1)).reshape(moved.shape[:-1])
-            # Quadratic part: the mode-k unfolding of At against itself,
-            # weighted by the other factors' eigenvalues.
+                    c = np.tensordot(c, eigs.values[j], axes=([j], [0]))
+            # quadratic part: the mode-k unfolding of At against itself,
+            # weighted by the other factors' eigenvalues
             lam_other = kruskal_outer([v for j, v in enumerate(eigs.values) if j != k])
-            unfolded = At.transpose((k, *range(k), *range(k + 1, At.ndim)))
-            Ak = _reshape(unfolded, (At.shape[k], -1), scratch, "unfold")
-            order = "C" if Ak.flags.c_contiguous else "F"
-            scaled = np.multiply(
-                Ak, lam_other.ravel(), out=_work(scratch, "scaled", Ak.shape, order)
-            )
-            Q = scaled @ Ak.T
+            Ak = np.moveaxis(At, k, 0).reshape(At.shape[k], -1)
+            Q = (Ak * lam_other.ravel()) @ Ak.T
             gbars.append(0.5 * ((U * c) @ U.T - U @ Q @ U.T))
 
-        sq = np.multiply(At, At, out=_work(scratch, "tmp", shape))
-        d_noise = 0.5 * (float(inv_A.sum()) - float(sq.sum()))
-
-        def alpha():
-            pair = (_work(scratch, "alpha", shape), _work(scratch, "alpha'", shape))
-            return eigs.unproject(At, out=pair)
-
-        return gbars, d_noise, alpha
+        d_noise = 0.5 * (float(np.sum(inv_A)) - float(np.sum(At * At)))
+        return gbars, d_noise, lambda: eigs.unproject(At)
 
     return nll, grams, adjoint
 
@@ -376,7 +302,7 @@ def _input_factor(model: TgpModel, K: np.ndarray | None = None):
     return np.linalg.inv(L), 2.0 * float(np.log(L.diagonal()).sum())
 
 
-def _input_space_core(model: TgpModel, scratch: dict | None = None, data_gram=None):
+def _input_space_core(model: TgpModel, data_gram=None):
     """:func:`_nll_core` for identity output covariances, ``(K + noise I) (x) I``.
 
     Such a covariance sees the data only through the N x N Gram ``C = Y_(0)
@@ -392,16 +318,16 @@ def _input_space_core(model: TgpModel, scratch: dict | None = None, data_gram=No
     applied to each output column).  The value pass is :func:`_input_factor`
     of the Gram it built, ``G^-1 = L^-T L^-1`` and ``G^-1 C``, the adjoint
     pass one more product, all N x N; only ``alpha()`` touches output-sized
-    data, one N x N by N x d product into ``scratch``.  A non-finite Gram
+    data, one N x N by N x d product.  A non-finite Gram
     raises ``ValueError`` and a ``G`` that is not positive definite
     ``LinAlgError``.
     """
-    grams = _gram_parts(model, scratch)
+    grams = _gram_parts(model)
     n, d = model.n_samples, model.output_size
     Yc = None
     if data_gram is None:
-        Yc = _centered(model, scratch).reshape(n, d)
-        data_gram = np.matmul(Yc, Yc.T, out=_work(scratch, "C", (n, n)))
+        Yc = model.centered.reshape(n, d)
+        data_gram = Yc @ Yc.T
     if not np.isfinite(data_gram).all():
         raise ValueError("input-space NLL: non-finite Gram")
     l_inv, logdet = _input_factor(model, grams[0][2])
@@ -413,9 +339,8 @@ def _input_space_core(model: TgpModel, scratch: dict | None = None, data_gram=No
         gbar = 0.5 * (d * g_inv - solved @ g_inv)  # G^-1 C G^-1
 
         def alpha():
-            data = _centered(model, scratch).reshape(n, d) if Yc is None else Yc
-            out = _work(scratch, "alpha", (n, d))
-            return np.matmul(g_inv, data, out=out).reshape(model.Y.shape)
+            data = model.centered.reshape(n, d) if Yc is None else Yc
+            return (g_inv @ data).reshape(model.Y.shape)
 
         return [gbar], float(np.trace(gbar)), alpha
 
@@ -445,8 +370,6 @@ class _TgpPack:
 
     def __init__(self, template: TgpModel, freeze_coords: bool = False):
         self.template = template
-        # _nll_core's work arrays, reused by every evaluation of this fit
-        self.scratch = {}
         self.slices = {}
         idx = 0
 
@@ -540,7 +463,7 @@ class _TgpPack:
         model = self.unpack(p)
         try:
             gram = self.data_gram if model.output_features is None else None
-            nll, grams, adjoint = _nll_core(model, self.scratch, gram)
+            nll, grams, adjoint = _nll_core(model, gram)
         except (np.linalg.LinAlgError, ValueError):
             return _rejected(self.size)
         return _scored(nll, lambda: self.chain(model, grams, *adjoint()[:2]), self.size)

@@ -48,7 +48,7 @@ class ArdKernelParams:
         return 1 + self.log_lengthscales.size
 
 
-def ard_gram_parts(params: ArdKernelParams, X1: np.ndarray, X2: np.ndarray, out=None):
+def ard_gram_parts(params: ArdKernelParams, X1: np.ndarray, X2: np.ndarray):
     """The Gram ``K(X1, X2)`` with the pieces it is built from.
 
     Returns ``(diff, d2, K)``: the pairwise differences ``diff[k, i, j] =
@@ -56,9 +56,7 @@ def ard_gram_parts(params: ArdKernelParams, X1: np.ndarray, X2: np.ndarray, out=
     lengthscale_k)^2``, both one (n1, n2) plane per input dimension k, and
     ``K = amplitude * exp(-sum_k d2[k])``.  :func:`ard_gram_adjoint` pulls an
     adjoint of a square ``K`` back from these parts without rebuilding any
-    of them.  ``out``, a triple of C-contiguous arrays of those shapes,
-    receives them in turn (an objective's per-fit scratch); the bits are
-    those of fresh arrays.
+    of them.
     """
     X1 = as_float(X1, 2)
     X2 = as_float(X2, 2)
@@ -68,17 +66,12 @@ def ard_gram_parts(params: ArdKernelParams, X1: np.ndarray, X2: np.ndarray, out=
         raise ValueError(
             f"{X1.shape[1]} input columns but {params.log_lengthscales.size} lengthscales"
         )
-    diff, d2, K = (None, None, None) if out is None else out
     # planes, so that each elementwise loop runs along n2 entries, not l
-    diff = np.subtract(X1.T[:, :, None], X2.T[:, None, :], out=diff)
-    d2 = np.divide(diff, params.lengthscales[:, None, None], out=d2)
-    np.square(d2, out=d2)
+    diff = X1.T[:, :, None] - X2.T[:, None, :]
+    d2 = np.square(diff / params.lengthscales[:, None, None])
     # summed along a contiguous last axis, as over (n1, n2, l) distances
-    K = np.ascontiguousarray(d2.transpose(1, 2, 0)).sum(axis=2, out=K)
-    np.negative(K, out=K)
-    np.exp(K, out=K)
-    np.multiply(K, params.amplitude, out=K)
-    return diff, d2, K
+    K = np.exp(-np.ascontiguousarray(d2.transpose(1, 2, 0)).sum(axis=2))
+    return diff, d2, K * params.amplitude
 
 
 def ard_gram(params: ArdKernelParams, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:

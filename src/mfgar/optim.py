@@ -9,13 +9,12 @@ construction.
 
 Objectives are value-first: ``f(params) -> (value, gradient)`` over a flat
 parameter vector, where ``gradient`` is a zero-argument callable returning
-the gradient at ``params``.  It stays valid until the objective's next call
-(a fit's objective keeps its intermediates in per-fit scratch arrays), and
-``minimize`` calls it only where it reads the result: once at the initial
-point and once per candidate whose value is finite and no higher than the
-current one.  A rejected backtrack therefore costs one value pass and no
-adjoint.  Each fit's objective maps unconstrained coordinates to its
-constrained quantities.  No caller in the package passes ``project``.
+the gradient at ``params``.  ``minimize`` calls it only where it reads the
+result: once at the initial point and once per candidate whose value is
+finite and no higher than the current one.  A rejected backtrack therefore
+costs one value pass and no adjoint.  Each fit's objective maps
+unconstrained coordinates to its constrained quantities.  No caller in the
+package passes ``project``.
 """
 
 from __future__ import annotations
@@ -102,8 +101,7 @@ def minimize(objective, init, config: OptimConfig = OptimConfig(), project=None)
     ----------
     objective : callable
         Maps a flat parameter vector to ``(value, gradient)``, ``gradient``
-        a zero-argument callable valid until the next call (module
-        docstring).
+        a zero-argument callable (module docstring).
     init : array_like
         Starting point; the objective and its gradient must be finite here.
     config : OptimConfig

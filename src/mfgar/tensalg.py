@@ -58,7 +58,7 @@ def unvec(vector: np.ndarray, shape) -> np.ndarray:
     return vector.reshape(shape)
 
 
-def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int, out=None) -> np.ndarray:
+def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
     """Tensor-matrix product at one mode.
 
     ``result[.., j, ..] = sum_k matrix[j, k] * tensor[.., k, ..]`` with the
@@ -67,10 +67,7 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int, out=None) ->
 
     The tensor is viewed as ``(pre, n_mode, post)`` and multiplied as one
     (batched) matrix product, so no axis is moved and, except at the last
-    mode, the result comes back C-contiguous for the next product.  ``out``,
-    a C-contiguous array with the result's number of entries, receives the
-    product in the layout it would be allocated in, and the result is a view
-    of it.
+    mode, the result comes back C-contiguous for the next product.
     """
     if type(tensor) is not np.ndarray:
         tensor = np.asarray(tensor)
@@ -89,25 +86,17 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int, out=None) ->
     rows = matrix.shape[0]
     if post == 1:
         # operands in the order tensordot passes them to the GEMM
-        dest = None if out is None else out.reshape((rows, pre), copy=False)
-        res = np.matmul(matrix, tensor.reshape(pre, shape[mode]).T, out=dest).T
+        res = np.matmul(matrix, tensor.reshape(pre, shape[mode]).T).T
     else:
-        dest = None if out is None else out.reshape((pre, rows, post), copy=False)
-        res = np.matmul(matrix, tensor.reshape(pre, shape[mode], post), out=dest)
+        res = np.matmul(matrix, tensor.reshape(pre, shape[mode], post))
     return res.reshape(shape[:mode] + (rows,) + shape[mode + 1 :])
 
 
-def tucker_apply(tensor: np.ndarray, factors, mode_offset: int = 0, out=None) -> np.ndarray:
-    """Apply a sequence of mode products, factor m at mode ``m + mode_offset``.
-
-    ``out``, a pair of C-contiguous arrays, takes the products in turn (each
-    must hold every product, and neither may hold ``tensor``); the result is
-    then a view of one of them.
-    """
+def tucker_apply(tensor: np.ndarray, factors, mode_offset: int = 0) -> np.ndarray:
+    """Apply a sequence of mode products, factor m at mode ``m + mode_offset``."""
     result = np.asarray(tensor)
     for m, factor in enumerate(factors):
-        dest = None if out is None else out[m % 2]
-        result = mode_product(result, factor, m + mode_offset, out=dest)
+        result = mode_product(result, factor, m + mode_offset)
     return result
 
 
@@ -231,27 +220,17 @@ class EigenFactors:
             values.append(_clamp_psd(lam))
         return cls(vectors, values)
 
-    def joint_values(self, noise: float, out=None) -> np.ndarray:
-        """Tensor of joint eigenvalues ``lam (o) lam_1 (o) .. + noise`` (two factors or more).
+    def joint_values(self, noise: float) -> np.ndarray:
+        """Tensor of joint eigenvalues ``lam (o) lam_1 (o) .. + noise``."""
+        return kruskal_outer(self.values) + noise
 
-        ``out``, an array of the tensor's shape, receives it when given.
-        """
-        out = np.multiply.outer(kruskal_outer(self.values[:-1]), self.values[-1], out=out)
-        return np.add(out, noise, out=out)
+    def project(self, tensor: np.ndarray) -> np.ndarray:
+        """Rotate a tensor into the joint eigenbasis (apply U^T per mode)."""
+        return tucker_apply(tensor, [U.T for U in self.vectors])
 
-    def project(self, tensor: np.ndarray, out=None) -> np.ndarray:
-        """Rotate a tensor into the joint eigenbasis (apply U^T per mode).
-
-        ``out`` is the work pair of :func:`tucker_apply`.
-        """
-        return tucker_apply(tensor, [U.T for U in self.vectors], out=out)
-
-    def unproject(self, tensor: np.ndarray, out=None) -> np.ndarray:
-        """Rotate back from the joint eigenbasis (apply U per mode).
-
-        ``out`` is the work pair of :func:`tucker_apply`.
-        """
-        return tucker_apply(tensor, self.vectors, out=out)
+    def unproject(self, tensor: np.ndarray) -> np.ndarray:
+        """Rotate back from the joint eigenbasis (apply U per mode)."""
+        return tucker_apply(tensor, self.vectors)
 
     def reconstruct(self, k: int) -> np.ndarray:
         """Dense k-th factor matrix (mainly for oracles and serialization)."""

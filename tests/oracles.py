@@ -6,8 +6,8 @@ package's eigendecomposition pipeline.  The dense non-subset stage-2 pack
 borrows only the production parameter plumbing and Gram builder around its
 dense core.
 ``reference_nll_core`` is the exception: the eigenbasis NLL and adjoints
-with every temporary allocated, the bitwise reference for the production
-core's scratch arrays.  ``eager`` resolves a value-first objective's
+written with plain numpy expressions, the bitwise reference for the
+production core.  ``eager`` resolves a value-first objective's
 gradients at once, the bitwise reference for deferring them.
 ``dense_capacitance_corrected_nll`` builds the low-rank non-subset NLL's
 capacitance from the production slices but whole, the reference for its
@@ -137,8 +137,7 @@ def reference_nll_core(model: TgpModel):
 
     Returns ``(nll, gbars, d_noise, alpha)``.  The same operations in the
     same order and operand layouts, on the route of the model's covariance
-    class, so the production core must match it bitwise with and without
-    its scratch.
+    class, so the production core must match it bitwise.
     """
     if model.output_features is None:
         return _reference_input_space_core(model)
@@ -842,9 +841,9 @@ def count_gram_builds(monkeypatch) -> list:
 
     real, built = kernels.ard_gram_parts, []
 
-    def counted(params, X1, X2, out=None):
+    def counted(params, X1, X2):
         built.append(len(X1))
-        return real(params, X1, X2, out=out)
+        return real(params, X1, X2)
 
     monkeypatch.setattr(kernels, "ard_gram_parts", counted)
     return built

@@ -1,11 +1,16 @@
 """CLI harness: dataset generation, training, benchmark sweeps, exit codes."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfgar
 from mfgar import cli
 from mfgar.cli import main
 from mfgar.gar import load_gar, gar_predict
@@ -458,3 +463,57 @@ def test_benchmark_refuses_repeated_sweep_values(tmp_path, capsys):
         ) == 1
         assert option in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_benchmark_refuses_an_empty_model_list(tmp_path, capsys):
+    # refused before anything is written, as an empty sweep is
+    for models in (",", ""):
+        assert run(
+            "benchmark", "--pde", "poisson", "--model", models, "--n-low", 4,
+            "--n-high-sweep", "2", "--n-test", "2", "--repeats", 1, "--out", tmp_path / "x",
+        ) == 1
+        assert "error: empty model list" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+UNWRITABLE_OUT_ARGS = {
+    "generate": ["--pde", "poisson", "--n-low", 4, "--n-high", 2],
+    "train": ["--model", "gar", "--max-iters", 2],
+    "benchmark": [
+        "--pde", "poisson", "--n-low", 4, "--n-high-sweep", "2", "--n-test", "2",
+        "--repeats", 1, "--max-iters", 2,
+    ],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", sorted(UNWRITABLE_OUT_ARGS))
+def test_unwritable_out_is_one_error_line(small_dataset, tmp_path, command, under):
+    # an --out that is a file, or lies under one, is a user error: exit 1
+    # and one "error:" line from the command line entry point, no traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept")
+    out = blocker / "sub" if under else blocker
+    args = UNWRITABLE_OUT_ARGS[command]
+    if command == "train":
+        args = ["--data", small_dataset, *args]
+    src = str(Path(mfgar.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfgar", command, *map(str, args), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert blocker.read_text() == "kept"
+
+
+def test_unwritable_out_is_refused_before_any_solve(tmp_path, monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(cli, "make_dataset", solve)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept")
+    assert run("generate", *UNWRITABLE_OUT_ARGS["generate"], "--out", blocker / "ds") == 1
+    assert "is not a directory" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from mfgar.gar import (
     TuckerWeights,
     _IdentityOutputNonsubsetPack,
     _ResidualPack,
-    _residual_template,
     ar_baseline_fit,
     build_subset_plan,
     gar_fit_recursive,
@@ -22,9 +21,8 @@ from mfgar.gar import (
     gar_predict,
     gar_to_dict,
 )
-from mfgar.hogp import JITTER, tgp_nll, tgp_predict
+from mfgar.hogp import JITTER, _TgpPack, tgp_nll, tgp_predict
 from mfgar.optim import OptimConfig, minimize
-from mfgar.pdebench import make_dataset, pde_spec
 from oracles import (
     count_gram_builds,
     dense_tgp_nll,
@@ -35,6 +33,7 @@ from oracles import (
     grad_audit,
     low_stack,
     make_random_nonsubset,
+    make_random_tgp,
     make_random_two_level,
     output_factors,
     sample_from_model,
@@ -386,42 +385,45 @@ def test_stage2_value_pass_builds_each_gram_once_and_the_gradient_none(monkeypat
     assert built == want
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        pytest.param(GarConfig(), id="gar-free-W"),
-        pytest.param(
-            GarConfig(identity_outputs=True, w_mode="orthonormal"), id="cigar-orthonormal-W"
-        ),
-    ],
-)
-def test_warm_stage2_objective_allocates_under_three_data_tensors(config):
-    # A warm stage-2 residual evaluation at Poisson n_high = 16, (16, 32, 32)
-    # data tensors of 128 KiB, keeps the residual, the partial products and
-    # the data-sized temporaries of both passes, the W gradient's unfoldings
-    # included, in the fit's scratch: value plus gradient trace under 1.75
-    # data tensors (about 190 KiB for GAR's latent outputs and free W, 205
-    # KiB for CIGAR's orthonormal W).
-    import tracemalloc
+def _pack_at_a_point(kind: str):
+    """A fresh objective owner of ``kind`` and a point to evaluate it at."""
+    rng = np.random.default_rng(37)
+    if kind.startswith("tgp"):
+        model = make_random_tgp(rng, 5, (3, 4), identity_outputs=kind == "tgp-identity")
+        pack = _TgpPack(model)
+        return pack, pack.pack(model)
+    if kind == "collapsed":
+        model, ds = make_random_nonsubset(
+            rng, 5, 2, 2, (2, 3), (4, 3), identity_outputs=True, orthonormal_w=True
+        )
+        trans = model.transitions[0]
+        pack = _IdentityOutputNonsubsetPack(
+            low_stack(trans, ds.levels[0].Y), ds.levels[1].Y[trans.plan.permutation],
+            trans.residual, trans.weights, "free", trans.workspace.s_hat, trans.plan.n_matched,
+        )
+    else:
+        model, ds = make_random_two_level(rng, 5, 3, (2, 3), (2, 3))
+        trans = model.transitions[0]
+        pack = _ResidualPack(
+            low_stack(trans, ds.levels[0].Y), ds.levels[1].Y, trans.residual, trans.weights,
+            "free",
+        )
+    return pack, pack.pack()
 
-    ds = make_dataset(pde_spec("poisson"), 16, 16, aligned=True, seed=0)
-    low, high = ds.levels
-    w_init = TuckerWeights.initial(high.mode_sizes, low.mode_sizes)
-    template, _ = _residual_template(
-        high.X, high.mode_sizes, None, config, resid0=high.Y - w_init.apply(low.Y)
-    )
-    pack = _ResidualPack(low.Y, high.Y, template, w_init, config.w_mode)
-    point = pack.pack()
-    pack.objective(point)[1]()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        pack.objective(point + 1e-3)[1]()  # the value pass and the gradient pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert high.Y.shape == (16, 32, 32)
-    assert peak - before <= 224 * 1024
+
+@pytest.mark.parametrize("kind", ["tgp-latent", "tgp-identity", "residual-latent", "collapsed"])
+def test_gradient_stays_valid_after_later_objective_calls(kind):
+    # A gradient callable owns what it reads: resolved after the objective
+    # has scored (and differentiated) other points, it is bitwise the
+    # gradient of a fresh pack at its own point.
+    pack, point = _pack_at_a_point(kind)
+    _, gradient = pack.objective(point)
+    for shift in (1e-2, -2e-2):
+        value, later = pack.objective(point + shift)
+        assert np.isfinite(value)
+        later()
+    fresh, _ = _pack_at_a_point(kind)
+    assert np.array_equal(gradient(), fresh.objective(point)[1]())
 
 
 @pytest.mark.parametrize("broken", ["value", "gradient"])

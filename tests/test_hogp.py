@@ -201,29 +201,6 @@ def test_objective_builds_each_gram_once_and_its_gradient_none(monkeypatch, mode
     assert built == want
 
 
-def test_objective_scratch_shared_by_models_is_bitwise_a_fresh_scratch():
-    # The Gram parts live in the fit's scratch, not on the model: one scratch
-    # serving a model, one with moved inputs built by replace (as the
-    # non-subset workspace builds its augmented model), one with fewer rows,
-    # and the first again gives each value and gradient bitwise as a fresh
-    # scratch does.
-    rng = np.random.default_rng(63)
-    first = make_random_tgp(rng, 6, (4, 3))
-    moved = replace(first, X=first.X + 0.3 * rng.standard_normal(first.X.shape))
-    fewer = replace(first, X=first.X[:4], Y=first.Y[:4])
-    shared = {}
-    for model in (first, moved, fewer, first):
-        fresh = _TgpPack(model)
-        reused = _TgpPack(model)
-        reused.scratch = shared
-        point = fresh.pack(model) + 1e-3
-        value, gradient = fresh.objective(point)
-        value_shared, gradient_shared = reused.objective(point)
-        assert np.array_equal(value_shared, value)
-        assert np.array_equal(gradient_shared(), gradient())
-    assert shared
-
-
 def assert_bitwise_core(got, want):
     nll, _, adjoint = got
     gbars, d_noise, alpha = adjoint()
@@ -238,25 +215,22 @@ def assert_bitwise_core(got, want):
 @pytest.mark.parametrize("identity", [False, True])
 @pytest.mark.parametrize("modes", [(8,), (32, 32), (8, 8), (32, 8), (3, 4, 5)])
 def test_nll_core_scratch_is_bitwise_the_allocating_reference(modes, identity):
-    # The scratch arrays keep the layouts of the temporaries they stand for,
-    # so the BLAS products and pairwise sums give the same bits; a second
-    # parameter point through the same scratch shows no stale buffer leaks.
-    # tgp_nll reads the same solve, so it is the core's value bitwise.  An
-    # identity-output core given the fit's once-built data Gram
-    # (_TgpPack.data_gram) is bitwise the one that builds it per call.
+    # The production core runs the reference's operations in the same order
+    # and operand layouts, so the BLAS products and pairwise sums give the
+    # same bits at every parameter point.  tgp_nll reads the same solve, so
+    # it is the core's value bitwise.  An identity-output core given the
+    # fit's once-built data Gram (_TgpPack.data_gram) is bitwise the one
+    # that builds it per call.
     rng = np.random.default_rng(60 + len(modes))
     first = make_random_tgp(rng, 6, modes, identity_outputs=identity)
     second = replace(first, log_noise=first.log_noise + 0.7, Y=1.5 * first.Y + 0.2)
-    scratch = {}
     for model in (first, second, first):
         want = reference_nll_core(replace(model))
         assert_bitwise_core(_nll_core(replace(model)), want)
-        assert_bitwise_core(_nll_core(replace(model), scratch), want)
         assert np.array_equal(tgp_nll(replace(model)), want[0])
         if identity:
             gram = _TgpPack(model).data_gram
-            assert_bitwise_core(_nll_core(replace(model), scratch, gram), want)
-    assert scratch
+            assert_bitwise_core(_nll_core(replace(model), gram), want)
 
 
 def test_replace_drops_the_cached_eigenbasis():
@@ -271,27 +245,6 @@ def test_replace_drops_the_cached_eigenbasis():
         model.input_kernel, model.output_features, model.log_noise, X2, model.Y, model.offset
     )
     assert np.array_equal(tgp_nll(replace(model, X=X2)), tgp_nll(fresh))
-
-
-def test_warm_objective_allocates_no_data_sized_temporary():
-    # One evaluation of a latent (32, 32, 32) model made 1.9 MiB of
-    # temporaries before the scratch; warm, it now allocates factor-sized
-    # arrays only (a data-sized tensor alone is 256 KiB).
-    import tracemalloc
-
-    rng = np.random.default_rng(61)
-    model = make_random_tgp(rng, 32, (32, 32))
-    pack = _TgpPack(model)
-    point = pack.pack(model)
-    pack.objective(point)[1]()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        pack.objective(point + 1e-3)[1]()  # the value pass and the adjoint pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before <= 256 * 1024
 
 
 def test_warm_identity_evaluation_is_independent_of_the_output_size(monkeypatch):
@@ -503,8 +456,8 @@ def test_identity_objective_is_inf_where_the_input_space_step_fails(monkeypatch,
     if fault == "indefinite":
         real = kernels.ard_gram_parts
 
-        def indefinite(params, X1, X2, out=None):
-            diff, d2, K = real(params, X1, X2, out=out)
+        def indefinite(params, X1, X2):
+            diff, d2, K = real(params, X1, X2)
             K -= 10.0 * np.eye(len(K))
             return diff, d2, K
 
