@@ -7,9 +7,10 @@ Subcommands
 * ``train`` fits one model kind on a dataset directory and writes the model
   bundle (``model.json``: fitted parameters, training data and subset plans;
   ``load_gar`` rebuilds the non-subset imputation state from them) and the
-  run settings (``train_meta.json``).  The bundle is JSON with ``kind`` and
-  ``dataset_ref`` at the top; each array in it is a base64 payload of its
-  little-endian bytes (``mfgar.hogp.encode_array``), so it loads bitwise.
+  run settings (``train_meta.json``: model, dataset, seed, max_iters and
+  step).  The bundle is JSON with ``kind`` and ``dataset_ref`` at the top;
+  each array in it is a base64 payload of its little-endian bytes
+  (``mfgar.hogp.encode_array``), so it loads bitwise.
 * ``benchmark`` sweeps the high-fidelity sample count, repeating each point
   with shuffled designs (distinct sampler streams per repeat), and emits
   ``results.csv`` (deterministic given seeds; one row per model/sweep/repeat
@@ -244,6 +245,7 @@ def cmd_train(args) -> int:
         "dataset": ref,
         "seed": args.seed,
         "max_iters": args.max_iters,
+        "step": args.step,
     }
     with open(args.out / "train_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -410,7 +410,7 @@ class _Stage2Pack:
         return p[: self.w.size], p[self.w.size :]
 
     def pack(self) -> np.ndarray:
-        return np.concatenate([self.w.init, self.tgp.pack(self.tgp.template)])
+        return np.concatenate([self.w.init, self.tgp.pack()])
 
     def _partial(self, weights: TuckerWeights, skip: int):
         """``z[skip]``: the low stack with every weight factor but ``W_skip`` applied.
@@ -1183,14 +1183,36 @@ def _check_stored_transition(where: str, plan, residual, weights: list, level_lo
             raise ValueError(f"{where}weights[{m}]: shape {weights[m].shape}, expected {shape}")
 
 
+def _check_stored_low(name: str, pair_low: TgpModel, level_low: TgpModel):
+    """Refuse a stored imputation model that is not a fit of the level it imputes.
+
+    ``level_low`` is the residual of the transition below, which holds every
+    row of that level: ``pair_low`` must have its sample count, its output
+    mode sizes and its input rows (bitwise, in any order).  Errors start
+    with ``name``, the stored model's path in the document.
+    """
+    if pair_low.n_samples != level_low.n_samples:
+        raise ValueError(
+            f"{name}: {pair_low.n_samples} samples, the level has {level_low.n_samples}"
+        )
+    if pair_low.mode_sizes != level_low.mode_sizes:
+        raise ValueError(
+            f"{name}: output mode sizes {pair_low.mode_sizes}, the level has {level_low.mode_sizes}"
+        )
+    if sorted(map(np.ndarray.tobytes, pair_low.X)) != sorted(map(np.ndarray.tobytes, level_low.X)):
+        raise ValueError(f"{name}: its input rows are not the level's")
+
+
 def gar_from_dict(doc: dict) -> GarModel:
     """Rebuild a model from :func:`gar_to_dict`'s document.
 
     A document loads as the ``GarModel`` subclass of its kind, so a
     ``cigar`` document becomes a ``CigarModel`` and its identity-output and
     orthonormal-weight constraints are checked on load.  A ``kind`` other
-    than those of :data:`GAR_KINDS`, or a chain whose models mix identity
-    and latent output covariances, raises ``ValueError``.
+    than those of :data:`GAR_KINDS`, a chain whose models mix identity and
+    latent output covariances, or a stored imputation model that is not a
+    fit of the level it imputes (:func:`_check_stored_low`), raises
+    ``ValueError``.
     """
     _check_schema(doc, GAR_SCHEMA)
     kind = doc.get("kind")
@@ -1214,7 +1236,10 @@ def gar_from_dict(doc: dict) -> GarModel:
         _check_stored_transition(where, plan, residual, weights, level_low)
         workspace = None
         if not plan.fully_matched:
-            pair_low = low if i == 0 else _tgp_from_doc(_entry(entry, "low", where), where + "low.")
+            pair_low = low
+            if i > 0:
+                pair_low = _tgp_from_doc(_entry(entry, "low", where), where + "low.")
+                _check_stored_low(where + "low", pair_low, level_low)
             workspace = _nonsubset_workspace(pair_low, residual.X[plan.n_matched :])
         transitions.append(
             GarTransition(

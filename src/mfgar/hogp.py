@@ -45,6 +45,12 @@ distances it was built from.  The fit's objective
 returns the value and defers the adjoint pass, which the optimizer runs
 only at points it accepts.  Finite differences are used solely as the
 test-side audit.
+
+A model's kernel Grams have one order, :func:`_kernel_rows`: the input
+kernel over ``X`` first, then (latent outputs only) each output mode's
+kernel over its latent coordinates.  The value pass builds the Grams in
+that order, the adjoint pass returns their adjoints in it, and a fit's
+parameter vector (``_TgpPack``) walks it by position.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -118,17 +124,19 @@ class TgpModel:
         if self.Y.ndim == 1:
             self.Y = self.Y[:, None]
         if self.Y.shape[0] != self.X.shape[0]:
-            raise ValueError("first mode of Y must equal the number of input rows")
+            raise ValueError("Y: first mode must equal the number of input rows")
         if self.output_features is not None:
-            if self.output_features.mode_sizes != self.Y.shape[1:]:
-                raise ValueError("latent feature mode sizes do not match Y")
+            if self.output_features.mode_sizes != self.mode_sizes:
+                raise ValueError("output_features: mode sizes do not match Y")
         if not np.isfinite(self.log_noise):
             raise ValueError(f"log_noise must be finite, got {self.log_noise!r}")
         self.log_noise = float(max(self.log_noise, _LOG_JITTER))
         if self.offset is None:
-            self.offset = np.zeros(self.Y.shape[1:])
+            self.offset = np.zeros(self.mode_sizes)
         else:
             self.offset = as_float(self.offset)
+        if self.offset.shape != self.mode_sizes:
+            raise ValueError(f"offset: shape {self.offset.shape}, expected {self.mode_sizes}")
 
     @property
     def n_samples(self) -> int:
@@ -165,16 +173,19 @@ class TgpModel:
         return self._eig
 
 
-def _gram_parts(model: TgpModel) -> list:
-    """``ard_gram_parts`` of every kernel Gram of ``model``, one build each.
-
-    The input Gram comes first, then (latent outputs only) the covariance of
-    each output mode.
-    """
-    pairs = [(model.input_kernel, model.X)]
+def _kernel_rows(model: TgpModel) -> list:
+    """``(kernel, rows)`` of every kernel Gram of ``model``: the input kernel
+    over ``X`` first, then (latent outputs only) each output mode's kernel
+    over its coordinates."""
+    rows = [(model.input_kernel, model.X)]
     if model.output_features is not None:
-        pairs += zip(model.output_features.kernels, model.output_features.coords)
-    return [kernels.ard_gram_parts(kern, rows, rows) for kern, rows in pairs]
+        rows += zip(model.output_features.kernels, model.output_features.coords)
+    return rows
+
+
+def _gram_parts(model: TgpModel) -> list:
+    """``ard_gram_parts`` of every Gram of :func:`_kernel_rows`, one build each."""
+    return [kernels.ard_gram_parts(kern, rows, rows) for kern, rows in _kernel_rows(model)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +238,13 @@ def _nll_core(model: TgpModel, data_gram=None):
     which :meth:`_TgpPack.chain` pulls the Gram adjoints back through).
     ``adjoint()`` runs the adjoint pass on the same arrays and returns
     ``(gbars, d_noise, alpha)``: ``gbars[k]`` is the matrix pairing with an
-    unconstrained perturbation of factor k (k=0 the input Gram, then, latent
-    outputs only, one per output mode), ``d_noise`` the noise-variance
-    partial, and ``alpha()`` the data adjoint ``Sigma^{-1} vec(Yc)`` in the
-    data's tensor shape, formed only when called (a stage-2 fit calls it, a
-    plain fit does not).  A caller that needs the value only never pays for
-    the adjoints.  Every evaluation allocates its own arrays, so ``grams``,
-    ``adjoint`` and ``alpha()`` stay valid however many evaluations follow.
+    unconstrained perturbation of Gram k (in :func:`_kernel_rows` order),
+    ``d_noise`` the noise-variance partial, and ``alpha()`` the data adjoint
+    ``Sigma^{-1} vec(Yc)`` in the data's tensor shape, formed only when
+    called (a stage-2 fit calls it, a plain fit does not).  A caller that
+    needs the value only never pays for the adjoints.  Every evaluation
+    allocates its own arrays, so ``grams``, ``adjoint`` and ``alpha()`` stay
+    valid however many evaluations follow.
     """
     if model.output_features is None:
         return _input_space_core(model, data_gram)
@@ -361,93 +372,63 @@ class FitConfig:
 
 
 class _TgpPack:
-    """Flat-vector packing of all trainable TGP parameters.
+    """Flat-vector packing of all trainable TGP parameters of ``template``.
 
-    ``freeze_coords`` keeps latent coordinates fixed at the template's values
-    (a fusion residual that shares the low level's coordinates) while their
-    kernels stay trainable.
+    The vector walks :func:`_kernel_rows` by position: for each Gram the log
+    amplitude and log lengthscales, then, for a latent output mode, its
+    coordinate rows unless ``freeze_coords`` holds them at the template's
+    values (a fusion residual that shares the low level's coordinates); the
+    log noise comes last.
     """
 
     def __init__(self, template: TgpModel, freeze_coords: bool = False):
         self.template = template
-        self.slices = {}
-        idx = 0
+        self.freeze_coords = freeze_coords
+        self.size = self.pack().size
 
-        def add(name, size):
-            nonlocal idx
-            self.slices[name] = slice(idx, idx + size)
-            idx += size
+    def _trains_rows(self, k: int) -> bool:
+        """Whether Gram k's rows are in the vector: latent coordinates, unless frozen."""
+        return k > 0 and not self.freeze_coords
 
-        add("input", template.input_kernel.n_params)
-        if template.output_features is not None:
-            for m, (V, k) in enumerate(
-                zip(template.output_features.coords, template.output_features.kernels)
-            ):
-                add(f"kern{m}", k.n_params)
-                if not freeze_coords:
-                    add(f"coords{m}", V.size)
-        add("noise", 1)
-        self.size = idx
-
-    def pack(self, model: TgpModel) -> np.ndarray:
-        p = np.empty(self.size)
-        ik = model.input_kernel
-        p[self.slices["input"]] = np.concatenate([[ik.log_amplitude], ik.log_lengthscales])
-        if model.output_features is not None:
-            for m, (V, k) in enumerate(
-                zip(model.output_features.coords, model.output_features.kernels)
-            ):
-                p[self.slices[f"kern{m}"]] = np.concatenate([[k.log_amplitude], k.log_lengthscales])
-                if f"coords{m}" in self.slices:
-                    p[self.slices[f"coords{m}"]] = V.ravel()
-        p[self.slices["noise"]] = model.log_noise
-        return p
+    def pack(self) -> np.ndarray:
+        t = self.template
+        parts = []
+        for k, (kern, rows) in enumerate(_kernel_rows(t)):
+            parts += [[kern.log_amplitude], kern.log_lengthscales]
+            if self._trains_rows(k):
+                parts.append(rows.ravel())
+        return np.concatenate(parts + [[t.log_noise]])
 
     def unpack(self, p: np.ndarray, Y: np.ndarray | None = None) -> TgpModel:
         """The model at ``p``; ``Y``, when given, replaces the template's outputs."""
         t = self.template
-        raw = p[self.slices["input"]]
-        input_kernel = ArdKernelParams(raw[0], raw[1:])
-        feats = None
-        if t.output_features is not None:
-            coords, kerns = [], []
-            for m, (V, k) in enumerate(zip(t.output_features.coords, t.output_features.kernels)):
-                kr = p[self.slices[f"kern{m}"]]
-                kerns.append(ArdKernelParams(kr[0], kr[1:]))
-                if f"coords{m}" in self.slices:
-                    coords.append(p[self.slices[f"coords{m}"]].reshape(V.shape))
-                else:
-                    coords.append(V.copy())
-            feats = LatentFeatures(coords, kerns)
-        return TgpModel(
-            input_kernel=input_kernel,
-            output_features=feats,
-            log_noise=float(p[self.slices["noise"]][0]),
-            X=t.X,
-            Y=t.Y if Y is None else Y,
-            offset=t.offset,
-        )
+        kerns, coords, i = [], [], 0
+        for k, (kern, rows) in enumerate(_kernel_rows(t)):
+            n = kern.n_params
+            kerns.append(ArdKernelParams(p[i], p[i + 1 : i + n]))
+            i += n
+            if self._trains_rows(k):
+                coords.append(p[i : i + rows.size].reshape(rows.shape))
+                i += rows.size
+            elif k > 0:
+                coords.append(rows.copy())
+        feats = None if t.output_features is None else LatentFeatures(coords, kerns[1:])
+        Y = t.Y if Y is None else Y
+        return replace(t, input_kernel=kerns[0], output_features=feats, log_noise=float(p[i]), Y=Y)
 
     def chain(self, model: TgpModel, grams, gbars, d_noise: float) -> np.ndarray:
         """Gradient of the NLL at ``model`` from the covariance adjoints.
 
         ``grams`` are the value pass's Gram parts (:func:`_gram_parts`) and
-        ``gbars`` their adjoints: the input Gram's, then one per output mode
-        (read only when the model has latent output covariances); ``d_noise``
-        is the partial with respect to the noise variance.  No Gram is
-        rebuilt.
+        ``gbars`` their adjoints, both in :func:`_kernel_rows` order;
+        ``d_noise`` is the partial with respect to the noise variance.  No
+        Gram is rebuilt.
         """
-        g = np.zeros(self.size)
-        g[self.slices["input"]], _ = ard_gram_adjoint(model.input_kernel, grams[0], gbars[0])
-        if model.output_features is not None:
-            for m, kern in enumerate(model.output_features.kernels):
-                rows = f"coords{m}" in self.slices
-                g_kern, g_coords = ard_gram_adjoint(kern, grams[m + 1], gbars[m + 1], rows=rows)
-                g[self.slices[f"kern{m}"]] = g_kern
-                if rows:
-                    g[self.slices[f"coords{m}"]] = g_coords.ravel()
-        g[self.slices["noise"]] = d_noise * model.noise
-        return g
+        g = []
+        for k, ((kern, _), parts, gbar) in enumerate(zip(_kernel_rows(model), grams, gbars)):
+            g_kern, g_rows = ard_gram_adjoint(kern, parts, gbar, rows=self._trains_rows(k))
+            g += [g_kern] if g_rows is None else [g_kern, g_rows.ravel()]
+        return np.concatenate(g + [[d_noise * model.noise]])
 
     @cached_property
     def data_gram(self) -> np.ndarray:
@@ -518,7 +499,7 @@ def tgp_fit(X, Y, config: FitConfig = FitConfig()):
         feats = LatentFeatures.initialize(Y.shape[1:], seed=config.optim.seed)
     init = _initial_model(X, Y, float((Y - offset).var()), feats, offset)
     pack = _TgpPack(init)
-    p_opt, trace = minimize(pack.objective, pack.pack(init), config.optim)
+    p_opt, trace = minimize(pack.objective, pack.pack(), config.optim)
     return pack.unpack(p_opt), trace
 
 
@@ -750,16 +731,17 @@ def _tgp_from_doc(doc: dict, prefix: str) -> TgpModel:
             coords.append(decode_array(_entry(f, "coords", where), where + "coords"))
             kerns.append(kernel(f, where))
         feats = LatentFeatures(coords, kerns)
-    arrays = {
+    fields = {
         name: decode_array(_entry(doc, name, prefix), prefix + name)
         for name in ("X", "Y", "offset")
     }
-    return TgpModel(
-        input_kernel=kernel(_entry(doc, "input_kernel", prefix), prefix + "input_kernel."),
-        output_features=feats,
-        log_noise=_finite_entry(doc, "log_noise", prefix),
-        **arrays,
-    )
+    fields["input_kernel"] = kernel(_entry(doc, "input_kernel", prefix), prefix + "input_kernel.")
+    fields["log_noise"] = _finite_entry(doc, "log_noise", prefix)
+    try:
+        return TgpModel(output_features=feats, **fields)
+    except ValueError as err:
+        # the model's checks name the field first; the document's path goes before it
+        raise ValueError(f"{prefix}{err}") from None
 
 
 def save_tgp(model: TgpModel, path, dataset_ref: str | None = None):

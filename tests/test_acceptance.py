@@ -204,10 +204,10 @@ def test_criterion_5_kronecker_pipeline_and_gradients():
     audits = {}
     model = make_random_tgp(rng, 3, (2, 2), noise=0.1)
     pack = _TgpPack(model)
-    audits["tgp"] = grad_audit(pack.objective, pack.pack(model), eps=1e-5)
+    audits["tgp"] = grad_audit(pack.objective, pack.pack(), eps=1e-5)
     ident = make_random_tgp(rng, 4, (3,), identity_outputs=True, noise=0.2)
     pack = _TgpPack(ident)
-    audits["tgp identity-S"] = grad_audit(pack.objective, pack.pack(ident), eps=1e-5)
+    audits["tgp identity-S"] = grad_audit(pack.objective, pack.pack(), eps=1e-5)
 
     model, ds = make_random_two_level(rng, 5, 3, (2, 2), (2, 2))
     trans = model.transitions[0]

@@ -99,13 +99,15 @@ def aligned_dataset(tmp_path_factory):
 def test_train_gar_and_reload(small_dataset, tmp_path):
     out = tmp_path / "model"
     assert run(
-        "train", "--data", small_dataset, "--model", "gar", "--max-iters", 25, "--out", out
+        "train", "--data", small_dataset, "--model", "gar", "--max-iters", 25, "--step", 0.04,
+        "--out", out,
     ) == 0
     model = load_gar(out / "model.json")
     pred = gar_predict(model, np.full(5, 0.4))
     assert pred.mean.shape == (32, 32)
     meta = json.loads((out / "train_meta.json").read_text())
     assert meta["model"] == "gar"
+    assert (meta["max_iters"], meta["step"], meta["seed"]) == (25, 0.04, 0)
 
 
 def test_train_cigar_and_hogp(small_dataset, tmp_path):

@@ -401,11 +401,11 @@ def non_pd_point(pack):
     factorization of the corrected covariance meets a non-positive pivot.
     """
     p = pack.pack()
-    inputs, noise = (pack.tgp.slices[name] for name in ("input", "noise"))
     off = pack.w.size
-    p[off + inputs.start] = 40.0
-    p[off + inputs.start + 1 : off + inputs.stop] = 20.0
-    p[off + noise.start] = -40.0
+    n_input = pack.tgp.template.input_kernel.n_params
+    p[off] = 40.0
+    p[off + 1 : off + n_input] = 20.0
+    p[off + pack.tgp.size - 1] = -40.0
     return p
 
 
@@ -841,6 +841,37 @@ def test_three_level_chain_with_nonsubset_top_roundtrip(tmp_path):
     assert ["low" in t for t in doc["transitions"]] == [False, True]
 
 
+def test_bundle_refuses_a_stored_low_that_is_not_its_level():
+    # The stored low model of an upper non-subset transition imputes the
+    # middle level, so it must hold that level: its sample count, its output
+    # mode sizes and its input rows, in any order.
+    rng = np.random.default_rng(26)
+    f = lambda X: np.stack([np.sin(2 * np.pi * X[:, 0]) + X[:, 1], np.cos(np.pi * X[:, 1])], axis=1)
+    X = rng.uniform(0, 1, size=(10, 2))
+    X_top = np.vstack([X[:2], rng.uniform(0, 1, size=(2, 2))])
+    ds = MultiFidelityDataset([(X, f(X)), (X[:6], 1.2 * f(X[:6])), (X_top, 1.4 * f(X_top))])
+    cfg = GarConfig(optim=OptimConfig(max_iters=10, step=0.05), identity_outputs=True)
+    doc = gar_to_dict(gar_fit_recursive(ds, cfg))
+    low = tgp_from_dict(doc["transitions"][1]["low"])
+    assert low.mode_sizes == (2,) and low.n_samples == 6
+    flipped = low.X[::-1]
+    moved = low.X.copy()
+    moved[3, 0] += 1e-12
+    edits = {
+        "4 samples, the level has 6": replace(low, X=low.X[:4], Y=low.Y[:4]),
+        r"output mode sizes \(1, 2\), the level has \(2,\)": replace(
+            low, Y=low.Y.reshape(6, 1, 2), offset=low.offset.reshape(1, 2)
+        ),
+        "its input rows are not the level's": replace(low, X=moved),
+    }
+    for message, edited in edits.items():
+        doc["transitions"][1]["low"] = tgp_to_dict(edited)
+        with pytest.raises(ValueError, match=r"^transitions\[1\]\.low: " + message):
+            gar_from_dict(json.loads(json.dumps(doc)))
+    doc["transitions"][1]["low"] = tgp_to_dict(replace(low, X=flipped, Y=low.Y[::-1]))
+    assert gar_from_dict(doc).transitions[1].workspace is not None
+
+
 def test_bundle_rejects_previous_schema():
     rng = np.random.default_rng(27)
     model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (2,))
@@ -966,11 +997,28 @@ MISSING = "missing"
         pytest.param("gar", ("low",), [1], "expected a JSON object, got list", id="list-low"),
         pytest.param("gar", (), None, "expected a JSON object, got list", id="list-bundle"),
         pytest.param("tgp", (), None, "expected a JSON object, got list", id="tgp-list-bundle"),
+        pytest.param(
+            "gar", ("low", "offset"), encode_array(np.zeros(1)), "shape (1,), expected (2,)",
+            id="short-offset",
+        ),
+        pytest.param(
+            "gar", ("low", "offset"), encode_array(np.float64(0.5)), "shape (), expected (2,)",
+            id="scalar-offset",
+        ),
+        pytest.param(
+            "gar", (*RESIDUAL, "offset"), encode_array(np.zeros((2, 1))),
+            "shape (2, 1), expected (2,)", id="column-offset",
+        ),
+        pytest.param(
+            "tgp", ("offset",), encode_array(np.zeros(3)), "shape (3,), expected (2,)",
+            id="tgp-long-offset",
+        ),
     ],
 )
 def test_bundle_refuses_bad_fields_naming_the_path(loader, path, value, message):
     # A malformed bundle loads no model: a non-finite or non-numeric scalar,
-    # a missing field and a field of the wrong JSON type each raise
+    # a missing field, a field of the wrong JSON type and an offset not
+    # shaped like one output (which would broadcast into the means) each raise
     # ValueError with the field's path first (``transitions[0].plan``, or
     # ``bundle`` for the document, here edited into a one-item list), never
     # a KeyError, TypeError or AttributeError.

@@ -167,7 +167,7 @@ def test_objective_projects_once_and_rebuilds_no_factor(monkeypatch, modes, iden
     rng = np.random.default_rng(50)
     model = make_random_tgp(rng, 4, modes, identity_outputs=identity)
     pack = _TgpPack(model)
-    point = pack.pack(model)
+    point = pack.pack()
     modes_hit = []
     real = tensalg.mode_product
 
@@ -194,7 +194,7 @@ def test_objective_builds_each_gram_once_and_its_gradient_none(monkeypatch, mode
     model = make_random_tgp(rng, 4, modes, identity_outputs=identity)
     pack = _TgpPack(model)
     built = count_gram_builds(monkeypatch)
-    _, gradient = pack.objective(pack.pack(model))
+    _, gradient = pack.objective(pack.pack())
     want = [4] + ([] if identity else list(modes))
     assert built == want
     gradient()
@@ -265,7 +265,7 @@ def test_warm_identity_evaluation_is_independent_of_the_output_size(monkeypatch)
         rng = np.random.default_rng(62)
         model = make_random_tgp(rng, 8, modes, identity_outputs=True)
         pack = _TgpPack(model)
-        point = pack.pack(model)
+        point = pack.pack()
         pack.objective(point)[1]()
         pack.objective(point + 1e-3)  # the value pass alone
         assert hits == []
@@ -288,7 +288,7 @@ def test_gradient_audit_all_parameters():
         rng = np.random.default_rng(seed)
         model = make_random_tgp(rng, 3, (2, 2), noise=0.1)
         pack = _TgpPack(model)
-        point = pack.pack(model)
+        point = pack.pack()
         assert grad_audit(pack.objective, point, eps=1e-5) < 1e-4
 
 
@@ -296,7 +296,61 @@ def test_gradient_audit_identity_outputs():
     rng = np.random.default_rng(6)
     model = make_random_tgp(rng, 4, (3,), identity_outputs=True, noise=0.2)
     pack = _TgpPack(model)
-    assert grad_audit(pack.objective, pack.pack(model), eps=1e-5) < 1e-4
+    assert grad_audit(pack.objective, pack.pack(), eps=1e-5) < 1e-4
+
+
+def bits(*arrays) -> list:
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def model_kernels(model) -> list:
+    feats = model.output_features
+    return [model.input_kernel] + ([] if feats is None else feats.kernels)
+
+
+@pytest.mark.parametrize("kind", ["identity", "latent", "frozen"])
+def test_pack_walks_the_kernel_grams_by_position(kind):
+    # For each kernel Gram (the input kernel, then each latent output mode)
+    # the vector holds the log amplitude and log lengthscales, then the
+    # mode's coordinate rows unless frozen; the log noise comes last.
+    # Unpacking the template's vector gives the template back bitwise, and
+    # the gradient has one entry per vector entry.
+    rng = np.random.default_rng(41)
+    model = make_random_tgp(rng, 5, (3, 2), identity_outputs=kind == "identity")
+    feats = model.output_features
+    pack = _TgpPack(model, freeze_coords=kind == "frozen")
+    entries = []  # (values, whether they are coordinate rows)
+    for k, kern in enumerate(model_kernels(model)):
+        entries += [([kern.log_amplitude], False), (kern.log_lengthscales, False)]
+        if k > 0:
+            entries.append((feats.coords[k - 1].ravel(), True))
+    entries.append(([model.log_noise], False))
+    trained = np.concatenate([a for a, _ in entries])
+    is_coord = np.concatenate([np.full(np.size(a), c) for a, c in entries])
+    p = pack.pack()
+    assert bits(p) == bits(trained[~is_coord] if kind == "frozen" else trained)
+    assert p.size == pack.size
+
+    back = pack.unpack(p)
+    assert (back.output_features is None) == (feats is None)
+    for a, b in zip(model_kernels(back), model_kernels(model), strict=True):
+        assert bits(a.log_amplitude, a.log_lengthscales) == bits(
+            b.log_amplitude, b.log_lengthscales
+        )
+    if feats is not None:
+        assert bits(*back.output_features.coords) == bits(*feats.coords)
+    assert bits(back.log_noise, back.X, back.Y, back.offset) == bits(
+        model.log_noise, model.X, model.Y, model.offset
+    )
+
+    _, grams, adjoint = _nll_core(model)
+    gbars, d_noise, _ = adjoint()
+    gradient = pack.chain(model, grams, gbars, d_noise)
+    assert gradient.shape == (pack.size,)
+    if kind == "frozen":
+        # the trained-coordinate layout's gradient, less its coordinate entries
+        full = _TgpPack(model).chain(model, grams, gbars, d_noise)
+        assert bits(gradient) == bits(full[~is_coord])
 
 
 @pytest.mark.parametrize("empty", ["X", "Y"])
@@ -430,8 +484,8 @@ def test_pack_objective_is_inf_where_the_eigen_step_fails():
     rng = np.random.default_rng(31)
     model = make_random_tgp(rng, 4, (2, 3))
     pack = _TgpPack(model)
-    p = pack.pack(model)
-    p[pack.slices["input"].start] = 800.0
+    p = pack.pack()
+    p[0] = 800.0
     with pytest.warns(RuntimeWarning, match="overflow"):
         value, grad = pack.objective(p)
     assert value == np.inf
@@ -452,7 +506,7 @@ def test_identity_objective_is_inf_where_the_input_space_step_fails(monkeypatch,
     if fault == "data-gram":
         model = replace(model, Y=1e200 * model.Y)
     pack = _TgpPack(model)
-    p = pack.pack(model)
+    p = pack.pack()
     if fault == "indefinite":
         real = kernels.ard_gram_parts
 
@@ -463,7 +517,7 @@ def test_identity_objective_is_inf_where_the_input_space_step_fails(monkeypatch,
 
         monkeypatch.setattr(kernels, "ard_gram_parts", indefinite)
     if fault == "kernel-gram":
-        p[pack.slices["input"].start] = 800.0
+        p[0] = 800.0
         with pytest.warns(RuntimeWarning, match="overflow"):
             value, grad = pack.objective(p)
     else:
@@ -494,7 +548,7 @@ def test_pack_objective_is_inf_where_the_core_is_not_finite(monkeypatch, broken)
         return (np.nan, grams, adjoint) if broken == "value" else (nll, grams, nan_adjoint)
 
     monkeypatch.setattr(hogp, "_nll_core", nan_core)
-    p = pack.pack(model)
+    p = pack.pack()
     if broken == "value":
         value, grad = pack.objective(p)
     else:

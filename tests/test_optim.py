@@ -164,7 +164,7 @@ def test_gradient_runs_only_at_the_start_and_at_accepted_steps():
 def _latent_tgp_pack():
     model = make_random_tgp(np.random.default_rng(70), 6, (3, 4))
     pack = _TgpPack(model)
-    return pack, pack.pack(model)
+    return pack, pack.pack()
 
 
 def _residual_pack(w_mode):
