@@ -51,7 +51,6 @@ from .hogp import (
     encode_array,
     tgp_fit,
     tgp_nll,
-    tgp_predict,
     tgp_to_dict,
 )
 from .kernels import ArdKernelParams, LatentFeatures, ard_gram
@@ -153,13 +152,6 @@ class SubsetPlan:
     matched_low: np.ndarray
     unmatched_high: np.ndarray
 
-    def __post_init__(self):
-        self.matched_high = np.asarray(self.matched_high, dtype=int)
-        self.matched_low = np.asarray(self.matched_low, dtype=int)
-        self.unmatched_high = np.asarray(self.unmatched_high, dtype=int)
-        if self.matched_high.shape != self.matched_low.shape:
-            raise ValueError("matched index arrays must have equal length")
-
     @property
     def n_matched(self) -> int:
         return self.matched_high.size
@@ -184,11 +176,19 @@ def build_subset_plan(dataset: MultiFidelityDataset, level: int = 0) -> SubsetPl
     """
     if not 0 <= level < dataset.n_levels - 1:
         raise ValueError("level must index an adjacent pair")
+    return _match_rows(dataset.levels[level].X, dataset.levels[level + 1].X)
+
+
+def _match_rows(x_low: np.ndarray, x_high: np.ndarray) -> SubsetPlan:
+    """Plan matching each row of ``x_high`` to its bitwise-identical row of ``x_low``.
+
+    Raises when duplicate low rows make a match ambiguous.
+    """
     table: dict = {}
-    for i, row in enumerate(dataset.levels[level].X):
+    for i, row in enumerate(x_low):
         table.setdefault(row.tobytes(), []).append(i)
     matched_high, matched_low, unmatched = [], [], []
-    for j, row in enumerate(dataset.levels[level + 1].X):
+    for j, row in enumerate(x_high):
         hits = table.get(row.tobytes(), [])
         if len(hits) > 1:
             raise ValueError(f"high row {j} matches {len(hits)} duplicate low rows")
@@ -252,7 +252,11 @@ class GarTransition:
 
     The residual rows are in the plan's matched-first order, so the
     unmatched inputs are the residual inputs from ``plan.n_matched`` on.
-    ``workspace`` is set exactly when the plan has unmatched rows.
+    ``workspace`` is set exactly when the plan has unmatched rows.  A fitted
+    transition keeps its fit-time plan; a loaded one is derived from the
+    residual rows in the bundle's order (``matched_high`` is ``0 ..
+    n_matched - 1``), and its ``matched_low`` indexes the low level as the
+    model holds it: ``model.low``, or the residual below.
     """
 
     weights: TuckerWeights
@@ -271,7 +275,9 @@ class GarModel:
 
     Every TGP in the chain (``low``, each residual and each imputation's
     low model) has output covariances of one kind, all identity or all
-    latent; a mixed chain raises ``ValueError``.
+    latent; a mixed chain raises ``ValueError``, as do an empty chain and
+    an ``ar`` model whose weights are not the scalar transfer ``rho * I``
+    then identities (what the ``scalar`` weight mode builds).
     """
 
     low: TgpModel
@@ -279,6 +285,8 @@ class GarModel:
     kind: str = "gar"
 
     def __post_init__(self):
+        if not self.transitions:
+            raise ValueError("transitions: a model needs at least one fidelity transition")
         tgps = [self.low] + [t.residual for t in self.transitions]
         tgps += [t.workspace.aug_low for t in self.transitions if t.workspace is not None]
         if len({m.output_features is None for m in tgps}) > 1:
@@ -286,6 +294,13 @@ class GarModel:
                 "mixed output covariances: the low, residual and imputation models "
                 "must all have identity or all latent output covariances"
             )
+        if self.kind != "ar":
+            return
+        for i, t in enumerate(self.transitions):
+            f0, *rest = t.weights.factors
+            scalar = [np.eye(len(f0)) * f0[0, 0]] + [np.eye(len(f)) for f in rest]
+            if not all(map(np.array_equal, t.weights.factors, scalar)):
+                raise ValueError(f"transitions[{i}].weights: 'ar' needs rho * I, then identities")
 
     @property
     def rho(self) -> float | None:
@@ -1090,8 +1105,6 @@ def gar_predict(model: GarModel, x_star) -> PosteriorField:
     at any depth.  Observation noise of the top level is added at the end.
     The imputation-variance terms read the mean operators of the mean pass.
     """
-    if not model.transitions:
-        return tgp_predict(model.low, x_star)
     Xs = np.atleast_2d(np.asarray(x_star, dtype=float))
     single = np.asarray(x_star).ndim == 1
     for i, trans in enumerate(model.transitions):
@@ -1124,17 +1137,16 @@ def gar_predict(model: GarModel, x_star) -> PosteriorField:
 # Serialization
 # ---------------------------------------------------------------------------
 
-GAR_SCHEMA = "mfgar/gar-4"
+GAR_SCHEMA = "mfgar/gar-5"
 GAR_KINDS = ("gar", "ar", "cigar")
-_PLAN_FIELDS = ("matched_high", "matched_low", "unmatched_high")
 
 
 def gar_to_dict(model: GarModel, dataset_ref: str | None = None) -> dict:
-    """Self-describing JSON document: parameters, data and plans only.
+    """Self-describing JSON document: parameters and data only.
 
-    Non-subset workspaces are rebuilt on load, so a transition stores its
-    weights, residual model and plan; a non-subset transition above the
-    first also stores the standalone low model its imputation came from.
+    Plans and non-subset workspaces are rebuilt on load, so a transition
+    stores its weights and residual model (rows matched-first); a non-subset
+    transition above the first also stores the low model its imputation came from.
     """
     doc = {
         "schema": GAR_SCHEMA,
@@ -1147,7 +1159,6 @@ def gar_to_dict(model: GarModel, dataset_ref: str | None = None) -> dict:
         entry = {
             "weights": [encode_array(f) for f in t.weights.factors],
             "residual": tgp_to_dict(t.residual),
-            "plan": {name: encode_array(getattr(t.plan, name)) for name in _PLAN_FIELDS},
         }
         if i > 0 and t.workspace is not None:
             aug = t.workspace.aug_low
@@ -1157,30 +1168,29 @@ def gar_to_dict(model: GarModel, dataset_ref: str | None = None) -> dict:
     return doc
 
 
-def _check_stored_transition(where: str, plan, residual, weights: list, level_low):
-    """Refuse a stored plan or weights that do not fit the transition they load into.
+def _check_stored_transition(where: str, residual, weights: list, level_low) -> SubsetPlan:
+    """Plan of a stored transition; refuses rows or weights that do not fit it.
 
-    The plan must order every residual row exactly once and index rows of
-    the pair's low level (``level_low``: the bottom model, or the residual
-    of the transition below, which holds every row of that level); there
-    must be one weight factor per residual mode, shaped (high size, low
-    size).  Errors start with the field's path in the document.
+    The plan matches the residual's input rows against the pair's low level
+    (``level_low``: the bottom model, or the residual of the transition
+    below, which holds every row of that level); rows with a twin must come
+    first, as the fit writes them.  There must be one weight factor per
+    residual mode, shaped (high size, low size).  Errors start with the
+    field's path in the document.
     """
-    n_rows = residual.n_samples
-    if not np.array_equal(np.sort(plan.permutation), np.arange(n_rows)):
-        raise ValueError(
-            f"{where}plan: matched_high and unmatched_high must list each of the "
-            f"{n_rows} residual rows once"
-        )
-    n_low = level_low.n_samples
-    if plan.n_matched and not (plan.matched_low.min() >= 0 and plan.matched_low.max() < n_low):
-        raise ValueError(f"{where}plan.matched_low: indices must lie in [0, {n_low})")
+    try:
+        plan = _match_rows(level_low.X, residual.X)
+    except ValueError as err:
+        raise ValueError(f"{where}residual.X: {err}") from None
+    if not np.array_equal(plan.permutation, np.arange(residual.n_samples)):
+        raise ValueError(f"{where}residual.X: the rows with a low-fidelity twin must come first")
     n_modes = len(residual.mode_sizes)
     if len(weights) != n_modes:
         raise ValueError(f"{where}weights: {len(weights)} factors for {n_modes} residual modes")
     for m, shape in enumerate(zip(residual.mode_sizes, level_low.mode_sizes)):
         if weights[m].shape != shape:
             raise ValueError(f"{where}weights[{m}]: shape {weights[m].shape}, expected {shape}")
+    return plan
 
 
 def _check_stored_low(name: str, pair_low: TgpModel, level_low: TgpModel):
@@ -1209,9 +1219,10 @@ def gar_from_dict(doc: dict) -> GarModel:
     A document loads as the ``GarModel`` subclass of its kind, so a
     ``cigar`` document becomes a ``CigarModel`` and its identity-output and
     orthonormal-weight constraints are checked on load.  A ``kind`` other
-    than those of :data:`GAR_KINDS`, a chain whose models mix identity and
-    latent output covariances, or a stored imputation model that is not a
-    fit of the level it imputes (:func:`_check_stored_low`), raises
+    than those of :data:`GAR_KINDS`, a chain that ``GarModel`` refuses,
+    residual rows or weights that do not fit the derived plan
+    (:func:`_check_stored_transition`), or a stored imputation model that is
+    not a fit of the level it imputes (:func:`_check_stored_low`), raises
     ``ValueError``.
     """
     _check_schema(doc, GAR_SCHEMA)
@@ -1220,20 +1231,13 @@ def gar_from_dict(doc: dict) -> GarModel:
         raise ValueError(f"kind: unknown model kind {kind!r} (expected one of {GAR_KINDS})")
     low = _tgp_from_doc(_entry(doc, "low", ""), "low.")
     transitions = []
-    level_low = low  # a model holding the pair's low level: sample count and output sizes
+    level_low = low  # a model holding the pair's low level: its input rows and output sizes
     for i, entry in enumerate(_entry(doc, "transitions", "", list)):
         where = f"transitions[{i}]."
-        plan_doc = _entry(entry, "plan", where)
-        plan = SubsetPlan(
-            *(
-                decode_array(_entry(plan_doc, name, where + "plan."), f"{where}plan.{name}", "<i8")
-                for name in _PLAN_FIELDS
-            )
-        )
         residual = _tgp_from_doc(_entry(entry, "residual", where), where + "residual.")
         weights = _entry(entry, "weights", where, list)
         weights = [decode_array(f, f"{where}weights[{m}]") for m, f in enumerate(weights)]
-        _check_stored_transition(where, plan, residual, weights, level_low)
+        plan = _check_stored_transition(where, residual, weights, level_low)
         workspace = None
         if not plan.fully_matched:
             pair_low = low

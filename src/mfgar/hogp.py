@@ -605,34 +605,27 @@ def tgp_predict(model: TgpModel, x_star) -> PosteriorField:
 
 TGP_SCHEMA = "mfgar/tgp-3"
 
-# Every ndarray in a bundle is one payload: its little-endian bytes in
-# base64 with dtype and shape, so a load returns the saved bits exactly.
-_PAYLOAD_DTYPES = {"<f8": np.float64, "<i8": np.int64}
+# Every ndarray in a bundle is one float payload: its little-endian float64
+# bytes in base64 with dtype and shape, so a load returns the saved bits exactly.
 
 
 def encode_array(a) -> dict:
-    """Payload of a float or integer array: dtype, shape, base64 bytes."""
+    """Payload of a float array: dtype ``<f8``, shape, base64 bytes."""
     a = np.asarray(a)
-    dtype = "<i8" if np.issubdtype(a.dtype, np.integer) else "<f8"
-    data = np.ascontiguousarray(a, dtype=dtype).tobytes()
-    return {"dtype": dtype, "shape": list(a.shape), "data": base64.b64encode(data).decode("ascii")}
+    data = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return {"dtype": "<f8", "shape": list(a.shape), "data": base64.b64encode(data).decode("ascii")}
 
 
-def decode_array(payload, name: str, expect: str | None = None) -> np.ndarray:
+def decode_array(payload, name: str) -> np.ndarray:
     """Array of an :func:`encode_array` payload; errors start with ``name``.
 
-    Only ``<f8`` and ``<i8`` payloads whose byte count matches the shape
-    load, and a float payload must be finite.  ``expect``, when given, is
-    the only dtype accepted (``"<i8"`` for index arrays, so that a float
-    index is refused rather than truncated).
+    Only finite ``<f8`` payloads whose byte count matches the shape load.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"{name}: expected an array payload, got {type(payload).__name__}")
     dtype = payload.get("dtype")
-    if dtype not in _PAYLOAD_DTYPES:
-        raise ValueError(f"{name}: unsupported dtype {dtype!r} (expected '<f8' or '<i8')")
-    if expect is not None and dtype != expect:
-        raise ValueError(f"{name}: dtype {dtype!r}, expected {expect!r}")
+    if dtype != "<f8":
+        raise ValueError(f"{name}: unsupported dtype {dtype!r} (expected '<f8')")
     shape = payload.get("shape")
     if not isinstance(shape, list) or not all(isinstance(d, int) and d >= 0 for d in shape):
         raise ValueError(f"{name}: shape must be a list of non-negative ints, got {shape!r}")
@@ -644,8 +637,8 @@ def decode_array(payload, name: str, expect: str | None = None) -> np.ndarray:
     if len(raw) != expected:
         raise ValueError(f"{name}: {len(raw)} bytes of data, shape {shape} needs {expected}")
     # astype copies: the buffer view is read-only, the model's arrays are not
-    arr = np.frombuffer(raw, dtype=dtype).astype(_PAYLOAD_DTYPES[dtype]).reshape(shape)
-    if dtype == "<f8" and not np.all(np.isfinite(arr)):
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: non-finite values")
     return arr
 

@@ -263,8 +263,6 @@ def stored_arrays(model, prefix: str = "") -> dict:
         for i, t in enumerate(model.transitions):
             where = f"{prefix}transitions[{i}]."
             out.update({f"{where}weights[{m}]": f for m, f in enumerate(t.weights.factors)})
-            for name in ("matched_high", "matched_low", "unmatched_high"):
-                out[f"{where}plan.{name}"] = getattr(t.plan, name)
             out.update(stored_arrays(t.residual, where + "residual."))
             if t.workspace is not None:
                 out.update(stored_arrays(t.workspace.aug_low, where + "aug_low."))

@@ -52,10 +52,20 @@ def test_generate_nonsubset_plan_stats(tmp_path):
     assert manifest["plan"]["n_unmatched"] == 2
 
 
+def test_generate_appendix_meshes(tmp_path):
+    assert run(
+        "generate", "--pde", "heat", "--mesh-variant", "appendix", "--n-low", 3, "--n-high", 2,
+        "--sampler", "sobol", "--seed", 0, "--out", tmp_path / "ds",
+    ) == 0
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    assert manifest["mesh_variant"] == "appendix"
+    assert [lv["mode_sizes"] for lv in manifest["levels"]] == [[16, 16], [32, 32]]
+
+
 def test_generate_rejects_bad_counts(tmp_path, capsys):
     code = run("generate", "--pde", "poisson", "--n-low", 2, "--n-high", 5, "--out", tmp_path / "x")
     assert code == 1
-    assert "n-high" in capsys.readouterr().err
+    assert "n_high <= n_low" in capsys.readouterr().err
     # non-positive sizes are refused before anything is written
     for n_low, n_high, name in ((0, 0, "n_low"), (4, 0, "n_high"), (4, -2, "n_high")):
         code = run(
@@ -69,6 +79,23 @@ def test_generate_rejects_bad_counts(tmp_path, capsys):
 
 def test_unknown_flag_is_user_error(tmp_path):
     assert run("generate", "--pde", "poisson", "--frobnicate", "--out", tmp_path / "x") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--pde", "poisson", "--n-low", 4, "--n-high", 6],
+        ["benchmark", "--pde", "poisson", "--n-high-sweep="],
+        ["benchmark", "--pde", "poisson", "--n-high-sweep=4,x"],
+        ["benchmark", "--pde", "poisson", "--repeats", 0],
+    ],
+    ids=["subset-too-many-high", "empty-sweep", "malformed-sweep", "zero-repeats"],
+)
+def test_refused_arguments_are_one_error_line_and_write_nothing(tmp_path, capsys, args):
+    assert run(*args, "--out", tmp_path / "x") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +240,18 @@ def test_train_fit_failure_exit_code(small_dataset, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "gar_fit_recursive", boom)
     code = run("train", "--data", small_dataset, "--model", "gar", "--out", tmp_path / "m")
     assert code == 2
+
+
+def test_train_reports_a_failed_transition_fit(small_dataset, tmp_path, monkeypatch, capsys):
+    # a stage-2 failure inside the real fit is a fit failure, exit 2
+    def boom(*a, **kw):
+        raise np.linalg.LinAlgError("synthetic stage-2 failure")
+
+    monkeypatch.setattr(mfgar.gar, "_fit_transition", boom)
+    code = run("train", "--data", small_dataset, "--model", "gar", "--out", tmp_path / "m")
+    assert code == 2
+    assert capsys.readouterr().err == "fit failure: fit failed at fidelity transition 0 -> 1\n"
+    assert not (tmp_path / "m").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from mfgar.gar import (
     gar_predict,
     gar_to_dict,
 )
-from mfgar.hogp import JITTER, _TgpPack, tgp_nll, tgp_predict
+from mfgar.hogp import JITTER, _TgpPack, encode_array, tgp_nll, tgp_predict
 from mfgar.optim import OptimConfig, minimize
 from oracles import (
     count_gram_builds,
@@ -662,6 +662,32 @@ def test_recursive_three_level_chain_beats_top_pair_alone():
     assert rmse_chain < rmse_pair
 
 
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_failed_transition_fit_names_its_transition(monkeypatch, failing):
+    # A stage-2 failure of a three-level chain surfaces as a RuntimeError
+    # naming the fidelity transition, with the original error as its cause.
+    from mfgar import gar
+
+    rng = np.random.default_rng(25)
+    X = rng.uniform(0, 1, size=(6, 2))
+    Y = np.sin(2 * np.pi * X[:, :1]) + X[:, 1:]
+    ds = MultiFidelityDataset([(X, Y), (X[:4], 1.2 * Y[:4]), (X[:2], 1.4 * Y[:2])])
+    fit_transition, calls = gar._fit_transition, []
+
+    def failing_fit(*args):
+        calls.append(args)
+        if len(calls) == failing + 1:
+            raise np.linalg.LinAlgError("synthetic stage-2 failure")
+        return fit_transition(*args)
+
+    monkeypatch.setattr(gar, "_fit_transition", failing_fit)
+    message = rf"^fit failed at fidelity transition {failing} -> {failing + 1}$"
+    with pytest.raises(RuntimeError, match=message) as info:
+        gar_fit_recursive(ds, GarConfig(optim=OptimConfig(max_iters=3)))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert len(calls) == failing + 1
+
+
 # ---------------------------------------------------------------------------
 # A shared base level (low=)
 # ---------------------------------------------------------------------------
@@ -724,10 +750,27 @@ def test_gar_serialization_roundtrip():
     rng = np.random.default_rng(23)
     model, ds = make_random_two_level(rng, 5, 3, (2, 2), (2, 3))
     doc = gar_to_dict(model, dataset_ref="synthetic")
-    assert doc["schema"] == "mfgar/gar-4"
+    assert doc["schema"] == "mfgar/gar-5"
     back = gar_from_dict(doc)
     q = rng.uniform(-1, 1, size=(2, 2))
     assert_allclose(gar_predict(back, q).mean, gar_predict(model, q).mean, rtol=1e-12)
     assert_allclose(
         gar_predict(back, q).variance_diag, gar_predict(model, q).variance_diag, rtol=1e-12
     )
+
+
+def test_ar_model_refuses_weights_that_are_not_a_scalar_transfer():
+    # Kind "ar" is the scalar transfer W = (rho I, I, ..): a gar bundle
+    # relabelled "ar" has free weights and loads no model.
+    rng = np.random.default_rng(40)
+    model, _ = make_random_two_level(rng, 5, 3, (2, 2), (2, 2))
+    doc = gar_to_dict(model)
+    doc["kind"] = "ar"
+    scalar = r"^transitions\[0\]\.weights: 'ar' needs rho \* I, then identities"
+    with pytest.raises(ValueError, match=scalar):
+        gar_from_dict(doc)
+    doc["transitions"][0]["weights"] = [encode_array(1.5 * np.eye(2)), encode_array(np.eye(2))]
+    assert gar_from_dict(doc).rho == 1.5
+    doc["transitions"][0]["weights"][1] = encode_array(1.5 * np.eye(2))
+    with pytest.raises(ValueError, match=scalar):
+        gar_from_dict(doc)

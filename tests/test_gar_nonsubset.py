@@ -818,6 +818,54 @@ def test_nonsubset_bundle_roundtrip(fit, tmp_path):
     assert np.array_equal(gar_nll_nonsubset(back), gar_nll_nonsubset(model))
 
 
+@pytest.mark.parametrize("fit", [gar_fit_recursive, cigar_fit], ids=["gar", "cigar"])
+def test_bundle_roundtrip_when_the_matched_row_is_not_first(fit, tmp_path):
+    # The bundle stores no plan: loading matches the residual rows, which the
+    # fit wrote matched-first, against the low model's.  A design whose one
+    # matched high row is third loads with the same matched count, predicts
+    # and scores bitwise.
+    rng = np.random.default_rng(36)
+    ds = nonsubset_dataset(rng, n_low=10, n_matched=1, n_unmatched=3)
+    order = [1, 2, 0, 3]
+    high = (ds.levels[1].X[order], ds.levels[1].Y[order])
+    ds = MultiFidelityDataset([(ds.levels[0].X, ds.levels[0].Y), high])
+    model = fit(ds, GarConfig(optim=OptimConfig(max_iters=20, step=0.05)))
+    assert model.transitions[0].plan.matched_high.tolist() == [2]
+    assert "plan" not in document_keys(gar_to_dict(model))
+    q = np.vstack([high[0], rng.uniform(0, 1, size=(3, 2))])
+    back = assert_bundle_roundtrip(model, tmp_path / "model.json", q)
+    assert back.transitions[0].plan.n_matched == model.transitions[0].plan.n_matched
+    assert back.transitions[0].plan.matched_high.tolist() == [0]
+    assert np.array_equal(gar_nll_nonsubset(back), gar_nll_nonsubset(model))
+
+
+def test_bundle_refuses_residual_rows_that_the_plan_cannot_order():
+    # Loading derives the plan from the residual's input rows: a residual
+    # whose matched row is not first would make the workspace impute the
+    # wrong rows, and a row whose twin is duplicated in the low level is
+    # ambiguous.  Neither loads a model.
+    rng = np.random.default_rng(37)
+    model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (3,))
+    res, low = model.transitions[0].residual, model.low
+    twin = model.transitions[0].plan.matched_low[0]
+    X_low = low.X.copy()
+    X_low[(twin + 1) % 5] = X_low[twin]
+    edits = {
+        "the rows with a low-fidelity twin must come first": (
+            ("transitions", 0, "residual"), replace(res, X=res.X[[1, 0, 2]], Y=res.Y[[1, 0, 2]])
+        ),
+        "high row 0 matches 2 duplicate low rows": (("low",), replace(low, X=X_low)),
+    }
+    for message, (path, edited) in edits.items():
+        doc = gar_to_dict(model)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = tgp_to_dict(edited)
+        with pytest.raises(ValueError, match=r"^transitions\[0\]\.residual\.X: " + message):
+            gar_from_dict(doc)
+
+
 def test_three_level_chain_with_nonsubset_top_roundtrip(tmp_path):
     # The second transition is non-subset, so its imputation comes from a
     # standalone fit of the middle level; that low model is the one extra
@@ -876,10 +924,11 @@ def test_bundle_rejects_previous_schema():
     rng = np.random.default_rng(27)
     model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (2,))
     doc = gar_to_dict(model)
-    assert doc["schema"] == "mfgar/gar-4"
-    doc["schema"] = "mfgar/gar-3"
-    with pytest.raises(ValueError, match="gar-3"):
-        gar_from_dict(doc)
+    assert doc["schema"] == "mfgar/gar-5"
+    for previous in ("mfgar/gar-3", "mfgar/gar-4"):
+        doc["schema"] = previous
+        with pytest.raises(ValueError, match=previous):
+            gar_from_dict(doc)
 
 
 def test_bundle_errors_name_the_nested_field():
@@ -891,30 +940,11 @@ def test_bundle_errors_name_the_nested_field():
     doc["transitions"][0]["residual"]["Y"] = encode_array(Y)
     with pytest.raises(ValueError, match=r"^transitions\[0\]\.residual\.Y: non-finite"):
         gar_from_dict(doc)
-    doc = gar_to_dict(model)
-    doc["transitions"][0]["plan"]["unmatched_high"]["dtype"] = "<i4"
-    with pytest.raises(ValueError, match=r"^transitions\[0\]\.plan\.unmatched_high: unsupported"):
-        gar_from_dict(doc)
-
-
-def _plan_edit(**fields):
-    """A bundle edit that replaces the given plan index arrays."""
-    return lambda entry: entry["plan"].update(
-        {name: encode_array(np.array(v)) for name, v in fields.items()}
-    )
-
-
-ROWS_ONCE = r"plan: matched_high and unmatched_high must list each of the 3 residual rows once"
-LOW_RANGE = r"plan\.matched_low: indices must lie in \[0, 5\)"
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        pytest.param(_plan_edit(unmatched_high=[1]), ROWS_ONCE, id="dropped-unmatched"),
-        pytest.param(_plan_edit(unmatched_high=[0, 1]), ROWS_ONCE, id="duplicate-high"),
-        pytest.param(_plan_edit(matched_low=[99]), LOW_RANGE, id="matched-low-99"),
-        pytest.param(_plan_edit(matched_low=[-1]), LOW_RANGE, id="matched-low-negative"),
         pytest.param(
             lambda entry: entry["weights"].__setitem__(0, encode_array(np.ones((2, 3)))),
             r"weights\[0\]: shape \(2, 3\), expected \(3, 2\)",
@@ -928,29 +958,12 @@ LOW_RANGE = r"plan\.matched_low: indices must lie in \[0, 5\)"
     ],
 )
 def test_bundle_refuses_plans_and_weights_that_do_not_fit(edit, message):
-    # A plan must order every residual row once and index the low model's
-    # rows; there is one weight factor per residual mode, (high, low) sized.
+    # There is one weight factor per residual mode, (high, low) sized.
     rng = np.random.default_rng(30)
     model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (3,))
     doc = gar_to_dict(model)
     edit(doc["transitions"][0])
     with pytest.raises(ValueError, match=r"^transitions\[0\]\." + message):
-        gar_from_dict(doc)
-
-
-@pytest.mark.parametrize("name", ["matched_high", "matched_low", "unmatched_high"])
-def test_bundle_refuses_float_plan_indices(name):
-    # A float payload for a plan index array is refused, not truncated: a
-    # matched_low entry of 1.7 would otherwise load as 1.
-    rng = np.random.default_rng(29)
-    model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (2,))
-    doc = gar_to_dict(model)
-    indices = getattr(model.transitions[0].plan, name).astype(float)
-    if name == "matched_low":
-        indices[0] = 1.7
-    doc["transitions"][0]["plan"][name] = encode_array(indices)
-    assert doc["transitions"][0]["plan"][name]["dtype"] == "<f8"
-    with pytest.raises(ValueError, match=rf"^transitions\[0\]\.plan\.{name}: dtype '<f8'"):
         gar_from_dict(doc)
 
 
@@ -987,8 +1000,6 @@ MISSING = "missing"
         pytest.param("tgp", ("log_noise",), [0.1], FINITE + "[0.1]", id="list-noise"),
         pytest.param("gar", ("transitions",), DROP, MISSING, id="no-transitions"),
         pytest.param("gar", RESIDUAL, DROP, MISSING, id="no-residual"),
-        pytest.param("gar", (*T0, "plan"), DROP, MISSING, id="no-plan"),
-        pytest.param("gar", (*T0, "plan", "matched_low"), DROP, MISSING, id="no-matched-low"),
         pytest.param("gar", (*T0, "weights"), DROP, MISSING, id="no-weights"),
         pytest.param("gar", ("low", "log_noise"), DROP, MISSING, id="no-noise"),
         pytest.param("gar", (*RESIDUAL, "input_kernel"), DROP, MISSING, id="no-input-kernel"),
@@ -1019,7 +1030,7 @@ def test_bundle_refuses_bad_fields_naming_the_path(loader, path, value, message)
     # A malformed bundle loads no model: a non-finite or non-numeric scalar,
     # a missing field, a field of the wrong JSON type and an offset not
     # shaped like one output (which would broadcast into the means) each raise
-    # ValueError with the field's path first (``transitions[0].plan``, or
+    # ValueError with the field's path first (``transitions[0].weights``, or
     # ``bundle`` for the document, here edited into a one-item list), never
     # a KeyError, TypeError or AttributeError.
     rng = np.random.default_rng(35)
@@ -1041,6 +1052,19 @@ def test_bundle_refuses_bad_fields_naming_the_path(loader, path, value, message)
     name = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:] or "bundle"
     with pytest.raises(ValueError, match="^" + re.escape(f"{name}: {message}")):
         load(json.loads(json.dumps(doc)))
+
+
+def test_model_refuses_an_empty_chain():
+    # A model has at least one fidelity transition: the constructor and the
+    # loader both refuse an empty chain.
+    rng = np.random.default_rng(38)
+    model, _ = make_random_nonsubset(rng, 5, 1, 2, (2,), (2,))
+    with pytest.raises(ValueError, match="^transitions: "):
+        GarModel(low=model.low, transitions=[])
+    doc = gar_to_dict(model)
+    doc["transitions"] = []
+    with pytest.raises(ValueError, match="^transitions: "):
+        gar_from_dict(doc)
 
 
 def test_model_refuses_mixed_output_covariances():

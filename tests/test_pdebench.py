@@ -233,6 +233,12 @@ def test_heat_rejects_out_of_range():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("kind, low", [("burgers", 16), ("heat", 16), ("poisson", 8)])
+def test_appendix_mesh_variant_refines_the_time_dependent_low_meshes(kind, low):
+    spec = pde_spec(kind, "appendix")
+    assert spec.mesh_low == (low, low) and spec.mesh_high == (32, 32)
+
+
 def test_tridiag_solve_matches_solve_banded_bitwise():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 30):
